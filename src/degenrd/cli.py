@@ -111,13 +111,12 @@ def load_run(run_dir: Path) -> tuple[RunResult, RunConfig]:
                      dt=float(summary["dt"])), rc
 
 
-def _build_ledger_for(rc: RunConfig, grid, run: RunResult):
-    _, a0, b0 = run.snapshots[0]
+def _ledger(rc: RunConfig, grid, a0, b0, B0: float):
+    """The constant ledger of a config for the initial state (a0, b0)."""
     cat = rc.sim.catalyst
-    k_sup = cat.k_max if cat.k_max is not None else cat.k0
-    return build_ledger(grid, rc.weights, a0, b0, run.B0,
-                        k0=cat.k0, k_sup=k_sup, d1=rc.sim.d1,
-                        d2=rc.sim.d2, T=rc.weights.T, seed=rc.sim.seed)
+    return build_ledger(grid, rc.weights, a0, b0, B0, k0=cat.k0,
+                        k_sup=cat.k_max, d1=rc.sim.d1, d2=rc.sim.d2,
+                        T=rc.weights.T, seed=rc.sim.seed)
 
 
 # ---------------------------------------------------------------------------
@@ -138,7 +137,8 @@ def cmd_verify(args) -> int:
     if args.quick:
         entries = audit(run)
     else:
-        ledger = _build_ledger_for(rc, run.grid, run)
+        _, a0, b0 = run.snapshots[0]
+        ledger = _ledger(rc, run.grid, a0, b0, run.B0)
         entries = audit(run, ledger=ledger, params=rc.weights)
     report = {"format_version": FORMAT_VERSION, "checks": entries,
               "pass": all(e["pass"] for e in entries)}
@@ -151,11 +151,7 @@ def cmd_constants(args) -> int:
     rc = load_config(args.config)
     grid = build_grid(Domain(rc.sim.dim), rc.sim.resolution)
     state, B0 = init_state(grid, rc.sim)
-    cat = rc.sim.catalyst
-    k_sup = cat.k_max if cat.k_max is not None else cat.k0
-    ledger = build_ledger(grid, rc.weights, state.a.values, state.b.values,
-                          B0, k0=cat.k0, k_sup=k_sup, d1=rc.sim.d1,
-                          d2=rc.sim.d2, T=rc.weights.T, seed=rc.sim.seed)
+    ledger = _ledger(rc, grid, state.a.values, state.b.values, B0)
     doc = {"format_version": FORMAT_VERSION, "ledger": ledger.as_json()}
     text = json.dumps(doc, indent=2, sort_keys=True)
     if args.output:

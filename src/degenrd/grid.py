@@ -15,7 +15,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 import scipy.sparse as sp
-import scipy.linalg
 import scipy.sparse.linalg
 
 
@@ -280,36 +279,29 @@ def cell_gradient(grid: Grid, values: np.ndarray) -> np.ndarray:
     return grad / grid.volumes[:, None]
 
 
-def neumann_eigenvalue_1(grid: Grid, tol: float = 1e-10,
-                         maxiter: int = 2000) -> float:
+def neumann_eigenvalue_1(grid: Grid) -> float:
     """Smallest nonzero eigenvalue of the unit-diffusivity Neumann Laplacian.
 
-    Solves the generalized symmetric problem A z = lam * V z on the
-    mean-zero subspace, where A is the (positive semidefinite) face
-    transmissibility graph Laplacian and V the volume diagonal.  Small
-    problems use a dense solver; larger ones a locally-optimal block
-    preconditioned Lanczos-type iteration deflated against constants.
+    Solves the generalized symmetric problem A z = lam * V z, where A is the
+    (positive semidefinite) face-transmissibility graph Laplacian and V the
+    volume diagonal, by shift-invert Lanczos about sigma = -1, where
+    A - sigma*V is definite: the two eigenvalues nearest it are 0
+    (constants) and lam.  The start vector is fixed, so the result is
+    bitwise reproducible.  Raises RuntimeError when the returned pair does
+    not satisfy the equation.
     """
     A = sp.diags(grid.volumes) @ (-grid.laplacian)
-    A = ((A + A.T) * 0.5).tocsr()
+    A = ((A + A.T) * 0.5).tocsc()
     V = grid.volumes
-    if grid.ncells <= 2500:
-        w = scipy.linalg.eigh(A.toarray(), np.diag(V), eigvals_only=True)
-        pos = w[w > 1e-10 * max(1.0, w[-1])]
-        if pos.size == 0:
-            raise RuntimeError("eigenvalue solve found no positive spectrum")
-        return float(pos[0])
-    rng = np.random.default_rng(0)
-    x0 = rng.standard_normal((grid.ncells, 1))
-    ones = np.ones((grid.ncells, 1))
+    v0 = np.random.default_rng(0).standard_normal(grid.ncells)
     try:
-        w, z = scipy.sparse.linalg.lobpcg(
-            A, x0, B=sp.diags(V), Y=ones, tol=tol, maxiter=maxiter,
-            largest=False)
-    except Exception as exc:  # pragma: no cover - solver internals
+        w, z = scipy.sparse.linalg.eigsh(A, k=2, M=sp.diags(V).tocsc(),
+                                         sigma=-1.0, v0=v0)
+    except scipy.sparse.linalg.ArpackError as exc:
         raise RuntimeError(f"eigenvalue iteration failed: {exc}") from exc
-    lam = float(w[0])
-    res = float(np.linalg.norm(A @ z[:, 0] - lam * V * z[:, 0]))
+    i = int(np.argmax(w))
+    lam = float(w[i])
+    res = float(np.linalg.norm(A @ z[:, i] - lam * V * z[:, i]))
     if not np.isfinite(lam) or lam <= 0 or res > 1e-6 * max(1.0, abs(lam)):
         raise RuntimeError(
             f"eigenvalue iteration did not converge: lam={lam}, "

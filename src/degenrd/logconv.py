@@ -12,8 +12,10 @@ top of the tilted fields this module evaluates
   * the three-time log-convexity interpolation inequality,
   * the end-to-end observation estimate with ledger constants.
 
-Checks that involve the ledger's interpolation window run in log space
-(mpmath), because the window's time shift h is far below double range.
+Checks that involve the ledger's interpolation window run in log space,
+because the window's time shift h is far below double range.  Their
+tilted norms are float64 log-sums plus one exact mpmath shift; the
+ledger arithmetic around them stays in mpmath.
 """
 
 from __future__ import annotations
@@ -24,7 +26,7 @@ from dataclasses import dataclass, field
 import mpmath as mp
 import numpy as np
 
-from ._xmath import DPS, logaddexp, logsumexp, log_trapezoid, to_float, fmt
+from ._xmath import DPS, logaddexp, log_trapezoid, to_float, fmt
 from .diagnostics import (TOLERANCES, centered_derivative,
                           fd_error_estimate)
 from .grid import Grid, Field, integrate, dirichlet_energy, cell_gradient, \
@@ -404,21 +406,28 @@ def observation_estimate_check(run: RunResult, params: WeightParams,
 
 def _ln_tilted_norm2(grid: Grid, u1, u2, phi1, phi3, coef,
                      four_components: bool):
-    """log of the tilted squared norm with exponent coef*phi (mpf-safe).
+    """log of the tilted squared norm, sum of V*u^2*exp(coef*phi) (mpf).
 
-    coef = s/Gamma can be astronomically large when Gamma ~ h_chain, so
-    each cell contributes ln(V*u^2) + coef*phi in mpf arithmetic.
+    coef = s/Gamma can leave double range, so only the shift coef*phi_top
+    (phi_top: the top exponent among cells with u != 0) is formed in mpf;
+    the rest is a float64 log-sum-exp of ln(V*u^2) + coef*(phi - phi_top),
+    exactly 0 at the top cells (no inf*0).  -inf when u vanishes.
     """
-    terms = []
-    comps = [(u1, phi1), (u2, phi1)]
-    if four_components:
-        comps += [(u1, phi3), (u2, phi3)]
-    for (u, phi) in comps:
-        for j in range(grid.ncells):
-            w = grid.volumes[j] * u[j] * u[j]
-            if w > 0:
-                terms.append(mp.log(mp.mpf(w)) + coef * mp.mpf(phi[j]))
-    return logsumexp(terms)
+    n = 2 if four_components else 1
+    u = np.concatenate([u1, u2] * n)
+    phi = np.repeat([phi1, phi3][:n], 2, axis=0).ravel()
+    w = np.tile(grid.volumes, 2 * n) * u * u
+    keep = w > 0
+    if not keep.any():
+        return mp.mpf("-inf")
+    phi_top = phi[keep].max()
+    d = phi[keep] - phi_top
+    scaled = np.zeros_like(d)
+    with np.errstate(over="ignore"):        # overflow is the -inf limit
+        np.multiply(float(coef), d, out=scaled, where=d < 0)
+    terms = np.log(w[keep]) + scaled
+    top = terms.max()
+    return coef * mp.mpf(phi_top) + top + math.log(np.exp(terms - top).sum())
 
 
 def interpolation_window_check(run: RunResult, params: WeightParams,

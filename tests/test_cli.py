@@ -5,6 +5,7 @@ import json
 import shutil
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -126,6 +127,20 @@ def test_constants_command(cfg_path, tmp_path, capsys):
     assert led["C1"]["value"] >= 1.0
     assert led["beta"]["log"] is not None
     assert led["ell"]["exact_integer"] is False
+    capsys.readouterr()
+
+
+def test_constants_fine_1d_grid(tmp_path, capsys):
+    """The ledger's eigen-solve converges on the shipped 1-D config refined
+    to 4096 cells, so `constants` exits 0 rather than 2."""
+    raw = json.loads(Path("configs/degenerate_bump.json").read_text())
+    raw["grid"]["resolution"] = 4096
+    cfg = tmp_path / "fine.json"
+    cfg.write_text(json.dumps(raw))
+    out = tmp_path / "ledger.json"
+    assert main(["constants", str(cfg), "-o", str(out)]) == 0
+    assert json.loads(out.read_text())["ledger"]["Cp"]["value"] \
+        == pytest.approx(1.0 / np.pi ** 2, rel=1e-6)
     capsys.readouterr()
 
 

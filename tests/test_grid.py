@@ -13,6 +13,7 @@ import math
 
 import numpy as np
 import pytest
+import scipy.sparse.linalg
 
 from degenrd.grid import (Domain, Field, ball_mask, build_grid,
                           cell_gradient, dirichlet_energy, domain_radius,
@@ -98,6 +99,36 @@ def test_2d_first_eigenvalue_disk_oracle():
     lam = neumann_eigenvalue_1(g)
     exact = 1.8411837813 ** 2 * math.pi   # (p'_11 / R)^2, R = pi^(-1/2)
     assert lam == pytest.approx(exact, rel=0.02)
+
+
+@pytest.mark.parametrize("res,rel", [(256, 1e-12), (4096, 1e-9)])
+def test_1d_first_eigenvalue_closed_form(res, rel):
+    """lambda_1 = 4 n^2 sin^2(pi/2n), the k=1 pair above; the eigen-solve's
+    rounding error grows like eps*4n^2/lambda_1 (about 4e-12 at n=4096)."""
+    lam = neumann_eigenvalue_1(build_grid(Domain(1), res))
+    exact = 4.0 * res ** 2 * math.sin(math.pi / (2 * res)) ** 2
+    assert lam == pytest.approx(exact, rel=rel)
+
+
+def test_2d_first_eigenvalue_disk_oracle_fine():
+    """16,129 cells; the error is second order, 3.4e-5 here."""
+    lam = neumann_eigenvalue_1(build_grid(Domain(2), 64))
+    assert lam == pytest.approx(1.8411837813 ** 2 * math.pi, rel=1e-4)
+
+
+def test_first_eigenvalue_bitwise_reproducible():
+    lams = [neumann_eigenvalue_1(build_grid(Domain(2), 32))
+            for _ in range(2)]
+    assert lams[0] == lams[1]
+
+
+def test_first_eigenvalue_failure_raises_runtime_error(monkeypatch):
+    """A solver failure surfaces as RuntimeError (CLI exit code 2)."""
+    def no_convergence(*args, **kwargs):
+        raise scipy.sparse.linalg.ArpackNoConvergence("no luck", [], [])
+    monkeypatch.setattr(scipy.sparse.linalg, "eigsh", no_convergence)
+    with pytest.raises(RuntimeError, match="eigenvalue iteration failed"):
+        neumann_eigenvalue_1(build_grid(Domain(1), 64))
 
 
 def test_cell_gradient_linear_exact_1d():

@@ -8,9 +8,14 @@ offset 0.1 and times (0.2, 0.5, 0.8):
   * conclusion margin = 0.3*(M - 1) = 1.2385601859190818.
 """
 
+import math
+
+import mpmath as mp
 import numpy as np
 import pytest
 
+from degenrd import logconv
+from degenrd._xmath import DPS, logsumexp
 from degenrd.grid import Field, integrate
 from degenrd.logconv import (InterpInput, check_cubic_bound,
                              check_source_bound, frequency_trace,
@@ -210,3 +215,103 @@ def test_interpolation_window_check_reference(ref_run, ref_params,
     out = interpolation_window_check(ref_run, ref_params, ref_ledger)
     assert out["pass"]
     assert out["untilting_margin"] > 0
+
+
+# ---------------------------------------------------------------------------
+# tilted norms of the interpolation window against a per-cell mpf reference
+# ---------------------------------------------------------------------------
+
+def _ln_tilted_norm2_percell(grid, u1, u2, phi1, phi3, coef,
+                             four_components):
+    """Reference: every cell's ln(V*u^2) + coef*phi formed in mpf."""
+    terms = []
+    comps = [(u1, phi1), (u2, phi1)]
+    if four_components:
+        comps += [(u1, phi3), (u2, phi3)]
+    for (u, phi) in comps:
+        for j in range(grid.ncells):
+            w = grid.volumes[j] * u[j] * u[j]
+            if w > 0:
+                terms.append(mp.log(mp.mpf(w)) + coef * mp.mpf(phi[j]))
+    return logsumexp(terms)
+
+
+def _assert_matches_reference(args):
+    """Equal as mpf when the log leaves double range (the float log-sum is
+    then below the digits of the shift coef*phi_top), else within 1e-15."""
+    got = logconv._ln_tilted_norm2(*args)
+    want = _ln_tilted_norm2_percell(*args)
+    if math.isinf(float(want)):
+        assert got == want
+    else:
+        assert abs(got - want) <= 1e-15 * abs(want)
+
+
+def test_window_norms_match_percell_reference(ref_run, ref_params,
+                                              ref_ledger, monkeypatch):
+    calls = []
+    fast = logconv._ln_tilted_norm2
+
+    def record(*args):
+        calls.append(args)
+        return fast(*args)
+
+    monkeypatch.setattr(logconv, "_ln_tilted_norm2", record)
+    interpolation_window_check(ref_run, ref_params, ref_ledger)
+    monkeypatch.undo()
+    assert [c[6] for c in calls] == [True, False] * 3
+    huge = [math.isinf(float(c[5])) for c in calls]
+    assert any(huge) and not all(huge)      # both coef regimes are exercised
+    with mp.workdps(DPS):
+        for args in calls:
+            _assert_matches_reference(args)
+
+
+def _edge_case_data(grid256):
+    rng = np.random.default_rng(11)
+    n = grid256.ncells
+    return rng.uniform(0.1, 1.0, n), rng.uniform(-1.0, -0.1, n), \
+        np.full(n, -1.0), np.full(n, -2.0)
+
+
+def test_tilted_norm_zero_state_is_minus_inf(grid256):
+    z = np.zeros(grid256.ncells)
+    _, _, phi1, phi3 = _edge_case_data(grid256)
+    for coef in (mp.mpf(3), mp.mpf(10) ** 400):
+        assert logconv._ln_tilted_norm2(grid256, z, z, phi1, phi3, coef,
+                                        True) == mp.mpf("-inf")
+
+
+def test_tilted_norm_tied_maxima_huge_coef(grid256):
+    """Two cells share the top exponent 0; under coef = 1e400 only they
+    count, and both do (no inf*0)."""
+    u1, u2, phi1, phi3 = _edge_case_data(grid256)
+    tied = [10, 200]
+    phi1[tied] = 0.0
+    coef = mp.mpf(10) ** 400
+    V = grid256.volumes
+    expect = math.log(sum(V[j] * (u1[j] ** 2 + u2[j] ** 2) for j in tied))
+    with mp.workdps(DPS):
+        got = logconv._ln_tilted_norm2(grid256, u1, u2, phi1, phi3, coef,
+                                       True)
+        assert abs(got - expect) <= 1e-15 * abs(expect)
+        for four in (True, False):
+            _assert_matches_reference(
+                (grid256, u1, u2, phi1, phi3, coef, four))
+        phi1[tied] = -0.5                    # shift out of the mpf digits
+        _assert_matches_reference((grid256, u1, u2, phi1, phi3, coef, True))
+
+
+def test_tilted_norm_skips_zero_cells(grid256):
+    """A cell with u1 = u2 = 0 adds nothing, even at the top exponent."""
+    u1, u2, phi1, phi3 = _edge_case_data(grid256)
+    u1[5] = u2[5] = 0.0
+    with mp.workdps(DPS):
+        for coef in (mp.mpf(3), mp.mpf(10) ** 400):
+            args = (grid256, u1, u2, phi1, phi3, coef, True)
+            base = logconv._ln_tilted_norm2(*args)
+            _assert_matches_reference(args)
+            phi1[5] = 0.0                    # the zero cell now tops phi1
+            assert logconv._ln_tilted_norm2(*args) == base
+            _assert_matches_reference(args)
+            phi1[5] = -1.0
