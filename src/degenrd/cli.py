@@ -22,7 +22,7 @@ from .constants import build_ledger
 from .diagnostics import TraceSeries, fit_decay_rate, solver_checks
 from .grid import build_grid, Domain
 from .logconv import InterpInput, interp_check
-from .solver import RunResult, init_state, run as run_sim
+from .solver import RunResult, SnapshotMissing, init_state, run as run_sim
 from .verify import audit
 
 TRACE_COLUMNS = ["t", "mass", "l2_dist", "l3_sum", "min_ab",
@@ -133,13 +133,21 @@ def cmd_simulate(args) -> int:
 
 def cmd_verify(args) -> int:
     run, rc = load_run(Path(args.run_dir))
-    entries = None
     if args.quick:
         entries = audit(run)
+    elif not run.snapshots:
+        raise ConfigError("full verify needs field snapshots, and this run "
+                          "was saved with stepper.save_fields = false")
     else:
         _, a0, b0 = run.snapshots[0]
         ledger = _ledger(rc, run.grid, a0, b0, run.B0)
-        entries = audit(run, ledger=ledger, params=rc.weights)
+        try:
+            entries = audit(run, ledger=ledger, params=rc.weights)
+        except SnapshotMissing as exc:
+            raise ConfigError(
+                f"{exc.args[0]}: full verify reads snapshots at times set "
+                f"by weights.T; choose weights.T and stepper.field_stride "
+                f"so that they fall on the snapshot grid") from exc
     report = {"format_version": FORMAT_VERSION, "checks": entries,
               "pass": all(e["pass"] for e in entries)}
     _write_json(Path(args.run_dir) / "verification.json", report)

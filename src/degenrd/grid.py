@@ -106,16 +106,6 @@ class Field:
         self.grid = grid
         self.values = values
 
-    @classmethod
-    def from_function(cls, grid: Grid, fn):
-        """Sample a callable of the cell-center coordinates."""
-        return cls(grid, np.asarray([fn(x) for x in grid.centers], float))
-
-
-def _require_same_grid(grid: Grid, field: Field):
-    if field.grid is not grid:
-        raise ValueError("field belongs to a different grid")
-
 
 def _build_grid_1d(domain: Domain, resolution: int) -> Grid:
     n = resolution
@@ -157,49 +147,33 @@ def _build_grid_2d(domain: Domain, resolution: int) -> Grid:
     th_mid = dth * (np.arange(ntheta) + 0.5)
     cos_m, sin_m = np.cos(th_mid), np.sin(th_mid)
     rmid = np.zeros(nr + 1)            # representative radius per ring
-    for k in range(1, nr):
-        r0, r1 = redges[k], redges[k + 1]
-        rmid[k] = 0.5 * (r0 + r1)
-        sl = slice(1 + (k - 1) * ntheta, 1 + k * ntheta)
-        centers[sl, 0] = rmid[k] * cos_m
-        centers[sl, 1] = rmid[k] * sin_m
-        volumes[sl] = 0.5 * (r1 ** 2 - r0 ** 2) * dth
+    rmid[1:nr] = 0.5 * (redges[1:nr] + redges[2:])
+    rm = rmid[1:nr, None]              # ring k = 1..nr-1 in row k-1
+    centers[1:] = np.column_stack([(rm * cos_m).ravel(), (rm * sin_m).ravel()])
+    volumes[1:] = np.repeat(0.5 * (redges[2:] ** 2 - redges[1:nr] ** 2) * dth,
+                            ntheta)
 
-    fi, fj, ftr, far, fno, fmd = [], [], [], [], [], []
-
-    def add_face(ci, cj, area, dist, mid, normal):
-        fi.append(ci)
-        fj.append(cj)
-        far.append(area)
-        ftr.append(area / dist)
-        fmd.append(mid)
-        fno.append(normal)
-
-    # center disk <-> first ring
-    for j in range(ntheta):
-        nvec = (cos_m[j], sin_m[j])
-        add_face(0, 1 + j, redges[1] * dth, rmid[1],
-                 (redges[1] * cos_m[j], redges[1] * sin_m[j]), nvec)
-    # radial faces between ring k and ring k+1
-    for k in range(1, nr - 1):
-        base, nxt = 1 + (k - 1) * ntheta, 1 + k * ntheta
-        re = redges[k + 1]
-        dist = rmid[k + 1] - rmid[k]
-        for j in range(ntheta):
-            add_face(base + j, nxt + j, re * dth, dist,
-                     (re * cos_m[j], re * sin_m[j]), (cos_m[j], sin_m[j]))
-    # angular faces within each ring
-    th_edge = dth * np.arange(ntheta)
-    for k in range(1, nr):
-        base = 1 + (k - 1) * ntheta
-        dist = rmid[k] * dth
-        for j in range(ntheta):
-            jn = (j + 1) % ntheta
-            te = th_edge[jn]
-            # normal at the shared edge points in +theta direction of cell j
-            add_face(base + j, base + jn, dr, dist,
-                     (rmid[k] * math.cos(te), rmid[k] * math.sin(te)),
-                     (-math.sin(te), math.cos(te)))
+    # faces in order: center disk <-> first ring, radial faces between
+    # ring k and k+1 (k = 1..nr-2), then angular faces within each ring
+    # k = 1..nr-1; within each group j runs over the ntheta angles
+    ring = 1 + ntheta * np.arange(nr - 1)[:, None] + np.arange(ntheta)
+    re = redges[1:nr, None]            # outer edge of center disk / ring k
+    jn = (np.arange(ntheta) + 1) % ntheta
+    te = dth * np.arange(ntheta)[jn]   # shared edge angle, +theta of cell j
+    cos_e = np.array([math.cos(x) for x in te])
+    sin_e = np.array([math.sin(x) for x in te])
+    rad_area = np.repeat(redges[1:nr] * dth, ntheta)
+    rad_dist = np.repeat(np.r_[rmid[1], rmid[2:nr] - rmid[1:nr - 1]], ntheta)
+    ang_dist = np.repeat(rmid[1:nr] * dth, ntheta)
+    fi = np.r_[np.zeros(ntheta, int), ring[:-1].ravel(), ring.ravel()]
+    fj = np.r_[ring[0], ring[1:].ravel(), ring[:, jn].ravel()]
+    far = np.r_[rad_area, np.full((nr - 1) * ntheta, dr)]
+    ftr = np.r_[rad_area / rad_dist, dr / ang_dist]
+    fno = np.r_[np.tile(np.column_stack([cos_m, sin_m]), (nr - 1, 1)),
+                np.tile(np.column_stack([-sin_e, cos_e]), (nr - 1, 1))]
+    fmd = np.r_[np.column_stack([(re * cos_m).ravel(),
+                                 (re * sin_m).ravel()]),
+                np.column_stack([(rm * cos_e).ravel(), (rm * sin_e).ravel()])]
 
     bcell = np.arange(1 + (nr - 2) * ntheta, ncells)
     bfaces = (
@@ -208,8 +182,7 @@ def _build_grid_2d(domain: Domain, resolution: int) -> Grid:
         np.column_stack([R * cos_m, R * sin_m]),
         np.column_stack([cos_m, sin_m]),
     )
-    faces = (np.asarray(fi), np.asarray(fj), np.asarray(ftr),
-             np.asarray(far), np.asarray(fno, float), np.asarray(fmd, float))
+    faces = (fi, fj, ftr, far, fno, fmd)
     return Grid(domain, resolution, centers, volumes, dr, faces, bfaces)
 
 
@@ -228,18 +201,10 @@ def build_grid(domain: Domain, resolution: int) -> Grid:
 
 def integrate(grid: Grid, field: Field | np.ndarray) -> float:
     """Volume-weighted midpoint quadrature of a cell field."""
+    if isinstance(field, Field) and field.grid is not grid:
+        raise ValueError("field belongs to a different grid")
     v = field.values if isinstance(field, Field) else np.asarray(field, float)
-    if isinstance(field, Field):
-        _require_same_grid(grid, field)
     return float(np.dot(grid.volumes, v))
-
-
-def neumann_laplacian(grid: Grid, field: Field, diffusivity: float) -> Field:
-    """Apply the zero-flux finite-volume Laplacian scaled by `diffusivity`."""
-    if diffusivity <= 0:
-        raise ValueError("diffusivity must be positive")
-    _require_same_grid(grid, field)
-    return Field(grid, diffusivity * (grid.laplacian @ field.values))
 
 
 def dirichlet_energy(grid: Grid, values: np.ndarray) -> float:

@@ -87,8 +87,8 @@ class CatalystSpec:
         return self.smoothness if self.smoothness is not None \
             else 2.0 * grid.spacing
 
-    def values(self, grid: Grid, t: float) -> np.ndarray:
-        """Sample k(., t) at the cell centers."""
+    def profile(self, grid: Grid) -> np.ndarray:
+        """Sample k at the cell centers, less time-modulated-bump's factor."""
         if self.kind == "constant":
             return np.full(grid.ncells, self.k0)
         w = self._width(grid)
@@ -96,12 +96,7 @@ class CatalystSpec:
         x0[0] = self.x0
         dist = np.linalg.norm(grid.centers - x0, axis=1)
         if self.kind in ("bump", "time-modulated-bump"):
-            k = self.k0 * smoothstep((dist - self.r) / w)
-            if self.kind == "time-modulated-bump":
-                ratio = self.k_max / self.k0
-                k = k * (1.0 + (ratio - 1.0)
-                         * math.sin(2.0 * math.pi * t / self.period) ** 2)
-            return k
+            return self.k0 * smoothstep((dist - self.r) / w)
         # annular-zero: full strength except a smooth dip on the annulus
         ri, ro = self.annulus_inner, self.annulus_outer
         if ri - w < self.x0 + self.r and ro + w > max(self.x0 - self.r, 0):
@@ -111,6 +106,18 @@ class CatalystSpec:
         mid_in = smoothstep((ri - rad) / w)    # 0 well inside ri, 1 beyond
         dip = smoothstep((rad - ro) / w) * mid_in
         return self.k_max * (1.0 - dip)
+
+    def at(self, profile: np.ndarray, t: float) -> np.ndarray:
+        """k(., t) from `profile`; only time-modulated-bump rescales it."""
+        if self.kind != "time-modulated-bump":
+            return profile
+        ratio = self.k_max / self.k0
+        return profile * (1.0 + (ratio - 1.0)
+                          * math.sin(2.0 * math.pi * t / self.period) ** 2)
+
+    def values(self, grid: Grid, t: float) -> np.ndarray:
+        """Sample k(., t) at the cell centers."""
+        return self.at(self.profile(grid), t)
 
 
 @dataclass(frozen=True)
@@ -223,7 +230,13 @@ def init_state(grid: Grid, config: SimConfig) -> tuple[StatePair, float]:
 
 
 class Stepper:
-    """Cached Crank-Nicolson factorizations for a fixed (grid, dt, d1, d2)."""
+    """Cached Crank-Nicolson factorizations for a fixed (grid, dt, d1, d2).
+
+    `solve` holds the SuperLU solve callables: one, shared by both species,
+    when d1 == d2, else one per species; `forward` holds the explicit CN
+    halves in the same way.  `implicit` solves for a (2, ncells) state, one
+    species per row, and looks `solve` up at call time.
+    """
 
     def __init__(self, grid: Grid, dt: float, d1: float, d2: float):
         self.grid, self.dt = grid, dt
@@ -231,15 +244,23 @@ class Stepper:
         L = grid.laplacian.tocsc()
         self.solve = []
         self.forward = []
-        for d in (d1, d2):
+        for d in ((d1,) if d1 == d2 else (d1, d2)):
             A = (eye - (0.5 * dt * d) * L).tocsc()
             try:
-                self.solve.append(scipy.sparse.linalg.factorized(A))
+                self.solve.append(scipy.sparse.linalg.splu(A).solve)
             except RuntimeError as exc:
                 raise RuntimeError(
                     f"implicit diffusion solve failed to factorize: {exc}"
                 ) from exc
             self.forward.append((eye + (0.5 * dt * d) * L).tocsr())
+
+    def implicit(self, rhs: np.ndarray) -> np.ndarray:
+        """Solve (I - dt/2 d L) x = rhs for both rows of `rhs`."""
+        if len(self.solve) == 1:
+            # one two-column solve; contiguous rows keep every later
+            # reduction over a species on the same (bitwise) code path
+            return np.ascontiguousarray(self.solve[0](rhs.T).T)
+        return np.array([s(r) for s, r in zip(self.solve, rhs)])
 
 
 def stability_dt(config: SimConfig, a: np.ndarray, b: np.ndarray) -> float:
@@ -254,28 +275,33 @@ def default_dt(grid: Grid, config: SimConfig, a, b) -> float:
     return min(stability_dt(config, a, b), 0.5 * grid.spacing)
 
 
-def step(state: StatePair, config: SimConfig, stepper: Stepper) -> StatePair:
-    """One IMEX step: CN diffusion + explicit midpoint reaction."""
-    grid, dt = state.grid, stepper.dt
-    a, b = state.a.values, state.b.values
+def step(u: np.ndarray, t: float, profile: np.ndarray, config: SimConfig,
+         stepper: Stepper) -> np.ndarray:
+    """One IMEX step of the (2, ncells) state `u` = (a, b) from time t.
+
+    CN diffusion plus an explicit midpoint reaction; `profile` is the
+    catalyst's spatial profile (`CatalystSpec.profile`).
+    """
+    dt, cat = stepper.dt, config.catalyst
+    a, b = u
     if dt > stability_dt(config, a, b) * (1 + 1e-12):
         raise ValueError(
             "dt exceeds the explicit-reaction stability bound; reduce dt")
-    k_now = config.catalyst.values(grid, state.t)
-    k_half = k_now if config.catalyst.kind != "time-modulated-bump" \
-        else config.catalyst.values(grid, state.t + 0.5 * dt)
     # midpoint predictor: backward-Euler half step, reaction frozen at t
-    r0 = k_now * (b * b - a * a)
-    a_h = stepper.solve[0](a + (0.5 * dt) * r0)
-    b_h = stepper.solve[1](b - (0.5 * dt) * r0)
-    rh = k_half * (b_h * b_h - a_h * a_h)
-    a_new = stepper.solve[0](stepper.forward[0] @ a + dt * rh)
-    b_new = stepper.solve[1](stepper.forward[1] @ b - dt * rh)
-    if not (np.all(np.isfinite(a_new)) and np.all(np.isfinite(b_new))):
+    h = (0.5 * dt) * (cat.at(profile, t) * (b * b - a * a))
+    a_h, b_h = stepper.implicit(np.array([a + h, b - h]))
+    rh = dt * (cat.at(profile, t + 0.5 * dt) * (b_h * b_h - a_h * a_h))
+    F = stepper.forward
+    u_new = stepper.implicit(np.array([F[0] @ a + rh, F[-1] @ b - rh]))
+    if not np.all(np.isfinite(u_new)):
         raise RuntimeError("non-finite state after step; reduce dt")
-    if min(a_new.min(), b_new.min()) < 0:
+    if u_new.min() < 0:
         raise RuntimeError("positivity lost, reduce dt")
-    return StatePair(Field(grid, a_new), Field(grid, b_new), state.t + dt)
+    return u_new
+
+
+class SnapshotMissing(KeyError):
+    """No field snapshot near a time that a check reads."""
 
 
 @dataclass
@@ -293,12 +319,8 @@ class RunResult:
         ts = np.array([s[0] for s in self.snapshots])
         i = int(np.argmin(np.abs(ts - t)))
         if abs(ts[i] - t) > 1e-9 + 1e-6 * max(1.0, abs(t)):
-            raise KeyError(f"no field snapshot near t={t}")
+            raise SnapshotMissing(f"no field snapshot near t={t}")
         return self.snapshots[i]
-
-    def state_at(self, t: float) -> StatePair:
-        ts, a, b = self.snapshot_at(t)
-        return StatePair(Field(self.grid, a), Field(self.grid, b), ts)
 
 
 def _record(grid, config, a, b, k, ball):
@@ -337,24 +359,27 @@ def run(config: SimConfig, grid: Grid | None = None) -> RunResult:
 
     stepper = Stepper(grid, dt, config.d1, config.d2)
     ball = ball_mask(grid, config.obs_x0, config.obs_r)
+    profile = config.catalyst.profile(grid)
     snap_every = max(1, round(config.field_stride / dt)) \
         if config.save_fields else None
 
     times, rows, snapshots = [], [], []
 
-    def take(n, st):
-        k = config.catalyst.values(grid, st.t)
-        times.append(st.t)
-        rows.append(_record(grid, config, st.a.values, st.b.values, k, ball))
+    def take(n, u, t):
+        k = config.catalyst.at(profile, t)
+        times.append(t)
+        rows.append(_record(grid, config, u[0], u[1], k, ball))
         if config.save_fields and (
                 snap_every is None or n % snap_every == 0 or n == nsteps):
-            snapshots.append((st.t, st.a.values.copy(), st.b.values.copy()))
+            snapshots.append((t, u[0].copy(), u[1].copy()))
 
-    take(0, state)
+    u, t = np.array([a, b]), state.t
+    take(0, u, t)
     for n in range(1, nsteps + 1):
-        state = step(state, config, stepper)
+        u = step(u, t, profile, config, stepper)
+        t += dt
         if n % rec_every == 0 or n == nsteps:
-            take(n, state)
+            take(n, u, t)
 
     channels = {key: np.array([r[key] for r in rows]) for key in rows[0]}
     trace = TraceSeries(np.array(times), channels,

@@ -114,6 +114,31 @@ def test_verify_detects_tampering(run_dir, tmp_path):
     assert not report["pass"]
 
 
+def _simulated(tmp_path, stepper, weights):
+    doc = json.loads(json.dumps(CFG))
+    doc["stepper"].update(stepper)
+    doc["weights"].update(weights)
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(doc))
+    out = tmp_path / "run"
+    assert main(["simulate", str(cfg), "-o", str(out)]) == 0
+    return out
+
+
+@pytest.mark.parametrize("stepper,weights,key", [
+    ({"t_end": 1.0}, {"T": 1.0}, "weights.T"),        # T-L = 0.875
+    ({"save_fields": False}, {}, "stepper.save_fields")])
+def test_verify_without_needed_snapshots_exits_1(tmp_path, capsys, stepper,
+                                                 weights, key):
+    out = _simulated(tmp_path, stepper, weights)
+    capsys.readouterr()
+    assert main(["verify", str(out)]) == 1
+    err = capsys.readouterr().err.strip()
+    assert err.startswith("error: ") and "\n" not in err
+    assert key in err
+    assert main(["verify", str(out), "--quick"]) == 0
+
+
 # ---------------------------------------------------------------------------
 # constants
 # ---------------------------------------------------------------------------

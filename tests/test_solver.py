@@ -12,11 +12,15 @@ import math
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
+import scipy.sparse.linalg
 
+from degenrd import solver
 from degenrd.diagnostics import fit_decay_rate
-from degenrd.grid import Domain, Field, build_grid, integrate
+from degenrd.grid import Domain, Field, ball_mask, build_grid, integrate
 from degenrd.solver import (CatalystSpec, InitialSpec, SimConfig, StatePair,
-                            Stepper, default_dt, init_state, run, step)
+                            Stepper, default_dt, init_state, run, step,
+                            stability_dt)
 
 
 def _cfg(**kw):
@@ -84,12 +88,13 @@ def test_single_mode_per_step_factor_exact():
     mode = 0.2 * np.cos(k * math.pi * xi)
     cfg = _cfg(catalyst=CatalystSpec(kind="constant", k0=0.0), dt=1e-3)
     stepper = Stepper(g, cfg.dt, cfg.d1, cfg.d2)
-    st = StatePair(Field(g, 1.0 + mode), Field(g, 1.0 - mode), 0.0)
+    profile = cfg.catalyst.profile(g)
+    u, t = np.stack([1.0 + mode, 1.0 - mode]), 0.0
     factor = (1 - cfg.dt * lam / 2) / (1 + cfg.dt * lam / 2)
     for n in range(5):
-        st = step(st, cfg, stepper)
+        u, t = step(u, t, profile, cfg, stepper), t + cfg.dt
         expected = 1.0 + mode * factor ** (n + 1)
-        assert np.max(np.abs(st.a.values - expected)) < 1e-13
+        assert np.max(np.abs(u[0] - expected)) < 1e-13
 
 
 def test_heat_decay_rate_oracle():
@@ -124,9 +129,10 @@ def test_reaction_increments_exactly_opposite(grid256):
     cfg = _cfg(resolution=256, dt=1e-3)
     st, _ = init_state(grid256, cfg)
     stepper = Stepper(grid256, cfg.dt, cfg.d1, cfg.d2)
-    st2 = step(st, cfg, stepper)
+    u2 = step(np.stack([st.a.values, st.b.values]), st.t,
+              cfg.catalyst.profile(grid256), cfg, stepper)
     m0 = integrate(grid256, st.a.values + st.b.values)
-    m1 = integrate(grid256, st2.a.values + st2.b.values)
+    m1 = integrate(grid256, u2[0] + u2[1])
     assert m1 == pytest.approx(m0, abs=1e-14)
 
 
@@ -174,3 +180,120 @@ def test_snapshot_lookup(ref_run):
     assert t == pytest.approx(5.0, abs=1e-9)
     with pytest.raises(KeyError):
         ref_run.snapshot_at(3.1415)
+
+
+# ---------------------------------------------------------------------------
+# bitwise oracle: the per-species step loop the (2, ncells) core replaced
+# ---------------------------------------------------------------------------
+
+def _reference_step(state, config, dt, solve, forward):
+    """One step on a StatePair: a solve per species, k sampled per call."""
+    grid = state.grid
+    a, b = state.a.values, state.b.values
+    assert dt <= stability_dt(config, a, b) * (1 + 1e-12)
+    k_now = config.catalyst.values(grid, state.t)
+    k_half = k_now if config.catalyst.kind != "time-modulated-bump" \
+        else config.catalyst.values(grid, state.t + 0.5 * dt)
+    r0 = k_now * (b * b - a * a)
+    a_h = solve[0](a + (0.5 * dt) * r0)
+    b_h = solve[1](b - (0.5 * dt) * r0)
+    rh = k_half * (b_h * b_h - a_h * a_h)
+    a_new = solve[0](forward[0] @ a + dt * rh)
+    b_new = solve[1](forward[1] @ b - dt * rh)
+    return StatePair(Field(grid, a_new), Field(grid, b_new), state.t + dt)
+
+
+def _reference_run(config, dt):
+    """Times, trace channels and snapshots of the reference loop."""
+    grid = build_grid(Domain(config.dim), config.resolution)
+    state, _ = init_state(grid, config)
+    rec_every = max(1, round(config.record_stride / dt))
+    nsteps = max(1, round(config.t_end / dt))
+    snap_every = max(1, round(config.field_stride / dt))
+    eye = sp.identity(grid.ncells, format="csc")
+    L = grid.laplacian.tocsc()
+    solve = [scipy.sparse.linalg.factorized((eye - (0.5 * dt * d) * L)
+                                            .tocsc())
+             for d in (config.d1, config.d2)]
+    forward = [(eye + (0.5 * dt * d) * L).tocsr()
+               for d in (config.d1, config.d2)]
+    ball = ball_mask(grid, config.obs_x0, config.obs_r)
+    times, rows, snaps = [], [], []
+
+    def take(n, st):
+        k = config.catalyst.values(grid, st.t)
+        times.append(st.t)
+        rows.append(solver._record(grid, config, st.a.values, st.b.values,
+                                   k, ball))
+        if n % snap_every == 0 or n == nsteps:
+            snaps.append((st.t, st.a.values.copy(), st.b.values.copy()))
+
+    take(0, state)
+    for n in range(1, nsteps + 1):
+        state = _reference_step(state, config, dt, solve, forward)
+        if n % rec_every == 0 or n == nsteps:
+            take(n, state)
+    return times, {key: [r[key] for r in rows] for key in rows[0]}, snaps
+
+
+_ORACLE_CASES = {
+    "1d-bump": dict(catalyst=CatalystSpec(kind="bump", k0=1.0)),
+    "1d-modulated": dict(catalyst=CatalystSpec(
+        kind="time-modulated-bump", k0=1.0, k_max=3.0, period=0.5)),
+    "1d-unequal-d": dict(d1=1.0, d2=0.3),
+    "2d-annular": dict(
+        dim=2, resolution=16, d2=2.0,
+        catalyst=CatalystSpec(kind="annular-zero", k0=1.0,
+                              annulus_inner=0.45, annulus_outer=0.5),
+        initial=InitialSpec(kind="gaussian")),
+    "2d-constant": dict(dim=2, resolution=16,
+                        catalyst=CatalystSpec(kind="constant", k0=1.0)),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_ORACLE_CASES))
+def test_run_bitwise_equals_per_species_loop(case):
+    kw = dict(resolution=64, t_end=0.5, record_stride=0.05,
+              field_stride=0.1)
+    kw.update(_ORACLE_CASES[case])
+    cfg = _cfg(**kw)
+    r = run(cfg)
+    times, channels, snaps = _reference_run(cfg, r.dt)
+    assert np.array_equal(r.trace.times, times)
+    assert sorted(r.trace.channels) == sorted(channels)
+    for key, values in channels.items():
+        assert np.array_equal(r.trace[key], values), key
+    assert len(r.snapshots) == len(snaps) > 2
+    for (t, a, b), (t_ref, a_ref, b_ref) in zip(r.snapshots, snaps):
+        assert t == t_ref
+        assert np.array_equal(a, a_ref) and np.array_equal(b, b_ref)
+
+
+# ---------------------------------------------------------------------------
+# work done per run
+# ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("d2,nsolve", [(1.0, 1), (0.3, 2)])
+def test_one_factorization_when_diffusivities_equal(d2, nsolve):
+    g = build_grid(Domain(1), 64)
+    assert len(Stepper(g, 1e-3, 1.0, d2).solve) == nsolve
+
+
+@pytest.mark.parametrize("catalyst", [
+    CatalystSpec(kind="constant", k0=1.0),
+    CatalystSpec(kind="bump", k0=1.0),
+    CatalystSpec(kind="annular-zero", k0=1.0, x0=0.3, r=0.05,
+                 annulus_inner=0.05, annulus_outer=0.15),
+    CatalystSpec(kind="time-modulated-bump", k0=1.0, k_max=3.0)])
+def test_catalyst_sampled_once_per_run(monkeypatch, catalyst):
+    """The grid is sampled once; steps and records reuse the profile."""
+    calls = {"values": 0, "profile": 0}
+    for name in calls:
+        def counted(self, *args, _name=name,
+                    _fn=getattr(CatalystSpec, name)):
+            calls[_name] += 1
+            return _fn(self, *args)
+        monkeypatch.setattr(CatalystSpec, name, counted)
+    r = run(_cfg(resolution=64, catalyst=catalyst, t_end=0.5))
+    assert r.trace.times.size > 2
+    assert calls["values"] <= 1 and calls["profile"] <= 1
