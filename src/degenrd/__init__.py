@@ -21,10 +21,11 @@ from .grid import Domain, Grid, Field, build_grid, integrate, \
     dirichlet_energy, domain_radius
 from .weights import WeightParams, weight_fields, geometry_constants
 from .solver import CatalystSpec, InitialSpec, SimConfig, StatePair, run
-from .diagnostics import TraceSeries, fit_decay_rate, audit, TOLERANCES
+from .diagnostics import TraceSeries, fit_decay_rate, TOLERANCES
 from .constants import ConstantLedger, build_ledger
 from .logconv import (TiltedState, tilt, quadratic_forms, frequency_trace,
                       InterpInput, interp_check, observation_estimate_check)
+from .verify import audit
 from .config import RunConfig, load_config, parse_config
 
 __version__ = "0.1.0"

@@ -14,10 +14,6 @@ import mpmath as mp
 DPS = 60
 
 
-def mpf(x) -> mp.mpf:
-    return mp.mpf(x)
-
-
 def logaddexp(a, b):
     """log(e^a + e^b) for mpf arguments, safe for huge magnitudes."""
     a, b = mp.mpf(a), mp.mpf(b)

@@ -19,7 +19,7 @@ rejected by name so typos cannot silently fall back to defaults.
 
 The `weights` section parameterizes the verification machinery; when it is
 absent the observation geometry defaults to the catalyst's ball with
-(s, h) = (0.5, 0.1) and T = t_end.
+(s, h) = (0.5, 0.1) and T = min(t_end, 10).  T may not exceed t_end.
 """
 
 from __future__ import annotations
@@ -108,8 +108,8 @@ def parse_config(raw: dict) -> RunConfig:
         )
         w_raw = dict(raw.get("weights", {}))
         weights = WeightParams(
-            x0_abs=float(w_raw.get("x0_abs", sim.obs_x0)),
-            r=float(w_raw.get("r", sim.obs_r)),
+            x0_abs=float(w_raw.get("x0_abs", catalyst.x0)),
+            r=float(w_raw.get("r", catalyst.r)),
             s=float(w_raw.get("s", 0.5)),
             h=float(w_raw.get("h", 0.1)),
             T=float(w_raw.get("T", min(sim.t_end, 10.0))),
@@ -117,6 +117,10 @@ def parse_config(raw: dict) -> RunConfig:
         )
     except (TypeError, ValueError) as exc:
         raise ConfigError(str(exc)) from exc
+    if weights.T > sim.t_end:
+        raise ConfigError(
+            f"weights.T = {weights.T:g} exceeds stepper.t_end = "
+            f"{sim.t_end:g}; the weight window must end within the run")
     label = str(raw.get("output", {}).get("label", "run"))
     return RunConfig(sim=sim, weights=weights, label=label, raw=raw)
 

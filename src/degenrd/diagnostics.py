@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -27,7 +27,6 @@ class TraceSeries:
 
     times: np.ndarray
     channels: dict[str, np.ndarray]
-    meta: dict[str, str] = field(default_factory=dict)
 
     def __post_init__(self):
         self.times = np.asarray(self.times, float)
@@ -146,12 +145,6 @@ def energy_identity_residuals(series: TraceSeries) -> np.ndarray:
             + series["dissipation_reaction"])
     dedt = centered_derivative(t, e)
     return np.abs(0.5 * dedt + diss)[1:-1]
-
-
-def audit(run, ledger=None, params=None) -> list[dict]:
-    """Full invariant audit of a finished run (see `verify.audit`)."""
-    from .verify import audit as _audit
-    return _audit(run, ledger=ledger, params=params)
 
 
 def solver_checks(run, tol=TOLERANCES) -> list[CheckResult]:

@@ -279,3 +279,9 @@ def ball_mask(grid: Grid, x0_axis: float, r: float) -> np.ndarray:
     x0 = np.zeros(grid.domain.dim)
     x0[0] = x0_axis
     return np.linalg.norm(grid.centers - x0, axis=1) <= r
+
+
+def ball_norm2(grid: Grid, u1: np.ndarray, u2: np.ndarray,
+               ball: np.ndarray) -> float:
+    """Squared norm of the pair (u1, u2) over the cells of `ball`."""
+    return float(np.dot(grid.volumes[ball], (u1 * u1 + u2 * u2)[ball]))

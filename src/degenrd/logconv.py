@@ -30,7 +30,7 @@ from ._xmath import DPS, logaddexp, log_trapezoid, to_float, fmt
 from .diagnostics import (TOLERANCES, centered_derivative,
                           fd_error_estimate)
 from .grid import Grid, Field, integrate, dirichlet_energy, cell_gradient, \
-    ball_mask
+    ball_mask, ball_norm2
 from .weights import (WeightParams, WeightFields, weight_fields,
                       component_diffusivity, eval_grad_psi)
 from .solver import StatePair, CatalystSpec, RunResult
@@ -65,9 +65,11 @@ class TiltedState:
         """||f||^2 summed over the four components."""
         return sum(integrate(self.grid, self.f[i] ** 2) for i in COMPONENTS)
 
-    def norm2_pair(self) -> float:
-        """||(f1, f2)||^2 (the two positive-weight components)."""
-        return sum(integrate(self.grid, self.f[i] ** 2) for i in (1, 2))
+
+def _reaction_source(k: np.ndarray, u1: np.ndarray,
+                     u2: np.ndarray) -> np.ndarray:
+    """v1 = k*(b^2 - a^2) written in u1 = a-1, u2 = b-1; v2 = -v1."""
+    return k * (u1 + u2 + 2.0) * (u2 - u1)
 
 
 def tilt(state: StatePair, params: WeightParams, catalyst: CatalystSpec,
@@ -81,8 +83,7 @@ def tilt(state: StatePair, params: WeightParams, catalyst: CatalystSpec,
         raise ValueError("state time outside the weight window [0, T]")
     u1 = state.a.values - 1.0
     u2 = state.b.values - 1.0
-    k = catalyst.values(grid, t)
-    v1 = k * (u1 + u2 + 2.0) * (u2 - u1)
+    v1 = _reaction_source(catalyst.values(grid, t), u1, u2)
     f = {i: (u1 if i in (1, 3) else u2) * np.exp(0.5 * wf.Phi(i, t))
          for i in COMPONENTS}
     return TiltedState(t=t, params=params, wf=wf, grid=grid,
@@ -316,31 +317,18 @@ def interp_check(inp: InterpInput) -> dict:
 # observation estimate and ledger-window checks
 # ---------------------------------------------------------------------------
 
-def _pair_norm2(grid: Grid, a: np.ndarray, b: np.ndarray) -> float:
-    u1, u2 = a - 1.0, b - 1.0
-    return integrate(grid, u1 * u1 + u2 * u2)
-
-
-def _ball_norm2(grid: Grid, a: np.ndarray, b: np.ndarray,
-                x0: float, r: float) -> float:
-    mask = ball_mask(grid, x0, r)
-    u1, u2 = a - 1.0, b - 1.0
-    return float(np.dot(grid.volumes[mask],
-                        (u1 * u1 + u2 * u2)[mask]))
-
-
 def check_source_bound(run: RunResult, K0: float) -> float:
     """Cellwise |(v1,v2)|^2 <= K0*(|u|^2 + |u|^4) at every snapshot.
 
     Returns the worst margin (nonnegative when the bound holds); raises if
     it is violated.
     """
-    cfg = run.config
+    cat = run.config.catalyst
+    profile = cat.profile(run.grid)
     worst = float("inf")
     for (t, a, b) in run.snapshots:
         u1, u2 = a - 1.0, b - 1.0
-        k = cfg.catalyst.values(run.grid, t)
-        v1 = k * (u1 + u2 + 2.0) * (u2 - u1)
+        v1 = _reaction_source(cat.at(profile, t), u1, u2)
         usq = u1 * u1 + u2 * u2
         margin = np.min(K0 * (usq + usq * usq) - 2.0 * v1 * v1)
         worst = min(worst, float(margin))
@@ -367,19 +355,20 @@ def observation_estimate_check(run: RunResult, params: WeightParams,
     The inequality compared (in logs):
       (1+M)*ln||u(T)||^2 <= c*(1+1/T) + ln||u(T)||^2_ball + M*ln||u(0)||^2.
     Window variants replace (0, T) by (t1, t) with the prefactor exponent
-    c*(1+1/(t-t1)).
+    c*(1+1/(t-t1)).  The norms ||u||^2 come from the trace; the ball norm
+    is over the weights' ball, which need not be the trace's `l2_ball`.
     """
     src_margin = check_source_bound(run, ledger.K0)
     cub_margin = check_cubic_bound(run, ledger.K0)
-    grid = run.grid
+    grid, tr = run.grid, run.trace
+    ball = ball_mask(grid, params.x0_abs, params.r)
     T = params.T
 
     def margin_for(t_start: float, t_final: float):
-        _, a0, b0 = run.snapshot_at(t_start)
         _, aT, bT = run.snapshot_at(t_final)
-        y0 = _pair_norm2(grid, a0, b0)
-        yT = _pair_norm2(grid, aT, bT)
-        yB = _ball_norm2(grid, aT, bT, params.x0_abs, params.r)
+        y0 = tr["l2_dist"][tr.index_at(t_start)]
+        yT = tr["l2_dist"][tr.index_at(t_final)]
+        yB = ball_norm2(grid, aT - 1.0, bT - 1.0, ball)
         if yT < _FLOOR:
             return mp.mpf(0)
         with mp.workdps(DPS):
@@ -438,11 +427,11 @@ def interpolation_window_check(run: RunResult, params: WeightParams,
     times T, T-L, T-2L (L = ell*h) are evaluated in log space, and the
     three inequalities — the interpolated bound with prefactor K_ell, the
     terminal-norm localization, and the untilting bound — are margins in
-    log space.
+    log space.  ||u(0)||^2 and ||u(T)||^2 come from the trace.
     """
     with mp.workdps(DPS):
         g = ledger.geometry
-        grid = run.grid
+        grid, tr = run.grid, run.trace
         T = mp.mpf(ledger.T)
         h = ledger.h_chain
         ell = ledger.ell
@@ -464,16 +453,16 @@ def interpolation_window_check(run: RunResult, params: WeightParams,
             return (
                 _ln_tilted_norm2(grid, u1, u2, phi1, phi3, coef, True),
                 _ln_tilted_norm2(grid, u1, u2, phi1, phi3, coef, False),
-                a, b)
+                u1, u2)
 
-        ln_fT, ln_pT, aT, bT = ln_norms(float(T), h)
+        ln_fT, ln_pT, u1T, u2T = ln_norms(float(T), h)
         ln_fm, ln_pm, _, _ = ln_norms(t_mid, L + h)
         ln_fl, _, _, _ = ln_norms(t_lo, 2 * L + h)
 
-        y_T = _pair_norm2(grid, aT, bT)
-        yB_T = _ball_norm2(grid, aT, bT, params.x0_abs, params.r)
-        _, a0, b0 = run.snapshot_at(0.0)
-        y_0 = _pair_norm2(grid, a0, b0)
+        y_T = tr["l2_dist"][tr.index_at(float(T))]
+        yB_T = ball_norm2(grid, u1T, u2T,
+                          ball_mask(grid, params.x0_abs, params.r))
+        y_0 = tr["l2_dist"][tr.index_at(0.0)]
 
         if y_0 < _FLOOR:
             return {"interpolated_margin": 0.0, "localization_margin": 0.0,

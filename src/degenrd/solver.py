@@ -25,7 +25,7 @@ import scipy.sparse as sp
 import scipy.sparse.linalg
 
 from .grid import Domain, Grid, Field, build_grid, integrate, \
-    dirichlet_energy, ball_mask
+    dirichlet_energy, ball_mask, ball_norm2
 from .diagnostics import TraceSeries
 
 _CATALYST_KINDS = ("constant", "bump", "annular-zero", "time-modulated-bump")
@@ -192,8 +192,6 @@ class SimConfig:
     record_stride: float = 0.05
     save_fields: bool = True
     field_stride: float = 0.25
-    obs_x0: float | None = None
-    obs_r: float | None = None
     seed: int = 0
 
     def __post_init__(self):
@@ -203,10 +201,6 @@ class SimConfig:
             raise ValueError("dt must be positive")
         if not self.t_end > 0:
             raise ValueError("t_end must be positive")
-        if self.obs_x0 is None:
-            object.__setattr__(self, "obs_x0", self.catalyst.x0)
-        if self.obs_r is None:
-            object.__setattr__(self, "obs_r", self.catalyst.r)
 
 
 def init_state(grid: Grid, config: SimConfig) -> tuple[StatePair, float]:
@@ -336,8 +330,7 @@ def _record(grid, config, a, b, k, ball):
         "dissipation_reaction": integrate(grid, k * (a + b) * du * du),
         "u_l3_max": max(integrate(grid, np.abs(u1) ** 3),
                         integrate(grid, np.abs(u2) ** 3)),
-        "l2_ball": float(np.dot(grid.volumes[ball],
-                                (u1 * u1 + u2 * u2)[ball])),
+        "l2_ball": ball_norm2(grid, u1, u2, ball),
     }
 
 
@@ -358,7 +351,7 @@ def run(config: SimConfig, grid: Grid | None = None) -> RunResult:
         rec_every = max(1, round(config.record_stride / dt))
 
     stepper = Stepper(grid, dt, config.d1, config.d2)
-    ball = ball_mask(grid, config.obs_x0, config.obs_r)
+    ball = ball_mask(grid, config.catalyst.x0, config.catalyst.r)
     profile = config.catalyst.profile(grid)
     snap_every = max(1, round(config.field_stride / dt)) \
         if config.save_fields else None
@@ -382,8 +375,6 @@ def run(config: SimConfig, grid: Grid | None = None) -> RunResult:
             take(n, u, t)
 
     channels = {key: np.array([r[key] for r in rows]) for key in rows[0]}
-    trace = TraceSeries(np.array(times), channels,
-                        meta={"dt": repr(dt), "resolution":
-                              str(config.resolution)})
+    trace = TraceSeries(np.array(times), channels)
     return RunResult(config=config, grid=grid, trace=trace,
                      snapshots=snapshots, B0=B0, dt=dt)

@@ -12,13 +12,13 @@ import math
 
 import numpy as np
 
-from .diagnostics import TOLERANCES, CheckResult, solver_checks
-from .grid import dirichlet_energy, integrate
+from .diagnostics import (TOLERANCES, CheckResult, centered_derivative,
+                          fd_error_estimate, solver_checks)
+from .grid import Field
 from .logconv import (frequency_trace, interpolation_window_check,
                       observation_estimate_check, quadratic_forms,
                       sym_form_direct, tilt)
 from .solver import RunResult, StatePair
-from .grid import Field
 from .weights import WeightParams, weight_fields
 
 _FLOOR = TOLERANCES["norm_floor"]
@@ -81,22 +81,23 @@ def beta1_chain_check(run: RunResult, ledger) -> CheckResult:
 
     Valid when the catalyst is bounded below by k0 on the whole domain (the
     spectral-gap route needs the reaction term active everywhere); for a
-    degenerate catalyst the check is reported as skipped.
+    degenerate catalyst the check is reported as skipped.  The norms and
+    the dissipation are the trace's, read at the snapshot times; its
+    `l2_ball` is over the catalyst's ball.
     """
-    cfg = run.config
-    grid = run.grid
-    k_min = float(np.min(cfg.catalyst.values(grid, 0.0)))
+    tr = run.trace
+    k_min = float(np.min(run.config.catalyst.values(run.grid, 0.0)))
     if k_min < ledger.k0 * (1.0 - 1e-9):
         return CheckResult("beta1_dissipation",
                            "dissipation controls the squared distance "
                            "(skipped: catalyst vanishes somewhere)",
                            0.0, 0.0)
-    from .grid import ball_mask
-    mask = ball_mask(grid, cfg.obs_x0, cfg.obs_r)
+    diss = (tr["dissipation_grad_a"] + tr["dissipation_grad_b"]
+            + tr["dissipation_reaction"])
     worst = float("inf")
-    for (t, a, b) in run.snapshots:
-        u1, u2 = a - 1.0, b - 1.0
-        total = integrate(grid, u1 * u1 + u2 * u2)
+    for (t, _, _) in run.snapshots:
+        i = tr.index_at(t)
+        total = tr["l2_dist"][i]
         # accumulated-roundoff noise floor: each implicit solve leaves a
         # relative residual of machine size, so after t/dt steps the field
         # noise is ~eps*(t/dt); below 100x that level (squared) the
@@ -104,13 +105,9 @@ def beta1_chain_check(run: RunResult, ledger) -> CheckResult:
         noise = (2.3e-16 * max(t, run.dt) / run.dt) ** 2
         if total < max(_FLOOR, 1e4 * noise):
             continue
-        k = cfg.catalyst.values(grid, t)
-        diss = (cfg.d1 * dirichlet_energy(grid, u1)
-                + cfg.d2 * dirichlet_energy(grid, u2)
-                + integrate(grid, k * (a + b) * (u2 - u1) ** 2))
-        lhs = 2.0 * float(np.dot(grid.volumes[mask],
-                                 (u1 * u1 + u2 * u2)[mask]))
-        worst = min(worst, (4.0 * ledger.beta1 * diss - lhs) / (2.0 * total))
+        lhs = 2.0 * tr["l2_ball"][i]
+        worst = min(worst,
+                    (4.0 * ledger.beta1 * diss[i] - lhs) / (2.0 * total))
     return CheckResult("beta1_dissipation",
                        "dissipation on the observation ball is controlled "
                        "by the spectral-gap constant",
@@ -149,7 +146,6 @@ def tilted_form_checks(run: RunResult, params: WeightParams
 def _frequency_trace_checks(run: RunResult, ft, ledger,
                             params: WeightParams) -> list[CheckResult]:
     """Inequalities along the frequency trace with ledger constants."""
-    from .diagnostics import centered_derivative, fd_error_estimate
     out = []
     n2 = ft.norm2_values
     scale = max(float(np.max(n2)), _FLOOR)

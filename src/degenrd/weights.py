@@ -192,38 +192,14 @@ def component_diffusivity(which: int, d1: float, d2: float) -> float:
     raise ValueError("component index must be 1..4")
 
 
-def eval_Phi_eta(params: WeightParams, which: int, point, t: float,
-                 d1: float, d2: float):
-    """Tilt exponent Phi_i = s*phi_i/Gamma and multiplier eta_i at (x, t).
-
-    eta_i = s/Gamma^2 * (-|phi_i|/2 + d_i*s*|grad phi_i|^2/4), which is the
-    combination eta_i = dPhi_i/dt / 2 + d_i*|grad Phi_i|^2 / 4.
-    """
-    if not 0 <= t <= params.T:
-        raise ValueError("time outside [0, T]")
-    gam = params.gamma(t)
-    phi = eval_phi(params, point, which)
-    d = component_diffusivity(which, d1, d2)
-    gp = eval_grad_psi(params, point)
-    grad_sq = np.sum(np.atleast_2d(gp) ** 2, axis=-1)
-    if np.ndim(phi) == 0:
-        grad_sq = float(grad_sq[0])
-    s = params.s
-    Phi = s * phi / gam
-    eta = s / gam ** 2 * (-0.5 * np.abs(phi) + 0.25 * d * s * grad_sq)
-    return Phi, eta
-
-
 @dataclass
 class WeightFields:
     """Weight machinery evaluated on every cell of a grid."""
 
     params: WeightParams
-    psi: Field
     phi1: Field
     phi3: Field
     grad_psi: np.ndarray          # (ncells, dim)
-    hess_psi: np.ndarray          # (ncells, dim, dim)
     laplacian_psi: Field
     grad_psi_sq: np.ndarray       # |grad psi|^2 per cell
 
@@ -231,9 +207,12 @@ class WeightFields:
         return self.phi1.values if which in (1, 2) else self.phi3.values
 
     def Phi(self, which: int, t: float) -> np.ndarray:
+        """Tilt exponent Phi_i = s*phi_i/Gamma."""
         return self.params.s * self.phi(which) / self.params.gamma(t)
 
     def eta(self, which: int, t: float, d1: float, d2: float) -> np.ndarray:
+        """Multiplier eta_i = dPhi_i/dt / 2 + d_i*|grad Phi_i|^2 / 4,
+        i.e. s/Gamma^2 * (-|phi_i|/2 + d_i*s*|grad phi_i|^2/4)."""
         s, gam = self.params.s, self.params.gamma(t)
         d = component_diffusivity(which, d1, d2)
         ph = self.phi(which)
@@ -262,11 +241,9 @@ def weight_fields(params: WeightParams, grid: Grid) -> WeightFields:
     grad = eval_grad_psi(params, pts)
     wf = WeightFields(
         params=params,
-        psi=Field(grid, psi),
         phi1=Field(grid, psi - peak),
         phi3=Field(grid, -psi - peak),
         grad_psi=grad,
-        hess_psi=eval_hess_psi(params, pts),
         laplacian_psi=Field(grid, eval_lap_psi(params, pts)),
         grad_psi_sq=np.sum(grad * grad, axis=-1),
     )

@@ -84,6 +84,20 @@ def test_simulate_unknown_key_named_in_error(tmp_path, capsys):
     assert "resolutionn" in capsys.readouterr().err
 
 
+def test_weight_window_past_t_end_rejected_at_parse(tmp_path, capsys):
+    doc = json.loads(json.dumps(CFG))
+    doc["stepper"]["t_end"] = 10.0
+    doc["weights"]["T"] = 20.0
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(doc))
+    out = tmp_path / "never"
+    assert main(["simulate", str(bad), "-o", str(out)]) == 1
+    err = capsys.readouterr().err.strip()
+    assert err.startswith("error: ") and "\n" not in err
+    assert "weights.T" in err
+    assert not out.exists()
+
+
 def test_simulate_missing_file_exits_1(tmp_path):
     assert main(["simulate", str(tmp_path / "nope.json"),
                  "-o", str(tmp_path / "x")]) == 1

@@ -67,7 +67,9 @@ def test_pair_norm_sandwich(ref_run, ref_params):
     """||(f1,f2)||^2 <= ||f||^2 <= 2*||(f1,f2)||^2 since the second
     exponent never exceeds the first."""
     ts = tilt(_mid_state(ref_run), ref_params, ref_run.config.catalyst)
-    n_pair, n_all = ts.norm2_pair(), ts.norm2()
+    n_pair = integrate(ref_run.grid, ts.f[1] ** 2) \
+        + integrate(ref_run.grid, ts.f[2] ** 2)
+    n_all = ts.norm2()
     assert n_pair <= n_all <= 2 * n_pair * (1 + 1e-12)
 
 
@@ -202,12 +204,59 @@ def test_observation_estimate_decayed_convention(grid256, ref_params):
     times = np.arange(0.0, 10.0 + 1e-12, 0.25)
     snaps = [(float(t), ones.copy(), ones.copy()) for t in times]
     trace = TraceSeries(times=times,
-                        channels={"u_l3_max": np.zeros_like(times)})
+                        channels={"u_l3_max": np.zeros_like(times),
+                                  "l2_dist": np.zeros_like(times)})
     r = RunResult(config=cfg, grid=grid256, trace=trace,
                   snapshots=snaps, B0=1.0, dt=1e-3)
     led_stub = type("L", (), {"K0": 32.0, "M": 1.0, "c": 2.0})()
     out = observation_estimate_check(r, ref_params, led_stub)
     assert out["margin"] == 0.0 and out["pass"]
+
+
+def _pair_norm2(grid, a, b):
+    """The per-snapshot recomputation that the trace's `l2_dist` replaced."""
+    u1, u2 = a - 1.0, b - 1.0
+    return integrate(grid, u1 * u1 + u2 * u2)
+
+
+def test_trace_l2_dist_equals_snapshot_pair_norm(ref_run):
+    """The checks read ||u||^2 from the trace; at every snapshot time it is
+    the recomputed norm bit for bit (1-D reference run and a 2-D run)."""
+    disk = run(SimConfig(dim=2, resolution=16, t_end=0.5,
+                         record_stride=0.05, field_stride=0.1))
+    for r in (ref_run, disk):
+        tr = r.trace
+        assert len(r.snapshots) > 2
+        for (t, a, b) in r.snapshots:
+            assert tr["l2_dist"][tr.index_at(t)] == _pair_norm2(r.grid, a, b)
+
+
+def test_observation_estimate_uses_the_weights_ball():
+    """With catalyst ball r = 0.025 and weights ball r = 0.1 the estimate's
+    ball norm is over the weights' ball, not the trace's `l2_ball`."""
+    r = run(SimConfig(dim=1, resolution=256,
+                      catalyst=CatalystSpec(kind="bump", k0=1.0, x0=0.25,
+                                            r=0.025),
+                      t_end=1.0, record_stride=0.05, field_stride=0.25))
+    params = WeightParams(x0_abs=0.25, r=0.1, s=0.5, h=0.1, T=1.0, dim=1)
+    led = type("L", (), {"K0": 32.0, "M": mp.mpf(2), "c": mp.mpf(1)})()
+    out = observation_estimate_check(r, params, led)
+
+    _, aT, bT = r.snapshot_at(1.0)
+    usq = (aT - 1.0) ** 2 + (bT - 1.0) ** 2
+    ball = np.abs(r.grid.centers[:, 0] - 0.25) <= 0.1
+    y_ball = float(np.dot(r.grid.volumes[ball], usq[ball]))
+    tr = r.trace
+    y0, yT = tr["l2_dist"][0], tr["l2_dist"][-1]
+
+    def margin(yB):
+        with mp.workdps(DPS):
+            return float(led.c * 2 + mp.log(yB) + led.M * mp.log(y0)
+                         - (1 + led.M) * mp.log(yT))
+
+    assert out["margin"] == pytest.approx(margin(y_ball), rel=1e-12)
+    # the trace's catalyst-ball norm would move the margin far outside that
+    assert abs(margin(tr["l2_ball"][-1]) - margin(y_ball)) > 0.1
 
 
 def test_interpolation_window_check_reference(ref_run, ref_params,

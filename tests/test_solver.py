@@ -217,7 +217,7 @@ def _reference_run(config, dt):
              for d in (config.d1, config.d2)]
     forward = [(eye + (0.5 * dt * d) * L).tocsr()
                for d in (config.d1, config.d2)]
-    ball = ball_mask(grid, config.obs_x0, config.obs_r)
+    ball = ball_mask(grid, config.catalyst.x0, config.catalyst.r)
     times, rows, snaps = [], [], []
 
     def take(n, st):

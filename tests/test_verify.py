@@ -4,9 +4,9 @@ and the auditor must report (not crash on) bad ones."""
 import numpy as np
 import pytest
 
-from degenrd.diagnostics import audit as diag_audit
+from degenrd.grid import ball_mask, dirichlet_energy, integrate
 from degenrd.solver import CatalystSpec, InitialSpec, SimConfig, run
-from degenrd.verify import audit
+from degenrd.verify import audit, beta1_chain_check
 
 
 @pytest.fixture(scope="module")
@@ -50,7 +50,7 @@ def test_audit_deterministic(ref_run, ref_ledger, ref_params, ref_audit):
 
 
 def test_diagnostics_audit_wrapper(ref_run):
-    entries = diag_audit(ref_run)
+    entries = audit(ref_run)
     assert all(e["pass"] for e in entries)
     assert {e["invariant_id"] for e in entries} >= {"mass_conservation",
                                                     "l2_monotone"}
@@ -82,6 +82,41 @@ def test_full_catalyst_runs_beta1(ref_ledger):
                  if e["invariant_id"] == "beta1_dissipation")
     assert "skipped" not in entry["reference"]
     assert entry["pass"]
+
+
+def _beta1_margin_from_snapshots(r, ledger):
+    """The snapshot recomputation that `beta1_chain_check` replaced by
+    trace reads, kept as the reference."""
+    cfg, grid = r.config, r.grid
+    mask = ball_mask(grid, cfg.catalyst.x0, cfg.catalyst.r)
+    worst = float("inf")
+    for (t, a, b) in r.snapshots:
+        u1, u2 = a - 1.0, b - 1.0
+        total = integrate(grid, u1 * u1 + u2 * u2)
+        noise = (2.3e-16 * max(t, r.dt) / r.dt) ** 2
+        if total < max(1e-30, 1e4 * noise):
+            continue
+        k = cfg.catalyst.values(grid, t)
+        diss = (cfg.d1 * dirichlet_energy(grid, u1)
+                + cfg.d2 * dirichlet_energy(grid, u2)
+                + integrate(grid, k * (a + b) * (u2 - u1) ** 2))
+        lhs = 2.0 * float(np.dot(grid.volumes[mask],
+                                 (u1 * u1 + u2 * u2)[mask]))
+        worst = min(worst, (4.0 * ledger.beta1 * diss - lhs) / (2.0 * total))
+    return worst
+
+
+def test_beta1_trace_margin_matches_snapshot_recomputation(ref_ledger):
+    cfg = SimConfig(dim=1, resolution=128,
+                    catalyst=CatalystSpec(kind="constant", k0=1.0),
+                    initial=InitialSpec(kind="cosine", amplitude=0.3),
+                    t_end=4.0, record_stride=0.05, field_stride=0.25)
+    r = run(cfg)
+    check = beta1_chain_check(r, ref_ledger)
+    ref = _beta1_margin_from_snapshots(r, ref_ledger)
+    assert "skipped" not in check.reference
+    assert np.isfinite(ref)
+    assert check.margin == pytest.approx(ref, rel=1e-13, abs=0.0)
 
 
 def test_bad_run_reported_not_crashed():

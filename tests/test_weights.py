@@ -14,7 +14,7 @@ import pytest
 
 from degenrd.weights import (WeightParams, eval_grad_lap_psi, eval_grad_psi,
                              eval_hess_psi, eval_lap_psi, eval_phi,
-                             eval_psi, eval_Phi_eta, geometry_constants,
+                             eval_psi, geometry_constants,
                              psi_at_x0, weight_fields)
 from degenrd.grid import Domain, build_grid
 
@@ -156,27 +156,35 @@ def test_phi_signs_and_reconstruction():
     assert np.allclose(phi3 - phi1, -2 * eval_psi(P1, pts), atol=1e-12)
 
 
+def _Phi_eta_closed_form(params, which, pts, t, d):
+    """Phi_i = s*phi_i/Gamma and eta_i = s/Gamma^2 * (-|phi_i|/2
+    + d*s*|grad psi|^2/4), from the pointwise evaluators."""
+    gamma = params.T - t + params.h
+    phi = eval_phi(params, pts, which)
+    grad = eval_grad_psi(params, pts).reshape(-1)
+    eta = (params.s / gamma ** 2) * (-0.5 * np.abs(phi)
+                                     + 0.25 * d * params.s * grad ** 2)
+    return params.s * phi / gamma, eta
+
+
 def test_Phi_eta_consistency():
-    pts = np.linspace(-0.45, 0.45, 11).reshape(-1, 1)
+    g = build_grid(Domain(1), 11)
+    wf = weight_fields(P1, g)
     t = 3.0
-    gamma = P1.T - t + P1.h
-    Phi, eta = eval_Phi_eta(P1, 1, pts, t, d1=1.0, d2=2.0)
-    phi1 = eval_phi(P1, pts, 1)
-    assert np.allclose(Phi, P1.s * phi1 / gamma, atol=1e-14)
-    grad = eval_grad_psi(P1, pts).reshape(-1)
-    expected = (P1.s / gamma ** 2) * (-0.5 * np.abs(phi1)
-                                      + 0.25 * 1.0 * P1.s * grad ** 2)
-    assert np.allclose(eta, expected, atol=1e-13)
+    Phi, eta = _Phi_eta_closed_form(P1, 1, g.centers, t, d=1.0)
+    assert np.allclose(wf.Phi(1, t), Phi, atol=1e-14)
+    assert np.allclose(wf.eta(1, t, d1=1.0, d2=2.0), eta, atol=1e-13)
 
 
 def test_weight_fields_match_pointwise():
     g = build_grid(Domain(1), 128)
     wf = weight_fields(P1, g)
-    assert np.allclose(wf.psi.values, eval_psi(P1, g.centers), atol=1e-14)
+    assert np.allclose(wf.phi(1) + psi_at_x0(P1), eval_psi(P1, g.centers),
+                       atol=1e-14)
     assert np.allclose(wf.phi(1), eval_phi(P1, g.centers, 1), atol=1e-14)
     assert np.allclose(wf.phi(3), eval_phi(P1, g.centers, 3), atol=1e-14)
     t = 1.5
-    Phi, eta = eval_Phi_eta(P1, 3, g.centers, t, 1.0, 1.0)
+    Phi, eta = _Phi_eta_closed_form(P1, 3, g.centers, t, d=1.0)
     assert np.allclose(wf.Phi(3, t), Phi, atol=1e-13)
     assert np.allclose(wf.eta(3, t, 1.0, 1.0), eta, atol=1e-13)
 
