@@ -17,10 +17,10 @@ Layers, bottom up:
   config/cli   JSON configuration and the `degenrd` command.
 """
 
-from .grid import Domain, Grid, Field, build_grid, integrate, \
-    dirichlet_energy, domain_radius
+from .grid import Domain, Grid, build_grid, integrate, dirichlet_energy, \
+    domain_radius
 from .weights import WeightParams, weight_fields, geometry_constants
-from .solver import CatalystSpec, InitialSpec, SimConfig, StatePair, run
+from .solver import CatalystSpec, InitialSpec, SimConfig, run
 from .diagnostics import TraceSeries, fit_decay_rate, TOLERANCES
 from .constants import ConstantLedger, build_ledger
 from .logconv import (TiltedState, tilt, quadratic_forms, frequency_trace,
@@ -31,10 +31,10 @@ from .config import RunConfig, load_config, parse_config
 __version__ = "0.1.0"
 
 __all__ = [
-    "Domain", "Grid", "Field", "build_grid", "integrate",
+    "Domain", "Grid", "build_grid", "integrate",
     "dirichlet_energy", "domain_radius",
     "WeightParams", "weight_fields", "geometry_constants",
-    "CatalystSpec", "InitialSpec", "SimConfig", "StatePair", "run",
+    "CatalystSpec", "InitialSpec", "SimConfig", "run",
     "TraceSeries", "fit_decay_rate", "audit", "TOLERANCES",
     "ConstantLedger", "build_ledger",
     "TiltedState", "tilt", "quadratic_forms", "frequency_trace",

@@ -25,10 +25,6 @@ from .logconv import InterpInput, interp_check
 from .solver import RunResult, SnapshotMissing, init_state, run as run_sim
 from .verify import audit
 
-TRACE_COLUMNS = ["t", "mass", "l2_dist", "l3_sum", "min_ab",
-                 "dissipation_grad_a", "dissipation_grad_b",
-                 "dissipation_reaction", "u_l3_max", "l2_ball"]
-
 EXIT_OK, EXIT_USAGE, EXIT_NUMERICAL, EXIT_INVARIANT = 0, 1, 2, 3
 
 
@@ -44,10 +40,10 @@ def _write_json(path: Path, obj) -> None:
 def _write_trace_csv(path: Path, trace: TraceSeries) -> None:
     with open(path, "w", newline="", encoding="utf-8") as fh:
         w = csv.writer(fh)
-        w.writerow(TRACE_COLUMNS)
+        w.writerow(["t", *trace.channels])
         for i in range(trace.times.size):
             row = [_g(trace.times[i])]
-            row += [_g(trace[c][i]) for c in TRACE_COLUMNS[1:]]
+            row += [_g(trace[c][i]) for c in trace.channels]
             w.writerow(row)
 
 
@@ -66,13 +62,8 @@ def save_run(run: RunResult, rc: RunConfig, out_dir: Path) -> dict:
     _write_json(out_dir / "config.json",
                 {"format_version": FORMAT_VERSION, "config": rc.raw})
     _write_trace_csv(out_dir / "trace.csv", run.trace)
-    ts = np.array([t for (t, _, _) in run.snapshots])
-    n = run.grid.ncells
-    a = np.stack([a for (_, a, _) in run.snapshots]) if run.snapshots \
-        else np.empty((0, n))
-    b = np.stack([b for (_, _, b) in run.snapshots]) if run.snapshots \
-        else np.empty((0, n))
-    np.savez(out_dir / "fields.npz", times=ts, a=a, b=b,
+    np.savez(out_dir / "fields.npz", times=run.snapshot_times,
+             a=run.snapshots[:, 0], b=run.snapshots[:, 1],
              dim=run.grid.domain.dim, resolution=run.config.resolution)
     try:
         fit = fit_decay_rate(run.trace, "l2_dist")
@@ -96,25 +87,35 @@ def save_run(run: RunResult, rc: RunConfig, out_dir: Path) -> dict:
 
 
 def load_run(run_dir: Path) -> tuple[RunResult, RunConfig]:
-    """Reload a persisted run directory into an in-memory RunResult."""
+    """Reload a persisted run directory into an in-memory RunResult.
+
+    Raises ValueError naming fields.npz when its snapshots are not finite
+    or do not have one value per grid cell.
+    """
     run_dir = Path(run_dir)
     cfg_doc = json.loads((run_dir / "config.json").read_text())
     rc = parse_config(cfg_doc["config"])
     summary = json.loads((run_dir / "summary.json").read_text())
     grid = build_grid(Domain(rc.sim.dim), rc.sim.resolution)
     trace = _read_trace_csv(run_dir / "trace.csv")
-    npz = np.load(run_dir / "fields.npz")
-    snaps = [(float(t), npz["a"][i].copy(), npz["b"][i].copy())
-             for i, t in enumerate(npz["times"])]
+    path = run_dir / "fields.npz"
+    with np.load(path) as npz:
+        times, a, b = npz["times"], npz["a"], npz["b"]
+    shape = (times.size, grid.ncells)
+    if a.shape != shape or b.shape != shape \
+            or not (np.isfinite(a).all() and np.isfinite(b).all()):
+        raise ValueError(f"{path}: the snapshots must be finite, with "
+                         f"{grid.ncells} cells each")
     return RunResult(config=rc.sim, grid=grid, trace=trace,
-                     snapshots=snaps, B0=float(summary["B0"]),
-                     dt=float(summary["dt"])), rc
+                     snapshot_times=times,
+                     snapshots=np.stack([a, b], axis=1),
+                     B0=float(summary["B0"]), dt=float(summary["dt"])), rc
 
 
-def _ledger(rc: RunConfig, grid, a0, b0, B0: float):
-    """The constant ledger of a config for the initial state (a0, b0)."""
+def _ledger(rc: RunConfig, grid, u0, B0: float):
+    """The constant ledger of a config for the initial state u0 = (a0, b0)."""
     cat = rc.sim.catalyst
-    return build_ledger(grid, rc.weights, a0, b0, B0, k0=cat.k0,
+    return build_ledger(grid, rc.weights, *u0, B0, k0=cat.k0,
                         k_sup=cat.k_max, d1=rc.sim.d1, d2=rc.sim.d2,
                         T=rc.weights.T, seed=rc.sim.seed)
 
@@ -135,12 +136,11 @@ def cmd_verify(args) -> int:
     run, rc = load_run(Path(args.run_dir))
     if args.quick:
         entries = audit(run)
-    elif not run.snapshots:
+    elif not run.snapshot_times.size:
         raise ConfigError("full verify needs field snapshots, and this run "
                           "was saved with stepper.save_fields = false")
     else:
-        _, a0, b0 = run.snapshots[0]
-        ledger = _ledger(rc, run.grid, a0, b0, run.B0)
+        ledger = _ledger(rc, run.grid, run.snapshots[0], run.B0)
         try:
             entries = audit(run, ledger=ledger, params=rc.weights)
         except SnapshotMissing as exc:
@@ -158,8 +158,8 @@ def cmd_verify(args) -> int:
 def cmd_constants(args) -> int:
     rc = load_config(args.config)
     grid = build_grid(Domain(rc.sim.dim), rc.sim.resolution)
-    state, B0 = init_state(grid, rc.sim)
-    ledger = _ledger(rc, grid, state.a.values, state.b.values, B0)
+    u, B0 = init_state(grid, rc.sim)
+    ledger = _ledger(rc, grid, u, B0)
     doc = {"format_version": FORMAT_VERSION, "ledger": ledger.as_json()}
     text = json.dumps(doc, indent=2, sort_keys=True)
     if args.output:
@@ -218,6 +218,8 @@ def cmd_sweep(args) -> int:
         raise ConfigError(
             f"sweepable parameters are {sorted(_SWEEPABLE)}; "
             f"got {args.param!r}")
+    if args.jobs < 1:
+        raise ConfigError(f"--jobs must be at least 1; got {args.jobs}")
     section, key = _SWEEPABLE[args.param]
     try:
         values = [float(v) for v in args.values.split(",")]
@@ -233,8 +235,10 @@ def cmd_sweep(args) -> int:
                                                   rc.sim.catalyst.kind)
         sub = out_root / f"{args.param}_{_g(v)}"
         payloads.append((json.dumps(raw), str(sub), args.param, v))
-    if args.jobs > 1:
-        with ProcessPoolExecutor(max_workers=args.jobs) as pool:
+    # the pool starts all its workers at once: no more than there are points
+    jobs = min(args.jobs, len(values))
+    if jobs > 1:
+        with ProcessPoolExecutor(max_workers=jobs) as pool:
             results = list(pool.map(_sweep_one, payloads))
     else:
         results = [_sweep_one(p) for p in payloads]

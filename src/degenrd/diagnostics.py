@@ -41,11 +41,18 @@ class TraceSeries:
     def __getitem__(self, name: str) -> np.ndarray:
         return self.channels[name]
 
-    def index_at(self, t: float, tol: float = 1e-9) -> int:
-        i = int(np.argmin(np.abs(self.times - t)))
-        if abs(self.times[i] - t) > tol + 1e-6 * max(1.0, abs(t)):
+    def index_at(self, t: float) -> int:
+        i = nearest_index(self.times, t)
+        if i is None:
             raise KeyError(f"no sample near t={t}")
         return i
+
+
+def nearest_index(times: np.ndarray, t: float) -> int | None:
+    """Index of the entry of `times` nearest t; None when it is further
+    than 1e-9 + 1e-6*max(1, |t|) from t."""
+    i = int(np.argmin(np.abs(times - t)))
+    return i if abs(times[i] - t) <= 1e-9 + 1e-6 * max(1.0, abs(t)) else None
 
 
 def fit_decay_rate(series: TraceSeries, channel: str,

@@ -90,23 +90,6 @@ class Grid:
         }
 
 
-class Field:
-    """Per-cell real values bound to a grid; values must stay finite."""
-
-    __slots__ = ("grid", "values")
-
-    def __init__(self, grid: Grid, values):
-        values = np.asarray(values, dtype=float)
-        if values.shape != (grid.ncells,):
-            raise ValueError(
-                f"field shape {values.shape} does not match grid "
-                f"with {grid.ncells} cells")
-        if not np.all(np.isfinite(values)):
-            raise ValueError("field contains non-finite values")
-        self.grid = grid
-        self.values = values
-
-
 def _build_grid_1d(domain: Domain, resolution: int) -> Grid:
     n = resolution
     dx = 1.0 / n
@@ -199,12 +182,9 @@ def build_grid(domain: Domain, resolution: int) -> Grid:
         "(weight evaluation in 3-D is pointwise and needs no grid)")
 
 
-def integrate(grid: Grid, field: Field | np.ndarray) -> float:
+def integrate(grid: Grid, values: np.ndarray) -> float:
     """Volume-weighted midpoint quadrature of a cell field."""
-    if isinstance(field, Field) and field.grid is not grid:
-        raise ValueError("field belongs to a different grid")
-    v = field.values if isinstance(field, Field) else np.asarray(field, float)
-    return float(np.dot(grid.volumes, v))
+    return float(np.dot(grid.volumes, values))
 
 
 def dirichlet_energy(grid: Grid, values: np.ndarray) -> float:

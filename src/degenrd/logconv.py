@@ -29,11 +29,11 @@ import numpy as np
 from ._xmath import DPS, logaddexp, log_trapezoid, to_float, fmt
 from .diagnostics import (TOLERANCES, centered_derivative,
                           fd_error_estimate)
-from .grid import Grid, Field, integrate, dirichlet_energy, cell_gradient, \
+from .grid import Grid, integrate, dirichlet_energy, cell_gradient, \
     ball_mask, ball_norm2
 from .weights import (WeightParams, WeightFields, weight_fields,
                       component_diffusivity, eval_grad_psi)
-from .solver import StatePair, CatalystSpec, RunResult
+from .solver import RunResult
 
 COMPONENTS = (1, 2, 3, 4)
 _FLOOR = TOLERANCES["norm_floor"]
@@ -72,18 +72,19 @@ def _reaction_source(k: np.ndarray, u1: np.ndarray,
     return k * (u1 + u2 + 2.0) * (u2 - u1)
 
 
-def tilt(state: StatePair, params: WeightParams, catalyst: CatalystSpec,
-         wf: WeightFields | None = None) -> TiltedState:
-    """Tilt a solver state at its own time with the given weights."""
-    grid = state.grid
+def tilt(grid: Grid, t: float, u: np.ndarray, k: np.ndarray,
+         params: WeightParams, wf: WeightFields | None = None
+         ) -> TiltedState:
+    """Tilt the state u = (a, b) at time t with the given weights.
+
+    u has shape (2, ncells); k holds the catalyst values at t.
+    """
     if wf is None:
         wf = weight_fields(params, grid)
-    t = state.t
     if not 0 <= t <= params.T + 1e-12:
         raise ValueError("state time outside the weight window [0, T]")
-    u1 = state.a.values - 1.0
-    u2 = state.b.values - 1.0
-    v1 = _reaction_source(catalyst.values(grid, t), u1, u2)
+    u1, u2 = u - 1.0
+    v1 = _reaction_source(k, u1, u2)
     f = {i: (u1 if i in (1, 3) else u2) * np.exp(0.5 * wf.Phi(i, t))
          for i in COMPONENTS}
     return TiltedState(t=t, params=params, wf=wf, grid=grid,
@@ -172,13 +173,13 @@ def frequency_trace(run: RunResult, params: WeightParams,
     """
     cfg = run.config
     wf = weight_fields(params, run.grid)
+    profile = cfg.catalyst.profile(run.grid)
     times, Ns, Sffs, Affs, norms, F2s, Fdfs, gaps = \
         [], [], [], [], [], [], [], []
-    for (t, a, b) in run.snapshots:
+    for t, u in zip(run.snapshot_times.tolist(), run.snapshots):
         if t > params.T + 1e-12:
             continue
-        st = StatePair(Field(run.grid, a), Field(run.grid, b), t)
-        ts = tilt(st, params, cfg.catalyst, wf)
+        ts = tilt(run.grid, t, u, cfg.catalyst.at(profile, t), params, wf)
         Sff, Aff, F2 = quadratic_forms(ts, cfg.d1, cfg.d2)
         n2 = ts.norm2()
         fdf = sum(integrate(run.grid,
@@ -326,8 +327,8 @@ def check_source_bound(run: RunResult, K0: float) -> float:
     cat = run.config.catalyst
     profile = cat.profile(run.grid)
     worst = float("inf")
-    for (t, a, b) in run.snapshots:
-        u1, u2 = a - 1.0, b - 1.0
+    for t, u in zip(run.snapshot_times.tolist(), run.snapshots):
+        u1, u2 = u - 1.0
         v1 = _reaction_source(cat.at(profile, t), u1, u2)
         usq = u1 * u1 + u2 * u2
         margin = np.min(K0 * (usq + usq * usq) - 2.0 * v1 * v1)
@@ -365,10 +366,10 @@ def observation_estimate_check(run: RunResult, params: WeightParams,
     T = params.T
 
     def margin_for(t_start: float, t_final: float):
-        _, aT, bT = run.snapshot_at(t_final)
+        u1, u2 = run.snapshot_at(t_final)[1] - 1.0
         y0 = tr["l2_dist"][tr.index_at(t_start)]
         yT = tr["l2_dist"][tr.index_at(t_final)]
-        yB = ball_norm2(grid, aT - 1.0, bT - 1.0, ball)
+        yB = ball_norm2(grid, u1, u2, ball)
         if yT < _FLOOR:
             return mp.mpf(0)
         with mp.workdps(DPS):
@@ -444,11 +445,10 @@ def interpolation_window_check(run: RunResult, params: WeightParams,
             WeightParams(params.x0_abs, params.r, min(ledger.s2, 1.0),
                          min(params.h, 1.0), float(T), dim=params.dim),
             grid)
-        phi1, phi3 = wf.phi1.values, wf.phi3.values
+        phi1, phi3 = wf.phi1, wf.phi3
 
         def ln_norms(t_float, gamma):
-            _, a, b = run.snapshot_at(t_float)
-            u1, u2 = a - 1.0, b - 1.0
+            u1, u2 = run.snapshot_at(t_float)[1] - 1.0
             coef = s / gamma
             return (
                 _ln_tilted_norm2(grid, u1, u2, phi1, phi3, coef, True),

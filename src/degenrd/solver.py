@@ -24,9 +24,9 @@ import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg
 
-from .grid import Domain, Grid, Field, build_grid, integrate, \
-    dirichlet_energy, ball_mask, ball_norm2
-from .diagnostics import TraceSeries
+from .grid import Domain, Grid, build_grid, integrate, dirichlet_energy, \
+    ball_mask, ball_norm2
+from .diagnostics import TraceSeries, nearest_index
 
 _CATALYST_KINDS = ("constant", "bump", "annular-zero", "time-modulated-bump")
 _INITIAL_KINDS = ("constant", "cosine", "gaussian")
@@ -164,19 +164,6 @@ class InitialSpec:
         return a, b
 
 
-@dataclass
-class StatePair:
-    """Concentrations a and b on one grid at one time."""
-
-    a: Field
-    b: Field
-    t: float
-
-    @property
-    def grid(self) -> Grid:
-        return self.a.grid
-
-
 @dataclass(frozen=True)
 class SimConfig:
     """Full simulation configuration."""
@@ -203,11 +190,12 @@ class SimConfig:
             raise ValueError("t_end must be positive")
 
 
-def init_state(grid: Grid, config: SimConfig) -> tuple[StatePair, float]:
-    """Sample and normalize initial data; returns (state, B0).
+def init_state(grid: Grid, config: SimConfig) -> tuple[np.ndarray, float]:
+    """Sample and normalize initial data; returns (u, B0), u = (a, b).
 
     The raw profiles are rescaled by one common factor so the total mass of
-    a+b is exactly 2; B0 is the cellwise floor min(a0, b0) after rescaling.
+    a+b is exactly 2; u has shape (2, ncells), and B0 is the cellwise floor
+    min(a0, b0) after rescaling.
     """
     a, b = config.initial.profiles(grid)
     if np.min(a) <= 0 or np.min(b) <= 0:
@@ -218,9 +206,8 @@ def init_state(grid: Grid, config: SimConfig) -> tuple[StatePair, float]:
         warnings.warn(
             f"initial profiles far from mass-2 normalization "
             f"(rescale factor {factor:.3g})", stacklevel=2)
-    a, b = a * factor, b * factor
-    B0 = float(min(np.min(a), np.min(b)))
-    return StatePair(Field(grid, a), Field(grid, b), 0.0), B0
+    u = np.array([a, b]) * factor
+    return u, float(u.min())
 
 
 class Stepper:
@@ -305,16 +292,17 @@ class RunResult:
     config: SimConfig
     grid: Grid
     trace: TraceSeries
-    snapshots: list  # (t, a_values, b_values)
+    snapshot_times: np.ndarray      # (S,)
+    snapshots: np.ndarray           # (S, 2, ncells): (a, b) at each time
     B0: float
     dt: float
 
-    def snapshot_at(self, t: float):
-        ts = np.array([s[0] for s in self.snapshots])
-        i = int(np.argmin(np.abs(ts - t)))
-        if abs(ts[i] - t) > 1e-9 + 1e-6 * max(1.0, abs(t)):
+    def snapshot_at(self, t: float) -> tuple[float, np.ndarray]:
+        """(t_i, u_i): the snapshot nearest t, u_i = (a, b)."""
+        i = nearest_index(self.snapshot_times, t)
+        if i is None:
             raise SnapshotMissing(f"no field snapshot near t={t}")
-        return self.snapshots[i]
+        return float(self.snapshot_times[i]), self.snapshots[i]
 
 
 def _record(grid, config, a, b, k, ball):
@@ -338,10 +326,9 @@ def run(config: SimConfig, grid: Grid | None = None) -> RunResult:
     """Advance the system to t_end, recording traces and snapshots."""
     if grid is None:
         grid = build_grid(Domain(config.dim), config.resolution)
-    state, B0 = init_state(grid, config)
-    a, b = state.a.values, state.b.values
+    u, B0 = init_state(grid, config)
 
-    dt = config.dt if config.dt is not None else default_dt(grid, config, a, b)
+    dt = config.dt if config.dt is not None else default_dt(grid, config, *u)
     rec_every = max(1, round(config.record_stride / dt))
     dt = config.record_stride / rec_every if config.dt is None else dt
     nsteps = max(1, round(config.t_end / dt))
@@ -356,17 +343,17 @@ def run(config: SimConfig, grid: Grid | None = None) -> RunResult:
     snap_every = max(1, round(config.field_stride / dt)) \
         if config.save_fields else None
 
-    times, rows, snapshots = [], [], []
+    times, rows, snap_times, snapshots = [], [], [], []
 
     def take(n, u, t):
         k = config.catalyst.at(profile, t)
         times.append(t)
         rows.append(_record(grid, config, u[0], u[1], k, ball))
-        if config.save_fields and (
-                snap_every is None or n % snap_every == 0 or n == nsteps):
-            snapshots.append((t, u[0].copy(), u[1].copy()))
+        if snap_every and (n % snap_every == 0 or n == nsteps):
+            snap_times.append(t)
+            snapshots.append(u)             # `step` returns a new array
 
-    u, t = np.array([a, b]), state.t
+    t = 0.0
     take(0, u, t)
     for n in range(1, nsteps + 1):
         u = step(u, t, profile, config, stepper)
@@ -377,4 +364,6 @@ def run(config: SimConfig, grid: Grid | None = None) -> RunResult:
     channels = {key: np.array([r[key] for r in rows]) for key in rows[0]}
     trace = TraceSeries(np.array(times), channels)
     return RunResult(config=config, grid=grid, trace=trace,
-                     snapshots=snapshots, B0=B0, dt=dt)
+                     snapshot_times=np.array(snap_times),
+                     snapshots=np.reshape(snapshots, (-1, 2, grid.ncells)),
+                     B0=B0, dt=dt)

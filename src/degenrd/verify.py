@@ -14,11 +14,10 @@ import numpy as np
 
 from .diagnostics import (TOLERANCES, CheckResult, centered_derivative,
                           fd_error_estimate, solver_checks)
-from .grid import Field
 from .logconv import (frequency_trace, interpolation_window_check,
                       observation_estimate_check, quadratic_forms,
                       sym_form_direct, tilt)
-from .solver import RunResult, StatePair
+from .solver import RunResult
 from .weights import WeightParams, weight_fields
 
 _FLOOR = TOLERANCES["norm_floor"]
@@ -95,7 +94,7 @@ def beta1_chain_check(run: RunResult, ledger) -> CheckResult:
     diss = (tr["dissipation_grad_a"] + tr["dissipation_grad_b"]
             + tr["dissipation_reaction"])
     worst = float("inf")
-    for (t, _, _) in run.snapshots:
+    for t in run.snapshot_times.tolist():
         i = tr.index_at(t)
         total = tr["l2_dist"][i]
         # accumulated-roundoff noise floor: each implicit solve leaves a
@@ -123,10 +122,9 @@ def tilted_form_checks(run: RunResult, params: WeightParams
     O(spacing^2) envelope (the refinement tests measure the order sharply).
     """
     cfg = run.config
-    t_mid = min(0.5 * params.T, run.snapshots[-1][0])
-    t, a, b = run.snapshot_at(t_mid)
-    st = StatePair(Field(run.grid, a), Field(run.grid, b), t)
-    ts = tilt(st, params, cfg.catalyst)
+    t_mid = min(0.5 * params.T, run.snapshot_times[-1])
+    t, u = run.snapshot_at(t_mid)
+    ts = tilt(run.grid, t, u, cfg.catalyst.values(run.grid, t), params)
     Sff, Aff, _ = quadratic_forms(ts, cfg.d1, cfg.d2)
     Sff_direct = sym_form_direct(ts, cfg.d1, cfg.d2)
     scale = max(ts.norm2(), abs(Sff), _FLOOR)

@@ -26,7 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .grid import Grid, Field, domain_radius
+from .grid import Grid, domain_radius
 
 _RATIO_CAP = 1e12
 
@@ -197,14 +197,14 @@ class WeightFields:
     """Weight machinery evaluated on every cell of a grid."""
 
     params: WeightParams
-    phi1: Field
-    phi3: Field
+    phi1: np.ndarray              # per cell
+    phi3: np.ndarray
     grad_psi: np.ndarray          # (ncells, dim)
-    laplacian_psi: Field
+    laplacian_psi: np.ndarray
     grad_psi_sq: np.ndarray       # |grad psi|^2 per cell
 
     def phi(self, which: int) -> np.ndarray:
-        return self.phi1.values if which in (1, 2) else self.phi3.values
+        return self.phi1 if which in (1, 2) else self.phi3
 
     def Phi(self, which: int, t: float) -> np.ndarray:
         """Tilt exponent Phi_i = s*phi_i/Gamma."""
@@ -226,7 +226,7 @@ class WeightFields:
     def lap_Phi(self, which: int, t: float) -> np.ndarray:
         sign = 1.0 if which in (1, 2) else -1.0
         return (sign * self.params.s / self.params.gamma(t)) \
-            * self.laplacian_psi.values
+            * self.laplacian_psi
 
 
 def weight_fields(params: WeightParams, grid: Grid) -> WeightFields:
@@ -241,13 +241,13 @@ def weight_fields(params: WeightParams, grid: Grid) -> WeightFields:
     grad = eval_grad_psi(params, pts)
     wf = WeightFields(
         params=params,
-        phi1=Field(grid, psi - peak),
-        phi3=Field(grid, -psi - peak),
+        phi1=psi - peak,
+        phi3=-psi - peak,
         grad_psi=grad,
-        laplacian_psi=Field(grid, eval_lap_psi(params, pts)),
+        laplacian_psi=eval_lap_psi(params, pts),
         grad_psi_sq=np.sum(grad * grad, axis=-1),
     )
-    if np.any(wf.phi1.values > 1e-12):
+    if np.any(wf.phi1 > 1e-12):
         raise ValueError("phi1 must be nonpositive")
     return wf
 

@@ -14,12 +14,11 @@ import pytest
 
 from degenrd.constants import build_ledger
 from degenrd.diagnostics import energy_identity_residuals, fit_decay_rate
-from degenrd.grid import Field, build_grid, Domain
+from degenrd.grid import build_grid, Domain
 from degenrd.logconv import (InterpInput, frequency_trace, interp_check,
                              observation_estimate_check, quadratic_forms,
                              tilt)
-from degenrd.solver import (CatalystSpec, InitialSpec, SimConfig, StatePair,
-                            run)
+from degenrd.solver import CatalystSpec, InitialSpec, SimConfig, run
 from degenrd.verify import decay_certificate_check, theta_contraction_check
 from degenrd.weights import (WeightParams, eval_grad_psi, eval_psi,
                              psi_at_x0)
@@ -114,8 +113,9 @@ def _aff_at(res: int, p: WeightParams) -> float:
     a = 1.0 + 0.3 * np.cos(math.pi * (x + 0.5)) \
         + 0.1 * np.cos(3 * math.pi * (x + 0.5))
     b = 1.0 - 0.2 * np.cos(2 * math.pi * (x + 0.5))
-    st = StatePair(Field(g, a), Field(g, b), 0.5 * p.T)
-    ts = tilt(st, p, CatalystSpec(kind="bump", k0=1.0, x0=p.x0_abs, r=p.r))
+    t = 0.5 * p.T
+    k = CatalystSpec(kind="bump", k0=1.0, x0=p.x0_abs, r=p.r).values(g, t)
+    ts = tilt(g, t, np.array([a, b]), k, p)
     _, Aff, _ = quadratic_forms(ts, 1.0, 1.0)
     return abs(Aff)
 
@@ -215,7 +215,7 @@ def test_criterion_06_interpolation_checker(ref_ledger):
 # ---------------------------------------------------------------------------
 
 def test_criterion_07_observation_estimate(ref_run):
-    _, a0, b0 = ref_run.snapshots[0]
+    a0, b0 = ref_run.snapshots[0]
     ok = True
     details = []
     for T in (1.0, 5.0, 10.0):
@@ -267,7 +267,7 @@ def test_criterion_09_ledger_integrity(ref_run, ref_params, ref_ledger):
         and led.ln_theta == -2.0 * led.beta
         and mp.log(led.M_ell) <= led.ln_M_ell_bound
     )
-    _, a0, b0 = ref_run.snapshots[0]
+    a0, b0 = ref_run.snapshots[0]
     led2 = build_ledger(ref_run.grid, ref_params, a0, b0, ref_run.B0,
                         k0=1.0, k_sup=1.0, d1=1.0, d2=1.0, T=10.0)
     deterministic = json.dumps(led.as_json(), sort_keys=True) \

@@ -56,6 +56,15 @@ def test_simulate_artifacts(run_dir):
     assert header[0] == "t" and "l2_dist" in header
 
 
+def test_trace_columns_documented(run_dir):
+    """Every column of a saved trace.csv has a row in the data dictionary."""
+    doc = (Path(__file__).resolve().parents[1] / "docs"
+           / "data_dictionary.md").read_text(encoding="utf-8")
+    with open(run_dir / "trace.csv", newline="") as fh:
+        header = next(csv.reader(fh))
+    assert [c for c in header if f"| `{c}` |" not in doc] == []
+
+
 def test_simulate_bitwise_idempotent(cfg_path, tmp_path):
     out1, out2 = tmp_path / "r1", tmp_path / "r2"
     assert main(["simulate", str(cfg_path), "-o", str(out1)]) == 0
@@ -153,6 +162,25 @@ def test_verify_without_needed_snapshots_exits_1(tmp_path, capsys, stepper,
     assert main(["verify", str(out), "--quick"]) == 0
 
 
+@pytest.mark.parametrize("quick", [True, False], ids=["quick", "full"])
+@pytest.mark.parametrize("corrupt", ["nan", "short"])
+def test_verify_rejects_corrupt_fields(run_dir, capsys, corrupt, quick):
+    """A fields.npz with a non-finite value or the wrong cell count gives
+    exit 2 and a one-line error naming the file."""
+    npz = dict(np.load(run_dir / "fields.npz"))
+    if corrupt == "nan":
+        npz["a"][-1, 3] = np.nan
+    else:
+        npz["a"], npz["b"] = npz["a"][:, :-1], npz["b"][:, :-1]
+    np.savez(run_dir / "fields.npz", **npz)
+    capsys.readouterr()
+    assert main(["verify", str(run_dir), *(["--quick"] if quick else [])]) \
+        == 2
+    err = capsys.readouterr().err.strip()
+    assert "fields.npz" in err and "\n" not in err
+    assert not (run_dir / "verification.json").exists()
+
+
 # ---------------------------------------------------------------------------
 # constants
 # ---------------------------------------------------------------------------
@@ -245,6 +273,57 @@ def test_sweep_writes_comparison_table(cfg_path, tmp_path):
 def test_sweep_rejects_unknown_param(cfg_path, tmp_path):
     assert main(["sweep", str(cfg_path), "--param", "zeta",
                  "--values", "1", "-o", str(tmp_path / "s")]) == 1
+
+
+@pytest.fixture()
+def pool_sizes(monkeypatch):
+    """Replaces the sweep's ProcessPoolExecutor with one that maps in this
+    process, so no worker process starts; returns its max_workers list."""
+    import degenrd.cli as cli
+    sizes = []
+
+    class InlinePool:
+        def __init__(self, max_workers):
+            sizes.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, items):
+            return map(fn, items)
+
+    monkeypatch.setattr(cli, "ProcessPoolExecutor", InlinePool)
+    return sizes
+
+
+@pytest.mark.parametrize("jobs,workers", [("5000", [2]), ("1", [])],
+                         ids=["capped", "serial"])
+def test_sweep_workers_capped_by_points(pool_sizes, tmp_path, jobs,
+                                        workers):
+    doc = json.loads(json.dumps(CFG))
+    doc["grid"]["resolution"] = 16
+    doc["stepper"].update(t_end=1.0)
+    doc["weights"]["T"] = 1.0
+    cfg = tmp_path / "small.json"
+    cfg.write_text(json.dumps(doc))
+    out = tmp_path / "sweep"
+    assert main(["sweep", str(cfg), "--param", "k0", "--values", "0.5,1.0",
+                 "-j", jobs, "-o", str(out)]) == 0
+    assert pool_sizes == workers
+    assert len((out / "comparison.csv").read_text().splitlines()) == 3
+
+
+@pytest.mark.parametrize("jobs", ["0", "-3"])
+def test_sweep_rejects_nonpositive_jobs(pool_sizes, cfg_path, tmp_path,
+                                        capsys, jobs):
+    out = tmp_path / "s"
+    assert main(["sweep", str(cfg_path), "--param", "k0", "--values", "1",
+                 "-j", jobs, "-o", str(out)]) == 1
+    assert "--jobs" in capsys.readouterr().err
+    assert not out.exists() and pool_sizes == []
 
 
 def test_plot_data_long_format(run_dir):

@@ -123,7 +123,7 @@ def test_ledger_serialization_and_determinism(ref_run, ref_params,
     json.dumps(j1)
     for name, ent in j1.items():
         assert "provenance" in ent and "value" in ent
-    _, a0, b0 = ref_run.snapshots[0]
+    a0, b0 = ref_run.snapshots[0]
     led2 = build_ledger(ref_run.grid, ref_params, a0, b0, ref_run.B0,
                         k0=1.0, k_sup=1.0, d1=1.0, d2=1.0, T=10.0)
     assert json.dumps(j1, sort_keys=True) \

@@ -15,7 +15,7 @@ import numpy as np
 import pytest
 import scipy.sparse.linalg
 
-from degenrd.grid import (Domain, Field, Grid, ball_mask, build_grid,
+from degenrd.grid import (Domain, Grid, ball_mask, build_grid,
                           cell_gradient, dirichlet_energy, domain_radius,
                           integrate, neumann_eigenvalue_1)
 
@@ -236,11 +236,6 @@ def test_ball_mask_1d():
     x = g.centers[:, 0]
     assert np.array_equal(mask, np.abs(x - 0.25) <= 0.1 + 1e-12)
     assert mask.sum() > 0
-
-
-def test_field_rejects_nonfinite(grid256):
-    with pytest.raises(ValueError):
-        Field(grid256, np.full(grid256.ncells, np.nan))
 
 
 def test_grid_summary_serializable(grid256):

@@ -16,22 +16,24 @@ import pytest
 
 from degenrd import logconv
 from degenrd._xmath import DPS, logsumexp
-from degenrd.grid import Field, integrate
+from degenrd.grid import integrate
 from degenrd.logconv import (InterpInput, check_cubic_bound,
                              check_source_bound, frequency_trace,
                              interp_check, interpolation_window_check,
                              observation_estimate_check, quadratic_forms,
                              sym_form_direct, tilt)
-from degenrd.solver import CatalystSpec, InitialSpec, SimConfig, StatePair, run
+from degenrd.solver import CatalystSpec, InitialSpec, SimConfig, run
 from degenrd.weights import WeightParams
 
 M_ORACLE = 5.128533953063608
 MARGIN_ORACLE = 1.2385601859190818
 
 
-def _mid_state(ref_run):
-    t, a, b = ref_run.snapshot_at(5.0)
-    return StatePair(Field(ref_run.grid, a), Field(ref_run.grid, b), t)
+def _tilt_mid(ref_run, params):
+    """The reference run's snapshot at t = 5, tilted with `params`."""
+    t, u = ref_run.snapshot_at(5.0)
+    k = ref_run.config.catalyst.values(ref_run.grid, t)
+    return tilt(ref_run.grid, t, u, k, params)
 
 
 # ---------------------------------------------------------------------------
@@ -39,9 +41,9 @@ def _mid_state(ref_run):
 # ---------------------------------------------------------------------------
 
 def test_tilt_equilibrium_is_zero(grid256, ref_params):
-    ones = np.ones(grid256.ncells)
-    st = StatePair(Field(grid256, ones), Field(grid256, ones), 1.0)
-    ts = tilt(st, ref_params, CatalystSpec(kind="bump", k0=1.0))
+    ones = np.ones((2, grid256.ncells))
+    k = CatalystSpec(kind="bump", k0=1.0).values(grid256, 1.0)
+    ts = tilt(grid256, 1.0, ones, k, ref_params)
     assert ts.norm2() == 0.0
     assert np.all(ts.v1 == 0.0)
     Sff, Aff, F2 = quadratic_forms(ts, 1.0, 1.0)
@@ -49,7 +51,7 @@ def test_tilt_equilibrium_is_zero(grid256, ref_params):
 
 
 def test_tilt_source_antisymmetry(ref_run, ref_params):
-    ts = tilt(_mid_state(ref_run), ref_params, ref_run.config.catalyst)
+    ts = _tilt_mid(ref_run, ref_params)
     assert np.array_equal(ts.v(2), -ts.v(1))
     assert np.array_equal(ts.v(3), ts.v(1))
     assert np.array_equal(ts.v(4), -ts.v(1))
@@ -58,7 +60,7 @@ def test_tilt_source_antisymmetry(ref_run, ref_params):
 def test_tilt_component_reconstruction(ref_run, ref_params):
     """The negative-weight components are the positive ones re-tilted by
     the difference of the exponents (which is -2*s*psi/Gamma)."""
-    ts = tilt(_mid_state(ref_run), ref_params, ref_run.config.catalyst)
+    ts = _tilt_mid(ref_run, ref_params)
     expect3 = ts.f[1] * np.exp(0.5 * (ts.Phi(3) - ts.Phi(1)))
     assert np.allclose(ts.f[3], expect3, rtol=1e-12, atol=1e-300)
 
@@ -66,7 +68,7 @@ def test_tilt_component_reconstruction(ref_run, ref_params):
 def test_pair_norm_sandwich(ref_run, ref_params):
     """||(f1,f2)||^2 <= ||f||^2 <= 2*||(f1,f2)||^2 since the second
     exponent never exceeds the first."""
-    ts = tilt(_mid_state(ref_run), ref_params, ref_run.config.catalyst)
+    ts = _tilt_mid(ref_run, ref_params)
     n_pair = integrate(ref_run.grid, ts.f[1] ** 2) \
         + integrate(ref_run.grid, ts.f[2] ** 2)
     n_all = ts.norm2()
@@ -74,10 +76,10 @@ def test_pair_norm_sandwich(ref_run, ref_params):
 
 
 def test_tilt_rejects_time_outside_window(grid256, ref_params):
-    ones = np.ones(grid256.ncells)
-    st = StatePair(Field(grid256, ones), Field(grid256, ones), 11.0)
+    ones = np.ones((2, grid256.ncells))
+    k = CatalystSpec(kind="bump", k0=1.0).values(grid256, 11.0)
     with pytest.raises(ValueError):
-        tilt(st, ref_params, CatalystSpec(kind="bump", k0=1.0))
+        tilt(grid256, 11.0, ones, k, ref_params)
 
 
 # ---------------------------------------------------------------------------
@@ -86,13 +88,13 @@ def test_tilt_rejects_time_outside_window(grid256, ref_params):
 
 def test_sym_form_nonnegative_for_small_tilt(ref_run):
     p = WeightParams(x0_abs=0.25, r=0.1, s=1e-4, h=0.1, T=10.0, dim=1)
-    ts = tilt(_mid_state(ref_run), p, ref_run.config.catalyst)
+    ts = _tilt_mid(ref_run, p)
     Sff, _, _ = quadratic_forms(ts, 1.0, 1.0)
     assert Sff >= -1e-15
 
 
 def test_sym_form_two_assemblies_agree(ref_run, ref_params):
-    ts = tilt(_mid_state(ref_run), ref_params, ref_run.config.catalyst)
+    ts = _tilt_mid(ref_run, ref_params)
     a = quadratic_forms(ts, 1.0, 1.0)[0]
     b = sym_form_direct(ts, 1.0, 1.0)
     scale = max(abs(a), abs(b), ts.norm2())
@@ -200,14 +202,13 @@ def test_observation_estimate_decayed_convention(grid256, ref_params):
                                           r=0.1),
                     initial=InitialSpec(kind="constant"),
                     t_end=10.0, record_stride=0.05, field_stride=0.25)
-    ones = np.ones(grid256.ncells)
     times = np.arange(0.0, 10.0 + 1e-12, 0.25)
-    snaps = [(float(t), ones.copy(), ones.copy()) for t in times]
+    snaps = np.ones((times.size, 2, grid256.ncells))
     trace = TraceSeries(times=times,
                         channels={"u_l3_max": np.zeros_like(times),
                                   "l2_dist": np.zeros_like(times)})
     r = RunResult(config=cfg, grid=grid256, trace=trace,
-                  snapshots=snaps, B0=1.0, dt=1e-3)
+                  snapshot_times=times, snapshots=snaps, B0=1.0, dt=1e-3)
     led_stub = type("L", (), {"K0": 32.0, "M": 1.0, "c": 2.0})()
     out = observation_estimate_check(r, ref_params, led_stub)
     assert out["margin"] == 0.0 and out["pass"]
@@ -227,7 +228,7 @@ def test_trace_l2_dist_equals_snapshot_pair_norm(ref_run):
     for r in (ref_run, disk):
         tr = r.trace
         assert len(r.snapshots) > 2
-        for (t, a, b) in r.snapshots:
+        for t, (a, b) in zip(r.snapshot_times, r.snapshots):
             assert tr["l2_dist"][tr.index_at(t)] == _pair_norm2(r.grid, a, b)
 
 
@@ -242,7 +243,7 @@ def test_observation_estimate_uses_the_weights_ball():
     led = type("L", (), {"K0": 32.0, "M": mp.mpf(2), "c": mp.mpf(1)})()
     out = observation_estimate_check(r, params, led)
 
-    _, aT, bT = r.snapshot_at(1.0)
+    _, (aT, bT) = r.snapshot_at(1.0)
     usq = (aT - 1.0) ** 2 + (bT - 1.0) ** 2
     ball = np.abs(r.grid.centers[:, 0] - 0.25) <= 0.1
     y_ball = float(np.dot(r.grid.volumes[ball], usq[ball]))

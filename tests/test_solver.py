@@ -17,10 +17,9 @@ import scipy.sparse.linalg
 
 from degenrd import solver
 from degenrd.diagnostics import fit_decay_rate
-from degenrd.grid import Domain, Field, ball_mask, build_grid, integrate
-from degenrd.solver import (CatalystSpec, InitialSpec, SimConfig, StatePair,
-                            Stepper, default_dt, init_state, run, step,
-                            stability_dt)
+from degenrd.grid import Domain, ball_mask, build_grid, integrate
+from degenrd.solver import (CatalystSpec, InitialSpec, SimConfig, Stepper,
+                            default_dt, init_state, run, step, stability_dt)
 
 
 def _cfg(**kw):
@@ -68,11 +67,12 @@ def test_annular_zero_must_avoid_observation_ball():
 def test_init_state_normalized_mass(grid256):
     for kind in ("constant", "cosine", "gaussian"):
         cfg = _cfg(initial=InitialSpec(kind=kind))
-        st, B0 = init_state(grid256, cfg)
-        assert integrate(grid256, st.a.values + st.b.values) \
+        u, B0 = init_state(grid256, cfg)
+        assert u.shape == (2, grid256.ncells)
+        assert integrate(grid256, u[0] + u[1]) \
             == pytest.approx(2.0, abs=1e-13)
         assert B0 > 0
-        assert np.all(st.a.values >= B0 - 1e-13)
+        assert np.all(u[0] >= B0 - 1e-13)
 
 
 # ---------------------------------------------------------------------------
@@ -127,11 +127,10 @@ def test_minimum_principle(ref_run):
 
 def test_reaction_increments_exactly_opposite(grid256):
     cfg = _cfg(resolution=256, dt=1e-3)
-    st, _ = init_state(grid256, cfg)
+    u, _ = init_state(grid256, cfg)
     stepper = Stepper(grid256, cfg.dt, cfg.d1, cfg.d2)
-    u2 = step(np.stack([st.a.values, st.b.values]), st.t,
-              cfg.catalyst.profile(grid256), cfg, stepper)
-    m0 = integrate(grid256, st.a.values + st.b.values)
+    u2 = step(u, 0.0, cfg.catalyst.profile(grid256), cfg, stepper)
+    m0 = integrate(grid256, u[0] + u[1])
     m1 = integrate(grid256, u2[0] + u2[1])
     assert m1 == pytest.approx(m0, abs=1e-14)
 
@@ -161,8 +160,8 @@ def test_config_validation():
 
 def test_default_dt_positive(grid256):
     cfg = _cfg()
-    st, _ = init_state(grid256, cfg)
-    assert default_dt(grid256, cfg, st.a.values, st.b.values) > 0
+    u, _ = init_state(grid256, cfg)
+    assert default_dt(grid256, cfg, *u) > 0
 
 
 def test_equilibrium_run_constant_traces():
@@ -176,8 +175,9 @@ def test_equilibrium_run_constant_traces():
 
 
 def test_snapshot_lookup(ref_run):
-    t, a, b = ref_run.snapshot_at(5.0)
+    t, u = ref_run.snapshot_at(5.0)
     assert t == pytest.approx(5.0, abs=1e-9)
+    assert u.shape == (2, ref_run.grid.ncells)
     with pytest.raises(KeyError):
         ref_run.snapshot_at(3.1415)
 
@@ -186,27 +186,25 @@ def test_snapshot_lookup(ref_run):
 # bitwise oracle: the per-species step loop the (2, ncells) core replaced
 # ---------------------------------------------------------------------------
 
-def _reference_step(state, config, dt, solve, forward):
-    """One step on a StatePair: a solve per species, k sampled per call."""
-    grid = state.grid
-    a, b = state.a.values, state.b.values
+def _reference_step(grid, t, a, b, config, dt, solve, forward):
+    """One step of (a, b) from t: a solve per species, k sampled per call."""
     assert dt <= stability_dt(config, a, b) * (1 + 1e-12)
-    k_now = config.catalyst.values(grid, state.t)
+    k_now = config.catalyst.values(grid, t)
     k_half = k_now if config.catalyst.kind != "time-modulated-bump" \
-        else config.catalyst.values(grid, state.t + 0.5 * dt)
+        else config.catalyst.values(grid, t + 0.5 * dt)
     r0 = k_now * (b * b - a * a)
     a_h = solve[0](a + (0.5 * dt) * r0)
     b_h = solve[1](b - (0.5 * dt) * r0)
     rh = k_half * (b_h * b_h - a_h * a_h)
     a_new = solve[0](forward[0] @ a + dt * rh)
     b_new = solve[1](forward[1] @ b - dt * rh)
-    return StatePair(Field(grid, a_new), Field(grid, b_new), state.t + dt)
+    return a_new, b_new
 
 
 def _reference_run(config, dt):
     """Times, trace channels and snapshots of the reference loop."""
     grid = build_grid(Domain(config.dim), config.resolution)
-    state, _ = init_state(grid, config)
+    (a, b), _ = init_state(grid, config)
     rec_every = max(1, round(config.record_stride / dt))
     nsteps = max(1, round(config.t_end / dt))
     snap_every = max(1, round(config.field_stride / dt))
@@ -220,19 +218,20 @@ def _reference_run(config, dt):
     ball = ball_mask(grid, config.catalyst.x0, config.catalyst.r)
     times, rows, snaps = [], [], []
 
-    def take(n, st):
-        k = config.catalyst.values(grid, st.t)
-        times.append(st.t)
-        rows.append(solver._record(grid, config, st.a.values, st.b.values,
-                                   k, ball))
+    def take(n, t, a, b):
+        k = config.catalyst.values(grid, t)
+        times.append(t)
+        rows.append(solver._record(grid, config, a, b, k, ball))
         if n % snap_every == 0 or n == nsteps:
-            snaps.append((st.t, st.a.values.copy(), st.b.values.copy()))
+            snaps.append((t, a.copy(), b.copy()))
 
-    take(0, state)
+    t = 0.0
+    take(0, t, a, b)
     for n in range(1, nsteps + 1):
-        state = _reference_step(state, config, dt, solve, forward)
+        a, b = _reference_step(grid, t, a, b, config, dt, solve, forward)
+        t += dt
         if n % rec_every == 0 or n == nsteps:
-            take(n, state)
+            take(n, t, a, b)
     return times, {key: [r[key] for r in rows] for key in rows[0]}, snaps
 
 
@@ -264,7 +263,8 @@ def test_run_bitwise_equals_per_species_loop(case):
     for key, values in channels.items():
         assert np.array_equal(r.trace[key], values), key
     assert len(r.snapshots) == len(snaps) > 2
-    for (t, a, b), (t_ref, a_ref, b_ref) in zip(r.snapshots, snaps):
+    for t, (a, b), (t_ref, a_ref, b_ref) in zip(r.snapshot_times,
+                                                r.snapshots, snaps):
         assert t == t_ref
         assert np.array_equal(a, a_ref) and np.array_equal(b, b_ref)
 

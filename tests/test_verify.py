@@ -90,7 +90,7 @@ def _beta1_margin_from_snapshots(r, ledger):
     cfg, grid = r.config, r.grid
     mask = ball_mask(grid, cfg.catalyst.x0, cfg.catalyst.r)
     worst = float("inf")
-    for (t, a, b) in r.snapshots:
+    for t, (a, b) in zip(r.snapshot_times.tolist(), r.snapshots):
         u1, u2 = a - 1.0, b - 1.0
         total = integrate(grid, u1 * u1 + u2 * u2)
         noise = (2.3e-16 * max(t, r.dt) / r.dt) ** 2
