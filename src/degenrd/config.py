@@ -93,12 +93,15 @@ def parse_config(raw: dict) -> RunConfig:
         raise ConfigError("catalyst section requires a 'kind' key")
     if "k0" not in cat_raw:
         raise ConfigError("catalyst section requires a 'k0' key")
+    dim = raw.get("domain", {}).get("dim", 1)
+    if dim not in (1, 2) or isinstance(dim, bool):
+        raise ConfigError(f"domain.dim must be 1 or 2; got {dim!r}")
     try:
         catalyst = CatalystSpec(**cat_raw)
         initial = InitialSpec(**raw.get("initial", {}))
         stepper = dict(raw.get("stepper", {}))
         sim = SimConfig(
-            dim=int(raw.get("domain", {}).get("dim", 1)),
+            dim=int(dim),
             resolution=int(raw.get("grid", {}).get("resolution", 256)),
             d1=float(raw.get("physics", {}).get("d1", 1.0)),
             d2=float(raw.get("physics", {}).get("d2", 1.0)),

@@ -27,7 +27,9 @@ from .weights import (WeightParams, GeometryConstants, geometry_constants,
                       eval_psi, eval_grad_psi, eval_hess_psi, eval_lap_psi,
                       eval_grad_lap_psi, _sample_points)
 
-ELL_CAP = 10 ** 6
+ELL_CAP = 10 ** 6            # integer search limit of the window multiplier
+SOBOLEV_TRIALS = 300        # random trial fields of the Sobolev search
+DERIVATIVE_SAMPLES = 20001  # scan size of the sampled derivative maxima
 
 
 def compute_K0(grid: Grid, a0: np.ndarray, b0: np.ndarray,
@@ -37,8 +39,7 @@ def compute_K0(grid: Grid, a0: np.ndarray, b0: np.ndarray,
     return max((4.0 * cubic + 4.0) ** (2.0 / 3.0), 32.0 * k_sup ** 2)
 
 
-def compute_sobolev_constant(grid: Grid, n_trials: int = 300,
-                             seed: int = 0) -> float:
+def compute_sobolev_constant(grid: Grid, seed: int = 0) -> float:
     """Upper bound for the constant in (int g^6)^(1/3) <= C*(int g^2 +
     int |grad g|^2).
 
@@ -51,7 +52,7 @@ def compute_sobolev_constant(grid: Grid, n_trials: int = 300,
     R = grid.domain.radius
     best = 1.0  # the constant field attains ratio 1 on a unit-measure domain
     nmodes = 8
-    for _ in range(n_trials):
+    for _ in range(SOBOLEV_TRIALS):
         coef = rng.standard_normal(nmodes + 1) / (1.0 + np.arange(nmodes + 1))
         g = np.full(grid.ncells, coef[0])
         for k in range(1, nmodes + 1):
@@ -189,10 +190,9 @@ class ConstantLedger:
         return ent
 
 
-def _sampled_derivative_maxima(params: WeightParams,
-                               resolution: int = 20001) -> dict:
+def _sampled_derivative_maxima(params: WeightParams) -> dict:
     """Dense-scan maxima of psi and its derivatives over the closed ball."""
-    pts = _sample_points(params, resolution)
+    pts = _sample_points(params, DERIVATIVE_SAMPLES)
     hess = np.atleast_3d(eval_hess_psi(params, pts))
     hess_norm = np.max(np.abs(np.linalg.eigvalsh(hess)), axis=-1)
     grad = eval_grad_psi(params, pts)
@@ -208,9 +208,7 @@ def _sampled_derivative_maxima(params: WeightParams,
 
 
 def compute_analysis_constants(ledger: ConstantLedger,
-                               params: WeightParams,
-                               sample_resolution: int = 20001
-                               ) -> ConstantLedger:
+                               params: WeightParams) -> ConstantLedger:
     """Fill the commutator/smallness constants C2..C7, s0..s2, C0, C1.
 
     Requires geometry, K0, C_Sob, d1, d2 already present.  The constants
@@ -220,7 +218,7 @@ def compute_analysis_constants(ledger: ConstantLedger,
     g = ledger.geometry
     d_max = max(ledger.d1, ledger.d2)
     d_min = min(ledger.d1, ledger.d2)
-    m = _sampled_derivative_maxima(params, sample_resolution)
+    m = _sampled_derivative_maxima(params)
     prov = ledger.provenance
 
     ledger.C4 = m["max_lap"]
@@ -263,7 +261,7 @@ def _ln_mbar(ln_ellp1, C0, C1):
             - mp.log(1 - (mp.mpf(2) / 3) ** C0))
 
 
-def _select_ell(mu0, mu1, C0, C1, cap=ELL_CAP):
+def _select_ell(mu0, mu1, C0, C1):
     """Smallest admissible window multiplier ell.
 
     Integer search below the cap; beyond it the asymptotic equation is
@@ -275,8 +273,8 @@ def _select_ell(mu0, mu1, C0, C1, cap=ELL_CAP):
         lhs = mp.log(mu1) + logaddexp(mp.mpf(0), _ln_mbar(ln_ellp1, C0, C1))
         return lhs <= mp.log(mu0 / 2) + ln_ellp1
 
-    lo, hi = 2, cap
-    if holds(mp.log(cap + 1)):
+    lo, hi = 2, ELL_CAP
+    if holds(mp.log(ELL_CAP + 1)):
         while lo < hi:
             mid = (lo + hi) // 2
             if holds(mp.log(mid + 1)):
@@ -316,8 +314,7 @@ def _ln_j_integral(C0, C1, h, lo, hi):
     return mp.log(val)
 
 
-def compute_chain(ledger: ConstantLedger, T: float,
-                  cap: int = ELL_CAP) -> ConstantLedger:
+def compute_chain(ledger: ConstantLedger, T: float) -> ConstantLedger:
     """Complete the ledger: interpolation window, observation constants
     (c, M), and the decay certificate (theta, gamma, beta).
 
@@ -337,13 +334,13 @@ def compute_chain(ledger: ConstantLedger, T: float,
         ledger.T = float(T)
         prov["T"] = "certificate horizon (configuration)"
 
-        ell, exact = _select_ell(mu0, mu1, C0, C1, cap)
+        ell, exact = _select_ell(mu0, mu1, C0, C1)
         ledger.ell, ledger.ell_exact = ell, exact
         prov["ell"] = (
             "smallest window multiplier with mu1*(1+Mbar)/(ell+1) <= mu0/2; "
             + ("exact integer search" if exact else
                "log-space asymptotic solve above the integer cap "
-               f"{cap} (condition verified at the reported value)"))
+               f"{ELL_CAP} (condition verified at the reported value)"))
 
         L = min(mp.mpf(1) / 2, Tm / 4) / 2      # window length ell*h
         h = L / ell
@@ -415,21 +412,20 @@ def compute_chain(ledger: ConstantLedger, T: float,
 def build_ledger(grid: Grid, params: WeightParams, a0: np.ndarray,
                  b0: np.ndarray, B0: float, k0: float, k_sup: float,
                  d1: float, d2: float, T: float,
-                 probe_resolution: int = 10_000,
-                 sobolev_trials: int = 300, seed: int = 0) -> ConstantLedger:
+                 seed: int = 0) -> ConstantLedger:
     """End-to-end ledger construction for one configuration."""
     led = ConstantLedger(d1=d1, d2=d2, k0=k0, B0=B0)
     led.provenance["d1"] = led.provenance["d2"] = "configuration"
     led.provenance["k0"] = "catalyst floor on the observation ball"
     led.provenance["B0"] = "cellwise min of the normalized initial data"
-    led.geometry = geometry_constants(params, probe_resolution)
+    led.geometry = geometry_constants(params)
     for k in ("c01", "c02", "c1", "c2", "c3", "rho", "mu0", "mu1"):
         led.provenance[f"geometry.{k}"] = \
             "sampled extremal ratio, 1.05 safety factor"
     led.Cp = 1.0 / neumann_eigenvalue_1(grid)
     led.provenance["Cp"] = ("1/lambda_1, smallest nonzero Neumann "
                             "eigenvalue of the grid operator")
-    led.C_Sob = compute_sobolev_constant(grid, sobolev_trials, seed)
+    led.C_Sob = compute_sobolev_constant(grid, seed)
     led.provenance["C_Sob"] = ("randomized Rayleigh-ratio maximization "
                                "with 1.1 safety factor")
     led.K0 = compute_K0(grid, a0, b0, k_sup)

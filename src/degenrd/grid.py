@@ -24,14 +24,12 @@ def domain_radius(dim: int) -> float:
         return 0.5
     if dim == 2:
         return math.pi ** -0.5
-    if dim == 3:
-        return (3.0 / (4.0 * math.pi)) ** (1.0 / 3.0)
     raise ValueError(f"unsupported dimension: {dim}")
 
 
 @dataclass(frozen=True)
 class Domain:
-    """Ball of unit measure in dimension 1, 2 or 3."""
+    """Ball of unit measure in dimension 1 or 2."""
 
     dim: int
     radius: float = field(init=False)
@@ -175,11 +173,7 @@ def build_grid(domain: Domain, resolution: int) -> Grid:
         raise ValueError("resolution must be at least 8")
     if domain.dim == 1:
         return _build_grid_1d(domain, resolution)
-    if domain.dim == 2:
-        return _build_grid_2d(domain, resolution)
-    raise ValueError(
-        "unsupported dimension: 3-D PDE grids are not provided "
-        "(weight evaluation in 3-D is pointwise and needs no grid)")
+    return _build_grid_2d(domain, resolution)
 
 
 def integrate(grid: Grid, values: np.ndarray) -> float:

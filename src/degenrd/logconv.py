@@ -3,8 +3,11 @@
 A state (a, b) is recast as u1 = a-1, u2 = b-1 and tilted with two opposite
 exponential weights, giving four components f_i = u_i * exp(Phi_i/2)
 (components 3, 4 reuse u1, u2 with the negative weight; the duplication
-cancels the boundary terms of the quadratic forms in the continuum).  On
-top of the tilted fields this module evaluates
+cancels the boundary terms of the quadratic forms in the continuum).  The
+tilted state is stored as (4, ncells) arrays, one row per component; the
+row map below is the only place that says which species, weight and
+diffusivity a component has.  On top of the tilted fields this module
+evaluates
 
   * the symmetric form <Sf,f> = sum_i d_i*int|grad f_i|^2 - int eta_i f_i^2,
   * the antisymmetric form <Af,f> (a residual: zero in the continuum),
@@ -12,9 +15,11 @@ top of the tilted fields this module evaluates
   * the three-time log-convexity interpolation inequality,
   * the end-to-end observation estimate with ledger constants.
 
-Checks that involve the ledger's interpolation window run in log space,
-because the window's time shift h is far below double range.  Their
-tilted norms are float64 log-sums plus one exact mpmath shift; the
+Every integral over the components is taken one row at a time and summed
+in row order 1 to 4; one reduction over the stacked rows would round
+differently.  Checks that involve the ledger's interpolation window run
+in log space, because the window's time shift h is far below double range.
+Their tilted norms are float64 log-sums plus one exact mpmath shift; the
 ledger arithmetic around them stays in mpmath.
 """
 
@@ -32,38 +37,63 @@ from .diagnostics import (TOLERANCES, centered_derivative,
 from .grid import Grid, integrate, dirichlet_energy, cell_gradient, \
     ball_mask, ball_norm2
 from .weights import (WeightParams, WeightFields, weight_fields,
-                      component_diffusivity, eval_grad_psi)
+                      eval_grad_psi)
 from .solver import RunResult
 
-COMPONENTS = (1, 2, 3, 4)
 _FLOOR = TOLERANCES["norm_floor"]
+
+# Row map of the tilted state: row i holds component i+1.  Its species
+# (u1 or u2, which also fixes its diffusivity d1 or d2) and the sign of psi
+# in its weight: phi1 = psi - psi(x0) on rows 1, 2, phi3 = -psi - psi(x0)
+# on rows 3, 4.
+SPECIES = np.array([0, 1, 0, 1])
+SIGN = np.array([[1.0], [1.0], [-1.0], [-1.0]])
+
+
+def _phi_rows(wf: WeightFields) -> np.ndarray:
+    """The weights phi_i of the four rows, shape (4, ncells)."""
+    return np.where(SIGN > 0, wf.phi1, wf.phi3)
 
 
 @dataclass
 class TiltedState:
-    """The four tilted components and reaction sources at one time."""
+    """The four tilted components and reaction sources at one time.
+
+    Every array but u has one row per component: f = u[SPECIES] *
+    exp(Phi/2) with Phi = s*phi/Gamma, and v holds the sources in the same
+    rows (v2 = -v1, v3 = v1, v4 = v2).
+    """
 
     t: float
     params: WeightParams
     wf: WeightFields
     grid: Grid
-    u1: np.ndarray
-    u2: np.ndarray
-    f: dict                     # component index -> ndarray
-    v1: np.ndarray              # reaction source; v2 = -v1, v3 = v1, v4 = v2
+    u: np.ndarray               # (2, ncells): u1 = a-1, u2 = b-1
+    phi: np.ndarray             # (4, ncells) weights phi_i
+    Phi: np.ndarray             # (4, ncells) exponents s*phi_i/Gamma
+    f: np.ndarray               # (4, ncells)
+    v: np.ndarray               # (4, ncells)
 
-    def u(self, which: int) -> np.ndarray:
-        return self.u1 if which in (1, 3) else self.u2
+    def dPhi(self) -> np.ndarray:
+        """(4, 1) factors of psi's derivatives in Phi_i: +-s/Gamma."""
+        return SIGN * self.params.s / self.params.gamma(self.t)
 
-    def v(self, which: int) -> np.ndarray:
-        return self.v1 if which in (1, 3) else -self.v1
-
-    def Phi(self, which: int) -> np.ndarray:
-        return self.wf.Phi(which, self.t)
+    def eta(self, d1: float, d2: float) -> np.ndarray:
+        """Multipliers eta_i = dPhi_i/dt / 2 + d_i*|grad Phi_i|^2 / 4,
+        i.e. s/Gamma^2 * (-|phi_i|/2 + d_i*s*|grad psi|^2/4)."""
+        s, gam = self.params.s, self.params.gamma(self.t)
+        d = np.array(_diffusivities(d1, d2))[:, None]
+        return s / gam ** 2 * (-0.5 * np.abs(self.phi)
+                               + 0.25 * d * s * self.wf.grad_psi_sq)
 
     def norm2(self) -> float:
         """||f||^2 summed over the four components."""
-        return sum(integrate(self.grid, self.f[i] ** 2) for i in COMPONENTS)
+        return sum(integrate(self.grid, fi ** 2) for fi in self.f)
+
+
+def _diffusivities(d1: float, d2: float) -> list:
+    """The diffusivity of each row: that of its species."""
+    return [(d1, d2)[i] for i in SPECIES]
 
 
 def _reaction_source(k: np.ndarray, u1: np.ndarray,
@@ -73,22 +103,22 @@ def _reaction_source(k: np.ndarray, u1: np.ndarray,
 
 
 def tilt(grid: Grid, t: float, u: np.ndarray, k: np.ndarray,
-         params: WeightParams, wf: WeightFields | None = None
-         ) -> TiltedState:
-    """Tilt the state u = (a, b) at time t with the given weights.
+         wf: WeightFields) -> TiltedState:
+    """Tilt the state u = (a, b) at time t with the weight fields `wf` of
+    the grid.
 
     u has shape (2, ncells); k holds the catalyst values at t.
     """
-    if wf is None:
-        wf = weight_fields(params, grid)
+    params = wf.params
     if not 0 <= t <= params.T + 1e-12:
         raise ValueError("state time outside the weight window [0, T]")
-    u1, u2 = u - 1.0
-    v1 = _reaction_source(k, u1, u2)
-    f = {i: (u1 if i in (1, 3) else u2) * np.exp(0.5 * wf.Phi(i, t))
-         for i in COMPONENTS}
-    return TiltedState(t=t, params=params, wf=wf, grid=grid,
-                       u1=u1, u2=u2, f=f, v1=v1)
+    u = u - 1.0
+    v1 = _reaction_source(k, *u)
+    phi = _phi_rows(wf)
+    Phi = params.s * phi / params.gamma(t)
+    return TiltedState(t=t, params=params, wf=wf, grid=grid, u=u, phi=phi,
+                       Phi=Phi, f=u[SPECIES] * np.exp(0.5 * Phi),
+                       v=np.array([v1, -v1])[SPECIES])
 
 
 def quadratic_forms(ts: TiltedState, d1: float, d2: float
@@ -101,19 +131,18 @@ def quadratic_forms(ts: TiltedState, d1: float, d2: float
     part and converges to zero at discretization order; F2 is the tilted
     squared source norm.
     """
-    grid, t = ts.grid, ts.t
-    Sff = Aff = F2 = 0.0
-    for i in COMPONENTS:
-        d = component_diffusivity(i, d1, d2)
-        fi = ts.f[i]
-        eta = ts.wf.eta(i, t, d1, d2)
-        Sff += d * dirichlet_energy(grid, fi) - integrate(grid, eta * fi * fi)
-        grad_f = cell_gradient(grid, fi)
-        gphi = ts.wf.grad_Phi(i, t)
-        adv = -d * np.sum(gphi * grad_f, axis=1) \
-            - 0.5 * d * ts.wf.lap_Phi(i, t) * fi
-        Aff += integrate(grid, adv * fi)
-        F2 += integrate(grid, ts.v(i) ** 2 * np.exp(ts.Phi(i)))
+    grid, f = ts.grid, ts.f
+    d = _diffusivities(d1, d2)
+    eta, dPhi = ts.eta(d1, d2), ts.dPhi()
+    grad_Phi = dPhi[:, :, None] * ts.wf.grad_psi
+    lap_Phi = dPhi * ts.wf.laplacian_psi
+    Sff = sum(di * dirichlet_energy(grid, fi) - integrate(grid, ei * fi * fi)
+              for di, fi, ei in zip(d, f, eta))
+    Aff = sum(integrate(grid, (-di * np.sum(gi * cell_gradient(grid, fi),
+                                            axis=1)
+                               - 0.5 * di * li * fi) * fi)
+              for di, fi, gi, li in zip(d, f, grad_Phi, lap_Phi))
+    F2 = sum(integrate(grid, x) for x in ts.v ** 2 * np.exp(ts.Phi))
     return Sff, Aff, F2
 
 
@@ -126,26 +155,20 @@ def sym_form_direct(ts: TiltedState, d1: float, d2: float) -> float:
     the analytic weight gradient and an extrapolated boundary trace.
     Agrees with `quadratic_forms` at discretization order.
     """
-    grid, t = ts.grid, ts.t
-    s_over_gamma = ts.params.s / ts.params.gamma(t)
+    grid, f = ts.grid, ts.f
+    d = _diffusivities(d1, d2)
     gpsi_b = eval_grad_psi(ts.params, grid.bface_mid)
     dn_psi = np.sum(np.atleast_2d(gpsi_b) * grid.bface_normal, axis=1)
-    total = 0.0
-    for i in COMPONENTS:
-        d = component_diffusivity(i, d1, d2)
-        fi = ts.f[i]
-        eta = ts.wf.eta(i, t, d1, d2)
-        sign = 1.0 if i in (1, 2) else -1.0
-        if grid.domain.dim == 1:
-            inner = np.array([1, grid.ncells - 2])
-            f_b = 1.5 * fi[grid.bface_cell] - 0.5 * fi[inner]
-        else:
-            f_b = fi[grid.bface_cell]
-        dn_phi = sign * s_over_gamma * dn_psi
-        boundary = float(np.sum(grid.bface_area * 0.5 * dn_phi * f_b * f_b))
-        total += d * (dirichlet_energy(grid, fi) - boundary) \
-            - integrate(grid, eta * fi * fi)
-    return total
+    if grid.domain.dim == 1:
+        inner = np.array([1, grid.ncells - 2])
+        f_b = 1.5 * f[:, grid.bface_cell] - 0.5 * f[:, inner]
+    else:
+        f_b = f[:, grid.bface_cell]
+    dn_Phi = ts.dPhi() * dn_psi
+    flux = grid.bface_area * 0.5 * dn_Phi * f_b * f_b
+    return sum(di * (dirichlet_energy(grid, fi) - float(np.sum(bi)))
+               - integrate(grid, ei * fi * fi)
+               for di, fi, bi, ei in zip(d, f, flux, ts.eta(d1, d2)))
 
 
 @dataclass
@@ -163,28 +186,27 @@ class FrequencyTrace:
     gaps: list = field(default_factory=list)    # times with N undefined
 
 
-def frequency_trace(run: RunResult, params: WeightParams,
+def frequency_trace(run: RunResult, wf: WeightFields,
                     ledger=None) -> FrequencyTrace:
-    """Evaluate N(t) on all field snapshots with t <= T.
+    """Evaluate N(t) on all field snapshots with t <= T, tilted with the
+    weight fields `wf` of the run's grid.
 
     With a ledger, every sample where the finite-difference N' exceeds the
     growth bound ((1+C0)/Gamma + C1)*N + 2*C1/h^2 beyond differencing
     noise is flagged.
     """
-    cfg = run.config
-    wf = weight_fields(params, run.grid)
+    cfg, params = run.config, wf.params
     profile = cfg.catalyst.profile(run.grid)
     times, Ns, Sffs, Affs, norms, F2s, Fdfs, gaps = \
         [], [], [], [], [], [], [], []
     for t, u in zip(run.snapshot_times.tolist(), run.snapshots):
         if t > params.T + 1e-12:
             continue
-        ts = tilt(run.grid, t, u, cfg.catalyst.at(profile, t), params, wf)
+        ts = tilt(run.grid, t, u, cfg.catalyst.at(profile, t), wf)
         Sff, Aff, F2 = quadratic_forms(ts, cfg.d1, cfg.d2)
         n2 = ts.norm2()
-        fdf = sum(integrate(run.grid,
-                            ts.v(i) * ts.u(i) * np.exp(ts.Phi(i)))
-                  for i in COMPONENTS)
+        fdf = sum(integrate(run.grid, x)
+                  for x in ts.v * ts.u[SPECIES] * np.exp(ts.Phi))
         times.append(t)
         Sffs.append(Sff)
         Affs.append(Aff)
@@ -394,24 +416,22 @@ def observation_estimate_check(run: RunResult, params: WeightParams,
     }
 
 
-def _ln_tilted_norm2(grid: Grid, u1, u2, phi1, phi3, coef,
-                     four_components: bool):
-    """log of the tilted squared norm, sum of V*u^2*exp(coef*phi) (mpf).
+def _ln_tilted_norm2(grid: Grid, u: np.ndarray, phi: np.ndarray, coef):
+    """log of the tilted squared norm sum_i sum V*u_i^2*exp(coef*phi_i)
+    over the rows of u and phi (mpf).
 
     coef = s/Gamma can leave double range, so only the shift coef*phi_top
     (phi_top: the top exponent among cells with u != 0) is formed in mpf;
     the rest is a float64 log-sum-exp of ln(V*u^2) + coef*(phi - phi_top),
     exactly 0 at the top cells (no inf*0).  -inf when u vanishes.
     """
-    n = 2 if four_components else 1
-    u = np.concatenate([u1, u2] * n)
-    phi = np.repeat([phi1, phi3][:n], 2, axis=0).ravel()
-    w = np.tile(grid.volumes, 2 * n) * u * u
+    w = (grid.volumes * u * u).ravel()
     keep = w > 0
     if not keep.any():
         return mp.mpf("-inf")
-    phi_top = phi[keep].max()
-    d = phi[keep] - phi_top
+    phi = phi.ravel()[keep]
+    phi_top = phi.max()
+    d = phi - phi_top
     scaled = np.zeros_like(d)
     with np.errstate(over="ignore"):        # overflow is the -inf limit
         np.multiply(float(coef), d, out=scaled, where=d < 0)
@@ -445,22 +465,21 @@ def interpolation_window_check(run: RunResult, params: WeightParams,
             WeightParams(params.x0_abs, params.r, min(ledger.s2, 1.0),
                          min(params.h, 1.0), float(T), dim=params.dim),
             grid)
-        phi1, phi3 = wf.phi1, wf.phi3
+        phi = _phi_rows(wf)
 
         def ln_norms(t_float, gamma):
-            u1, u2 = run.snapshot_at(t_float)[1] - 1.0
+            """ln ||f||^2 over all four rows and over rows 1, 2 alone."""
+            u = (run.snapshot_at(t_float)[1] - 1.0)[SPECIES]
             coef = s / gamma
-            return (
-                _ln_tilted_norm2(grid, u1, u2, phi1, phi3, coef, True),
-                _ln_tilted_norm2(grid, u1, u2, phi1, phi3, coef, False),
-                u1, u2)
+            return (_ln_tilted_norm2(grid, u, phi, coef),
+                    _ln_tilted_norm2(grid, u[:2], phi[:2], coef), u)
 
-        ln_fT, ln_pT, u1T, u2T = ln_norms(float(T), h)
-        ln_fm, ln_pm, _, _ = ln_norms(t_mid, L + h)
-        ln_fl, _, _, _ = ln_norms(t_lo, 2 * L + h)
+        ln_fT, ln_pT, uT = ln_norms(float(T), h)
+        ln_fm, ln_pm, _ = ln_norms(t_mid, L + h)
+        ln_fl, _, _ = ln_norms(t_lo, 2 * L + h)
 
         y_T = tr["l2_dist"][tr.index_at(float(T))]
-        yB_T = ball_norm2(grid, u1T, u2T,
+        yB_T = ball_norm2(grid, uT[0], uT[1],
                           ball_mask(grid, params.x0_abs, params.r))
         y_0 = tr["l2_dist"][tr.index_at(0.0)]
 

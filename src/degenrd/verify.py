@@ -14,11 +14,11 @@ import numpy as np
 
 from .diagnostics import (TOLERANCES, CheckResult, centered_derivative,
                           fd_error_estimate, solver_checks)
-from .logconv import (frequency_trace, interpolation_window_check,
-                      observation_estimate_check, quadratic_forms,
+from .logconv import (FrequencyTrace, frequency_trace,
+                      interpolation_window_check, observation_estimate_check,
                       sym_form_direct, tilt)
 from .solver import RunResult
-from .weights import WeightParams, weight_fields
+from .weights import WeightFields, WeightParams, weight_fields
 
 _FLOOR = TOLERANCES["norm_floor"]
 
@@ -113,21 +113,24 @@ def beta1_chain_check(run: RunResult, ledger) -> CheckResult:
                        worst, 1e-9)
 
 
-def tilted_form_checks(run: RunResult, params: WeightParams
-                       ) -> list[CheckResult]:
+def tilted_form_checks(run: RunResult, ft: FrequencyTrace,
+                       wf: WeightFields) -> list[CheckResult]:
     """Residual checks on the tilted quadratic forms at a mid-run state.
 
     The antisymmetric form and the direct/integrated-by-parts disagreement
     both vanish at discretization order; the budget here is a generous
     O(spacing^2) envelope (the refinement tests measure the order sharply).
+    Sff, Aff and ||f||^2 are the frequency trace's at that snapshot; only
+    the direct assembly tilts it again.
     """
     cfg = run.config
-    t_mid = min(0.5 * params.T, run.snapshot_times[-1])
-    t, u = run.snapshot_at(t_mid)
-    ts = tilt(run.grid, t, u, cfg.catalyst.values(run.grid, t), params)
-    Sff, Aff, _ = quadratic_forms(ts, cfg.d1, cfg.d2)
+    t, u = run.snapshot_at(min(0.5 * wf.params.T, run.snapshot_times[-1]))
+    i = ft.times.tolist().index(t)
+    Sff, Aff, n2 = (float(x[i]) for x in (ft.Sff_values, ft.Aff_values,
+                                          ft.norm2_values))
+    ts = tilt(run.grid, t, u, cfg.catalyst.values(run.grid, t), wf)
     Sff_direct = sym_form_direct(ts, cfg.d1, cfg.d2)
-    scale = max(ts.norm2(), abs(Sff), _FLOOR)
+    scale = max(n2, abs(Sff), _FLOOR)
     budget = 1e4 * run.grid.spacing ** 2 * scale
     return [
         CheckResult("antisymmetric_residual",
@@ -204,8 +207,9 @@ def audit(run: RunResult, ledger=None, params: WeightParams | None = None
         checks.append(theta_contraction_check(run, ledger))
         checks.append(beta1_chain_check(run, ledger))
     if params is not None:
-        checks.extend(tilted_form_checks(run, params))
-        ft = frequency_trace(run, params, ledger)
+        wf = weight_fields(params, run.grid)
+        ft = frequency_trace(run, wf, ledger)
+        checks.extend(tilted_form_checks(run, ft, wf))
         checks.append(CheckResult(
             "frequency_growth",
             "finite-difference N'(t) never exceeds its certified growth "

@@ -21,6 +21,7 @@ values.
 
 from __future__ import annotations
 
+import dataclasses
 import math
 from dataclasses import dataclass
 
@@ -41,7 +42,7 @@ class WeightParams:
     s      : tilt strength in (0, 1].
     h      : terminal time-shift in (0, 1].
     T      : terminal time (> 0).
-    dim    : ambient dimension (1, 2 or 3).
+    dim    : ambient dimension (1 or 2).
     """
 
     x0_abs: float
@@ -80,41 +81,32 @@ class WeightParams:
         return self.T - t + self.h
 
 
-def _as_points(params: WeightParams, point) -> tuple[np.ndarray, bool]:
+def _parts(params: WeightParams, point):
+    """(pts, scalar, a, q, den, g) for psi = q*g/den at the given points:
+    a = |x0|, q = 2|x0|R, g = R^2 - |x|^2, den = |x0|^2 + R^2 - 2|x0|x_1."""
     pts = np.asarray(point, dtype=float)
     scalar = pts.ndim == 1
     pts = np.atleast_2d(pts)
     if pts.shape[-1] != params.dim:
         raise ValueError(f"points must have {params.dim} coordinates")
-    R = params.radius
+    a, R = params.x0_abs, params.radius
     rad = np.linalg.norm(pts, axis=-1)
     if np.any(rad > R * (1 + 1e-12) + 1e-14):
         raise ValueError("point outside the closed domain")
-    return pts, scalar
-
-
-def _den(params: WeightParams, pts: np.ndarray) -> np.ndarray:
-    a, R = params.x0_abs, params.radius
-    return a * a + R * R - 2.0 * a * pts[..., 0]
+    return (pts, scalar, a, 2.0 * a * R, a * a + R * R - 2.0 * a * pts[..., 0],
+            R * R - np.sum(pts * pts, axis=-1))
 
 
 def eval_psi(params: WeightParams, point):
     """Weight value psi(x); vanishes on the boundary, peaks at x0."""
-    pts, scalar = _as_points(params, point)
-    a, R = params.x0_abs, params.radius
-    q = 2.0 * a * R
-    g = R * R - np.sum(pts * pts, axis=-1)
-    out = q * g / _den(params, pts)
+    pts, scalar, a, q, den, g = _parts(params, point)
+    out = q * g / den
     return float(out[0]) if scalar else out
 
 
 def eval_grad_psi(params: WeightParams, point):
     """Closed-form gradient of psi, shape (..., dim)."""
-    pts, scalar = _as_points(params, point)
-    a, R = params.x0_abs, params.radius
-    q = 2.0 * a * R
-    den = _den(params, pts)
-    g = R * R - np.sum(pts * pts, axis=-1)
+    pts, scalar, a, q, den, g = _parts(params, point)
     grad = -2.0 * q * pts / den[..., None]
     grad[..., 0] += 2.0 * a * q * g / (den * den)
     return grad[0] if scalar else grad
@@ -122,13 +114,9 @@ def eval_grad_psi(params: WeightParams, point):
 
 def eval_hess_psi(params: WeightParams, point):
     """Closed-form Hessian of psi, shape (..., dim, dim)."""
-    pts, scalar = _as_points(params, point)
-    a, R, n = params.x0_abs, params.radius, params.dim
-    q = 2.0 * a * R
-    den = _den(params, pts)
-    g = R * R - np.sum(pts * pts, axis=-1)
-    m = pts.shape[0]
-    H = np.zeros((m, n, n))
+    pts, scalar, a, q, den, g = _parts(params, point)
+    n = params.dim
+    H = np.zeros((pts.shape[0], n, n))
     inv = 1.0 / den
     for k in range(n):
         H[:, k, k] += -2.0 * inv
@@ -141,25 +129,17 @@ def eval_hess_psi(params: WeightParams, point):
 
 def eval_lap_psi(params: WeightParams, point):
     """Closed-form Laplacian of psi."""
-    pts, scalar = _as_points(params, point)
-    a, R, n = params.x0_abs, params.radius, params.dim
-    q = 2.0 * a * R
-    den = _den(params, pts)
-    g = R * R - np.sum(pts * pts, axis=-1)
-    out = q * (-2.0 * n / den - 8.0 * a * pts[..., 0] / den ** 2
+    pts, scalar, a, q, den, g = _parts(params, point)
+    out = q * (-2.0 * params.dim / den - 8.0 * a * pts[..., 0] / den ** 2
                + 8.0 * a * a * g / den ** 3)
     return float(out[0]) if scalar else out
 
 
 def eval_grad_lap_psi(params: WeightParams, point):
     """Closed-form gradient of the Laplacian of psi, shape (..., dim)."""
-    pts, scalar = _as_points(params, point)
-    a, R, n = params.x0_abs, params.radius, params.dim
-    q = 2.0 * a * R
-    den = _den(params, pts)
-    g = R * R - np.sum(pts * pts, axis=-1)
+    pts, scalar, a, q, den, g = _parts(params, point)
     out = -16.0 * a * a * pts / den[..., None] ** 3
-    out[..., 0] += ((-4.0 * n - 8.0) * a / den ** 2
+    out[..., 0] += ((-4.0 * params.dim - 8.0) * a / den ** 2
                     - 32.0 * a * a * pts[..., 0] / den ** 3
                     + 48.0 * a ** 3 * g / den ** 4)
     out *= q
@@ -171,30 +151,14 @@ def psi_at_x0(params: WeightParams) -> float:
     return 2.0 * params.x0_abs * params.radius
 
 
-def eval_phi(params: WeightParams, point, which: int):
-    """Shifted weights: phi1 = psi - psi(x0) for i in {1,2};
-    phi3 = -psi - psi(x0) for i in {3,4}."""
-    psi = eval_psi(params, point)
-    peak = psi_at_x0(params)
-    if which in (1, 2):
-        return psi - peak
-    if which in (3, 4):
-        return -psi - peak
-    raise ValueError("component index must be 1..4")
-
-
-def component_diffusivity(which: int, d1: float, d2: float) -> float:
-    """Diffusivity pairing: components 1 and 3 carry d1, 2 and 4 carry d2."""
-    if which in (1, 3):
-        return d1
-    if which in (2, 4):
-        return d2
-    raise ValueError("component index must be 1..4")
-
-
 @dataclass
 class WeightFields:
-    """Weight machinery evaluated on every cell of a grid."""
+    """Weight machinery evaluated on every cell of a grid.
+
+    Only psi enters: the two shifted weights phi1 = psi - psi(x0) and
+    phi3 = -psi - psi(x0), and the derivatives of psi.  Which component
+    carries which weight is `logconv`'s row map.
+    """
 
     params: WeightParams
     phi1: np.ndarray              # per cell
@@ -202,31 +166,6 @@ class WeightFields:
     grad_psi: np.ndarray          # (ncells, dim)
     laplacian_psi: np.ndarray
     grad_psi_sq: np.ndarray       # |grad psi|^2 per cell
-
-    def phi(self, which: int) -> np.ndarray:
-        return self.phi1 if which in (1, 2) else self.phi3
-
-    def Phi(self, which: int, t: float) -> np.ndarray:
-        """Tilt exponent Phi_i = s*phi_i/Gamma."""
-        return self.params.s * self.phi(which) / self.params.gamma(t)
-
-    def eta(self, which: int, t: float, d1: float, d2: float) -> np.ndarray:
-        """Multiplier eta_i = dPhi_i/dt / 2 + d_i*|grad Phi_i|^2 / 4,
-        i.e. s/Gamma^2 * (-|phi_i|/2 + d_i*s*|grad phi_i|^2/4)."""
-        s, gam = self.params.s, self.params.gamma(t)
-        d = component_diffusivity(which, d1, d2)
-        ph = self.phi(which)
-        return s / gam ** 2 * (-0.5 * np.abs(ph)
-                               + 0.25 * d * s * self.grad_psi_sq)
-
-    def grad_Phi(self, which: int, t: float) -> np.ndarray:
-        sign = 1.0 if which in (1, 2) else -1.0
-        return (sign * self.params.s / self.params.gamma(t)) * self.grad_psi
-
-    def lap_Phi(self, which: int, t: float) -> np.ndarray:
-        sign = 1.0 if which in (1, 2) else -1.0
-        return (sign * self.params.s / self.params.gamma(t)) \
-            * self.laplacian_psi
 
 
 def weight_fields(params: WeightParams, grid: Grid) -> WeightFields:
@@ -278,39 +217,23 @@ class GeometryConstants:
     probe_resolution: int
 
     def as_dict(self) -> dict:
-        return {k: getattr(self, k) for k in
-                ("c01", "c02", "c1", "c2", "c3", "rho", "mu0", "mu1",
-                 "probe_resolution")}
+        return dataclasses.asdict(self)
 
 
 def _sample_points(params: WeightParams, m: int) -> np.ndarray:
     """Deterministic dense sampling of the closed ball.
 
-    1-D: uniform scan of [-R, R].  2-D: polar product grid.  3-D: meridian
-    half-disk product grid (psi is axisymmetric about the x1 axis, so a
-    meridian scan covers all attained values).
+    1-D: uniform scan of [-R, R].  2-D: polar product grid plus the
+    boundary circle at the same angles.
     """
     R = params.radius
     if params.dim == 1:
         return np.linspace(-R, R, m).reshape(m, 1)
     mr = max(int(math.sqrt(m)), 24)
-    mt = mr
-    rr = R * (np.arange(mr) + 0.5) / mr
-    if params.dim == 2:
-        tt = 2 * math.pi * np.arange(mt) / mt
-    else:
-        tt = math.pi * (np.arange(mt) + 0.5) / mt
-    rg, tg = np.meshgrid(rr, tt, indexing="ij")
-    pts = np.zeros((mr * mt, params.dim))
-    pts[:, 0] = (rg * np.cos(tg)).ravel()
-    pts[:, 1] = (rg * np.sin(tg)).ravel()
-    bnd = np.zeros((max(mt, 2), params.dim))   # boundary ring/pair
-    if params.dim == 1:
-        return pts  # already includes endpoints via linspace
-    bt = tt[: max(mt, 2)]
-    bnd[:, 0] = R * np.cos(bt)
-    bnd[:, 1] = R * np.sin(bt)
-    return np.vstack([pts, bnd])
+    tt = 2 * math.pi * np.arange(mr) / mr
+    rg, tg = np.meshgrid(R * (np.arange(mr) + 0.5) / mr, tt, indexing="ij")
+    rad, ang = np.r_[rg.ravel(), np.full(mr, R)], np.r_[tg.ravel(), tt]
+    return np.column_stack([rad * np.cos(ang), rad * np.sin(ang)])
 
 
 def _safe_max_ratio(num: np.ndarray, den: np.ndarray, clause: str) -> float:
@@ -324,13 +247,11 @@ def _safe_max_ratio(num: np.ndarray, den: np.ndarray, clause: str) -> float:
     return top
 
 
-def geometry_constants(params: WeightParams,
-                       probe_resolution: int = 10_000) -> GeometryConstants:
-    """Sampled extremal-ratio constants, refined until stable below 1%."""
-    if probe_resolution < 1_000:
-        raise ValueError("probe_resolution must be at least 1000")
+def geometry_constants(params: WeightParams) -> GeometryConstants:
+    """Sampled extremal-ratio constants, refined from 10,000 samples by
+    doubling until stable below 1%."""
     prev = None
-    m = probe_resolution
+    m = 10_000
     for _ in range(8):
         cur = _geometry_constants_once(params, m)
         if prev is not None:

@@ -21,7 +21,7 @@ from degenrd.logconv import (InterpInput, frequency_trace, interp_check,
 from degenrd.solver import CatalystSpec, InitialSpec, SimConfig, run
 from degenrd.verify import decay_certificate_check, theta_contraction_check
 from degenrd.weights import (WeightParams, eval_grad_psi, eval_psi,
-                             psi_at_x0)
+                             psi_at_x0, weight_fields)
 
 
 def _report(num: int, name: str, ok: bool, detail: str = "") -> None:
@@ -115,7 +115,7 @@ def _aff_at(res: int, p: WeightParams) -> float:
     b = 1.0 - 0.2 * np.cos(2 * math.pi * (x + 0.5))
     t = 0.5 * p.T
     k = CatalystSpec(kind="bump", k0=1.0, x0=p.x0_abs, r=p.r).values(g, t)
-    ts = tilt(g, t, np.array([a, b]), k, p)
+    ts = tilt(g, t, np.array([a, b]), k, weight_fields(p, g))
     _, Aff, _ = quadratic_forms(ts, 1.0, 1.0)
     return abs(Aff)
 
@@ -194,7 +194,7 @@ def test_criterion_06_interpolation_checker(ref_ledger):
                     t_end=2.0, record_stride=0.05, field_stride=0.05)
     r = run(cfg)
     p = WeightParams(x0_abs=0.25, r=0.1, s=0.5, h=0.1, T=2.0, dim=1)
-    ft = frequency_trace(r, p)
+    ft = frequency_trace(r, weight_fields(p, r.grid))
     C0, C1 = ref_ledger.C0, ref_ledger.C1
     n = ft.times.size
     fed = interp_check(InterpInput(

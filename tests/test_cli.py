@@ -2,6 +2,7 @@
 
 import csv
 import json
+import re
 import shutil
 import subprocess
 import sys
@@ -11,6 +12,7 @@ import numpy as np
 import pytest
 
 from degenrd.cli import main
+from degenrd.config import _SECTIONS
 
 CFG = {
     "format_version": "1.0",
@@ -65,6 +67,23 @@ def test_trace_columns_documented(run_dir):
     assert [c for c in header if f"| `{c}` |" not in doc] == []
 
 
+def test_config_keys_documented():
+    """Every key the parser accepts has a row in its section's table in
+    docs/config_schema.md; a combined row such as `x0`, `r` counts."""
+    doc = (Path(__file__).resolve().parents[1] / "docs"
+           / "config_schema.md").read_text(encoding="utf-8")
+    documented = {}
+    for part in doc.split("\n### ")[1:]:
+        head, _, body = part.partition("\n")
+        first_cells = [line.split("|")[1] for line in body.splitlines()
+                       if line.startswith("| `")]
+        documented[head.split("`")[1]] = set(
+            re.findall(r"`([^`]+)`", " ".join(first_cells)))
+    assert [f"{section}.{key}" for section, keys in _SECTIONS.items()
+            for key in sorted(keys)
+            if key not in documented.get(section, ())] == []
+
+
 def test_simulate_bitwise_idempotent(cfg_path, tmp_path):
     out1, out2 = tmp_path / "r1", tmp_path / "r2"
     assert main(["simulate", str(cfg_path), "-o", str(out1)]) == 0
@@ -104,6 +123,22 @@ def test_weight_window_past_t_end_rejected_at_parse(tmp_path, capsys):
     err = capsys.readouterr().err.strip()
     assert err.startswith("error: ") and "\n" not in err
     assert "weights.T" in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["simulate", "constants"])
+@pytest.mark.parametrize("dim", [0, 3])
+def test_unsupported_dimension_rejected_at_parse(tmp_path, capsys, command,
+                                                 dim):
+    doc = json.loads(json.dumps(CFG))
+    doc["domain"]["dim"] = dim
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(doc))
+    out = tmp_path / "never"
+    assert main([command, str(bad), "-o", str(out)]) == 1
+    err = capsys.readouterr().err.strip()
+    assert err.startswith("error: ") and "\n" not in err
+    assert "domain.dim" in err
     assert not out.exists()
 
 

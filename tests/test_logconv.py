@@ -16,14 +16,14 @@ import pytest
 
 from degenrd import logconv
 from degenrd._xmath import DPS, logsumexp
-from degenrd.grid import integrate
+from degenrd.grid import cell_gradient, dirichlet_energy, integrate
 from degenrd.logconv import (InterpInput, check_cubic_bound,
                              check_source_bound, frequency_trace,
                              interp_check, interpolation_window_check,
                              observation_estimate_check, quadratic_forms,
                              sym_form_direct, tilt)
 from degenrd.solver import CatalystSpec, InitialSpec, SimConfig, run
-from degenrd.weights import WeightParams
+from degenrd.weights import WeightParams, eval_grad_psi, weight_fields
 
 M_ORACLE = 5.128533953063608
 MARGIN_ORACLE = 1.2385601859190818
@@ -33,7 +33,7 @@ def _tilt_mid(ref_run, params):
     """The reference run's snapshot at t = 5, tilted with `params`."""
     t, u = ref_run.snapshot_at(5.0)
     k = ref_run.config.catalyst.values(ref_run.grid, t)
-    return tilt(ref_run.grid, t, u, k, params)
+    return tilt(ref_run.grid, t, u, k, weight_fields(params, ref_run.grid))
 
 
 # ---------------------------------------------------------------------------
@@ -43,34 +43,34 @@ def _tilt_mid(ref_run, params):
 def test_tilt_equilibrium_is_zero(grid256, ref_params):
     ones = np.ones((2, grid256.ncells))
     k = CatalystSpec(kind="bump", k0=1.0).values(grid256, 1.0)
-    ts = tilt(grid256, 1.0, ones, k, ref_params)
+    ts = tilt(grid256, 1.0, ones, k, weight_fields(ref_params, grid256))
     assert ts.norm2() == 0.0
-    assert np.all(ts.v1 == 0.0)
+    assert np.all(ts.v == 0.0)
     Sff, Aff, F2 = quadratic_forms(ts, 1.0, 1.0)
     assert Sff == Aff == F2 == 0.0
 
 
 def test_tilt_source_antisymmetry(ref_run, ref_params):
     ts = _tilt_mid(ref_run, ref_params)
-    assert np.array_equal(ts.v(2), -ts.v(1))
-    assert np.array_equal(ts.v(3), ts.v(1))
-    assert np.array_equal(ts.v(4), -ts.v(1))
+    assert np.array_equal(ts.v[1], -ts.v[0])
+    assert np.array_equal(ts.v[2], ts.v[0])
+    assert np.array_equal(ts.v[3], -ts.v[0])
 
 
 def test_tilt_component_reconstruction(ref_run, ref_params):
     """The negative-weight components are the positive ones re-tilted by
     the difference of the exponents (which is -2*s*psi/Gamma)."""
     ts = _tilt_mid(ref_run, ref_params)
-    expect3 = ts.f[1] * np.exp(0.5 * (ts.Phi(3) - ts.Phi(1)))
-    assert np.allclose(ts.f[3], expect3, rtol=1e-12, atol=1e-300)
+    expect3 = ts.f[0] * np.exp(0.5 * (ts.Phi[2] - ts.Phi[0]))
+    assert np.allclose(ts.f[2], expect3, rtol=1e-12, atol=1e-300)
 
 
 def test_pair_norm_sandwich(ref_run, ref_params):
     """||(f1,f2)||^2 <= ||f||^2 <= 2*||(f1,f2)||^2 since the second
     exponent never exceeds the first."""
     ts = _tilt_mid(ref_run, ref_params)
-    n_pair = integrate(ref_run.grid, ts.f[1] ** 2) \
-        + integrate(ref_run.grid, ts.f[2] ** 2)
+    n_pair = integrate(ref_run.grid, ts.f[0] ** 2) \
+        + integrate(ref_run.grid, ts.f[1] ** 2)
     n_all = ts.norm2()
     assert n_pair <= n_all <= 2 * n_pair * (1 + 1e-12)
 
@@ -79,7 +79,7 @@ def test_tilt_rejects_time_outside_window(grid256, ref_params):
     ones = np.ones((2, grid256.ncells))
     k = CatalystSpec(kind="bump", k0=1.0).values(grid256, 11.0)
     with pytest.raises(ValueError):
-        tilt(grid256, 11.0, ones, k, ref_params)
+        tilt(grid256, 11.0, ones, k, weight_fields(ref_params, grid256))
 
 
 # ---------------------------------------------------------------------------
@@ -107,7 +107,8 @@ def test_sym_form_two_assemblies_agree(ref_run, ref_params):
 # ---------------------------------------------------------------------------
 
 def test_frequency_trace_reference_run(ref_run, ref_params, ref_ledger):
-    tr = frequency_trace(ref_run, ref_params, ref_ledger)
+    tr = frequency_trace(ref_run, weight_fields(ref_params, ref_run.grid),
+                         ref_ledger)
     assert tr.gaps == [] and tr.flags == []
     assert np.all(np.isfinite(tr.N_values))
     assert np.all(tr.N_values > 0)
@@ -117,6 +118,88 @@ def test_frequency_trace_reference_run(ref_run, ref_params, ref_ledger):
     dx = ref_run.grid.spacing
     assert np.max(np.abs(tr.Aff_values)) \
         <= 1e3 * dx ** 2 * np.max(tr.norm2_values)
+
+
+# ---------------------------------------------------------------------------
+# the row map against the per-component loop it replaced
+# ---------------------------------------------------------------------------
+
+def _per_component_reference(r, params, t, u):
+    """Component i = 1..4 takes u1 for odd i, else u2 (and with it d1 or
+    d2) and phi1 for i <= 2, else phi3.  Returns the f_i and (Sff, Aff, F2,
+    ||f||^2, source pairing, direct Sff), each formed as the loop did."""
+    grid, cfg = r.grid, r.config
+    wf = weight_fields(params, grid)
+    s, gam = params.s, params.gamma(t)
+    u1, u2 = u - 1.0
+    v1 = cfg.catalyst.values(grid, t) * (u1 + u2 + 2.0) * (u2 - u1)
+    gpsi_b = eval_grad_psi(params, grid.bface_mid)
+    dn_psi = np.sum(np.atleast_2d(gpsi_b) * grid.bface_normal, axis=1)
+    f, Phi, comp = {}, {}, {}
+    Sff = Aff = F2 = direct = 0.0
+    for i in (1, 2, 3, 4):
+        ui, vi, d = (u1, v1, cfg.d1) if i in (1, 3) else (u2, -v1, cfg.d2)
+        phi, sign = (wf.phi1, 1.0) if i in (1, 2) else (wf.phi3, -1.0)
+        comp[i] = (ui, vi)
+        Phi[i] = s * phi / gam
+        fi = f[i] = ui * np.exp(0.5 * Phi[i])
+        eta = s / gam ** 2 * (-0.5 * np.abs(phi)
+                              + 0.25 * d * s * wf.grad_psi_sq)
+        Sff += d * dirichlet_energy(grid, fi) - integrate(grid, eta * fi * fi)
+        gphi = (sign * s / gam) * wf.grad_psi
+        adv = -d * np.sum(gphi * cell_gradient(grid, fi), axis=1) \
+            - 0.5 * d * ((sign * s / gam) * wf.laplacian_psi) * fi
+        Aff += integrate(grid, adv * fi)
+        F2 += integrate(grid, vi ** 2 * np.exp(Phi[i]))
+        if grid.domain.dim == 1:
+            f_b = 1.5 * fi[grid.bface_cell] \
+                - 0.5 * fi[np.array([1, grid.ncells - 2])]
+        else:
+            f_b = fi[grid.bface_cell]
+        dn_phi = sign * (s / gam) * dn_psi
+        boundary = float(np.sum(grid.bface_area * 0.5 * dn_phi * f_b * f_b))
+        direct += d * (dirichlet_energy(grid, fi) - boundary) \
+            - integrate(grid, eta * fi * fi)
+    n2 = sum(integrate(grid, f[i] ** 2) for i in (1, 2, 3, 4))
+    fdf = sum(integrate(grid, comp[i][1] * comp[i][0] * np.exp(Phi[i]))
+              for i in (1, 2, 3, 4))
+    return f, (Sff, Aff, F2, n2, fdf, direct)
+
+
+@pytest.fixture(scope="module")
+def disk_unequal_diffusivities():
+    """A 2-D n=16 run with d1 != d2, and its weight parameters."""
+    r = run(SimConfig(dim=2, resolution=16, d1=0.7, d2=1.3,
+                      catalyst=CatalystSpec(kind="bump", k0=1.0, x0=0.25,
+                                            r=0.1),
+                      t_end=1.0, record_stride=0.05, field_stride=0.25))
+    return r, WeightParams(x0_abs=0.25, r=0.1, s=0.5, h=0.1, T=1.0, dim=2)
+
+
+@pytest.mark.parametrize("case", ["ref1d", "disk16_unequal_d"])
+def test_row_map_bitwise_equals_per_component_loop(
+        case, ref_run, ref_params, disk_unequal_diffusivities):
+    """f, Sff, Aff, F2, ||f||^2, the source pairing and the direct Sff at
+    every snapshot of the frequency trace equal the per-component loop
+    bit for bit."""
+    r, params = (ref_run, ref_params) if case == "ref1d" \
+        else disk_unequal_diffusivities
+    cfg, wf = r.config, weight_fields(params, r.grid)
+    ft = frequency_trace(r, wf)
+    assert ft.times.size >= 5
+    ref = []
+    for t in ft.times.tolist():
+        t, u = r.snapshot_at(t)
+        f, scalars = _per_component_reference(r, params, t, u)
+        ts = tilt(r.grid, t, u, cfg.catalyst.values(r.grid, t), wf)
+        for row in range(4):
+            assert np.array_equal(ts.f[row], f[row + 1])
+        assert sym_form_direct(ts, cfg.d1, cfg.d2) == scalars[5]
+        ref.append(scalars[:5])
+    ref = np.array(ref).T
+    for got, want in zip((ft.Sff_values, ft.Aff_values, ft.F_norm2,
+                          ft.norm2_values, ft.Fdotf_values), ref):
+        assert np.array_equal(got, want)
 
 
 # ---------------------------------------------------------------------------
@@ -271,14 +354,10 @@ def test_interpolation_window_check_reference(ref_run, ref_params,
 # tilted norms of the interpolation window against a per-cell mpf reference
 # ---------------------------------------------------------------------------
 
-def _ln_tilted_norm2_percell(grid, u1, u2, phi1, phi3, coef,
-                             four_components):
+def _ln_tilted_norm2_percell(grid, rows_u, rows_phi, coef):
     """Reference: every cell's ln(V*u^2) + coef*phi formed in mpf."""
     terms = []
-    comps = [(u1, phi1), (u2, phi1)]
-    if four_components:
-        comps += [(u1, phi3), (u2, phi3)]
-    for (u, phi) in comps:
+    for (u, phi) in zip(rows_u, rows_phi):
         for j in range(grid.ncells):
             w = grid.volumes[j] * u[j] * u[j]
             if w > 0:
@@ -309,8 +388,8 @@ def test_window_norms_match_percell_reference(ref_run, ref_params,
     monkeypatch.setattr(logconv, "_ln_tilted_norm2", record)
     interpolation_window_check(ref_run, ref_params, ref_ledger)
     monkeypatch.undo()
-    assert [c[6] for c in calls] == [True, False] * 3
-    huge = [math.isinf(float(c[5])) for c in calls]
+    assert [len(c[1]) for c in calls] == [4, 2] * 3
+    huge = [math.isinf(float(c[3])) for c in calls]
     assert any(huge) and not all(huge)      # both coef regimes are exercised
     with mp.workdps(DPS):
         for args in calls:
@@ -324,12 +403,17 @@ def _edge_case_data(grid256):
         np.full(n, -1.0), np.full(n, -2.0)
 
 
+def _four_rows(u1, u2, phi1, phi3):
+    """The (u, phi) row stacks of the four components."""
+    return np.array([u1, u2, u1, u2]), np.array([phi1, phi1, phi3, phi3])
+
+
 def test_tilted_norm_zero_state_is_minus_inf(grid256):
     z = np.zeros(grid256.ncells)
-    _, _, phi1, phi3 = _edge_case_data(grid256)
+    u, phi = _four_rows(z, z, *_edge_case_data(grid256)[2:])
     for coef in (mp.mpf(3), mp.mpf(10) ** 400):
-        assert logconv._ln_tilted_norm2(grid256, z, z, phi1, phi3, coef,
-                                        True) == mp.mpf("-inf")
+        assert logconv._ln_tilted_norm2(grid256, u, phi, coef) \
+            == mp.mpf("-inf")
 
 
 def test_tilted_norm_tied_maxima_huge_coef(grid256):
@@ -338,30 +422,30 @@ def test_tilted_norm_tied_maxima_huge_coef(grid256):
     u1, u2, phi1, phi3 = _edge_case_data(grid256)
     tied = [10, 200]
     phi1[tied] = 0.0
+    u, phi = _four_rows(u1, u2, phi1, phi3)
     coef = mp.mpf(10) ** 400
     V = grid256.volumes
     expect = math.log(sum(V[j] * (u1[j] ** 2 + u2[j] ** 2) for j in tied))
     with mp.workdps(DPS):
-        got = logconv._ln_tilted_norm2(grid256, u1, u2, phi1, phi3, coef,
-                                       True)
+        got = logconv._ln_tilted_norm2(grid256, u, phi, coef)
         assert abs(got - expect) <= 1e-15 * abs(expect)
-        for four in (True, False):
-            _assert_matches_reference(
-                (grid256, u1, u2, phi1, phi3, coef, four))
-        phi1[tied] = -0.5                    # shift out of the mpf digits
-        _assert_matches_reference((grid256, u1, u2, phi1, phi3, coef, True))
+        for rows in (4, 2):
+            _assert_matches_reference((grid256, u[:rows], phi[:rows], coef))
+        phi[:2, tied] = -0.5                 # shift out of the mpf digits
+        _assert_matches_reference((grid256, u, phi, coef))
 
 
 def test_tilted_norm_skips_zero_cells(grid256):
     """A cell with u1 = u2 = 0 adds nothing, even at the top exponent."""
     u1, u2, phi1, phi3 = _edge_case_data(grid256)
     u1[5] = u2[5] = 0.0
+    u, phi = _four_rows(u1, u2, phi1, phi3)
     with mp.workdps(DPS):
         for coef in (mp.mpf(3), mp.mpf(10) ** 400):
-            args = (grid256, u1, u2, phi1, phi3, coef, True)
+            args = (grid256, u, phi, coef)
             base = logconv._ln_tilted_norm2(*args)
             _assert_matches_reference(args)
-            phi1[5] = 0.0                    # the zero cell now tops phi1
+            phi[:2, 5] = 0.0                 # the zero cell now tops phi1
             assert logconv._ln_tilted_norm2(*args) == base
             _assert_matches_reference(args)
-            phi1[5] = -1.0
+            phi[:2, 5] = -1.0

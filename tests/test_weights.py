@@ -13,10 +13,10 @@ import numpy as np
 import pytest
 
 from degenrd.weights import (WeightParams, eval_grad_lap_psi, eval_grad_psi,
-                             eval_hess_psi, eval_lap_psi, eval_phi,
-                             eval_psi, geometry_constants,
-                             psi_at_x0, weight_fields)
+                             eval_hess_psi, eval_lap_psi, eval_psi,
+                             geometry_constants, psi_at_x0, weight_fields)
 from degenrd.grid import Domain, build_grid
+from degenrd.logconv import tilt
 
 P1 = WeightParams(x0_abs=0.25, r=0.1, s=0.5, h=0.1, T=10.0, dim=1)
 P2 = WeightParams(x0_abs=0.2, r=0.08, s=0.3, h=0.2, T=5.0, dim=2)
@@ -147,20 +147,21 @@ def test_hessian_at_peak_oracle(p):
 # ---------------------------------------------------------------------------
 
 def test_phi_signs_and_reconstruction():
-    pts = np.linspace(-0.49, 0.49, 201).reshape(-1, 1)
-    phi1 = eval_phi(P1, pts, 1)
-    phi3 = eval_phi(P1, pts, 3)
-    assert np.all(phi1 <= 1e-12)
-    assert np.all(phi3 <= 1e-12)
+    g = build_grid(Domain(1), 201)
+    wf = weight_fields(P1, g)
+    assert np.all(wf.phi1 <= 1e-12)
+    assert np.all(wf.phi3 <= 1e-12)
     # phi3 - phi1 = -2 psi by construction
-    assert np.allclose(phi3 - phi1, -2 * eval_psi(P1, pts), atol=1e-12)
+    assert np.allclose(wf.phi3 - wf.phi1, -2 * eval_psi(P1, g.centers),
+                       atol=1e-12)
 
 
-def _Phi_eta_closed_form(params, which, pts, t, d):
+def _Phi_eta_closed_form(params, sign, pts, t, d):
     """Phi_i = s*phi_i/Gamma and eta_i = s/Gamma^2 * (-|phi_i|/2
-    + d*s*|grad psi|^2/4), from the pointwise evaluators."""
+    + d*s*|grad psi|^2/4) with phi_i = sign*psi - psi(x0), from the
+    pointwise evaluators."""
     gamma = params.T - t + params.h
-    phi = eval_phi(params, pts, which)
+    phi = sign * eval_psi(params, pts) - psi_at_x0(params)
     grad = eval_grad_psi(params, pts).reshape(-1)
     eta = (params.s / gamma ** 2) * (-0.5 * np.abs(phi)
                                      + 0.25 * d * params.s * grad ** 2)
@@ -168,25 +169,31 @@ def _Phi_eta_closed_form(params, which, pts, t, d):
 
 
 def test_Phi_eta_consistency():
-    g = build_grid(Domain(1), 11)
-    wf = weight_fields(P1, g)
-    t = 3.0
-    Phi, eta = _Phi_eta_closed_form(P1, 1, g.centers, t, d=1.0)
-    assert np.allclose(wf.Phi(1, t), Phi, atol=1e-14)
-    assert np.allclose(wf.eta(1, t, d1=1.0, d2=2.0), eta, atol=1e-13)
+    """The tilt's exponent and multiplier rows (u1, u2 under phi1, then
+    under phi3) against the closed form, with d1 = 1 and d2 = 2."""
+    for n, t in ((11, 3.0), (128, 1.5)):
+        g = build_grid(Domain(1), n)
+        ts = tilt(g, t, np.ones((2, n)), np.zeros(n), weight_fields(P1, g))
+        eta = ts.eta(1.0, 2.0)
+        for row, (sign, d) in enumerate([(1, 1.0), (1, 2.0), (-1, 1.0),
+                                         (-1, 2.0)]):
+            Phi_c, eta_c = _Phi_eta_closed_form(P1, sign, g.centers, t, d)
+            assert np.allclose(ts.Phi[row], Phi_c, atol=1e-13)
+            assert np.allclose(eta[row], eta_c, atol=1e-13)
 
 
 def test_weight_fields_match_pointwise():
     g = build_grid(Domain(1), 128)
     wf = weight_fields(P1, g)
-    assert np.allclose(wf.phi(1) + psi_at_x0(P1), eval_psi(P1, g.centers),
+    psi = eval_psi(P1, g.centers)
+    assert np.allclose(wf.phi1 + psi_at_x0(P1), psi, atol=1e-14)
+    assert np.allclose(wf.phi3 + psi_at_x0(P1), -psi, atol=1e-14)
+    grad = eval_grad_psi(P1, g.centers)
+    assert np.allclose(wf.grad_psi, grad, atol=1e-14)
+    assert np.allclose(wf.grad_psi_sq, np.sum(grad * grad, axis=-1),
                        atol=1e-14)
-    assert np.allclose(wf.phi(1), eval_phi(P1, g.centers, 1), atol=1e-14)
-    assert np.allclose(wf.phi(3), eval_phi(P1, g.centers, 3), atol=1e-14)
-    t = 1.5
-    Phi, eta = _Phi_eta_closed_form(P1, 3, g.centers, t, d=1.0)
-    assert np.allclose(wf.Phi(3, t), Phi, atol=1e-13)
-    assert np.allclose(wf.eta(3, t, 1.0, 1.0), eta, atol=1e-13)
+    assert np.allclose(wf.laplacian_psi, eval_lap_psi(P1, g.centers),
+                       atol=1e-12)
 
 
 # ---------------------------------------------------------------------------
