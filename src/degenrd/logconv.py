@@ -65,7 +65,6 @@ class TiltedState:
     """
 
     t: float
-    params: WeightParams
     wf: WeightFields
     grid: Grid
     u: np.ndarray               # (2, ncells): u1 = a-1, u2 = b-1
@@ -76,24 +75,21 @@ class TiltedState:
 
     def dPhi(self) -> np.ndarray:
         """(4, 1) factors of psi's derivatives in Phi_i: +-s/Gamma."""
-        return SIGN * self.params.s / self.params.gamma(self.t)
+        p = self.wf.params
+        return SIGN * p.s / p.gamma(self.t)
 
     def eta(self, d1: float, d2: float) -> np.ndarray:
         """Multipliers eta_i = dPhi_i/dt / 2 + d_i*|grad Phi_i|^2 / 4,
         i.e. s/Gamma^2 * (-|phi_i|/2 + d_i*s*|grad psi|^2/4)."""
-        s, gam = self.params.s, self.params.gamma(self.t)
-        d = np.array(_diffusivities(d1, d2))[:, None]
+        p = self.wf.params
+        s, gam = p.s, p.gamma(self.t)
+        d = np.array((d1, d2))[SPECIES, None]
         return s / gam ** 2 * (-0.5 * np.abs(self.phi)
                                + 0.25 * d * s * self.wf.grad_psi_sq)
 
     def norm2(self) -> float:
         """||f||^2 summed over the four components."""
         return sum(integrate(self.grid, fi ** 2) for fi in self.f)
-
-
-def _diffusivities(d1: float, d2: float) -> list:
-    """The diffusivity of each row: that of its species."""
-    return [(d1, d2)[i] for i in SPECIES]
 
 
 def _reaction_source(k: np.ndarray, u1: np.ndarray,
@@ -116,7 +112,7 @@ def tilt(grid: Grid, t: float, u: np.ndarray, k: np.ndarray,
     v1 = _reaction_source(k, *u)
     phi = _phi_rows(wf)
     Phi = params.s * phi / params.gamma(t)
-    return TiltedState(t=t, params=params, wf=wf, grid=grid, u=u, phi=phi,
+    return TiltedState(t=t, wf=wf, grid=grid, u=u, phi=phi,
                        Phi=Phi, f=u[SPECIES] * np.exp(0.5 * Phi),
                        v=np.array([v1, -v1])[SPECIES])
 
@@ -132,7 +128,7 @@ def quadratic_forms(ts: TiltedState, d1: float, d2: float
     squared source norm.
     """
     grid, f = ts.grid, ts.f
-    d = _diffusivities(d1, d2)
+    d = np.array((d1, d2))[SPECIES]
     eta, dPhi = ts.eta(d1, d2), ts.dPhi()
     grad_Phi = dPhi[:, :, None] * ts.wf.grad_psi
     lap_Phi = dPhi * ts.wf.laplacian_psi
@@ -156,8 +152,8 @@ def sym_form_direct(ts: TiltedState, d1: float, d2: float) -> float:
     Agrees with `quadratic_forms` at discretization order.
     """
     grid, f = ts.grid, ts.f
-    d = _diffusivities(d1, d2)
-    gpsi_b = eval_grad_psi(ts.params, grid.bface_mid)
+    d = np.array((d1, d2))[SPECIES]
+    gpsi_b = eval_grad_psi(ts.wf.params, grid.bface_mid)
     dn_psi = np.sum(np.atleast_2d(gpsi_b) * grid.bface_normal, axis=1)
     if grid.domain.dim == 1:
         inner = np.array([1, grid.ncells - 2])
@@ -197,31 +193,22 @@ def frequency_trace(run: RunResult, wf: WeightFields,
     """
     cfg, params = run.config, wf.params
     profile = cfg.catalyst.profile(run.grid)
-    times, Ns, Sffs, Affs, norms, F2s, Fdfs, gaps = \
-        [], [], [], [], [], [], [], []
+    rows = []
     for t, u in zip(run.snapshot_times.tolist(), run.snapshots):
         if t > params.T + 1e-12:
             continue
         ts = tilt(run.grid, t, u, cfg.catalyst.at(profile, t), wf)
-        Sff, Aff, F2 = quadratic_forms(ts, cfg.d1, cfg.d2)
-        n2 = ts.norm2()
         fdf = sum(integrate(run.grid, x)
                   for x in ts.v * ts.u[SPECIES] * np.exp(ts.Phi))
-        times.append(t)
-        Sffs.append(Sff)
-        Affs.append(Aff)
-        norms.append(n2)
-        F2s.append(F2)
-        Fdfs.append(fdf)
-        if n2 < _FLOOR:
-            Ns.append(np.nan)
-            gaps.append(t)
-        else:
-            Ns.append(Sff / n2)
-    out = FrequencyTrace(np.array(times), np.array(Ns), np.array(Sffs),
-                         np.array(Affs), np.array(norms), np.array(F2s),
-                         np.array(Fdfs), gaps=gaps)
-    if ledger is not None and len(times) >= 5:
+        rows.append((t, *quadratic_forms(ts, cfg.d1, cfg.d2), ts.norm2(),
+                     fdf))
+    times, Sff, Aff, F2, n2, fdf = np.array(rows).reshape(-1, 6).T
+    gap = n2 < _FLOOR
+    with np.errstate(divide="ignore", invalid="ignore"):
+        N = np.where(gap, np.nan, Sff / n2)
+    out = FrequencyTrace(times, N, Sff, Aff, n2, F2, fdf,
+                         gaps=times[gap].tolist())
+    if ledger is not None and times.size >= 5:
         valid = ~np.isnan(out.N_values)
         if np.count_nonzero(valid) >= 5:
             t_v = out.times[valid]

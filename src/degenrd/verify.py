@@ -201,7 +201,6 @@ def audit(run: RunResult, ledger=None, params: WeightParams | None = None
     observation estimate, and the interpolation-window inequalities follow.
     """
     checks = list(solver_checks(run))
-    entries = []
     if ledger is not None:
         checks.append(decay_certificate_check(run, ledger))
         checks.append(theta_contraction_check(run, ledger))
@@ -232,5 +231,4 @@ def audit(run: RunResult, ledger=None, params: WeightParams | None = None
                 "interpolation_window",
                 "three-time interpolation, localization, and untilting "
                 "inequalities on the certified window", worst, 1e-9))
-    entries.extend(c.as_dict() for c in checks)
-    return entries
+    return [c.as_dict() for c in checks]

@@ -21,7 +21,6 @@ values.
 
 from __future__ import annotations
 
-import dataclasses
 import math
 from dataclasses import dataclass
 
@@ -81,32 +80,41 @@ class WeightParams:
         return self.T - t + self.h
 
 
-def _parts(params: WeightParams, point):
-    """(pts, scalar, a, q, den, g) for psi = q*g/den at the given points:
-    a = |x0|, q = 2|x0|R, g = R^2 - |x|^2, den = |x0|^2 + R^2 - 2|x0|x_1."""
+def _as_points(params: WeightParams, point) -> tuple[np.ndarray, bool]:
     pts = np.asarray(point, dtype=float)
     scalar = pts.ndim == 1
     pts = np.atleast_2d(pts)
     if pts.shape[-1] != params.dim:
         raise ValueError(f"points must have {params.dim} coordinates")
-    a, R = params.x0_abs, params.radius
+    R = params.radius
     rad = np.linalg.norm(pts, axis=-1)
     if np.any(rad > R * (1 + 1e-12) + 1e-14):
         raise ValueError("point outside the closed domain")
-    return (pts, scalar, a, 2.0 * a * R, a * a + R * R - 2.0 * a * pts[..., 0],
-            R * R - np.sum(pts * pts, axis=-1))
+    return pts, scalar
+
+
+def _den(params: WeightParams, pts: np.ndarray) -> np.ndarray:
+    a, R = params.x0_abs, params.radius
+    return a * a + R * R - 2.0 * a * pts[..., 0]
 
 
 def eval_psi(params: WeightParams, point):
     """Weight value psi(x); vanishes on the boundary, peaks at x0."""
-    pts, scalar, a, q, den, g = _parts(params, point)
-    out = q * g / den
+    pts, scalar = _as_points(params, point)
+    a, R = params.x0_abs, params.radius
+    q = 2.0 * a * R
+    g = R * R - np.sum(pts * pts, axis=-1)
+    out = q * g / _den(params, pts)
     return float(out[0]) if scalar else out
 
 
 def eval_grad_psi(params: WeightParams, point):
     """Closed-form gradient of psi, shape (..., dim)."""
-    pts, scalar, a, q, den, g = _parts(params, point)
+    pts, scalar = _as_points(params, point)
+    a, R = params.x0_abs, params.radius
+    q = 2.0 * a * R
+    den = _den(params, pts)
+    g = R * R - np.sum(pts * pts, axis=-1)
     grad = -2.0 * q * pts / den[..., None]
     grad[..., 0] += 2.0 * a * q * g / (den * den)
     return grad[0] if scalar else grad
@@ -114,9 +122,13 @@ def eval_grad_psi(params: WeightParams, point):
 
 def eval_hess_psi(params: WeightParams, point):
     """Closed-form Hessian of psi, shape (..., dim, dim)."""
-    pts, scalar, a, q, den, g = _parts(params, point)
-    n = params.dim
-    H = np.zeros((pts.shape[0], n, n))
+    pts, scalar = _as_points(params, point)
+    a, R, n = params.x0_abs, params.radius, params.dim
+    q = 2.0 * a * R
+    den = _den(params, pts)
+    g = R * R - np.sum(pts * pts, axis=-1)
+    m = pts.shape[0]
+    H = np.zeros((m, n, n))
     inv = 1.0 / den
     for k in range(n):
         H[:, k, k] += -2.0 * inv
@@ -129,17 +141,25 @@ def eval_hess_psi(params: WeightParams, point):
 
 def eval_lap_psi(params: WeightParams, point):
     """Closed-form Laplacian of psi."""
-    pts, scalar, a, q, den, g = _parts(params, point)
-    out = q * (-2.0 * params.dim / den - 8.0 * a * pts[..., 0] / den ** 2
+    pts, scalar = _as_points(params, point)
+    a, R, n = params.x0_abs, params.radius, params.dim
+    q = 2.0 * a * R
+    den = _den(params, pts)
+    g = R * R - np.sum(pts * pts, axis=-1)
+    out = q * (-2.0 * n / den - 8.0 * a * pts[..., 0] / den ** 2
                + 8.0 * a * a * g / den ** 3)
     return float(out[0]) if scalar else out
 
 
 def eval_grad_lap_psi(params: WeightParams, point):
     """Closed-form gradient of the Laplacian of psi, shape (..., dim)."""
-    pts, scalar, a, q, den, g = _parts(params, point)
+    pts, scalar = _as_points(params, point)
+    a, R, n = params.x0_abs, params.radius, params.dim
+    q = 2.0 * a * R
+    den = _den(params, pts)
+    g = R * R - np.sum(pts * pts, axis=-1)
     out = -16.0 * a * a * pts / den[..., None] ** 3
-    out[..., 0] += ((-4.0 * params.dim - 8.0) * a / den ** 2
+    out[..., 0] += ((-4.0 * n - 8.0) * a / den ** 2
                     - 32.0 * a * a * pts[..., 0] / den ** 3
                     + 48.0 * a ** 3 * g / den ** 4)
     out *= q
@@ -153,12 +173,8 @@ def psi_at_x0(params: WeightParams) -> float:
 
 @dataclass
 class WeightFields:
-    """Weight machinery evaluated on every cell of a grid.
-
-    Only psi enters: the two shifted weights phi1 = psi - psi(x0) and
-    phi3 = -psi - psi(x0), and the derivatives of psi.  Which component
-    carries which weight is `logconv`'s row map.
-    """
+    """psi's shifts phi1 = psi - psi(x0), phi3 = -psi - psi(x0) and
+    derivatives on every cell; `logconv`'s row map assigns them."""
 
     params: WeightParams
     phi1: np.ndarray              # per cell
@@ -217,23 +233,31 @@ class GeometryConstants:
     probe_resolution: int
 
     def as_dict(self) -> dict:
-        return dataclasses.asdict(self)
+        return {k: getattr(self, k) for k in
+                ("c01", "c02", "c1", "c2", "c3", "rho", "mu0", "mu1",
+                 "probe_resolution")}
 
 
 def _sample_points(params: WeightParams, m: int) -> np.ndarray:
     """Deterministic dense sampling of the closed ball.
 
-    1-D: uniform scan of [-R, R].  2-D: polar product grid plus the
-    boundary circle at the same angles.
+    1-D: uniform scan of [-R, R].  2-D: polar product grid plus a
+    boundary ring.
     """
     R = params.radius
     if params.dim == 1:
         return np.linspace(-R, R, m).reshape(m, 1)
     mr = max(int(math.sqrt(m)), 24)
+    rr = R * (np.arange(mr) + 0.5) / mr
     tt = 2 * math.pi * np.arange(mr) / mr
-    rg, tg = np.meshgrid(R * (np.arange(mr) + 0.5) / mr, tt, indexing="ij")
-    rad, ang = np.r_[rg.ravel(), np.full(mr, R)], np.r_[tg.ravel(), tt]
-    return np.column_stack([rad * np.cos(ang), rad * np.sin(ang)])
+    rg, tg = np.meshgrid(rr, tt, indexing="ij")
+    pts = np.zeros((mr * mr, 2))
+    pts[:, 0] = (rg * np.cos(tg)).ravel()
+    pts[:, 1] = (rg * np.sin(tg)).ravel()
+    bnd = np.zeros((mr, 2))   # boundary ring
+    bnd[:, 0] = R * np.cos(tt)
+    bnd[:, 1] = R * np.sin(tt)
+    return np.vstack([pts, bnd])
 
 
 def _safe_max_ratio(num: np.ndarray, den: np.ndarray, clause: str) -> float:
