@@ -96,13 +96,18 @@ def parse_config(raw: dict) -> RunConfig:
     dim = raw.get("domain", {}).get("dim", 1)
     if dim not in (1, 2) or isinstance(dim, bool):
         raise ConfigError(f"domain.dim must be 1 or 2; got {dim!r}")
+    resolution = raw.get("grid", {}).get("resolution", 256)
+    if isinstance(resolution, bool) or not isinstance(resolution, int) \
+            or resolution < 8:
+        raise ConfigError(
+            f"grid.resolution must be an integer >= 8; got {resolution!r}")
     try:
         catalyst = CatalystSpec(**cat_raw)
         initial = InitialSpec(**raw.get("initial", {}))
         stepper = dict(raw.get("stepper", {}))
         sim = SimConfig(
             dim=int(dim),
-            resolution=int(raw.get("grid", {}).get("resolution", 256)),
+            resolution=resolution,
             d1=float(raw.get("physics", {}).get("d1", 1.0)),
             d2=float(raw.get("physics", {}).get("d2", 1.0)),
             catalyst=catalyst,

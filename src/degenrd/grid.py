@@ -177,8 +177,12 @@ def build_grid(domain: Domain, resolution: int) -> Grid:
 
 
 def integrate(grid: Grid, values: np.ndarray) -> float:
-    """Volume-weighted midpoint quadrature of a cell field."""
-    return float(np.dot(grid.volumes, values))
+    """Volume-weighted midpoint quadrature of a cell field.
+
+    Every cell and face sum in this module is numpy's pairwise sum, not a
+    BLAS dot product, so it does not depend on or wake BLAS threads.
+    """
+    return float((grid.volumes * values).sum())
 
 
 def dirichlet_energy(grid: Grid, values: np.ndarray) -> float:
@@ -188,7 +192,7 @@ def dirichlet_energy(grid: Grid, values: np.ndarray) -> float:
     (summation by parts with zero boundary flux).
     """
     d = values[grid.face_j] - values[grid.face_i]
-    return float(np.dot(grid.face_trans, d * d))
+    return float((grid.face_trans * (d * d)).sum())
 
 
 def cell_gradient(grid: Grid, values: np.ndarray) -> np.ndarray:
@@ -240,7 +244,8 @@ def neumann_eigenvalue_1(grid: Grid) -> float:
         raise RuntimeError(f"eigenvalue iteration failed: {exc}") from exc
     i = int(np.argmax(w))
     lam = float(w[i])
-    res = float(np.linalg.norm(A @ z[:, i] - lam * V * z[:, i]))
+    r = A @ z[:, i] - lam * V * z[:, i]
+    res = math.sqrt(float((r * r).sum()))
     if not np.isfinite(lam) or lam <= 0 or res > 1e-6 * max(1.0, abs(lam)):
         raise RuntimeError(
             f"eigenvalue iteration did not converge: lam={lam}, "
@@ -258,4 +263,4 @@ def ball_mask(grid: Grid, x0_axis: float, r: float) -> np.ndarray:
 def ball_norm2(grid: Grid, u1: np.ndarray, u2: np.ndarray,
                ball: np.ndarray) -> float:
     """Squared norm of the pair (u1, u2) over the cells of `ball`."""
-    return float(np.dot(grid.volumes[ball], (u1 * u1 + u2 * u2)[ball]))
+    return float((grid.volumes[ball] * (u1 * u1 + u2 * u2)[ball]).sum())

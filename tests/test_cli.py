@@ -142,6 +142,22 @@ def test_unsupported_dimension_rejected_at_parse(tmp_path, capsys, command,
     assert not out.exists()
 
 
+@pytest.mark.parametrize("resolution", [4, True, 64.7, "abc"])
+def test_bad_resolution_rejected_at_parse(tmp_path, capsys, resolution):
+    """Below the floor, a bool, a fraction (once truncated to 64) and a
+    string all exit 1 naming the key, before any grid is built."""
+    doc = json.loads(json.dumps(CFG))
+    doc["grid"]["resolution"] = resolution
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(doc))
+    out = tmp_path / "never"
+    assert main(["simulate", str(bad), "-o", str(out)]) == 1
+    err = capsys.readouterr().err.strip()
+    assert err.startswith("error: ") and "\n" not in err
+    assert "grid.resolution" in err
+    assert not out.exists()
+
+
 def test_simulate_missing_file_exits_1(tmp_path):
     assert main(["simulate", str(tmp_path / "nope.json"),
                  "-o", str(tmp_path / "x")]) == 1

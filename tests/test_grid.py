@@ -10,11 +10,16 @@ Frozen oracles:
 """
 
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 import scipy.sparse.linalg
 
+import degenrd
 from degenrd.grid import (Domain, Grid, ball_mask, build_grid,
                           cell_gradient, dirichlet_energy, domain_radius,
                           integrate, neumann_eigenvalue_1)
@@ -135,6 +140,34 @@ def test_operator_symmetry_and_conservation(dim, res):
     c = np.ones(g.ncells)
     op_scale = np.max(np.abs(A)) / np.min(g.volumes)
     assert np.max(np.abs(2.0 * (g.laplacian @ c))) < 1e-13 * op_scale
+
+
+_REDUCTIONS_N64 = """
+import numpy as np
+from degenrd.grid import (Domain, ball_mask, ball_norm2, build_grid,
+                          dirichlet_energy, integrate)
+g = build_grid(Domain(2), 64)
+u1 = np.random.default_rng(5).standard_normal(g.ncells)
+u2 = np.cos(7.0 * g.centers[:, 0]) * np.sin(3.0 * g.centers[:, 1])
+ball = ball_mask(g, 0.0, 0.5)
+out = [integrate(g, u1 * u1), dirichlet_energy(g, u1),
+       ball_norm2(g, u1, u2, ball)]
+"""
+
+
+def test_reductions_independent_of_blas_threads():
+    """The n=64 disk has 16,129 cells, 32,256 faces and 14,337 cells in
+    the ball, all past the length (10,000) where OpenBLAS splits a dot
+    product over threads.  The sums must not depend on the thread count."""
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="1",
+               PYTHONPATH=str(Path(degenrd.__file__).parents[1]))
+    script = _REDUCTIONS_N64 + "print(*(x.hex() for x in out))"
+    single = subprocess.run([sys.executable, "-c", script], env=env,
+                            capture_output=True, text=True,
+                            check=True).stdout.split()
+    scope = {}
+    exec(_REDUCTIONS_N64, scope)
+    assert [x.hex() for x in scope["out"]] == single
 
 
 _GRID_ARRAYS = ("centers", "volumes", "face_i", "face_j", "face_trans",
