@@ -126,6 +126,8 @@ def _ledger(rc: RunConfig, grid, u0, B0: float):
 
 def cmd_simulate(args) -> int:
     rc = load_config(args.config)            # parse before touching disk
+    # the sparse solver's import is paid here, not inside solver.run
+    import scipy.sparse.linalg  # noqa: F401
     out_dir = Path(args.output)
     run = run_sim(rc.sim)
     save_run(run, rc, out_dir)
@@ -225,6 +227,8 @@ def cmd_sweep(args) -> int:
         values = [float(v) for v in args.values.split(",")]
     except ValueError as exc:
         raise ConfigError(f"bad --values list: {exc}") from exc
+    # imported once before the pool forks, not again in every worker
+    import scipy.sparse.linalg  # noqa: F401
     out_root = Path(args.output)
     out_root.mkdir(parents=True, exist_ok=True)
     payloads = []

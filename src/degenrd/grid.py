@@ -12,10 +12,9 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
-import scipy.sparse as sp
-import scipy.sparse.linalg
 
 
 def domain_radius(dim: int) -> float:
@@ -50,7 +49,9 @@ class Grid:
     face_trans : face transmissibility area/distance (unit diffusivity)
     face_area, face_normal, face_mid : interior face geometry
     bface_cell, bface_area, bface_mid, bface_normal : boundary face geometry
-    laplacian : sparse unit-diffusivity Neumann Laplacian (rows scaled 1/V)
+    laplacian : sparse unit-diffusivity Neumann Laplacian (rows scaled 1/V),
+        assembled on first access, so that only the commands that step or
+        eigen-solve load scipy
     """
 
     def __init__(self, domain, resolution, centers, volumes, spacing,
@@ -65,9 +66,10 @@ class Grid:
         (self.bface_cell, self.bface_area,
          self.bface_mid, self.bface_normal) = bfaces
         self.ncells = self.centers.shape[0]
-        self.laplacian = self._assemble_laplacian()
 
-    def _assemble_laplacian(self):
+    @cached_property
+    def laplacian(self):
+        import scipy.sparse as sp
         i, j, t = self.face_i, self.face_j, self.face_trans
         rows = np.concatenate([i, j, i, j])
         cols = np.concatenate([j, i, i, j])
@@ -233,6 +235,8 @@ def neumann_eigenvalue_1(grid: Grid) -> float:
     bitwise reproducible.  Raises RuntimeError when the returned pair does
     not satisfy the equation.
     """
+    import scipy.sparse as sp
+    import scipy.sparse.linalg
     A = sp.diags(grid.volumes) @ (-grid.laplacian)
     A = ((A + A.T) * 0.5).tocsc()
     V = grid.volumes

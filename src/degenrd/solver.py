@@ -21,8 +21,6 @@ from dataclasses import dataclass
 import warnings
 
 import numpy as np
-import scipy.sparse as sp
-import scipy.sparse.linalg
 
 from .grid import Domain, Grid, build_grid, integrate, dirichlet_energy, \
     ball_mask, ball_norm2
@@ -182,12 +180,32 @@ class SimConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if not (self.d1 > 0 and self.d2 > 0):
-            raise ValueError("diffusivities must be positive")
-        if self.dt is not None and not self.dt > 0:
-            raise ValueError("dt must be positive")
-        if not self.t_end > 0:
-            raise ValueError("t_end must be positive")
+        """Reject what the stepper cannot run, naming the config key."""
+        numbers = [("stepper.t_end", self.t_end), ("physics.d1", self.d1),
+                   ("physics.d2", self.d2),
+                   ("stepper.record_stride", self.record_stride),
+                   ("stepper.field_stride", self.field_stride)]
+        if self.dt is not None:
+            numbers.append(("stepper.dt", self.dt))
+        for key, value in numbers:
+            if isinstance(value, bool) or not isinstance(value, (int, float)) \
+                    or not (math.isfinite(value) and value > 0):
+                raise ValueError(
+                    f"{key} must be a finite number > 0; got {value!r}")
+            # the energy check's three-point time derivative needs at least
+            # two steps and three trace samples
+            if key in ("stepper.dt", "stepper.record_stride") \
+                    and value > 0.5 * self.t_end:
+                raise ValueError(
+                    f"{key} = {value!r} exceeds half of stepper.t_end = "
+                    f"{self.t_end!r}")
+        if isinstance(self.seed, bool) or not isinstance(self.seed, int) \
+                or self.seed < 0:
+            raise ValueError(
+                f"stepper.seed must be an integer >= 0; got {self.seed!r}")
+        if not isinstance(self.save_fields, bool):
+            raise ValueError(f"stepper.save_fields must be true or false; "
+                             f"got {self.save_fields!r}")
 
 
 def init_state(grid: Grid, config: SimConfig) -> tuple[np.ndarray, float]:
@@ -220,6 +238,8 @@ class Stepper:
     """
 
     def __init__(self, grid: Grid, dt: float, d1: float, d2: float):
+        import scipy.sparse as sp
+        import scipy.sparse.linalg
         self.grid, self.dt = grid, dt
         eye = sp.identity(grid.ncells, format="csc")
         L = grid.laplacian.tocsc()

@@ -158,6 +158,60 @@ def test_bad_resolution_rejected_at_parse(tmp_path, capsys, resolution):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("section,key,value", [
+    # each of these crashed after parse: ZeroDivisionError, IndexError,
+    # np.gradient on two trace samples (exit 2), OverflowError, and a
+    # singular factorization (exit 2)
+    ("stepper", "record_stride", 0),
+    ("stepper", "record_stride", -0.1),
+    ("stepper", "record_stride", 3.0),
+    ("stepper", "t_end", float("inf")),
+    ("physics", "d1", float("inf")),
+    # t_end = 2: one stride is only two trace samples; one step too
+    ("stepper", "record_stride", 2.0),
+    ("stepper", "dt", 2.0),
+    ("stepper", "dt", float("inf")),
+    ("stepper", "record_stride", float("nan")),
+    # wrong types: a seed that only verify's SeedSequence rejected, a
+    # string read as true, strides that meant "snapshot every record"
+    ("stepper", "seed", "x"),
+    ("stepper", "seed", 1.5),
+    ("stepper", "seed", -1),
+    ("stepper", "save_fields", "no"),
+    ("stepper", "field_stride", 0),
+    ("stepper", "field_stride", -0.25),
+], ids=str)
+def test_bad_stepper_value_rejected_at_parse(tmp_path, capsys, section, key,
+                                            value):
+    doc = json.loads(json.dumps(CFG))
+    doc.setdefault(section, {})[key] = value
+    if key == "t_end":
+        del doc["weights"]["T"]
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(doc))          # inf and nan as Infinity, NaN
+    out = tmp_path / "never"
+    assert main(["simulate", str(bad), "-o", str(out)]) == 1
+    err = capsys.readouterr().err.strip()
+    assert err.startswith("error: ") and "\n" not in err
+    assert f"{section}.{key}" in err
+    assert not out.exists()
+
+
+def test_half_t_end_strides_accepted(tmp_path):
+    """The largest accepted dt and record_stride give three samples."""
+    doc = json.loads(json.dumps(CFG))
+    doc["grid"]["resolution"] = 16
+    doc["catalyst"] = {"kind": "constant", "k0": 0.0}
+    doc["stepper"].update(dt=1.0, record_stride=1.0)
+    cfg = tmp_path / "half.json"
+    cfg.write_text(json.dumps(doc))
+    out = tmp_path / "run"
+    assert main(["simulate", str(cfg), "-o", str(out)]) == 0
+    assert main(["verify", str(out), "--quick"]) == 0
+    with open(out / "trace.csv", newline="") as fh:
+        assert len(list(csv.reader(fh))) == 1 + 3
+
+
 def test_simulate_missing_file_exits_1(tmp_path):
     assert main(["simulate", str(tmp_path / "nope.json"),
                  "-o", str(tmp_path / "x")]) == 1

@@ -275,3 +275,12 @@ def test_grid_summary_serializable(grid256):
     s = grid256.summary()
     json.dumps(s)
     assert s["dim"] == 1 and s["ncells"] == 256
+
+
+def test_laplacian_assembled_on_first_access():
+    """`build_grid` leaves the sparse Laplacian (and scipy) for the
+    commands that step or eigen-solve; it is built once, then cached."""
+    g = build_grid(Domain(2), 16)
+    assert "laplacian" not in vars(g)
+    assert g.laplacian is g.laplacian
+    assert "laplacian" in vars(g)

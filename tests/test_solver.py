@@ -297,3 +297,37 @@ def test_catalyst_sampled_once_per_run(monkeypatch, catalyst):
     r = run(_cfg(resolution=64, catalyst=catalyst, t_end=0.5))
     assert r.trace.times.size > 2
     assert calls["values"] <= 1 and calls["profile"] <= 1
+
+
+def _final_state(catalyst, dt):
+    cfg = SimConfig(dim=1, resolution=128, dt=dt, t_end=0.5,
+                    record_stride=0.25, field_stride=0.5, catalyst=catalyst,
+                    initial=InitialSpec(kind="gaussian", amplitude=1.0))
+    r = run(cfg)
+    return r.grid, r.snapshots[-1]
+
+
+@pytest.mark.parametrize("catalyst", [
+    CatalystSpec(kind="bump", k0=1.0),
+    CatalystSpec(kind="time-modulated-bump", k0=1.0, k_max=3.0, period=0.5),
+], ids=lambda c: c.kind)
+def test_imex_time_order_on_finest_pair(catalyst):
+    """Second order in time: the L2 error at t = 0.5 against a dt = 1/6400
+    reference falls by 2^1.95 (bump) and 2^1.96 (time-modulated bump) from
+    dt = 1/400 to 1/800, at 1-D n = 128 with gaussian data.
+
+    Coarser pairs wobble: from dt = 1/50 the observed orders are 1.77,
+    2.52, 2.49 (bump) and 1.77, 2.42, 2.32.  Crank-Nicolson is A-stable but
+    not L-stable: its amplification factor tends to -1 on stiff modes
+    (dt/dx^2 = 328 at dt = 1/50), so the steep data's high-frequency error
+    is not damped but flips sign every step and mixes with the dt^2 term
+    until dt resolves those modes.  Implicit-Euler start-up steps would
+    damp them (Luskin & Rannacher, Applicable Anal. 1982); the solver does
+    not take them, so only the finest pair is pinned.
+    """
+    grid, ref = _final_state(catalyst, 1 / 6400)
+    errs = []
+    for dt in (1 / 400, 1 / 800):
+        d = _final_state(catalyst, dt)[1] - ref
+        errs.append(math.sqrt(integrate(grid, (d * d).sum(axis=0))))
+    assert math.log2(errs[0] / errs[1]) >= 1.9
