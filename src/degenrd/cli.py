@@ -113,8 +113,16 @@ def load_run(run_dir: Path) -> tuple[RunResult, RunConfig]:
 
 
 def _ledger(rc: RunConfig, grid, u0, B0: float):
-    """The constant ledger of a config for the initial state u0 = (a0, b0)."""
+    """The constant ledger of a config for the initial state u0 = (a0, b0).
+
+    Raises ConfigError for a catalyst floor k0 = 0 (pure diffusion), for
+    which the ledger's beta1 = max(..., 1/(8*B0*k0)) is undefined.
+    """
     cat = rc.sim.catalyst
+    if cat.k0 == 0:
+        raise ConfigError("catalyst.k0 = 0 has no constant ledger (beta1 "
+                          "needs 1/(8*B0*k0)); constants and a full verify "
+                          "need catalyst.k0 > 0")
     return build_ledger(grid, rc.weights, *u0, B0, k0=cat.k0,
                         k_sup=cat.k_max, d1=rc.sim.d1, d2=rc.sim.d2,
                         T=rc.weights.T, seed=rc.sim.seed)

@@ -316,6 +316,28 @@ def test_constants_fine_1d_grid(tmp_path, capsys):
     capsys.readouterr()
 
 
+def test_zero_catalyst_floor_has_no_ledger(tmp_path, capsys):
+    """A pure-diffusion config (constant catalyst, k0 = 0) simulates and
+    passes the quick verify; `constants` and a full verify exit 1 with one
+    line naming catalyst.k0."""
+    doc = json.loads(json.dumps(CFG))
+    doc["grid"]["resolution"] = 32
+    doc["catalyst"] = {"kind": "constant", "k0": 0}
+    doc["stepper"].update(t_end=1.0, field_stride=0.125)
+    doc["weights"]["T"] = 1.0
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(doc))
+    out = tmp_path / "run"
+    assert main(["simulate", str(cfg), "-o", str(out)]) == 0
+    assert main(["verify", str(out), "--quick"]) == 0
+    for argv in (["constants", str(cfg)], ["verify", str(out)]):
+        capsys.readouterr()
+        assert main(argv) == 1
+        err = capsys.readouterr().err.strip()
+        assert err.startswith("error: ") and "\n" not in err
+        assert "catalyst.k0" in err
+
+
 # ---------------------------------------------------------------------------
 # interp-check
 # ---------------------------------------------------------------------------

@@ -7,6 +7,10 @@ Frozen oracles:
     into the three-point zero-flux stencil;
   * disk (area 1): first nonzero zero-flux eigenvalue (p'_11)^2 * pi with
     p'_11 = 1.8411837813, from the Bessel-derivative tables.
+
+The mode-reduced first eigenvalue is also checked against scipy solves of
+the assembled operator: shift-invert Lanczos, and dense `eigh` on small
+disks.
 """
 
 import math
@@ -17,12 +21,14 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+import scipy.linalg
+import scipy.sparse as sp
 import scipy.sparse.linalg
 
 import degenrd
 from degenrd.grid import (Domain, Grid, ball_mask, build_grid,
                           cell_gradient, dirichlet_energy, domain_radius,
-                          integrate, neumann_eigenvalue_1)
+                          integrate, neumann_eigenvalue_1, _ring_mode)
 
 
 def _loop_grid_2d(domain: Domain, resolution: int) -> Grid:
@@ -217,8 +223,7 @@ def test_2d_first_eigenvalue_disk_oracle():
 
 @pytest.mark.parametrize("res,rel", [(256, 1e-12), (4096, 1e-9)])
 def test_1d_first_eigenvalue_closed_form(res, rel):
-    """lambda_1 = 4 n^2 sin^2(pi/2n), the k=1 pair above; the eigen-solve's
-    rounding error grows like eps*4n^2/lambda_1 (about 4e-12 at n=4096)."""
+    """lambda_1 = 4 n^2 sin^2(pi/2n), the k=1 pair above."""
     lam = neumann_eigenvalue_1(build_grid(Domain(1), res))
     exact = 4.0 * res ** 2 * math.sin(math.pi / (2 * res)) ** 2
     assert lam == pytest.approx(exact, rel=rel)
@@ -230,19 +235,99 @@ def test_2d_first_eigenvalue_disk_oracle_fine():
     assert lam == pytest.approx(1.8411837813 ** 2 * math.pi, rel=1e-4)
 
 
+def _generalized_problem(g):
+    """A (face-transmissibility graph Laplacian) and V (volume diagonal)
+    of A z = lam V z, assembled from the grid's sparse Laplacian."""
+    V = sp.diags(g.volumes)
+    A = V @ (-g.laplacian)
+    return ((A + A.T) * 0.5).tocsc(), V.tocsc()
+
+
+def _lanczos_lambda_1(g):
+    """Shift-invert Lanczos about sigma = -1, where A - sigma V is
+    definite: the two eigenvalues nearest it are 0 and lambda_1."""
+    A, V = _generalized_problem(g)
+    v0 = np.random.default_rng(0).standard_normal(g.ncells)
+    w = scipy.sparse.linalg.eigsh(A, k=2, M=V, sigma=-1.0, v0=v0,
+                                  return_eigenvectors=False)
+    return float(np.max(w))
+
+
+def _dense_spectrum(g):
+    A, V = _generalized_problem(g)
+    return scipy.linalg.eigh(A.toarray(), V.toarray(), eigvals_only=True)
+
+
+@pytest.mark.parametrize("dim,res", [(1, 64), (1, 128), (1, 256),
+                                     (2, 24), (2, 32), (2, 64)])
+def test_first_eigenvalue_matches_lanczos(dim, res):
+    g = build_grid(Domain(dim), res)
+    assert neumann_eigenvalue_1(g) == pytest.approx(_lanczos_lambda_1(g),
+                                                    rel=1e-12)
+
+
+@pytest.mark.parametrize("res", [8, 9, 16, 17])
+def test_2d_first_eigenvalue_matches_dense_solve(res):
+    g = build_grid(Domain(2), res)
+    assert neumann_eigenvalue_1(g) == pytest.approx(
+        _dense_spectrum(g)[1], rel=1e-12)
+
+
+@pytest.mark.parametrize("res", [8, 9])
+def test_2d_angular_modes_give_the_whole_spectrum(res):
+    """Mode 0, modes 1..ntheta/2-1 twice (cos and sin) and mode ntheta/2
+    together carry every eigenvalue of the full grid, centre cell
+    included."""
+    g = build_grid(Domain(2), res)
+    ntheta = 4 * res
+    modes = [np.linalg.eigvalsh(_ring_mode(g, m)[0])
+             for m in range(ntheta // 2 + 1)]
+    got = np.sort(np.concatenate([modes[0], *modes[1:-1], *modes[1:-1],
+                                  modes[-1]]))
+    want = _dense_spectrum(g)
+    assert got.shape == want.shape
+    assert np.max(np.abs(got - want)) < 1e-12 * want[-1]
+
+
 def test_first_eigenvalue_bitwise_reproducible():
     lams = [neumann_eigenvalue_1(build_grid(Domain(2), 32))
             for _ in range(2)]
     assert lams[0] == lams[1]
 
 
+def test_first_eigenvalue_independent_of_blas_threads():
+    """The mode solves go through LAPACK; their bits must not depend on
+    OpenBLAS's thread count."""
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="1",
+               PYTHONPATH=str(Path(degenrd.__file__).parents[1]))
+    script = ("from degenrd.grid import Domain, build_grid, "
+              "neumann_eigenvalue_1\n"
+              "print(*(neumann_eigenvalue_1(build_grid(Domain(2), n)).hex() "
+              "for n in (32, 64)))")
+    single = subprocess.run([sys.executable, "-c", script], env=env,
+                            capture_output=True, text=True,
+                            check=True).stdout.split()
+    assert [neumann_eigenvalue_1(build_grid(Domain(2), n)).hex()
+            for n in (32, 64)] == single
+
+
 def test_first_eigenvalue_failure_raises_runtime_error(monkeypatch):
-    """A solver failure surfaces as RuntimeError (CLI exit code 2)."""
+    """A failed dense solve surfaces as RuntimeError (CLI exit code 2)."""
     def no_convergence(*args, **kwargs):
-        raise scipy.sparse.linalg.ArpackNoConvergence("no luck", [], [])
-    monkeypatch.setattr(scipy.sparse.linalg, "eigsh", no_convergence)
-    with pytest.raises(RuntimeError, match="eigenvalue iteration failed"):
-        neumann_eigenvalue_1(build_grid(Domain(1), 64))
+        raise np.linalg.LinAlgError("Eigenvalues did not converge")
+    monkeypatch.setattr(np.linalg, "eigvalsh", no_convergence)
+    with pytest.raises(RuntimeError, match="eigenvalue solve failed"):
+        neumann_eigenvalue_1(build_grid(Domain(2), 16))
+
+
+def test_first_eigenvalue_bad_eigenpair_raises_runtime_error(monkeypatch):
+    """An eigenvector that does not satisfy A z = lam V z on the full grid
+    fails the residual check."""
+    def corrupted(H, b):
+        return np.linspace(1.0, 2.0, b.size)
+    monkeypatch.setattr(np.linalg, "solve", corrupted)
+    with pytest.raises(RuntimeError, match="residual check"):
+        neumann_eigenvalue_1(build_grid(Domain(2), 16))
 
 
 def test_cell_gradient_linear_exact_1d():
@@ -279,7 +364,7 @@ def test_grid_summary_serializable(grid256):
 
 def test_laplacian_assembled_on_first_access():
     """`build_grid` leaves the sparse Laplacian (and scipy) for the
-    commands that step or eigen-solve; it is built once, then cached."""
+    commands that step; it is built once, then cached."""
     g = build_grid(Domain(2), 16)
     assert "laplacian" not in vars(g)
     assert g.laplacian is g.laplacian

@@ -1,11 +1,14 @@
-"""scipy is loaded only by the commands that factorize or eigen-solve.
+"""scipy is loaded only by the commands that factorize.
 
 Importing `scipy.sparse.linalg` costs about half a second, most of a
-`verify --quick`.  So no module of the package imports scipy at module
-level: `Grid.laplacian` is assembled on first access, `Stepper` and
-`neumann_eigenvalue_1` import it where they use it, and `simulate` and
-`sweep` import it once after parsing the config, before `solver.run` and
-before the sweep's pool forks its workers.
+`verify --quick` and of the ledger.  So no module of the package imports
+scipy at module level, and only four functions import it where they use
+it: `Grid.laplacian` (assembled on first access), `Stepper.__init__`
+(SuperLU), and `cmd_simulate` and `cmd_sweep`, which import it once after
+parsing the config, before `solver.run` and before the sweep's pool forks
+its workers.  The verification layer (`constants`, `verify`, `logconv`,
+`weights`, `diagnostics`) loads none, so neither does any `verify` or
+`constants` run.
 """
 
 import ast
@@ -29,26 +32,57 @@ CFG = {
 }
 
 
-def module_level_scipy_imports(source: str) -> list[str]:
-    """`line: statement` for every scipy import that runs at import time,
-    that is, one not inside a function body."""
+def scipy_imports(source: str) -> list[tuple[str | None, str]]:
+    """`(scope, "line: statement")` for every scipy import in `source`.
+
+    scope is the dotted name of the innermost enclosing function, such as
+    `Grid.laplacian`, or None for an import that runs at import time: one
+    in the module body or a class body."""
     found = []
 
-    def visit(node):
+    def visit(node, names, scope):
         for child in ast.iter_child_nodes(node):
             if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                inner = names + [child.name]
+                visit(child, inner, ".".join(inner))
+                continue
+            if isinstance(child, ast.ClassDef):
+                visit(child, names + [child.name], scope)
                 continue
             if isinstance(child, ast.Import):
-                found.extend(f"{child.lineno}: import {a.name}"
+                found.extend((scope, f"{child.lineno}: import {a.name}")
                              for a in child.names
                              if a.name.split(".")[0] == "scipy")
             elif isinstance(child, ast.ImportFrom) and child.level == 0 \
                     and child.module.split(".")[0] == "scipy":
-                found.append(f"{child.lineno}: from {child.module} import")
-            visit(child)
+                found.append((scope, f"{child.lineno}: from {child.module} "
+                                     f"import"))
+            visit(child, names, scope)
 
-    visit(ast.parse(source))
+    visit(ast.parse(source), [], None)
     return found
+
+
+def module_level_scipy_imports(source: str) -> list[str]:
+    """`line: statement` for every scipy import that runs at import time,
+    that is, one not inside a function body."""
+    return [stmt for scope, stmt in scipy_imports(source) if scope is None]
+
+
+# the only functions of the package that may import scipy, by module file
+SCIPY_FUNCTIONS = {
+    "grid.py": {"Grid.laplacian"},
+    "solver.py": {"Stepper.__init__"},
+    "cli.py": {"cmd_simulate", "cmd_sweep"},
+}
+
+
+def scipy_imports_off_the_list(name: str, source: str) -> list[str]:
+    """`scope line: statement` for every function-level scipy import in
+    module file `name` that is not in SCIPY_FUNCTIONS."""
+    allowed = SCIPY_FUNCTIONS.get(name, set())
+    return [f"{scope} {stmt}" for scope, stmt in scipy_imports(source)
+            if scope is not None and scope not in allowed]
 
 
 @pytest.mark.parametrize("path", sorted(_SRC.glob("*.py")),
@@ -74,6 +108,31 @@ def test_scanner_flags_both_import_forms():
     assert module_level_scipy_imports(src) == [
         "1: import scipy.sparse", "2: from scipy.sparse import",
         "3: import scipy", "5: import scipy.linalg", "9: from scipy import"]
+
+
+@pytest.mark.parametrize("path", sorted(_SRC.glob("*.py")),
+                         ids=lambda p: p.name)
+def test_scipy_imported_only_by_listed_functions(path):
+    assert scipy_imports_off_the_list(
+        path.name, path.read_text(encoding="utf-8")) == []
+
+
+def test_scanner_flags_functions_off_the_list():
+    src = ("class Grid:\n"
+           "    def laplacian(self):\n"
+           "        import scipy.sparse as sp\n"
+           "    def other(self):\n"
+           "        def inner():\n"
+           "            from scipy.sparse import linalg\n"
+           "def neumann_eigenvalue_1(grid):\n"
+           "    import scipy.sparse.linalg\n"
+           "def helper():\n"
+           "    import numpy.linalg\n")
+    assert scipy_imports_off_the_list("grid.py", src) == [
+        "Grid.other.inner 6: from scipy.sparse import",
+        "neumann_eigenvalue_1 8: import scipy.sparse.linalg"]
+    assert scipy_imports_off_the_list("weights.py", src)[0] == \
+        "Grid.laplacian 3: import scipy.sparse"
 
 
 def _python(code: str, cwd: Path) -> str:
@@ -106,6 +165,22 @@ assert main(["verify", "run", "--quick"]) == 0
 assert main(["plot-data", "run"]) == 0
 assert main(["interp-check", "s.csv", "--t1", "0.2", "--t2", "0.5",
              "--t3", "0.8", "--T", "1.0", "--h", "0.1"]) == 0
+print({_SCIPY})
+"""
+    assert _python(code, tmp_path) == "[]"
+
+
+def test_full_verify_and_constants_load_no_scipy(tmp_path):
+    from degenrd.cli import main
+    cfg = tmp_path / "c.json"      # snapshots on the T/8 grid verify reads
+    cfg.write_text(json.dumps(dict(CFG, stepper={
+        "t_end": 0.5, "record_stride": 0.03125, "field_stride": 0.0625})))
+    assert main(["simulate", str(cfg), "-o", str(tmp_path / "run")]) == 0
+    code = f"""
+import sys
+from degenrd.cli import main
+assert main(["verify", "run"]) == 0
+assert main(["constants", "c.json", "-o", "ledger.json"]) == 0
 print({_SCIPY})
 """
     assert _python(code, tmp_path) == "[]"
