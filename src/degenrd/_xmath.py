@@ -25,31 +25,6 @@ def logaddexp(a, b):
     return a + mp.log1p(mp.e ** d)
 
 
-def logsumexp(values):
-    """log of a sum of exponentials for an iterable of mpf logs."""
-    vals = [mp.mpf(v) for v in values]
-    if not vals:
-        return mp.mpf("-inf")
-    top = max(vals)
-    if not mp.isfinite(top):
-        return top
-    acc = mp.mpf(0)
-    for v in vals:
-        d = v - top
-        if d > -mp.mpf(10) ** 6:
-            acc += mp.e ** d
-    return top + mp.log(acc)
-
-
-def log_trapezoid(ts, log_fs):
-    """log of the trapezoid quadrature of exp(log_f) on the grid ts."""
-    terms = []
-    for i in range(len(ts) - 1):
-        w = mp.log((mp.mpf(ts[i + 1]) - mp.mpf(ts[i])) / 2)
-        terms.append(w + logaddexp(log_fs[i], log_fs[i + 1]))
-    return logsumexp(terms)
-
-
 def to_float(x) -> float:
     """Clamp an mpf to double range (overflow -> +-1.8e308, underflow -> 0)."""
     try:

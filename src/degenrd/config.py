@@ -27,7 +27,8 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 
-from .solver import CatalystSpec, InitialSpec, SimConfig
+from .grid import grid_spacing
+from .solver import CatalystSpec, ConfigError, InitialSpec, SimConfig
 from .weights import WeightParams
 
 FORMAT_VERSION = "1.0"
@@ -45,10 +46,6 @@ _SECTIONS = {
     "output": {"label"},
     "weights": {"x0_abs", "r", "s", "h", "T"},
 }
-
-
-class ConfigError(ValueError):
-    """Raised for malformed configuration files (usage error, exit 1)."""
 
 
 @dataclass(frozen=True)
@@ -103,6 +100,7 @@ def parse_config(raw: dict) -> RunConfig:
             f"grid.resolution must be an integer >= 8; got {resolution!r}")
     try:
         catalyst = CatalystSpec(**cat_raw)
+        catalyst.check_annulus(grid_spacing(dim, resolution))
         initial = InitialSpec(**raw.get("initial", {}))
         stepper = dict(raw.get("stepper", {}))
         sim = SimConfig(

@@ -27,7 +27,6 @@ from .weights import (WeightParams, GeometryConstants, geometry_constants,
                       eval_psi, eval_grad_psi, eval_hess_psi, eval_lap_psi,
                       eval_grad_lap_psi, _sample_points)
 
-ELL_CAP = 10 ** 6            # integer search limit of the window multiplier
 SOBOLEV_TRIALS = 300        # random trial fields of the Sobolev search
 DERIVATIVE_SAMPLES = 20001  # scan size of the sampled derivative maxima
 
@@ -106,7 +105,6 @@ class ConstantLedger:
     C1: float = float("nan")
     # interpolation chain
     ell: mp.mpf | None = None
-    ell_exact: bool = True
     h_chain: mp.mpf | None = None
     M_ell: mp.mpf | None = None
     ln_M_ell_bound: mp.mpf | None = None
@@ -172,7 +170,6 @@ class ConstantLedger:
             put(f"geometry.{name}", val)
         if self.ell is not None:
             put("ell", self.ell, mp.log(self.ell))
-            ent["ell"]["exact_integer"] = self.ell_exact
             put("h_chain", self.h_chain, mp.log(self.h_chain))
             put("M_ell", self.M_ell, mp.log(self.M_ell))
             put("M_ell_bound", None, self.ln_M_ell_bound)
@@ -262,27 +259,23 @@ def _ln_mbar(ln_ellp1, C0, C1):
 
 
 def _select_ell(mu0, mu1, C0, C1):
-    """Smallest admissible window multiplier ell.
+    """Smallest admissible window multiplier ell, solved in log space.
 
-    Integer search below the cap; beyond it the asymptotic equation is
-    solved in log space (the smallest-integer distinction is far below
-    working precision there) and the result is flagged inexact.
+    The condition is mu1*(1 + Mbar)/(ell+1) <= mu0/2.  It cannot hold for
+    any integer ell a search could reach: the normalized masses sum to 2,
+    so int(a0^3+b0^3) >= 2 by Jensen and K0 >= 12^(2/3) ~ 5.24; with
+    C_Sob >= 1.1, C1 >= 4*K0*(1+K0*C_Sob) > 141.  Holding at ell = 10^6
+    would need C1 < ln(10^6+1) - ln 3 + ln(mu0/(2*mu1)) < 12.1, since
+    ln(1 + Mbar) > ln 3 + C1 and mu0 < mu1.  So 1 + Mbar ~ Mbar, and the
+    asymptotic equation is solved for ln(ell+1) directly (the
+    smallest-integer distinction is far below working precision there);
+    the condition is checked at the value returned.
     """
 
     def holds(ln_ellp1):
         lhs = mp.log(mu1) + logaddexp(mp.mpf(0), _ln_mbar(ln_ellp1, C0, C1))
         return lhs <= mp.log(mu0 / 2) + ln_ellp1
 
-    lo, hi = 2, ELL_CAP
-    if holds(mp.log(ELL_CAP + 1)):
-        while lo < hi:
-            mid = (lo + hi) // 2
-            if holds(mp.log(mid + 1)):
-                hi = mid
-            else:
-                lo = mid + 1
-        return mp.mpf(lo), True
-    # asymptotic branch: 1 + Mbar ~ Mbar, solve for ln(ell+1) exactly
     x = (mp.log(3) + C1 + mp.log(mu1) - mp.log(mu0 / 2)
          - mp.log(1 - (mp.mpf(2) / 3) ** C0)) / (1 - C0)
     for _ in range(200):
@@ -291,19 +284,25 @@ def _select_ell(mu0, mu1, C0, C1):
         x *= (1 + mp.mpf(10) ** -30)
     else:
         raise ValueError("window-multiplier selection did not converge")
-    return mp.e ** x - 1, False
+    return mp.e ** x - 1
 
 
-def _ln_j_integral(C0, C1, h, lo, hi):
-    """log of int_lo^hi exp(-C1*tau) * (tau+h)^(-1-C0) dtau (mpf)."""
+# the three-time interpolation lemma's pieces, shared with logconv
+
+def ln_time_integral(C0, C1, h, lo, hi):
+    """log of int_lo^hi exp(-C1*tau) * (tau+h)^(-1-C0) dtau (mpf).
+
+    With tau = T - t this is exp(-C1*T) times the lemma's weighted time
+    integral int exp(C1*t) (T-t+h)^(-1-C0) dt over [T-hi, T-lo].
+    """
     C0m, C1m, hm = mp.mpf(C0), mp.mpf(C1), mp.mpf(h)
 
     def f(tau):
         return mp.e ** (-C1m * tau) * (tau + hm) ** (-1 - C0m)
 
     # geometric subdivision toward the left endpoint where the integrand
-    # peaks (scale set by h near 0, by 1/C1 elsewhere)
-    scale = hm if lo == 0 else 1 / C1m
+    # peaks (scale set by h near 0, elsewhere by 1/C1, or by lo+h if C1 = 0)
+    scale = hm if lo == 0 else (1 / C1m if C1m else lo + hm)
     pts = [mp.mpf(lo)]
     p = mp.mpf(lo) + scale
     while p < hi:
@@ -314,16 +313,27 @@ def _ln_j_integral(C0, C1, h, lo, hi):
     return mp.log(val)
 
 
+def ln_prefactor(D, C0, one_plus_M, ratio):
+    """ln K = D + 3*C0*(1+M)*ln(ratio) of the interpolated bound, where
+    ratio = (T-t1+h)/(T-t3+h) (mpf)."""
+    return D + 3 * C0 * one_plus_M * mp.log(ratio)
+
+
+def interp_margin(ln_K, M, ln_y1, ln_y2, ln_y3):
+    """Conclusion margin ln K + ln y3 + M*ln y1 - (1+M)*ln y2 of the lemma
+    y2^(1+M) <= K*y3*y1^M; nonnegative when it holds (mpf)."""
+    return ln_K + ln_y3 + M * ln_y1 - (1 + M) * ln_y2
+
+
 def compute_chain(ledger: ConstantLedger, T: float) -> ConstantLedger:
     """Complete the ledger: interpolation window, observation constants
     (c, M), and the decay certificate (theta, gamma, beta).
 
     All arithmetic runs at 60 significant digits with arbitrary-precision
     exponents; quantities whose exponents leave double range are kept as
-    natural logs.  With honestly tracked constants the admissible window
-    multiplier ell always exceeds any practical integer cap, so beyond the
-    cap the selection switches to the asymptotic log-space solve (flagged
-    in the ledger as an inexact integer).
+    natural logs.  The admissible window multiplier ell is far beyond any
+    integer search (see `_select_ell`), so it is an asymptotic log-space
+    solve.
     """
     with mp.workdps(DPS):
         g = ledger.geometry
@@ -334,30 +344,27 @@ def compute_chain(ledger: ConstantLedger, T: float) -> ConstantLedger:
         ledger.T = float(T)
         prov["T"] = "certificate horizon (configuration)"
 
-        ell, exact = _select_ell(mu0, mu1, C0, C1)
-        ledger.ell, ledger.ell_exact = ell, exact
+        ell = ledger.ell = _select_ell(mu0, mu1, C0, C1)
         prov["ell"] = (
             "smallest window multiplier with mu1*(1+Mbar)/(ell+1) <= mu0/2; "
-            + ("exact integer search" if exact else
-               "log-space asymptotic solve above the integer cap "
-               f"{ELL_CAP} (condition verified at the reported value)"))
+            "log-space asymptotic solve (condition verified at the "
+            "reported value)")
 
         L = min(mp.mpf(1) / 2, Tm / 4) / 2      # window length ell*h
         h = L / ell
         ledger.h_chain = h
         prov["h_chain"] = "min(1/(2*ell), T/(4*ell))/2"
 
-        # M_ell = 3 * J1/J2 with J_k integrals of exp(-C1 tau)(tau+h)^-1-C0
-        if h > mp.mpf("1e-8"):
-            ln_j1 = _ln_j_integral(C0, C1, h, 0, L)
-        else:
-            # dominant-balance evaluation: substituting tau = h*u gives
-            # h^-C0 * int_0^ell exp(-C1 h u)(1+u)^(-1-C0) du; the
-            # exponential factor and the upper limit contribute relative
-            # errors of order (C1*h)^C0 and ell^-C0, both negligible here.
-            ln_j1 = (-C0 * mp.log(h) - mp.log(C0)
-                     + mp.log(1 - (1 + ell) ** -C0))
-        ln_j2 = _ln_j_integral(C0, C1, h, L, 2 * L)
+        # M_ell = 3 * J1/J2 with J_k integrals of exp(-C1 tau)(tau+h)^-1-C0.
+        # J1 by dominant balance: substituting tau = h*u gives
+        # h^-C0 * int_0^ell exp(-C1 h u)(1+u)^(-1-C0) du; the exponential
+        # factor and the upper limit contribute relative errors of order
+        # (C1*h)^C0 and ell^-C0, both negligible: _select_ell's solve
+        # converges only where 1/Mbar < 2e-28*ln(ell+1), and ln Mbar <
+        # ln(ell+1) there (mu0 < mu1), so ln(ell+1) > 60 and h < 1e-26.
+        ln_j1 = (-C0 * mp.log(h) - mp.log(C0)
+                 + mp.log(1 - (1 + ell) ** -C0))
+        ln_j2 = ln_time_integral(C0, C1, h, L, 2 * L)
         ln_M = mp.log(3) + ln_j1 - ln_j2
         ledger.M_ell = mp.e ** ln_M
         prov["M_ell"] = ("3 * ratio of weighted time integrals over "
@@ -373,8 +380,8 @@ def compute_chain(ledger: ConstantLedger, T: float) -> ConstantLedger:
         one_plus_M = 1 + ledger.M_ell
         ledger.D_ell = 3 * C1 * one_plus_M * (1 + 2 * ell + 8 * ell ** 2)
         prov["D_ell"] = "3*C1*(1+M_ell)*(1+2*ell+8*ell^2)"
-        ledger.ln_K_ell = (ledger.D_ell
-                           + 3 * C0 * one_plus_M * mp.log(2 * ell + 1))
+        ledger.ln_K_ell = ln_prefactor(ledger.D_ell, C0, one_plus_M,
+                                       2 * ell + 1)
         prov["K_ell"] = "exp(D_ell) * (2*ell+1)^(3*C0*(1+M_ell)) (log form)"
 
         s2 = mp.mpf(ledger.s2)

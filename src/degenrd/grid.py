@@ -26,6 +26,12 @@ def domain_radius(dim: int) -> float:
     raise ValueError(f"unsupported dimension: {dim}")
 
 
+def grid_spacing(dim: int, resolution: int) -> float:
+    """Mesh width of `build_grid`'s grid: dx = 1/n on the interval, the
+    ring width dr = R/n on the disk."""
+    return (1.0 if dim == 1 else domain_radius(dim)) / resolution
+
+
 @dataclass(frozen=True)
 class Domain:
     """Ball of unit measure in dimension 1 or 2."""
@@ -47,7 +53,7 @@ class Grid:
     spacing : characteristic mesh width
     face_i, face_j : interior face neighbor indices
     face_trans : face transmissibility area/distance (unit diffusivity)
-    face_area, face_normal, face_mid : interior face geometry
+    face_area, face_normal : interior face geometry
     bface_cell, bface_area, bface_mid, bface_normal : boundary face geometry
     laplacian : sparse unit-diffusivity Neumann Laplacian (rows scaled 1/V),
         assembled on first access, so that only the commands that step
@@ -62,7 +68,7 @@ class Grid:
         self.volumes = np.ascontiguousarray(volumes, dtype=float)
         self.spacing = float(spacing)
         (self.face_i, self.face_j, self.face_trans,
-         self.face_area, self.face_normal, self.face_mid) = faces
+         self.face_area, self.face_normal) = faces
         (self.bface_cell, self.bface_area,
          self.bface_mid, self.bface_normal) = bfaces
         self.ncells = self.centers.shape[0]
@@ -92,7 +98,7 @@ class Grid:
 
 def _build_grid_1d(domain: Domain, resolution: int) -> Grid:
     n = resolution
-    dx = 1.0 / n
+    dx = grid_spacing(1, n)
     centers = (-0.5 + dx * (np.arange(n) + 0.5)).reshape(n, 1)
     volumes = np.full(n, dx)
     i = np.arange(n - 1)
@@ -101,7 +107,6 @@ def _build_grid_1d(domain: Domain, resolution: int) -> Grid:
         np.full(n - 1, 1.0 / dx),          # trans = area/dist = 1/dx
         np.ones(n - 1),                    # face area
         np.ones((n - 1, 1)),               # normal i -> j (+x)
-        (-0.5 + dx * (i + 1.0)).reshape(n - 1, 1),
     )
     bfaces = (
         np.array([0, n - 1]),
@@ -117,7 +122,7 @@ def _build_grid_2d(domain: Domain, resolution: int) -> Grid:
     R = domain.radius
     nr = resolution
     ntheta = 4 * resolution
-    dr = R / nr
+    dr = grid_spacing(2, nr)
     dth = 2.0 * math.pi / ntheta
 
     redges = dr * np.arange(nr + 1)
@@ -140,7 +145,6 @@ def _build_grid_2d(domain: Domain, resolution: int) -> Grid:
     # ring k and k+1 (k = 1..nr-2), then angular faces within each ring
     # k = 1..nr-1; within each group j runs over the ntheta angles
     ring = 1 + ntheta * np.arange(nr - 1)[:, None] + np.arange(ntheta)
-    re = redges[1:nr, None]            # outer edge of center disk / ring k
     jn = (np.arange(ntheta) + 1) % ntheta
     te = dth * np.arange(ntheta)[jn]   # shared edge angle, +theta of cell j
     cos_e = np.array([math.cos(x) for x in te])
@@ -154,9 +158,6 @@ def _build_grid_2d(domain: Domain, resolution: int) -> Grid:
     ftr = np.r_[rad_area / rad_dist, dr / ang_dist]
     fno = np.r_[np.tile(np.column_stack([cos_m, sin_m]), (nr - 1, 1)),
                 np.tile(np.column_stack([-sin_e, cos_e]), (nr - 1, 1))]
-    fmd = np.r_[np.column_stack([(re * cos_m).ravel(),
-                                 (re * sin_m).ravel()]),
-                np.column_stack([(rm * cos_e).ravel(), (rm * sin_e).ravel()])]
 
     bcell = np.arange(1 + (nr - 2) * ntheta, ncells)
     bfaces = (
@@ -165,7 +166,7 @@ def _build_grid_2d(domain: Domain, resolution: int) -> Grid:
         np.column_stack([R * cos_m, R * sin_m]),
         np.column_stack([cos_m, sin_m]),
     )
-    faces = (fi, fj, ftr, far, fno, fmd)
+    faces = (fi, fj, ftr, far, fno)
     return Grid(domain, resolution, centers, volumes, dr, faces, bfaces)
 
 

@@ -31,7 +31,8 @@ from dataclasses import dataclass, field
 import mpmath as mp
 import numpy as np
 
-from ._xmath import DPS, logaddexp, log_trapezoid, to_float, fmt
+from ._xmath import DPS, logaddexp, to_float, fmt
+from .constants import interp_margin, ln_prefactor, ln_time_integral
 from .diagnostics import (TOLERANCES, centered_derivative,
                           fd_error_estimate)
 from .grid import Grid, integrate, dirichlet_energy, cell_gradient, \
@@ -187,9 +188,8 @@ def frequency_trace(run: RunResult, wf: WeightFields,
     """Evaluate N(t) on all field snapshots with t <= T, tilted with the
     weight fields `wf` of the run's grid.
 
-    With a ledger, every sample where the finite-difference N' exceeds the
-    growth bound ((1+C0)/Gamma + C1)*N + 2*C1/h^2 beyond differencing
-    noise is flagged.
+    With a ledger, every sample where the finite-difference N' breaks the
+    growth hypothesis (`growth_violations` with F2 = 2*C1/h^2) is flagged.
     """
     cfg, params = run.config, wf.params
     profile = cfg.catalyst.profile(run.grid)
@@ -208,19 +208,21 @@ def frequency_trace(run: RunResult, wf: WeightFields,
         N = np.where(gap, np.nan, Sff / n2)
     out = FrequencyTrace(times, N, Sff, Aff, n2, F2, fdf,
                          gaps=times[gap].tolist())
-    if ledger is not None and times.size >= 5:
-        valid = ~np.isnan(out.N_values)
-        if np.count_nonzero(valid) >= 5:
-            t_v = out.times[valid]
-            n_v = out.N_values[valid]
-            dn = centered_derivative(t_v, n_v)
-            err = fd_error_estimate(t_v, n_v)
-            gamma_t = params.T - t_v + params.h
-            bound = ((1.0 + ledger.C0) / gamma_t + ledger.C1) * n_v \
-                + 2.0 * ledger.C1 / params.h ** 2
-            bad = dn > bound + err
-            out.flags = [float(x) for x in t_v[bad]]
+    valid = ~np.isnan(N)
+    if ledger is not None and np.count_nonzero(valid) >= 5:
+        out.flags = growth_violations(
+            times[valid], N[valid], ledger.C0, ledger.C1,
+            2.0 * ledger.C1 / params.h ** 2, params.T, params.h).tolist()
     return out
+
+
+def growth_violations(t: np.ndarray, N: np.ndarray, C0, C1, F2, T,
+                      h) -> np.ndarray:
+    """Times where the finite-difference N' breaks the growth hypothesis
+    (H2) of the interpolation lemma,
+    N' <= ((1+C0)/(T-t+h) + C1)*N + F2, by more than differencing noise."""
+    bound = ((1.0 + C0) / (T - t + h) + C1) * N + F2
+    return t[centered_derivative(t, N) > bound + fd_error_estimate(t, N)]
 
 
 @dataclass(frozen=True)
@@ -252,23 +254,16 @@ class InterpInput:
             raise ValueError("y and N must be nonnegative")
 
 
-def _ln_weight_integral(C0, C1, T, h, a, b, npts=2001):
-    """log of int_a^b exp(t*C1) (T-t+h)^(-1-C0) dt by trapezoid (mpf)."""
-    tt = np.linspace(a, b, npts)
-    lf = [mp.mpf(C1) * mp.mpf(t)
-          - (1 + mp.mpf(C0)) * mp.log(mp.mpf(T) - mp.mpf(t) + mp.mpf(h))
-          for t in tt]
-    return log_trapezoid(tt, lf)
-
-
 def interp_check(inp: InterpInput) -> dict:
     """Check the three-time interpolation lemma on sampled data.
 
     Verifies both hypothesis inequalities pointwise (finite-difference
     derivatives, differencing noise added to the tolerance), computes the
-    interpolation exponent M by quadrature and the drift term D, and
-    evaluates the conclusion margin log(RHS) - log(LHS); the margin must be
-    nonnegative (up to differencing noise) whenever the hypotheses hold.
+    interpolation exponent M = 3*I(t2, t3)/I(t1, t2) from the ledger's
+    weighted time integrals and the drift term D, and evaluates the
+    conclusion margin log(RHS) - log(LHS) with the ledger's prefactor; the
+    margin must be nonnegative (up to differencing noise) whenever the
+    hypotheses hold.
     """
     t, y, N = inp.times, inp.y, inp.N
     gamma_t = inp.T - t + inp.h
@@ -278,21 +273,16 @@ def interp_check(inp: InterpInput) -> dict:
     lhs1 = np.abs(0.5 * yp + N * y)
     rhs1 = (0.5 * N + inp.C0 / gamma_t + inp.C1 + inp.F1) * y
     bad1 = lhs1 > rhs1 + 0.5 * y_err
-
-    Np = centered_derivative(t, N)
-    n_err = fd_error_estimate(t, N)
-    lhs2 = Np
-    rhs2 = ((1.0 + inp.C0) / gamma_t + inp.C1) * N + inp.F2
-    bad2 = lhs2 > rhs2 + n_err
-
-    violations = sorted(set(np.concatenate([t[bad1], t[bad2]]).tolist()))
+    bad2 = growth_violations(t, N, inp.C0, inp.C1, inp.F2, inp.T, inp.h)
+    violations = sorted(set(t[bad1].tolist() + bad2.tolist()))
 
     with mp.workdps(DPS):
-        ln_i23 = _ln_weight_integral(inp.C0, inp.C1, inp.T, inp.h,
-                                     inp.t2, inp.t3)
-        ln_i12 = _ln_weight_integral(inp.C0, inp.C1, inp.T, inp.h,
-                                     inp.t1, inp.t2)
-        M = 3 * mp.e ** (ln_i23 - ln_i12)
+        # tau = T - t turns the lemma's times into the ledger's variable
+        tau1, tau2, tau3 = (mp.mpf(inp.T) - x
+                            for x in (inp.t1, inp.t2, inp.t3))
+        M = 3 * mp.e ** (ln_time_integral(inp.C0, inp.C1, inp.h, tau3, tau2)
+                         - ln_time_integral(inp.C0, inp.C1, inp.h, tau2,
+                                            tau1))
         fine = np.linspace(inp.t1, inp.t3, 4001)
         int_f1 = float(np.trapezoid(np.abs(np.interp(fine, t, inp.F1)), fine))
         int_f2 = float(np.trapezoid(np.abs(np.interp(fine, t, inp.F2)), fine))
@@ -303,11 +293,10 @@ def interp_check(inp: InterpInput) -> dict:
         if max(y1, y2, y3) < _FLOOR:
             margin = mp.mpf(0)  # fully decayed: equality by convention
         else:
-            ln = [mp.log(mp.mpf(max(v, _FLOOR))) for v in (y1, y2, y3)]
-            ratio = mp.log((mp.mpf(inp.T) - inp.t1 + inp.h)
-                           / (mp.mpf(inp.T) - inp.t3 + inp.h))
-            margin = (D + 3 * mp.mpf(inp.C0) * (1 + M) * ratio
-                      + ln[2] + M * ln[0] - (1 + M) * ln[1])
+            ln_K = ln_prefactor(D, mp.mpf(inp.C0), 1 + M,
+                                (tau1 + inp.h) / (tau3 + inp.h))
+            margin = interp_margin(ln_K, M, *(mp.log(mp.mpf(max(v, _FLOOR)))
+                                              for v in (y1, y2, y3)))
         # differencing-noise allowance on the conclusion, from the y data
         fd_tol = float(np.max(y_err) * (t[1] - t[0])
                        / max(np.max(y), _FLOOR)) + 1e-9
@@ -476,8 +465,7 @@ def interpolation_window_check(run: RunResult, params: WeightParams,
                     "note": "fully decayed run: equalities by convention"}
 
         # interpolated three-time bound with prefactor K_ell
-        m1 = (ledger.ln_K_ell + ln_fT + ledger.M_ell * ln_fl
-              - (1 + ledger.M_ell) * ln_fm)
+        m1 = interp_margin(ledger.ln_K_ell, ledger.M_ell, ln_fl, ln_fm, ln_fT)
         # terminal localization: tilted pair norm at T against the ball
         # norm plus the exponentially crushed far-field remainder
         rhs3 = logaddexp(mp.log(mp.mpf(max(yB_T, _FLOOR))),

@@ -30,6 +30,11 @@ _CATALYST_KINDS = ("constant", "bump", "annular-zero", "time-modulated-bump")
 _INITIAL_KINDS = ("constant", "cosine", "gaussian")
 
 
+class ConfigError(ValueError):
+    """A configuration that cannot run, rejected at parse time or before
+    the first step (usage error, exit 1)."""
+
+
 def smoothstep(z: np.ndarray) -> np.ndarray:
     """Quintic smoothstep: 1 for z<=0, 0 for z>=1, C^2 in between."""
     z = np.clip(z, 0.0, 1.0)
@@ -64,42 +69,54 @@ class CatalystSpec:
 
     def __post_init__(self):
         if self.kind not in _CATALYST_KINDS:
-            raise ValueError(f"unknown catalyst kind {self.kind!r}")
+            raise ValueError(f"catalyst.kind must be one of "
+                             f"{_CATALYST_KINDS}; got {self.kind!r}")
         if self.k0 < 0 or (self.kind != "constant" and not self.k0 > 0):
             # k0 = 0 is allowed only for the constant kind (pure-diffusion
             # oracle runs); localized kinds need a positive floor.
-            raise ValueError("k0 must be positive (floor on the ball)")
+            raise ValueError("catalyst.k0 must be positive (floor on the "
+                             "ball)")
         kmax = self.k_max if self.k_max is not None else self.k0
         object.__setattr__(self, "k_max", float(kmax))
         if self.k_max < self.k0:
-            raise ValueError("k_max must dominate k0")
+            raise ValueError("catalyst.k_max must dominate catalyst.k0")
         if self.kind == "annular-zero":
             ri, ro = self.annulus_inner, self.annulus_outer
             if ri is None or ro is None or not 0 < ri < ro:
-                raise ValueError("annular-zero needs 0 < annulus_inner "
-                                 "< annulus_outer")
+                raise ValueError("annular-zero needs 0 < "
+                                 "catalyst.annulus_inner < "
+                                 "catalyst.annulus_outer")
         if self.kind == "time-modulated-bump" and not self.period > 0:
-            raise ValueError("period must be positive")
+            raise ValueError("catalyst.period must be positive")
 
-    def _width(self, grid: Grid) -> float:
+    def _width(self, spacing: float) -> float:
         return self.smoothness if self.smoothness is not None \
-            else 2.0 * grid.spacing
+            else 2.0 * spacing
+
+    def check_annulus(self, spacing: float) -> None:
+        """Reject an annular-zero annulus that, with its transition layer
+        on a grid of this spacing, meets the observation ball."""
+        w = self._width(spacing)
+        ri, ro = self.annulus_inner, self.annulus_outer
+        if self.kind == "annular-zero" and ri - w < self.x0 + self.r \
+                and ro + w > max(self.x0 - self.r, 0):
+            raise ValueError("catalyst.annulus_inner/annulus_outer: the "
+                             "annulus (with its transition layer) must not "
+                             "meet the observation ball")
 
     def profile(self, grid: Grid) -> np.ndarray:
         """Sample k at the cell centers, less time-modulated-bump's factor."""
         if self.kind == "constant":
             return np.full(grid.ncells, self.k0)
-        w = self._width(grid)
+        w = self._width(grid.spacing)
         x0 = np.zeros(grid.domain.dim)
         x0[0] = self.x0
         dist = np.linalg.norm(grid.centers - x0, axis=1)
         if self.kind in ("bump", "time-modulated-bump"):
             return self.k0 * smoothstep((dist - self.r) / w)
         # annular-zero: full strength except a smooth dip on the annulus
+        self.check_annulus(grid.spacing)
         ri, ro = self.annulus_inner, self.annulus_outer
-        if ri - w < self.x0 + self.r and ro + w > max(self.x0 - self.r, 0):
-            raise ValueError("annulus (with its transition layer) must not "
-                             "meet the observation ball")
         rad = np.linalg.norm(grid.centers, axis=1)
         mid_in = smoothstep((ri - rad) / w)    # 0 well inside ri, 1 beyond
         dip = smoothstep((rad - ro) / w) * mid_in
@@ -139,7 +156,8 @@ class InitialSpec:
 
     def __post_init__(self):
         if self.kind not in _INITIAL_KINDS:
-            raise ValueError(f"unknown initial kind {self.kind!r}")
+            raise ValueError(f"initial.kind must be one of "
+                             f"{_INITIAL_KINDS}; got {self.kind!r}")
 
     def profiles(self, grid: Grid) -> tuple[np.ndarray, np.ndarray]:
         x1 = grid.centers[:, 0]
@@ -217,7 +235,10 @@ def init_state(grid: Grid, config: SimConfig) -> tuple[np.ndarray, float]:
     """
     a, b = config.initial.profiles(grid)
     if np.min(a) <= 0 or np.min(b) <= 0:
-        raise ValueError("initial profiles must be strictly positive")
+        keys = {"constant": "value_a, value_b", "cosine": "amplitude",
+                "gaussian": "floor, amplitude"}[config.initial.kind]
+        raise ConfigError(f"initial profiles must be strictly positive on "
+                          f"the grid; check initial.{keys}")
     total = integrate(grid, a) + integrate(grid, b)
     factor = 2.0 / total
     if not 0.5 <= factor <= 2.0:
@@ -356,6 +377,9 @@ def run(config: SimConfig, grid: Grid | None = None) -> RunResult:
         nsteps = math.ceil(config.t_end / dt - 1e-12)
         dt = config.t_end / nsteps
         rec_every = max(1, round(config.record_stride / dt))
+    if config.dt is not None and dt > stability_dt(config, *u) * (1 + 1e-12):
+        raise ConfigError("stepper.dt exceeds the explicit-reaction "
+                          "stability bound at t = 0; reduce it")
 
     stepper = Stepper(grid, dt, config.d1, config.d2)
     ball = ball_mask(grid, config.catalyst.x0, config.catalyst.r)

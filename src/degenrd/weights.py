@@ -54,16 +54,17 @@ class WeightParams:
     def __post_init__(self):
         R = domain_radius(self.dim)
         if not self.x0_abs > 0:
-            raise ValueError("x0 must be off-center: |x0| > 0 required "
-                             "(the weight vanishes identically at x0 = 0)")
+            raise ValueError("weights.x0_abs (default catalyst.x0) must be > "
+                             "0: the weight vanishes identically at x0 = 0")
         if not (self.r > 0 and self.x0_abs + self.r < R):
-            raise ValueError("observation ball must satisfy |x0| + r < R")
+            raise ValueError("weights.r (default catalyst.r) must satisfy "
+                             "0 < r and weights.x0_abs + r < R")
         if not 0 < self.s <= 1:
-            raise ValueError("s must lie in (0, 1]")
+            raise ValueError("weights.s must lie in (0, 1]")
         if not 0 < self.h <= 1:
-            raise ValueError("h must lie in (0, 1]")
+            raise ValueError("weights.h must lie in (0, 1]")
         if not self.T > 0:
-            raise ValueError("T must be positive")
+            raise ValueError("weights.T must be positive")
 
     @property
     def radius(self) -> float:

@@ -2,6 +2,7 @@
 
 import csv
 import json
+import math
 import re
 import shutil
 import subprocess
@@ -197,6 +198,42 @@ def test_bad_stepper_value_rejected_at_parse(tmp_path, capsys, section, key,
     assert not out.exists()
 
 
+@pytest.mark.parametrize("section,update,key", [
+    ("weights", {"s": 1.5}, "weights.s"),
+    ("weights", {"h": 0.0}, "weights.h"),
+    ("weights", {"x0_abs": 0.0}, "weights.x0_abs"),
+    ("weights", {"r": 0.4}, "weights.r"),
+    ("catalyst", {"k_max": 0.5}, "catalyst.k_max"),
+    ("catalyst", {"k0": -1.0}, "catalyst.k0"),
+    ("catalyst", {"kind": "ring"}, "catalyst.kind"),
+    ("catalyst", {"kind": "time-modulated-bump", "period": 0.0},
+     "catalyst.period"),
+    ("catalyst", {"kind": "annular-zero"}, "catalyst.annulus_inner"),
+    ("initial", {"kind": "ring"}, "initial.kind"),
+    # each of these exited 2 after parse: the annulus meets the ball, the
+    # profiles are not positive, the first step is above the reaction bound
+    ("catalyst", {"kind": "annular-zero", "annulus_inner": 0.2,
+                  "annulus_outer": 0.3}, "catalyst.annulus_inner"),
+    ("initial", {"amplitude": 1.2}, "initial.amplitude"),
+    ("initial", {"kind": "gaussian", "floor": -1.0}, "initial.floor"),
+    ("initial", {"kind": "constant", "value_a": 0.0}, "initial.value_a"),
+    ("stepper", {"dt": 0.5}, "stepper.dt"),
+], ids=str)
+def test_config_error_before_first_step_names_key(tmp_path, capsys, section,
+                                                  update, key):
+    doc = json.loads(json.dumps(CFG))
+    doc["grid"]["resolution"] = 32
+    doc[section].update(update)
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(doc))
+    out = tmp_path / "never"
+    assert main(["simulate", str(bad), "-o", str(out)]) == 1
+    err = capsys.readouterr().err.strip()
+    assert err.startswith("error: ") and "\n" not in err
+    assert key in err
+    assert not out.exists()
+
+
 def test_half_t_end_strides_accepted(tmp_path):
     """The largest accepted dt and record_stride give three samples."""
     doc = json.loads(json.dumps(CFG))
@@ -298,7 +335,7 @@ def test_constants_command(cfg_path, tmp_path, capsys):
     assert led["C0"]["value"] < 1.0
     assert led["C1"]["value"] >= 1.0
     assert led["beta"]["log"] is not None
-    assert led["ell"]["exact_integer"] is False
+    assert "exact_integer" not in led["ell"]
     capsys.readouterr()
 
 
@@ -359,7 +396,8 @@ def test_interp_check_pass_and_fail(tmp_path, capsys):
     assert main(["interp-check", str(good)] + args) == 0
     report = json.loads(capsys.readouterr().out)
     assert report["pass"]
-    assert report["M"] == pytest.approx(5.128533953063608, rel=1e-10)
+    assert report["M"] == pytest.approx(3 * math.log(2) / math.log(1.5),
+                                        rel=1e-12)
 
     bad = tmp_path / "bad.csv"
     _write_series(bad, t, np.exp(10 * t), np.full_like(t, 0.5))

@@ -101,8 +101,37 @@ def test_window_multiplier_admissibility(ref_ledger):
         rhs = mp.log(g.mu0 / 2) + ln_ellp1
         assert lhs <= rhs
         assert mp.log(led.M_ell) <= led.ln_M_ell_bound
-        assert not led.ell_exact  # chain magnitude forces the log-space solve
         assert led.ell > 10 ** 6
+
+
+def test_chain_keeps_its_bits(ref_ledger):
+    """h, M_ell, D_ell and ln K_ell equal, bit for bit, the arithmetic the
+    chain used before it shared its lemma helpers with interp-check: the
+    same quadrature for J2, the dominant-balance J1 (h is far below 1e-8)
+    and the same order of operations."""
+    led = ref_ledger
+    with mp.workdps(60):
+        C0, C1, ell = mp.mpf(led.C0), mp.mpf(led.C1), led.ell
+        L = min(mp.mpf(1) / 2, mp.mpf(led.T) / 4) / 2
+        h = L / ell
+        assert h < mp.mpf("1e-8")
+
+        def f(tau):
+            return mp.e ** (-C1 * tau) * (tau + h) ** (-1 - C0)
+
+        pts = [L]
+        p = L + 1 / C1
+        while p < 2 * L:
+            pts.append(p)
+            p = L + (p - L) * 10
+        pts.append(2 * L)
+        ln_j1 = (-C0 * mp.log(h) - mp.log(C0)
+                 + mp.log(1 - (1 + ell) ** -C0))
+        M = mp.e ** (mp.log(3) + ln_j1 - mp.log(mp.quad(f, pts)))
+        D = 3 * C1 * (1 + M) * (1 + 2 * ell + 8 * ell ** 2)
+        ln_K = D + 3 * C0 * (1 + M) * mp.log(2 * ell + 1)
+    assert (led.h_chain, led.M_ell, led.D_ell, led.ln_K_ell) \
+        == (h, M, D, ln_K)
 
 
 def test_decay_certificate_strictness(ref_ledger):

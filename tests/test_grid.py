@@ -55,27 +55,24 @@ def _loop_grid_2d(domain: Domain, resolution: int) -> Grid:
         centers[sl, 1] = rmid[k] * sin_m
         volumes[sl] = 0.5 * (r1 ** 2 - r0 ** 2) * dth
 
-    fi, fj, ftr, far, fno, fmd = [], [], [], [], [], []
+    fi, fj, ftr, far, fno = [], [], [], [], []
 
-    def add_face(ci, cj, area, dist, mid, normal):
+    def add_face(ci, cj, area, dist, normal):
         fi.append(ci)
         fj.append(cj)
         far.append(area)
         ftr.append(area / dist)
-        fmd.append(mid)
         fno.append(normal)
 
     for j in range(ntheta):
-        add_face(0, 1 + j, redges[1] * dth, rmid[1],
-                 (redges[1] * cos_m[j], redges[1] * sin_m[j]),
-                 (cos_m[j], sin_m[j]))
+        add_face(0, 1 + j, redges[1] * dth, rmid[1], (cos_m[j], sin_m[j]))
     for k in range(1, nr - 1):
         base, nxt = 1 + (k - 1) * ntheta, 1 + k * ntheta
         re = redges[k + 1]
         dist = rmid[k + 1] - rmid[k]
         for j in range(ntheta):
             add_face(base + j, nxt + j, re * dth, dist,
-                     (re * cos_m[j], re * sin_m[j]), (cos_m[j], sin_m[j]))
+                     (cos_m[j], sin_m[j]))
     th_edge = dth * np.arange(ntheta)
     for k in range(1, nr):
         base = 1 + (k - 1) * ntheta
@@ -84,7 +81,6 @@ def _loop_grid_2d(domain: Domain, resolution: int) -> Grid:
             jn = (j + 1) % ntheta
             te = th_edge[jn]
             add_face(base + j, base + jn, dr, dist,
-                     (rmid[k] * math.cos(te), rmid[k] * math.sin(te)),
                      (-math.sin(te), math.cos(te)))
 
     bfaces = (np.arange(1 + (nr - 2) * ntheta, ncells),
@@ -92,7 +88,7 @@ def _loop_grid_2d(domain: Domain, resolution: int) -> Grid:
               np.column_stack([R * cos_m, R * sin_m]),
               np.column_stack([cos_m, sin_m]))
     faces = (np.asarray(fi), np.asarray(fj), np.asarray(ftr),
-             np.asarray(far), np.asarray(fno, float), np.asarray(fmd, float))
+             np.asarray(far), np.asarray(fno, float))
     return Grid(domain, resolution, centers, volumes, dr, faces, bfaces)
 
 
@@ -177,7 +173,7 @@ def test_reductions_independent_of_blas_threads():
 
 
 _GRID_ARRAYS = ("centers", "volumes", "face_i", "face_j", "face_trans",
-                "face_area", "face_normal", "face_mid", "bface_cell",
+                "face_area", "face_normal", "bface_cell",
                 "bface_area", "bface_mid", "bface_normal")
 
 

@@ -1,32 +1,34 @@
 """Tilting, quadratic forms, frequency trace, and the three-time lemma.
 
-Frozen oracle for the sampled interpolation check (hand-derived):
+Closed-form oracle for the sampled interpolation check (hand-derived):
 with y(t) = exp(-t), flat frequency 1/2, zero drift constants, horizon 1,
 offset 0.1 and times (0.2, 0.5, 0.8):
-  * exponent M = 3*ln 2 / ln 1.5 = 5.128533953063608;
+  * exponent M = 3*ln 2 / ln 1.5 = 5.128533874054364;
   * drift term D = 0;
-  * conclusion margin = 0.3*(M - 1) = 1.2385601859190818.
+  * conclusion margin = 0.3*(M - 1) = 1.2385601622163092.
 """
 
 import math
+from types import SimpleNamespace
 
 import mpmath as mp
 import numpy as np
 import pytest
 
 from degenrd import logconv
-from degenrd._xmath import DPS, logsumexp
+from degenrd._xmath import DPS
 from degenrd.grid import cell_gradient, dirichlet_energy, integrate
 from degenrd.logconv import (InterpInput, check_cubic_bound,
                              check_source_bound, frequency_trace,
-                             interp_check, interpolation_window_check,
+                             growth_violations, interp_check,
+                             interpolation_window_check,
                              observation_estimate_check, quadratic_forms,
                              sym_form_direct, tilt)
 from degenrd.solver import CatalystSpec, InitialSpec, SimConfig, run
 from degenrd.weights import WeightParams, eval_grad_psi, weight_fields
 
-M_ORACLE = 5.128533953063608
-MARGIN_ORACLE = 1.2385601859190818
+M_ORACLE = 3 * math.log(2) / math.log(1.5)
+MARGIN_ORACLE = 0.3 * (M_ORACLE - 1)
 
 
 def _tilt_mid(ref_run, params):
@@ -218,12 +220,122 @@ def _interp_input(y, N, **kw):
 def test_interp_closed_form_oracle():
     out = interp_check(_interp_input(lambda t: np.exp(-t),
                                      lambda t: np.full_like(t, 0.5)))
-    assert out["M"] == pytest.approx(M_ORACLE, rel=1e-10)
+    assert out["M"] == pytest.approx(M_ORACLE, rel=1e-12)
     assert out["D"] == 0.0
     assert out["hypothesis_violations"] == []
     assert out["conclusion_margin"] == pytest.approx(MARGIN_ORACLE,
-                                                     rel=1e-10)
+                                                     rel=1e-12)
     assert out["pass"]
+
+
+def _closed_form_M(C0, C1, s1, s2, s3):
+    """3*I(t2, t3)/I(t1, t2) for I(a, b) = int_a^b exp(C1*t) s^(-1-C0) dt,
+    s = T - t + h, from the antiderivative; s_i = T - t_i + h."""
+    with mp.workdps(40):
+        s1, s2, s3 = (mp.mpf(x) for x in (s1, s2, s3))
+        if C1 == 0:          # [s^(-C0)/C0] between the ends
+            def prim(s):
+                return s ** -C0 / C0
+        else:                # C0 = 0: exp(C1*(T+h)) * [-E1(C1*s)]
+            def prim(s):
+                return -mp.e1(C1 * s)
+        return float(3 * (prim(s3) - prim(s2)) / (prim(s2) - prim(s1)))
+
+
+@pytest.mark.parametrize("C0,C1,t3", [(0.5, 0.0, 1.0), (0.5, 0.0, 0.8),
+                                      (0.0, 3.0, 0.8), (0.0, 3.0, 1.0)])
+def test_interp_exponent_and_margin_closed_forms(C0, C1, t3):
+    """M from the ledger's quadrature matches the antiderivative, also with
+    t3 < T and no exponential factor (C1 = 0).  With y = exp(-t) and zero
+    sources, D = 3*(1+M)*(t3-t1)*C1 and the margin is
+    D + 3*C0*(1+M)*ln(s1/s3) - t3 - M*t1 + (1+M)*t2."""
+    out = interp_check(_interp_input(lambda t: np.exp(-t),
+                                     lambda t: np.full_like(t, 0.5),
+                                     C0=C0, C1=C1, t3=t3))
+    t1, t2 = 0.2, 0.5
+    s1, s2, s3 = (1.0 - t + 0.1 for t in (t1, t2, t3))
+    M = _closed_form_M(C0, C1, s1, s2, s3)
+    D = 3 * (1 + M) * (t3 - t1) * C1
+    margin = (D + 3 * C0 * (1 + M) * math.log(s1 / s3)
+              - t3 - M * t1 + (1 + M) * t2)
+    assert out["M"] == pytest.approx(M, rel=1e-12)
+    assert out["D"] == pytest.approx(D, rel=1e-12)
+    assert out["conclusion_margin"] == pytest.approx(margin, rel=1e-12)
+
+
+def test_interp_growth_hypothesis_oracle():
+    """N = t, C0 = C1 = 0, F2 = 1/2, T = 1, h = 0.1: the growth bound
+    t/(1.1-t) + 1/2 is below N' = 1 exactly for t < 1.1/3."""
+    t = np.linspace(0.0, 1.0, 201)
+    out = interp_check(_interp_input(lambda t: np.zeros_like(t),
+                                     lambda t: t,
+                                     F2=np.full_like(t, 0.5)))
+    assert out["hypothesis_violations"] == t[t < 1.1 / 3].tolist()
+
+
+def _ln_time_integral_reference(C0, C1, T, h, a, b):
+    """log int_a^b exp(C1*t) (T-t+h)^(-1-C0) dt by mp.quad in t, with the
+    integrand scaled by its value at b, where it peaks within ~1/C1, and
+    breakpoints closing in on b by factors of 10."""
+    with mp.workdps(40):
+        C0, C1, T, h, a, b = (mp.mpf(x) for x in (C0, C1, T, h, a, b))
+
+        def f(t):
+            return mp.exp(C1 * (t - b)) * ((T - t + h) / (T - b + h)) \
+                ** (-1 - C0)
+
+        pts = [b - (b - a) * mp.mpf(10) ** -k for k in range(12)] + [b]
+        return (mp.log(mp.quad(f, pts)) + C1 * b
+                - (1 + C0) * mp.log(T - b + h))
+
+
+def test_interp_exponent_with_ledger_constants(ref_ledger):
+    """The exponent M at the ledger's (C0, C1) and the window of the
+    acceptance run matches an independent quadrature in t: ln M to 1e-10
+    absolute, i.e. M to 1e-10 relative (M itself, about e^5674, leaves
+    double range).
+
+    Not to 1e-12: the integrand is about e^-5674, and mp.quad's absolute
+    convergence test stops the ledger's quadrature early, 4.9e-8
+    relative off on each integral; in M the two errors cancel to
+    4.5e-11.  The ledger keeps that quadrature's bits, so the tolerance
+    pins the current accuracy.
+    """
+    C0, C1 = ref_ledger.C0, ref_ledger.C1
+    T, h, t1, t2, t3 = 2.0, 0.1, 0.5, 1.0, 1.5
+    t = np.linspace(0.0, T, 41)
+    zeros = np.zeros_like(t)
+    out = interp_check(InterpInput(
+        times=t, y=np.exp(-t), N=np.full_like(t, 0.5), F1=zeros, F2=zeros,
+        C0=C0, C1=C1, h=h, T=T, t1=t1, t2=t2, t3=t3))
+    with mp.workdps(40):
+        ln_M = (mp.log(3)
+                + _ln_time_integral_reference(C0, C1, T, h, t2, t3)
+                - _ln_time_integral_reference(C0, C1, T, h, t1, t2))
+    assert ln_M > 700
+    assert abs(mp.mpf(out["log_M"]) - ln_M) < 1e-10
+
+
+def test_frequency_flags_are_interp_growth_violations(ref_run, ref_params):
+    """frequency_trace flags exactly the samples where interp_check finds
+    the growth hypothesis broken with F2 = 2*C1/h^2.  The constants are
+    chosen so that some samples are flagged and some are not, and half the
+    F2 flags more of them; y = 0 keeps the first hypothesis out of the
+    violations."""
+    led = SimpleNamespace(C0=-0.99, C1=3e-6)
+    ft = frequency_trace(ref_run, weight_fields(ref_params, ref_run.grid),
+                         led)
+    assert 0 < len(ft.flags) < ft.times.size
+    h, T = ref_params.h, ref_params.T
+    zeros = np.zeros_like(ft.times)
+    out = interp_check(InterpInput(
+        times=ft.times, y=zeros, N=ft.N_values, F1=zeros,
+        F2=np.full_like(ft.times, 2.0 * led.C1 / h ** 2),
+        C0=led.C0, C1=led.C1, h=h, T=T, t1=1.0, t2=2.0, t3=3.0))
+    assert out["hypothesis_violations"] == ft.flags
+    assert growth_violations(ft.times, ft.N_values, led.C0, led.C1,
+                             2.0 * led.C1 / h ** 2, T, h).tolist() \
+        == ft.flags
 
 
 def test_interp_constant_data_margin_zero():
@@ -354,6 +466,22 @@ def test_interpolation_window_check_reference(ref_run, ref_params,
 # tilted norms of the interpolation window against a per-cell mpf reference
 # ---------------------------------------------------------------------------
 
+def _logsumexp(values):
+    """log of a sum of exponentials for an iterable of mpf logs."""
+    vals = [mp.mpf(v) for v in values]
+    if not vals:
+        return mp.mpf("-inf")
+    top = max(vals)
+    if not mp.isfinite(top):
+        return top
+    acc = mp.mpf(0)
+    for v in vals:
+        d = v - top
+        if d > -mp.mpf(10) ** 6:
+            acc += mp.e ** d
+    return top + mp.log(acc)
+
+
 def _ln_tilted_norm2_percell(grid, rows_u, rows_phi, coef):
     """Reference: every cell's ln(V*u^2) + coef*phi formed in mpf."""
     terms = []
@@ -362,7 +490,7 @@ def _ln_tilted_norm2_percell(grid, rows_u, rows_phi, coef):
             w = grid.volumes[j] * u[j] * u[j]
             if w > 0:
                 terms.append(mp.log(mp.mpf(w)) + coef * mp.mpf(phi[j]))
-    return logsumexp(terms)
+    return _logsumexp(terms)
 
 
 def _assert_matches_reference(args):
