@@ -25,6 +25,7 @@ absent the observation geometry defaults to the catalyst's ball with
 from __future__ import annotations
 
 import json
+import sys
 from dataclasses import dataclass
 
 from .grid import grid_spacing
@@ -46,6 +47,7 @@ _SECTIONS = {
     "output": {"label"},
     "weights": {"x0_abs", "r", "s", "h", "T"},
 }
+_NULLABLE = {"k_max", "smoothness", "annulus_inner", "annulus_outer"}
 
 
 @dataclass(frozen=True)
@@ -68,6 +70,19 @@ def _check_keys(section: str, data: dict) -> None:
             f"{', '.join(sorted(unknown))}")
 
 
+def _check_numbers(section: str, data: dict) -> None:
+    """Reject a value other than a finite JSON number, by name; `kind` is
+    a string, and the keys in _NULLABLE may be null."""
+    for key, value in data.items():
+        if key == "kind" or (value is None and key in _NULLABLE):
+            continue
+        # a JSON integer beyond double range is not finite either
+        if isinstance(value, bool) or not isinstance(value, (int, float)) \
+                or not abs(value) <= sys.float_info.max:
+            raise ConfigError(
+                f"{section}.{key} must be a finite number; got {value!r}")
+
+
 def parse_config(raw: dict) -> RunConfig:
     """Build a RunConfig from a decoded JSON object."""
     if not isinstance(raw, dict):
@@ -84,6 +99,8 @@ def parse_config(raw: dict) -> RunConfig:
     for name in raw:
         if name != "format_version":
             _check_keys(name, raw[name])
+            if name in ("physics", "catalyst", "initial", "weights"):
+                _check_numbers(name, raw[name])
 
     cat_raw = dict(raw.get("catalyst", {}))
     if "kind" not in cat_raw:

@@ -214,14 +214,16 @@ def cell_gradient(grid: Grid, values: np.ndarray) -> np.ndarray:
         g[0] = (-3 * v[0] + 4 * v[1] - v[2]) / (2 * dx)
         g[-1] = (3 * v[-1] - 4 * v[-2] + v[-3]) / (2 * dx)
         return g.reshape(n, 1)
-    grad = np.zeros((grid.ncells, 2))
     vf = 0.5 * (v[grid.face_i] + v[grid.face_j])
     w = grid.face_area[:, None] * grid.face_normal * vf[:, None]
-    np.add.at(grad, grid.face_i, w)
-    np.add.at(grad, grid.face_j, -w)
     wb = (grid.bface_area[:, None] * grid.bface_normal
           * v[grid.bface_cell][:, None])
-    np.add.at(grad, grid.bface_cell, wb)
+    # bincount adds in index order: each cell sums its faces in the order
+    # face_i, face_j, boundary, as three in-place scatters would
+    idx = np.concatenate([grid.face_i, grid.face_j, grid.bface_cell])
+    flux = np.concatenate([w, -w, wb])
+    grad = np.column_stack([np.bincount(idx, flux[:, c], grid.ncells)
+                            for c in range(2)])
     return grad / grid.volumes[:, None]
 
 

@@ -17,6 +17,7 @@ invalidate the identities the verification harness checks.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 import warnings
 
@@ -207,7 +208,7 @@ class SimConfig:
             numbers.append(("stepper.dt", self.dt))
         for key, value in numbers:
             if isinstance(value, bool) or not isinstance(value, (int, float)) \
-                    or not (math.isfinite(value) and value > 0):
+                    or not 0 < value <= sys.float_info.max:
                 raise ValueError(
                     f"{key} must be a finite number > 0; got {value!r}")
             # the energy check's three-point time derivative needs at least
@@ -287,7 +288,7 @@ class Stepper:
 
 def stability_dt(config: SimConfig, a: np.ndarray, b: np.ndarray) -> float:
     """Explicit-reaction stability bound dt <= 0.5/(k_max * max(a+b))."""
-    peak = float(np.max(a + b))
+    peak = float((a + b).max())
     if config.catalyst.k_max == 0.0:
         return math.inf                      # pure diffusion: unconditional
     return 0.5 / (config.catalyst.k_max * max(peak, 1e-30))
@@ -295,6 +296,9 @@ def stability_dt(config: SimConfig, a: np.ndarray, b: np.ndarray) -> float:
 
 def default_dt(grid: Grid, config: SimConfig, a, b) -> float:
     return min(stability_dt(config, a, b), 0.5 * grid.spacing)
+
+
+_SIGN = np.array([[1.0], [-1.0]])   # the reaction adds to a, takes from b
 
 
 def step(u: np.ndarray, t: float, profile: np.ndarray, config: SimConfig,
@@ -305,19 +309,23 @@ def step(u: np.ndarray, t: float, profile: np.ndarray, config: SimConfig,
     catalyst's spatial profile (`CatalystSpec.profile`).
     """
     dt, cat = stepper.dt, config.catalyst
-    a, b = u
-    if dt > stability_dt(config, a, b) * (1 + 1e-12):
+    if dt > stability_dt(config, *u) * (1 + 1e-12):
         raise ValueError(
             "dt exceeds the explicit-reaction stability bound; reduce dt")
     # midpoint predictor: backward-Euler half step, reaction frozen at t
-    h = (0.5 * dt) * (cat.at(profile, t) * (b * b - a * a))
-    a_h, b_h = stepper.implicit(np.array([a + h, b - h]))
-    rh = dt * (cat.at(profile, t + 0.5 * dt) * (b_h * b_h - a_h * a_h))
+    sq = u * u
+    h = (0.5 * dt) * (cat.at(profile, t) * (sq[1] - sq[0]))
+    u_h = stepper.implicit(u + h * _SIGN)
+    sq = u_h * u_h
+    rh = dt * (cat.at(profile, t + 0.5 * dt) * (sq[1] - sq[0]))
     F = stepper.forward
-    u_new = stepper.implicit(np.array([F[0] @ a + rh, F[-1] @ b - rh]))
-    if not np.all(np.isfinite(u_new)):
+    rhs = np.array([F[0] @ u[0], F[-1] @ u[1]])
+    rhs += rh * _SIGN
+    u_new = stepper.implicit(rhs)
+    lo, hi = u_new.min(), u_new.max()     # NaN propagates through both
+    if not (math.isfinite(lo) and math.isfinite(hi)):
         raise RuntimeError("non-finite state after step; reduce dt")
-    if u_new.min() < 0:
+    if lo < 0:
         raise RuntimeError("positivity lost, reduce dt")
     return u_new
 

@@ -181,7 +181,19 @@ def test_bad_resolution_rejected_at_parse(tmp_path, capsys, resolution):
     ("stepper", "save_fields", "no"),
     ("stepper", "field_stride", 0),
     ("stepper", "field_stride", -0.25),
-], ids=str)
+    # numbers of the other sections: each of these ended in a raw
+    # traceback, exited 2, named no key, or (the bool) was read as 1.0
+    ("initial", "amplitude", "abc"),
+    ("catalyst", "r", "abc"),
+    ("catalyst", "x0", "abc"),
+    ("catalyst", "k0", "abc"),
+    ("weights", "s", "abc"),
+    ("weights", "h", [1]),
+    ("catalyst", "r", True),
+    # integers beyond double range ended in an OverflowError traceback
+    ("catalyst", "r", 10 ** 400),
+    ("stepper", "t_end", 10 ** 400),
+], ids=lambda v: "10**400" if v == 10 ** 400 else str(v))
 def test_bad_stepper_value_rejected_at_parse(tmp_path, capsys, section, key,
                                             value):
     doc = json.loads(json.dumps(CFG))

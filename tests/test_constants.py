@@ -18,8 +18,8 @@ import mpmath as mp
 import numpy as np
 import pytest
 
-from degenrd.constants import (build_ledger, compute_K0,
-                               compute_sobolev_constant)
+from degenrd.constants import (SOBOLEV_TRIALS, build_ledger, compute_K0,
+                               compute_sobolev_constant, _sobolev_ratios)
 from degenrd.grid import Domain, build_grid, dirichlet_energy, integrate
 from degenrd.weights import eval_lap_psi
 
@@ -63,6 +63,42 @@ def test_sobolev_constant_lower_bound_and_random_audit(grid256):
         lhs = integrate(grid256, g ** 6) ** (1.0 / 3.0)
         rhs = C * (integrate(grid256, g * g) + dirichlet_energy(grid256, g))
         assert lhs <= rhs * (1 + 1e-10)
+
+
+def _loop_sobolev_ratios(grid, seed):
+    """The trial search written out mode by mode with `g ** 6`: the
+    reference for `_sobolev_ratios`, whose trial fields it draws alike."""
+    rng = np.random.default_rng(seed)
+    x = grid.centers
+    R = grid.domain.radius
+    ratios = []
+    for _ in range(SOBOLEV_TRIALS):
+        coef = rng.standard_normal(9) / (1.0 + np.arange(9))
+        g = np.full(grid.ncells, coef[0])
+        for k in range(1, 9):
+            if grid.domain.dim == 1:
+                g = g + coef[k] * np.cos(k * math.pi * (x[:, 0] + 0.5))
+            else:
+                ang = rng.uniform(0, 2 * math.pi)
+                proj = (x[:, 0] * math.cos(ang) + x[:, 1] * math.sin(ang))
+                g = g + coef[k] * np.cos(k * math.pi * (proj / R + 1.0) / 2)
+        denom = integrate(grid, g * g) + dirichlet_energy(grid, g)
+        if denom > 1e-300:
+            ratios.append(integrate(grid, g ** 6) ** (1.0 / 3.0) / denom)
+    return ratios
+
+
+@pytest.mark.parametrize("seed", [0, 1])
+@pytest.mark.parametrize("dim,n", [(1, 256), (2, 16), (2, 32)], ids=str)
+def test_sobolev_trials_match_the_mode_loop(dim, n, seed):
+    """Every trial ratio matches the written-out loop to rounding (only g^6
+    is formed differently), and no trial beats the constant field."""
+    grid = build_grid(Domain(dim), n)
+    ref = np.array(_loop_sobolev_ratios(grid, seed))
+    got = np.array(_sobolev_ratios(grid, seed))
+    assert got.shape == ref.shape == (SOBOLEV_TRIALS,)
+    assert np.max(np.abs(got - ref) / ref) <= 1e-15
+    assert compute_sobolev_constant(grid, seed) == 1.1
 
 
 # ---------------------------------------------------------------------------

@@ -147,6 +147,52 @@ def test_oversized_dt_raises_not_crashes():
         run(cfg)
 
 
+def _guarded_step(u_edit, dt=0.01, catalyst=CatalystSpec(kind="bump",
+                                                         k0=1.0)):
+    """One `step` on a 1-D n=32 grid from ones with `u_edit` applied."""
+    cfg = _cfg(resolution=32, catalyst=catalyst)
+    grid = build_grid(Domain(1), 32)
+    u = np.ones((2, grid.ncells))
+    u_edit(u)
+    return step(u, 0.0, catalyst.profile(grid), cfg,
+                Stepper(grid, dt, cfg.d1, cfg.d2))
+
+
+def test_step_rejects_dt_above_reaction_bound():
+    def peak(u):                             # a + b = 60: bound 0.0083
+        u[:, 7] = 30.0
+    with pytest.raises(ValueError, match="dt exceeds the explicit-reaction "
+                                         "stability bound"):
+        _guarded_step(peak)
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf], ids=str)
+def test_step_rejects_non_finite_state(value):
+    def poison(u):
+        u[0, 5] = value
+    # a pure-diffusion catalyst has no reaction bound for inf to trip;
+    # its reaction term 0 * inf is NaN
+    with pytest.raises(RuntimeError, match="non-finite state after step"), \
+            np.errstate(invalid="ignore"):
+        _guarded_step(poison, catalyst=CatalystSpec(kind="constant", k0=0.0))
+
+
+def test_step_rejects_lost_positivity():
+    def spike(u):                            # CN rings below zero
+        u[:] = 1e-3
+        u[0, 16] = 1.0
+    with pytest.raises(RuntimeError, match="positivity lost"):
+        _guarded_step(spike, dt=0.1)
+
+
+def test_zero_constant_catalyst_never_trips_the_bound():
+    def huge(u):
+        u *= 1e6
+    u_new = _guarded_step(huge, dt=10.0,
+                          catalyst=CatalystSpec(kind="constant", k0=0.0))
+    assert np.allclose(u_new, 1e6, rtol=1e-12)
+
+
 def test_config_validation():
     with pytest.raises(ValueError):
         _cfg(d1=-1.0)
