@@ -243,8 +243,6 @@ def cmd_sweep(args) -> int:
     for v in values:
         raw = json.loads(json.dumps(rc.raw))
         raw.setdefault(section, {})[key] = v
-        raw.setdefault("catalyst", {}).setdefault("kind",
-                                                  rc.sim.catalyst.kind)
         sub = out_root / f"{args.param}_{_g(v)}"
         payloads.append((json.dumps(raw), str(sub), args.param, v))
     # the pool starts all its workers at once: no more than there are points

@@ -311,27 +311,25 @@ def _select_ell(mu0, mu1, C0, C1):
 # the three-time interpolation lemma's pieces, shared with logconv
 
 def ln_time_integral(C0, C1, h, lo, hi):
-    """log of int_lo^hi exp(-C1*tau) * (tau+h)^(-1-C0) dtau (mpf).
+    """log of int_lo^hi exp(-C1*tau) * (tau+h)^(-1-C0) dtau (mpf), C1 >= 0.
 
     With tau = T - t this is exp(-C1*T) times the lemma's weighted time
-    integral int exp(C1*t) (T-t+h)^(-1-C0) dt over [T-hi, T-lo].
+    integral int exp(C1*t) (T-t+h)^(-1-C0) dt over [T-hi, T-lo], lo+h > 0.
+    Closed form: exp(C1*h) * C1^C0 * Gamma(-C0, C1*(lo+h), C1*(hi+h)), or
+    for C1 = 0, (lo+h)^-C0 * (1 - r^-C0)/C0 with r = (hi+h)/(lo+h) (ln r
+    when C0 = 0).
     """
-    C0m, C1m, hm = mp.mpf(C0), mp.mpf(C1), mp.mpf(h)
-
-    def f(tau):
-        return mp.e ** (-C1m * tau) * (tau + hm) ** (-1 - C0m)
-
-    # geometric subdivision toward the left endpoint where the integrand
-    # peaks (scale set by h near 0, elsewhere by 1/C1, or by lo+h if C1 = 0)
-    scale = hm if lo == 0 else (1 / C1m if C1m else lo + hm)
-    pts = [mp.mpf(lo)]
-    p = mp.mpf(lo) + scale
-    while p < hi:
-        pts.append(p)
-        p = lo + (p - lo) * 10
-    pts.append(mp.mpf(hi))
-    val = mp.quad(f, pts)
-    return mp.log(val)
+    C0, C1, h, lo, hi = (mp.mpf(x) for x in (C0, C1, h, lo, hi))
+    if C1 == 0:
+        ln_r = mp.log1p((hi - lo) / (lo + h))
+        return (mp.log(-mp.expm1(-C0 * ln_r) / C0 if C0 else ln_r)
+                - C0 * mp.log(lo + h))
+    # upper gammas at twice the working precision: a narrow window cancels
+    # bits, and the two-limit gammainc then raises (C0 = 0, 1, ..) or gives 0
+    with mp.extraprec(mp.mp.prec):
+        gam = (mp.gammainc(-C0, C1 * (lo + h))
+               - mp.gammainc(-C0, C1 * (hi + h)))
+    return C1 * h + C0 * mp.log(C1) + mp.log(gam)
 
 
 def ln_prefactor(D, C0, one_plus_M, ratio):
@@ -389,14 +387,14 @@ def compute_chain(ledger: ConstantLedger, T: float) -> ConstantLedger:
         ln_M = mp.log(3) + ln_j1 - ln_j2
         ledger.M_ell = mp.e ** ln_M
         prov["M_ell"] = ("3 * ratio of weighted time integrals over "
-                         "[T-ell*h, T] and [T-2*ell*h, T-ell*h] "
-                         "(quadrature; dominant-balance form when h "
-                         "underflows the quadrature scale)")
+                         "[T-ell*h, T] and [T-2*ell*h, T-ell*h]: the "
+                         "second in closed form (upper incomplete gamma "
+                         "function), the first by dominant balance")
         ledger.ln_M_ell_bound = _ln_mbar(mp.log(ell + 1), C0, C1)
         prov["M_ell_bound"] = "3*e^C1*(ell+1)^C0/(1-(2/3)^C0)"
         if ln_M > ledger.ln_M_ell_bound:
-            raise ValueError("quadrature M_ell exceeds its closed-form "
-                             "bound; geometry sampling inconsistent")
+            raise ValueError("M_ell exceeds its closed-form bound; "
+                             "geometry sampling inconsistent")
 
         one_plus_M = 1 + ledger.M_ell
         ledger.D_ell = 3 * C1 * one_plus_M * (1 + 2 * ell + 8 * ell ** 2)

@@ -14,9 +14,6 @@ TOLERANCES = {
     "l3_monotone": 1e-6,       # allowed uptick of the cubic-norm sum
     "min_principle": 1e-6,     # allowed dip of min(a,b) below B0
     "mean_zero": 1e-8,         # |integral of (u1+u2)|
-    "conservation": 1e-12,     # discrete divergence-theorem identity
-    "symmetry": 1e-10,         # volume-weighted operator symmetry
-    "identity_order": 1.9,     # required convergence order of residuals
     "norm_floor": 1e-30,       # squared-norm floor below which N(t) is a gap
 }
 

@@ -39,7 +39,7 @@ from .grid import Grid, integrate, dirichlet_energy, cell_gradient, \
     ball_mask, ball_norm2
 from .weights import (WeightParams, WeightFields, weight_fields,
                       eval_grad_psi)
-from .solver import RunResult
+from .solver import ConfigError, RunResult
 
 _FLOOR = TOLERANCES["norm_floor"]
 
@@ -246,12 +246,19 @@ class InterpInput:
         for name in ("y", "N", "F1", "F2"):
             arr = np.asarray(getattr(self, name), float)
             if arr.shape != np.asarray(self.times).shape:
-                raise ValueError(f"{name} length mismatch")
+                raise ConfigError(f"{name} length mismatch")
         if not (self.times[0] - 1e-12 <= self.t1 < self.t2 < self.t3
                 <= self.times[-1] + 1e-12):
-            raise ValueError("need t1 < t2 < t3 inside the sampled window")
+            raise ConfigError("need t1 < t2 < t3 inside the sampled window")
         if np.any(np.asarray(self.y) < 0) or np.any(np.asarray(self.N) < 0):
-            raise ValueError("y and N must be nonnegative")
+            raise ConfigError("y and N must be nonnegative")
+        if not self.h > 0:
+            raise ConfigError(f"h must be positive; got {self.h}")
+        if not self.C1 >= 0:
+            raise ConfigError(f"C1 must be nonnegative; got {self.C1}")
+        if np.any(self.T - np.asarray(self.times) + self.h <= 0):
+            raise ConfigError(f"the series reaches T + h = {self.T + self.h}"
+                              "; the lemma needs T - t + h > 0")
 
 
 def interp_check(inp: InterpInput) -> dict:

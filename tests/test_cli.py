@@ -429,6 +429,48 @@ def test_interp_check_missing_column_exits_1(tmp_path, capsys):
     assert "N" in capsys.readouterr().err
 
 
+_WINDOW = ["--t1", "0.2", "--t2", "0.5", "--t3", "0.8", "--T", "1.0",
+           "--h", "0.1"]
+
+
+@pytest.mark.parametrize("sign,extra,needle", [
+    (1, ["--h", "0"], "h must be positive"),
+    (1, ["--h", "-0.1"], "h must be positive"),
+    (1, ["--t1", "0.6"], "t1 < t2 < t3"),
+    (-1, [], "nonnegative"),
+])
+def test_interp_check_bad_input_exits_1(tmp_path, capsys, sign, extra,
+                                        needle):
+    """A shift h <= 0 (the lemma's T - t + h reaches 0), times out of order
+    and a negative y are usage errors, not numerical failures; a later flag
+    overrides the window's."""
+    p = tmp_path / "s.csv"
+    t = np.linspace(0, 1, 201)
+    _write_series(p, t, sign * np.exp(-t), np.full_like(t, 0.5))
+    assert main(["interp-check", str(p)] + _WINDOW + extra) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and needle in err
+
+
+@pytest.mark.parametrize("t_end,extra,needle", [
+    (1.0, ["--C1", "-1"], "C1 must be nonnegative"),
+    (2.0, ["--t3", "1.5"], "T + h"),
+])
+def test_interp_check_outside_the_lemma_exits_1(tmp_path, t_end, extra,
+                                                needle):
+    """A negative C1, or a series with a sample at or past T + h, exits 1
+    naming the flag.  Both once looped without end in the weighted time
+    integral, so they run in a process of their own with a timeout."""
+    p = tmp_path / "s.csv"
+    t = np.linspace(0, t_end, 201)
+    _write_series(p, t, np.exp(-t), np.full_like(t, 0.5))
+    proc = subprocess.run(
+        [sys.executable, "-m", "degenrd.cli", "interp-check", str(p)]
+        + _WINDOW + extra, capture_output=True, text=True, timeout=30)
+    assert proc.returncode == 1
+    assert needle in proc.stderr
+
+
 # ---------------------------------------------------------------------------
 # sweep and plot-data
 # ---------------------------------------------------------------------------

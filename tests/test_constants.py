@@ -19,7 +19,8 @@ import numpy as np
 import pytest
 
 from degenrd.constants import (SOBOLEV_TRIALS, build_ledger, compute_K0,
-                               compute_sobolev_constant, _sobolev_ratios)
+                               compute_sobolev_constant, ln_time_integral,
+                               _sobolev_ratios)
 from degenrd.grid import Domain, build_grid, dirichlet_energy, integrate
 from degenrd.weights import eval_lap_psi
 
@@ -112,6 +113,53 @@ def test_C4_dominates_dense_laplacian_scan(ref_ledger, ref_params):
 
 
 # ---------------------------------------------------------------------------
+# the interpolation lemma's weighted time integral
+# ---------------------------------------------------------------------------
+
+def _ln_time_integral_oracle(C0, C1, h, lo, hi):
+    """log int_lo^hi exp(-C1*tau) (tau+h)^(-1-C0) dtau by mp.quad of the
+    integrand divided by its value at lo, where it peaks, with that log
+    added back; breakpoints close in on lo by factors of 10."""
+    with mp.workdps(60):
+        C0, C1, h, lo, hi = (mp.mpf(x) for x in (C0, C1, h, lo, hi))
+
+        def f(tau):
+            return mp.e ** (-C1 * (tau - lo)) \
+                * ((tau + h) / (lo + h)) ** (-1 - C0)
+
+        pts = [lo] + [lo + (hi - lo) * mp.mpf(10) ** -k
+                      for k in range(8, -1, -1)]
+        return mp.log(mp.quad(f, pts)) - C1 * lo - (1 + C0) * mp.log(lo + h)
+
+
+@pytest.mark.parametrize("C0", [0.0, 0.5, 0.99999])
+@pytest.mark.parametrize("C1", [1.0, 11348.0])
+@pytest.mark.parametrize("h,lo,hi", [(1e-20, 0.25, 0.5), (1e-3, 0.0, 0.3)])
+def test_time_integral_matches_rescaled_quadrature(C0, C1, h, lo, hi):
+    """The closed form agrees with the rescaled quadrature to 1e-30
+    relative, also for the ledger's C1 ~ 11,348, whose unscaled integrand
+    (about e^-2837 on [1/4, 1/2]) stops mp.quad's absolute convergence
+    test early."""
+    with mp.workdps(60):
+        got = ln_time_integral(C0, C1, h, lo, hi)
+        assert abs(got - _ln_time_integral_oracle(C0, C1, h, lo, hi)) \
+            < 1e-30
+
+
+@pytest.mark.parametrize("C0", [0.0, 0.5, 0.99999, -0.99])
+def test_time_integral_without_exponential(C0):
+    """C1 = 0: the antiderivative [-(tau+h)^-C0/C0], or ln(tau+h) at
+    C0 = 0, between the ends, to 1e-30 relative."""
+    h, lo, hi = 0.1, 0.25, 0.5
+    with mp.workdps(60):
+        a, b = mp.mpf(lo) + mp.mpf(h), mp.mpf(hi) + mp.mpf(h)
+        C0m = mp.mpf(C0)
+        want = mp.log(b / a) if C0 == 0 else (a ** -C0m - b ** -C0m) / C0m
+        got = mp.e ** ln_time_integral(C0, 0.0, h, lo, hi)
+        assert abs(got / want - 1) < 1e-30
+
+
+# ---------------------------------------------------------------------------
 # full-chain invariants on the reference ledger
 # ---------------------------------------------------------------------------
 
@@ -128,7 +176,7 @@ def test_ledger_order_relations(ref_ledger):
 
 def test_window_multiplier_admissibility(ref_ledger):
     """The reported multiplier satisfies the selection inequality and the
-    quadrature exponent stays under its closed-form bound."""
+    exponent M_ell stays under its closed-form bound."""
     led = ref_ledger
     g = led.geometry
     with mp.workdps(60):
@@ -141,29 +189,25 @@ def test_window_multiplier_admissibility(ref_ledger):
 
 
 def test_chain_keeps_its_bits(ref_ledger):
-    """h, M_ell, D_ell and ln K_ell equal, bit for bit, the arithmetic the
-    chain used before it shared its lemma helpers with interp-check: the
-    same quadrature for J2, the dominant-balance J1 (h is far below 1e-8)
-    and the same order of operations."""
+    """h, M_ell, D_ell and ln K_ell equal, bit for bit, the chain's
+    arithmetic written out: J2 in closed form, e^(C1*h) * C1^C0 times the
+    difference of the upper incomplete gammas Gamma(-C0, C1*(L+h)) and
+    Gamma(-C0, C1*(2L+h)) taken at twice the working precision, the
+    dominant-balance J1 (h is far below 1e-8) and the same order of
+    operations."""
     led = ref_ledger
     with mp.workdps(60):
         C0, C1, ell = mp.mpf(led.C0), mp.mpf(led.C1), led.ell
         L = min(mp.mpf(1) / 2, mp.mpf(led.T) / 4) / 2
         h = L / ell
         assert h < mp.mpf("1e-8")
-
-        def f(tau):
-            return mp.e ** (-C1 * tau) * (tau + h) ** (-1 - C0)
-
-        pts = [L]
-        p = L + 1 / C1
-        while p < 2 * L:
-            pts.append(p)
-            p = L + (p - L) * 10
-        pts.append(2 * L)
+        with mp.workprec(2 * mp.mp.prec):
+            gam = (mp.gammainc(-C0, C1 * (L + h))
+                   - mp.gammainc(-C0, C1 * (2 * L + h)))
+        ln_j2 = C1 * h + C0 * mp.log(C1) + mp.log(gam)
         ln_j1 = (-C0 * mp.log(h) - mp.log(C0)
                  + mp.log(1 - (1 + ell) ** -C0))
-        M = mp.e ** (mp.log(3) + ln_j1 - mp.log(mp.quad(f, pts)))
+        M = mp.e ** (mp.log(3) + ln_j1 - ln_j2)
         D = 3 * C1 * (1 + M) * (1 + 2 * ell + 8 * ell ** 2)
         ln_K = D + 3 * C0 * (1 + M) * mp.log(2 * ell + 1)
     assert (led.h_chain, led.M_ell, led.D_ell, led.ln_K_ell) \

@@ -245,8 +245,8 @@ def _closed_form_M(C0, C1, s1, s2, s3):
 @pytest.mark.parametrize("C0,C1,t3", [(0.5, 0.0, 1.0), (0.5, 0.0, 0.8),
                                       (0.0, 3.0, 0.8), (0.0, 3.0, 1.0)])
 def test_interp_exponent_and_margin_closed_forms(C0, C1, t3):
-    """M from the ledger's quadrature matches the antiderivative, also with
-    t3 < T and no exponential factor (C1 = 0).  With y = exp(-t) and zero
+    """M from the ledger's time integral matches the antiderivative, also
+    with t3 < T and no exponential factor (C1 = 0).  With y = exp(-t) and zero
     sources, D = 3*(1+M)*(t3-t1)*C1 and the margin is
     D + 3*C0*(1+M)*ln(s1/s3) - t3 - M*t1 + (1+M)*t2."""
     out = interp_check(_interp_input(lambda t: np.exp(-t),
@@ -291,16 +291,9 @@ def _ln_time_integral_reference(C0, C1, T, h, a, b):
 
 def test_interp_exponent_with_ledger_constants(ref_ledger):
     """The exponent M at the ledger's (C0, C1) and the window of the
-    acceptance run matches an independent quadrature in t: ln M to 1e-10
-    absolute, i.e. M to 1e-10 relative (M itself, about e^5674, leaves
-    double range).
-
-    Not to 1e-12: the integrand is about e^-5674, and mp.quad's absolute
-    convergence test stops the ledger's quadrature early, 4.9e-8
-    relative off on each integral; in M the two errors cancel to
-    4.5e-11.  The ledger keeps that quadrature's bits, so the tolerance
-    pins the current accuracy.
-    """
+    acceptance run matches an independent quadrature in t: ln M to 1e-12
+    absolute, i.e. M to 1e-12 relative (M itself, about e^5674, leaves
+    double range)."""
     C0, C1 = ref_ledger.C0, ref_ledger.C1
     T, h, t1, t2, t3 = 2.0, 0.1, 0.5, 1.0, 1.5
     t = np.linspace(0.0, T, 41)
@@ -312,8 +305,8 @@ def test_interp_exponent_with_ledger_constants(ref_ledger):
         ln_M = (mp.log(3)
                 + _ln_time_integral_reference(C0, C1, T, h, t2, t3)
                 - _ln_time_integral_reference(C0, C1, T, h, t1, t2))
-    assert ln_M > 700
-    assert abs(mp.mpf(out["log_M"]) - ln_M) < 1e-10
+        assert ln_M > 700
+        assert abs(mp.mpf(out["log_M"]) - ln_M) < 1e-12
 
 
 def test_frequency_flags_are_interp_growth_violations(ref_run, ref_params):

@@ -1,10 +1,15 @@
-"""No BLAS-threaded reduction in the package source.
+"""No BLAS-threaded reduction and no mpmath quadrature in the package source.
 
 `np.dot`, `np.vdot`, `np.inner` and a whole-array `np.linalg.norm` are BLAS
 calls: OpenBLAS splits long vectors over threads, so the sum depends on the
 host's thread count, and the woken threads spin against the solver.  Cell
 and face sums are numpy pairwise sums (`(w * v).sum()`); a norm along an
 axis (`np.linalg.norm(x, axis=1)`) does not call BLAS and is allowed.
+
+`mp.quad` (and its `quadts`, `quadgl` forms) tests convergence by an
+absolute error: on an integrand far below 1, such as the ledger's
+e^-2837, it stops early without a warning.  The package takes its
+integrals in closed form.
 """
 
 import ast
@@ -44,10 +49,29 @@ def blas_reductions(source: str) -> list[str]:
     return found
 
 
+def mp_quadratures(source: str) -> list[str]:
+    """`line: call` for every mpmath quadrature call in `source`."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Call):
+            name = _dotted(node.func)
+            module, _, func = name.rpartition(".")
+            if module in ("mp", "mpmath", "mp.mp", "mpmath.mp") \
+                    and func in ("quad", "quadts", "quadgl"):
+                found.append(f"{node.lineno}: {name}")
+    return found
+
+
 @pytest.mark.parametrize("path", sorted(_SRC.glob("*.py")),
                          ids=lambda p: p.name)
 def test_no_blas_reduction_in_source(path):
     assert blas_reductions(path.read_text(encoding="utf-8")) == []
+
+
+@pytest.mark.parametrize("path", sorted(_SRC.glob("*.py")),
+                         ids=lambda p: p.name)
+def test_no_mp_quad_in_source(path):
+    assert mp_quadratures(path.read_text(encoding="utf-8")) == []
 
 
 def test_scanner_flags_each_banned_form():
@@ -57,3 +81,10 @@ def test_scanner_flags_each_banned_form():
     assert blas_reductions(src) == [
         "1: np.dot", "2: numpy.vdot", "3: np.inner",
         "4: np.linalg.norm without axis="]
+
+
+def test_quadrature_scanner_flags_each_form():
+    src = ("mp.quad(f, [0, 1])\nmpmath.quadts(f, [0, 1])\n"
+           "mp.mp.quadgl(f, [0, 1])\nmp.gammainc(0.5, 1, 2)\nquad(f)\n")
+    assert mp_quadratures(src) == [
+        "1: mp.quad", "2: mpmath.quadts", "3: mp.mp.quadgl"]
