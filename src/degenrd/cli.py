@@ -12,17 +12,20 @@ import csv
 import json
 import sys
 from concurrent.futures import ProcessPoolExecutor
+from contextlib import contextmanager
 from pathlib import Path
+from zipfile import BadZipFile
 
 import numpy as np
 
 from .config import FORMAT_VERSION, ConfigError, RunConfig, load_config, \
     parse_config
 from .constants import build_ledger
-from .diagnostics import TraceSeries, fit_decay_rate, solver_checks
+from .diagnostics import TraceSeries, fit_decay_rate, nearest_index, \
+    solver_checks
 from .grid import build_grid, Domain
-from .logconv import InterpInput, interp_check
-from .solver import RunResult, SnapshotMissing, init_state, run as run_sim
+from .logconv import InterpInput, interp_check, read_times
+from .solver import RunResult, init_state, run as run_sim
 from .verify import audit
 
 EXIT_OK, EXIT_USAGE, EXIT_NUMERICAL, EXIT_INVARIANT = 0, 1, 2, 3
@@ -47,13 +50,32 @@ def _write_trace_csv(path: Path, trace: TraceSeries) -> None:
             w.writerow(row)
 
 
-def _read_trace_csv(path: Path) -> TraceSeries:
-    with open(path, newline="", encoding="utf-8") as fh:
+@contextmanager
+def _reading(path: Path, error=ValueError):
+    """Yield `path`; re-raise an error of reading it as `error` naming the
+    file (ValueError: exit 2)."""
+    try:
+        yield path
+    except (ValueError, KeyError, IndexError, TypeError, BadZipFile) as exc:
+        raise error(f"{path} is malformed ({type(exc).__name__}: {exc})") \
+            from exc
+
+
+def _read_columns(path: Path, error=ValueError) -> dict[str, np.ndarray]:
+    """The columns of a CSV file, a header row over rows of numbers."""
+    with _reading(path, error), \
+            open(path, newline="", encoding="utf-8") as fh:
         rows = list(csv.reader(fh))
-    header, data = rows[0], np.array(rows[1:], dtype=float)
-    channels = {name: data[:, j] for j, name in enumerate(header)
-                if name != "t"}
-    return TraceSeries(data[:, header.index("t")], channels)
+        header, data = rows[0], np.array(rows[1:], dtype=float)
+        if data.ndim != 2 or data.shape[1] != len(header):
+            raise ValueError("not a header over rows of as many numbers")
+    return dict(zip(header, data.T))
+
+
+def _read_trace_csv(path: Path) -> TraceSeries:
+    col = _read_columns(path)
+    with _reading(path):
+        return TraceSeries(col.pop("t"), col)
 
 
 def save_run(run: RunResult, rc: RunConfig, out_dir: Path) -> dict:
@@ -89,17 +111,20 @@ def save_run(run: RunResult, rc: RunConfig, out_dir: Path) -> dict:
 def load_run(run_dir: Path) -> tuple[RunResult, RunConfig]:
     """Reload a persisted run directory into an in-memory RunResult.
 
-    Raises ValueError naming fields.npz when its snapshots are not finite
-    or do not have one value per grid cell.
+    Raises ValueError naming the file when one is malformed, fields.npz
+    included when its snapshots are not finite or not one per grid cell.
     """
     run_dir = Path(run_dir)
-    cfg_doc = json.loads((run_dir / "config.json").read_text())
-    rc = parse_config(cfg_doc["config"])
-    summary = json.loads((run_dir / "summary.json").read_text())
+    with _reading(run_dir / "config.json") as path:
+        rc = parse_config(json.loads(path.read_text())["config"])
+    with _reading(run_dir / "summary.json") as path:
+        summary = json.loads(path.read_text())
+        B0, dt = float(summary["B0"]), float(summary["dt"])
     grid = build_grid(Domain(rc.sim.dim), rc.sim.resolution)
     trace = _read_trace_csv(run_dir / "trace.csv")
-    path = run_dir / "fields.npz"
-    with np.load(path) as npz:
+    # a file of our own: np.load leaves its handle open on a bad zip
+    with _reading(run_dir / "fields.npz") as path, open(path, "rb") as fh, \
+            np.load(fh) as npz:
         times, a, b = npz["times"], npz["a"], npz["b"]
     shape = (times.size, grid.ncells)
     if a.shape != shape or b.shape != shape \
@@ -109,7 +134,7 @@ def load_run(run_dir: Path) -> tuple[RunResult, RunConfig]:
     return RunResult(config=rc.sim, grid=grid, trace=trace,
                      snapshot_times=times,
                      snapshots=np.stack([a, b], axis=1),
-                     B0=float(summary["B0"]), dt=float(summary["dt"])), rc
+                     B0=B0, dt=dt), rc
 
 
 def _ledger(rc: RunConfig, grid, u0, B0: float):
@@ -150,14 +175,16 @@ def cmd_verify(args) -> int:
         raise ConfigError("full verify needs field snapshots, and this run "
                           "was saved with stepper.save_fields = false")
     else:
-        ledger = _ledger(rc, run.grid, run.snapshots[0], run.B0)
-        try:
-            entries = audit(run, ledger=ledger, params=rc.weights)
-        except SnapshotMissing as exc:
+        times = read_times(rc.weights.T)
+        missing = [t for t in times
+                   if nearest_index(run.snapshot_times, t) is None]
+        if missing:
             raise ConfigError(
-                f"{exc.args[0]}: full verify reads snapshots at times set "
-                f"by weights.T; choose weights.T and stepper.field_stride "
-                f"so that they fall on the snapshot grid") from exc
+                f"full verify reads snapshots at t = {times}, set by "
+                f"weights.T, and this run has none near t = {missing}; "
+                f"put them on the stepper.field_stride grid")
+        ledger = _ledger(rc, run.grid, run.snapshots[0], run.B0)
+        entries = audit(run, ledger=ledger, params=rc.weights)
     report = {"format_version": FORMAT_VERSION, "checks": entries,
               "pass": all(e["pass"] for e in entries)}
     _write_json(Path(args.run_dir) / "verification.json", report)
@@ -179,13 +206,10 @@ def cmd_constants(args) -> int:
 
 
 def cmd_interp_check(args) -> int:
-    with open(args.series, newline="", encoding="utf-8") as fh:
-        rows = list(csv.reader(fh))
-    header, data = rows[0], np.array(rows[1:], dtype=float)
-    col = {name: data[:, j] for j, name in enumerate(header)}
+    col = _read_columns(Path(args.series), ConfigError)
     for need in ("t", "y", "N"):
         if need not in col:
-            raise ConfigError(f"series file must have a {need!r} column")
+            raise ConfigError(f"{args.series} has no {need!r} column")
     n = col["t"].size
     inp = InterpInput(
         times=col["t"], y=col["y"], N=col["N"],
@@ -210,14 +234,9 @@ _SWEEPABLE = {
 
 def _sweep_one(payload):
     raw_json, out_dir, param, value = payload
-    raw = json.loads(raw_json)
-    rc = parse_config(raw)
-    run = run_sim(rc.sim)
-    save_run(run, rc, Path(out_dir))
-    try:
-        fit = fit_decay_rate(run.trace, "l2_dist")
-    except ValueError:
-        fit = {"rate": 0.0, "intercept": 0.0, "r_squared": 0.0}
+    rc = parse_config(json.loads(raw_json))
+    fit = save_run(run_sim(rc.sim), rc, Path(out_dir))["decay_fit"] \
+        or {"rate": 0.0, "r_squared": 0.0}
     return {"param": param, "value": value, "beta_obs": fit["rate"],
             "r_squared": fit["r_squared"]}
 
@@ -338,10 +357,7 @@ def main(argv=None) -> int:
         return EXIT_USAGE if exc.code not in (0, None) else EXIT_OK
     try:
         return args.func(args)
-    except ConfigError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except FileNotFoundError as exc:
+    except (ConfigError, OSError) as exc:    # OSError: an unusable path
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except (RuntimeError, FloatingPointError) as exc:

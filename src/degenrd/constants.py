@@ -173,6 +173,7 @@ class ConstantLedger:
     def geometry_params(self) -> dict:
         return self.geometry.as_dict() if self.geometry else {}
 
+    @mp.workdps(DPS)                    # the logs at working precision
     def as_json(self) -> dict:
         ent = {}
 
@@ -344,6 +345,11 @@ def interp_margin(ln_K, M, ln_y1, ln_y2, ln_y3):
     return ln_K + ln_y3 + M * ln_y1 - (1 + M) * ln_y2
 
 
+def window_length(T: float) -> mp.mpf:
+    """Length L = ell*h = min(1/2, T/4)/2 of the window ending at T."""
+    return min(mp.mpf(1) / 2, mp.mpf(T) / 4) / 2
+
+
 def compute_chain(ledger: ConstantLedger, T: float) -> ConstantLedger:
     """Complete the ledger: interpolation window, observation constants
     (c, M), and the decay certificate (theta, gamma, beta).
@@ -359,7 +365,6 @@ def compute_chain(ledger: ConstantLedger, T: float) -> ConstantLedger:
         prov = ledger.provenance
         C0, C1 = mp.mpf(ledger.C0), mp.mpf(ledger.C1)
         mu0, mu1 = mp.mpf(g.mu0), mp.mpf(g.mu1)
-        Tm = mp.mpf(T)
         ledger.T = float(T)
         prov["T"] = "certificate horizon (configuration)"
 
@@ -369,7 +374,7 @@ def compute_chain(ledger: ConstantLedger, T: float) -> ConstantLedger:
             "log-space asymptotic solve (condition verified at the "
             "reported value)")
 
-        L = min(mp.mpf(1) / 2, Tm / 4) / 2      # window length ell*h
+        L = window_length(T)
         h = L / ell
         ledger.h_chain = h
         prov["h_chain"] = "min(1/(2*ell), T/(4*ell))/2"

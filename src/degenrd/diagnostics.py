@@ -151,9 +151,9 @@ def energy_identity_residuals(series: TraceSeries) -> np.ndarray:
     return np.abs(0.5 * dedt + diss)[1:-1]
 
 
-def solver_checks(run, tol=TOLERANCES) -> list[CheckResult]:
+def solver_checks(run) -> list[CheckResult]:
     """Conservation/monotonicity/minimum-principle audit of one run."""
-    tr = run.trace
+    tr, tol = run.trace, TOLERANCES
     out = [
         CheckResult("mass_conservation",
                     "total mass of a+b stays at 2",

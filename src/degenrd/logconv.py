@@ -32,8 +32,9 @@ import mpmath as mp
 import numpy as np
 
 from ._xmath import DPS, logaddexp, to_float, fmt
-from .constants import interp_margin, ln_prefactor, ln_time_integral
-from .diagnostics import (TOLERANCES, centered_derivative,
+from .constants import (interp_margin, ln_prefactor, ln_time_integral,
+                        window_length)
+from .diagnostics import (TOLERANCES, CheckResult, centered_derivative,
                           fd_error_estimate)
 from .grid import Grid, integrate, dirichlet_energy, cell_gradient, \
     ball_mask, ball_norm2
@@ -180,7 +181,6 @@ class FrequencyTrace:
     F_norm2: np.ndarray
     Fdotf_values: np.ndarray    # <tilted source, f>
     flags: list = field(default_factory=list)   # (hy-bound) violation times
-    gaps: list = field(default_factory=list)    # times with N undefined
 
 
 def frequency_trace(run: RunResult, wf: WeightFields,
@@ -203,11 +203,9 @@ def frequency_trace(run: RunResult, wf: WeightFields,
         rows.append((t, *quadratic_forms(ts, cfg.d1, cfg.d2), ts.norm2(),
                      fdf))
     times, Sff, Aff, F2, n2, fdf = np.array(rows).reshape(-1, 6).T
-    gap = n2 < _FLOOR
     with np.errstate(divide="ignore", invalid="ignore"):
-        N = np.where(gap, np.nan, Sff / n2)
-    out = FrequencyTrace(times, N, Sff, Aff, n2, F2, fdf,
-                         gaps=times[gap].tolist())
+        N = np.where(n2 < _FLOOR, np.nan, Sff / n2)
+    out = FrequencyTrace(times, N, Sff, Aff, n2, F2, fdf)
     valid = ~np.isnan(N)
     if ledger is not None and np.count_nonzero(valid) >= 5:
         out.flags = growth_violations(
@@ -355,48 +353,37 @@ def check_cubic_bound(run: RunResult, K0: float) -> float:
 
 
 def observation_estimate_check(run: RunResult, params: WeightParams,
-                               ledger, window_pairs=None) -> dict:
-    """Verify the terminal observation estimate with ledger (c, M).
+                               ledger, t_start: float = 0.0,
+                               t_final: float | None = None) -> CheckResult:
+    """Verify the observation estimate with ledger (c, M) on the window
+    (t1, t) = (t_start, t_final), by default (0, T).
 
     The inequality compared (in logs):
-      (1+M)*ln||u(T)||^2 <= c*(1+1/T) + ln||u(T)||^2_ball + M*ln||u(0)||^2.
-    Window variants replace (0, T) by (t1, t) with the prefactor exponent
-    c*(1+1/(t-t1)).  The norms ||u||^2 come from the trace; the ball norm
-    is over the weights' ball, which need not be the trace's `l2_ball`.
+      (1+M)*ln||u(t)||^2 <= c*(1+1/(t-t1)) + ln||u(t)||^2_ball
+                            + M*ln||u(t1)||^2.
+    The source and cubic bounds it rests on raise when violated.  The
+    norms ||u||^2 come from the trace; the ball norm is over the weights'
+    ball, which need not be the trace's `l2_ball`.
     """
-    src_margin = check_source_bound(run, ledger.K0)
-    cub_margin = check_cubic_bound(run, ledger.K0)
+    check_source_bound(run, ledger.K0)
+    check_cubic_bound(run, ledger.K0)
     grid, tr = run.grid, run.trace
-    ball = ball_mask(grid, params.x0_abs, params.r)
-    T = params.T
-
-    def margin_for(t_start: float, t_final: float):
-        u1, u2 = run.snapshot_at(t_final)[1] - 1.0
-        y0 = tr["l2_dist"][tr.index_at(t_start)]
-        yT = tr["l2_dist"][tr.index_at(t_final)]
-        yB = ball_norm2(grid, u1, u2, ball)
-        if yT < _FLOOR:
-            return mp.mpf(0)
+    t_final = params.T if t_final is None else t_final
+    u1, u2 = run.snapshot_at(t_final)[1] - 1.0
+    y0 = tr["l2_dist"][tr.index_at(t_start)]
+    yT = tr["l2_dist"][tr.index_at(t_final)]
+    yB = ball_norm2(grid, u1, u2, ball_mask(grid, params.x0_abs, params.r))
+    margin = 0.0
+    if yT >= _FLOOR:
         with mp.workdps(DPS):
-            lhs = (1 + ledger.M) * mp.log(mp.mpf(yT))
-            rhs = (ledger.c * (1 + 1 / mp.mpf(t_final - t_start))
-                   + mp.log(mp.mpf(max(yB, _FLOOR)))
-                   + ledger.M * mp.log(mp.mpf(max(y0, _FLOOR))))
-            return rhs - lhs
-
-    main = margin_for(0.0, T)
-    windows = {}
-    for (t1, t) in (window_pairs or []):
-        windows[f"({t1},{t})"] = to_float(margin_for(t1, t))
-    return {
-        "source_bound_margin": src_margin,
-        "cubic_bound_margin": cub_margin,
-        "margin": to_float(main),
-        "margin_log": fmt(main),
-        "window_margins": windows,
-        "pass": to_float(main) >= 0.0 and all(
-            v >= 0.0 for v in windows.values()),
-    }
+            margin = to_float(
+                ledger.c * (1 + 1 / mp.mpf(t_final - t_start))
+                + mp.log(mp.mpf(max(yB, _FLOOR)))
+                + ledger.M * mp.log(mp.mpf(max(y0, _FLOOR)))
+                - (1 + ledger.M) * mp.log(mp.mpf(yT)))
+    return CheckResult("observation_estimate",
+                       "terminal norm controlled by the ball norm and the "
+                       "initial norm", margin, 1e-9)
 
 
 def _ln_tilted_norm2(grid: Grid, u: np.ndarray, phi: np.ndarray, coef):
@@ -423,26 +410,33 @@ def _ln_tilted_norm2(grid: Grid, u: np.ndarray, phi: np.ndarray, coef):
     return coef * mp.mpf(phi_top) + top + math.log(np.exp(terms - top).sum())
 
 
+def read_times(T: float) -> list[float]:
+    """The snapshot times a full audit with horizon T reads: 0 and T (the
+    observation estimate), T/2 (the tilted forms) and the interpolation
+    window's T - 2L and T - L, L = `constants.window_length(T)`."""
+    with mp.workdps(DPS):
+        L = window_length(T)
+        return [0.0, 0.5 * T, float(T - 2 * L), float(T - L), T]
+
+
 def interpolation_window_check(run: RunResult, params: WeightParams,
-                               ledger) -> dict:
+                               ledger) -> CheckResult:
     """Check the ledger's interpolation-window inequalities on a run.
 
-    Uses the chain's own (s, h, ell): the tilted norms at the three window
-    times T, T-L, T-2L (L = ell*h) are evaluated in log space, and the
-    three inequalities — the interpolated bound with prefactor K_ell, the
-    terminal-norm localization, and the untilting bound — are margins in
-    log space.  ||u(0)||^2 and ||u(T)||^2 come from the trace.
+    Uses the chain's own (s, h, ell): the tilted norms at the window times
+    T, T-L, T-2L of `read_times` (L = ell*h) are evaluated in log space,
+    and the three inequalities — the interpolated bound with prefactor
+    K_ell, the terminal-norm localization, and the untilting bound — are
+    margins in log space; the check's margin is the least of the three.
+    ||u(0)||^2 and ||u(T)||^2 come from the trace.
     """
+    t_lo, t_mid = read_times(ledger.T)[2:4]
     with mp.workdps(DPS):
-        g = ledger.geometry
-        grid, tr = run.grid, run.trace
+        g, grid, tr = ledger.geometry, run.grid, run.trace
         T = mp.mpf(ledger.T)
-        h = ledger.h_chain
-        ell = ledger.ell
+        h, ell = ledger.h_chain, ledger.ell
         s = mp.mpf(ledger.s2)
         L = ell * h
-        t_mid = float(T - L)
-        t_lo = float(T - 2 * L)
 
         wf = weight_fields(
             WeightParams(params.x0_abs, params.r, min(ledger.s2, 1.0),
@@ -467,26 +461,22 @@ def interpolation_window_check(run: RunResult, params: WeightParams,
         y_0 = tr["l2_dist"][tr.index_at(0.0)]
 
         if y_0 < _FLOOR:
-            return {"interpolated_margin": 0.0, "localization_margin": 0.0,
-                    "untilting_margin": 0.0, "pass": True,
-                    "note": "fully decayed run: equalities by convention"}
-
-        # interpolated three-time bound with prefactor K_ell
-        m1 = interp_margin(ledger.ln_K_ell, ledger.M_ell, ln_fl, ln_fm, ln_fT)
-        # terminal localization: tilted pair norm at T against the ball
-        # norm plus the exponentially crushed far-field remainder
-        rhs3 = logaddexp(mp.log(mp.mpf(max(yB_T, _FLOOR))),
-                         -s * mp.mpf(g.mu0) / h
-                         + mp.log(mp.mpf(y_0)))
-        m3 = rhs3 - ln_pT if ln_pT > mp.mpf("-inf") else mp.mpf(0)
-        # untilting: plain terminal norm against the mid-window tilted norm
-        m4 = (s * mp.mpf(g.mu1) / ((ell + 1) * h) + ln_pm
-              - mp.log(mp.mpf(max(y_T, _FLOOR)))) \
-            if y_T >= _FLOOR else mp.mpf(0)
-        return {
-            "interpolated_margin": to_float(m1),
-            "interpolated_margin_log": fmt(m1),
-            "localization_margin": to_float(m3),
-            "untilting_margin": to_float(m4),
-            "pass": all(to_float(x) >= -1e-9 for x in (m1, m3, m4)),
-        }
+            worst = 0.0         # fully decayed run: equalities by convention
+        else:
+            # interpolated three-time bound with prefactor K_ell
+            m1 = interp_margin(ledger.ln_K_ell, ledger.M_ell, ln_fl, ln_fm,
+                               ln_fT)
+            # terminal localization: tilted pair norm at T against the ball
+            # norm plus the exponentially crushed far-field remainder
+            rhs3 = logaddexp(mp.log(mp.mpf(max(yB_T, _FLOOR))),
+                             -s * mp.mpf(g.mu0) / h + mp.log(mp.mpf(y_0)))
+            m3 = rhs3 - ln_pT if ln_pT > mp.mpf("-inf") else mp.mpf(0)
+            # untilting: terminal norm against the mid-window tilted norm
+            m4 = (s * mp.mpf(g.mu1) / ((ell + 1) * h) + ln_pm
+                  - mp.log(mp.mpf(max(y_T, _FLOOR)))) \
+                if y_T >= _FLOOR else mp.mpf(0)
+            worst = min(to_float(m) for m in (m1, m3, m4))
+    return CheckResult("interpolation_window",
+                       "three-time interpolation, localization, and "
+                       "untilting inequalities on the certified window",
+                       worst, 1e-9)

@@ -330,10 +330,6 @@ def step(u: np.ndarray, t: float, profile: np.ndarray, config: SimConfig,
     return u_new
 
 
-class SnapshotMissing(KeyError):
-    """No field snapshot near a time that a check reads."""
-
-
 @dataclass
 class RunResult:
     """Trace, snapshots, and provenance of one completed simulation."""
@@ -350,7 +346,7 @@ class RunResult:
         """(t_i, u_i): the snapshot nearest t, u_i = (a, b)."""
         i = nearest_index(self.snapshot_times, t)
         if i is None:
-            raise SnapshotMissing(f"no field snapshot near t={t}")
+            raise KeyError(f"no field snapshot near t={t}")
         return float(self.snapshot_times[i]), self.snapshots[i]
 
 
@@ -377,14 +373,22 @@ def run(config: SimConfig, grid: Grid | None = None) -> RunResult:
         grid = build_grid(Domain(config.dim), config.resolution)
     u, B0 = init_state(grid, config)
 
+    # every snapshot is a record: records are spaced by the longest stride
+    # up to record_stride that field_stride is a whole multiple of
+    stride, per_snap = config.record_stride, 1
+    if config.save_fields:
+        per_snap = math.ceil(config.field_stride / stride - 1e-9)
+        if abs(per_snap * stride - config.field_stride) \
+                > 1e-9 * config.field_stride:
+            stride = config.field_stride / per_snap
     dt = config.dt if config.dt is not None else default_dt(grid, config, *u)
-    rec_every = max(1, round(config.record_stride / dt))
-    dt = config.record_stride / rec_every if config.dt is None else dt
+    rec_every = max(1, round(stride / dt))
+    dt = stride / rec_every if config.dt is None else dt
     nsteps = max(1, round(config.t_end / dt))
     if abs(nsteps * dt - config.t_end) > 1e-9 * config.t_end:
         nsteps = math.ceil(config.t_end / dt - 1e-12)
         dt = config.t_end / nsteps
-        rec_every = max(1, round(config.record_stride / dt))
+        rec_every = max(1, round(stride / dt))
     if config.dt is not None and dt > stability_dt(config, *u) * (1 + 1e-12):
         raise ConfigError("stepper.dt exceeds the explicit-reaction "
                           "stability bound at t = 0; reduce it")
@@ -392,8 +396,7 @@ def run(config: SimConfig, grid: Grid | None = None) -> RunResult:
     stepper = Stepper(grid, dt, config.d1, config.d2)
     ball = ball_mask(grid, config.catalyst.x0, config.catalyst.r)
     profile = config.catalyst.profile(grid)
-    snap_every = max(1, round(config.field_stride / dt)) \
-        if config.save_fields else None
+    snap_every = per_snap * rec_every if config.save_fields else None
 
     times, rows, snap_times, snapshots = [], [], [], []
 

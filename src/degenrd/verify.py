@@ -53,19 +53,16 @@ def theta_contraction_check(run: RunResult, ledger) -> CheckResult:
     ln_theta = float(ledger.ln_theta)
     worst = float("inf")
     m = 0
-    found = False
     while 2.0 * (m + 1) <= tr.times[-1] + 1e-9:
         try:
-            i0 = tr.index_at(2.0 * m)
-            i1 = tr.index_at(2.0 * (m + 1))
+            i0, i1 = tr.index_at(2.0 * m), tr.index_at(2.0 * (m + 1))
         except KeyError:
             break
         y0, y1 = tr["l2_dist"][i0], tr["l2_dist"][i1]
         if y0 >= _FLOOR and y1 >= _FLOOR:
             worst = min(worst, math.log(y0) + ln_theta - math.log(y1))
-            found = True
         m += 1
-    if not found:
+    if worst == float("inf"):
         return CheckResult("theta_contraction",
                            "per-window contraction factor (trivial: decayed "
                            "or too-short run)", 0.0, 0.0)
@@ -147,7 +144,12 @@ def tilted_form_checks(run: RunResult, ft: FrequencyTrace,
 def _frequency_trace_checks(run: RunResult, ft, ledger,
                             params: WeightParams) -> list[CheckResult]:
     """Inequalities along the frequency trace with ledger constants."""
-    out = []
+    out = [CheckResult(
+        "frequency_growth",
+        "finite-difference N'(t) never exceeds its certified growth bound"
+        if ledger is not None else
+        "frequency function evaluated (no ledger: growth bound not "
+        "checked)", -float(len(ft.flags)), 0.5)]
     n2 = ft.norm2_values
     scale = max(float(np.max(n2)), _FLOOR)
     if params.s <= (ledger.s2 if ledger is not None else 1.0):
@@ -197,38 +199,21 @@ def audit(run: RunResult, ledger=None, params: WeightParams | None = None
 
     Always performs the conservation/monotonicity checks.  With a ledger the
     decay, contraction, and dissipation checks are added; with weight
-    parameters the tilted-form residuals, the frequency growth bound, the
-    observation estimate, and the interpolation-window inequalities follow.
+    parameters the tilted-form residuals and the frequency-trace bounds;
+    with both, the observation estimate and the interpolation window.
+    Every check is one `CheckResult`.
     """
     checks = list(solver_checks(run))
     if ledger is not None:
-        checks.append(decay_certificate_check(run, ledger))
-        checks.append(theta_contraction_check(run, ledger))
-        checks.append(beta1_chain_check(run, ledger))
+        checks += [decay_certificate_check(run, ledger),
+                   theta_contraction_check(run, ledger),
+                   beta1_chain_check(run, ledger)]
     if params is not None:
         wf = weight_fields(params, run.grid)
         ft = frequency_trace(run, wf, ledger)
-        checks.extend(tilted_form_checks(run, ft, wf))
-        checks.append(CheckResult(
-            "frequency_growth",
-            "finite-difference N'(t) never exceeds its certified growth "
-            "bound" if ledger is not None else
-            "frequency function evaluated (no ledger: growth bound "
-            "not checked)",
-            -float(len(ft.flags)), 0.5))
-        checks.extend(_frequency_trace_checks(run, ft, ledger, params))
-        if ledger is not None:
-            obs = observation_estimate_check(run, params, ledger)
-            checks.append(CheckResult(
-                "observation_estimate",
-                "terminal norm controlled by the ball norm and the "
-                "initial norm", obs["margin"], 1e-9))
-            win = interpolation_window_check(run, params, ledger)
-            worst = min(win.get("interpolated_margin", 0.0),
-                        win.get("localization_margin", 0.0),
-                        win.get("untilting_margin", 0.0))
-            checks.append(CheckResult(
-                "interpolation_window",
-                "three-time interpolation, localization, and untilting "
-                "inequalities on the certified window", worst, 1e-9))
+        checks += tilted_form_checks(run, ft, wf)
+        checks += _frequency_trace_checks(run, ft, ledger, params)
+    if params is not None and ledger is not None:
+        checks += [observation_estimate_check(run, params, ledger),
+                   interpolation_window_check(run, params, ledger)]
     return [c.as_dict() for c in checks]

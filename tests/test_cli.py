@@ -261,6 +261,23 @@ def test_half_t_end_strides_accepted(tmp_path):
         assert len(list(csv.reader(fh))) == 1 + 3
 
 
+@pytest.mark.parametrize("command", ["simulate", "sweep", "constants"])
+def test_unusable_output_path_exits_1(cfg_path, tmp_path, capsys, command):
+    """An output path that is a file (or, for `constants`, a directory)
+    exits 1 with a one-line error naming it."""
+    out = tmp_path / "taken"
+    if command == "constants":
+        out.mkdir()
+    else:
+        out.write_text("")
+    extra = ["--param", "k0", "--values", "1", "-j", "1"] \
+        if command == "sweep" else []
+    capsys.readouterr()
+    assert main([command, str(cfg_path), *extra, "-o", str(out)]) == 1
+    err = capsys.readouterr().err.strip()
+    assert err.startswith("error: ") and "taken" in err and "\n" not in err
+
+
 def test_simulate_missing_file_exits_1(tmp_path):
     assert main(["simulate", str(tmp_path / "nope.json"),
                  "-o", str(tmp_path / "x")]) == 1
@@ -304,10 +321,14 @@ def _simulated(tmp_path, stepper, weights):
 
 @pytest.mark.parametrize("stepper,weights,key", [
     ({"t_end": 1.0}, {"T": 1.0}, "weights.T"),        # T-L = 0.875
-    ({"save_fields": False}, {}, "stepper.save_fields")])
-def test_verify_without_needed_snapshots_exits_1(tmp_path, capsys, stepper,
+    ({"save_fields": False}, {}, "stepper.save_fields"),
+    ({"t_end": 0.5}, {"T": 0.5}, "0.375, 0.4375")])   # T-2L, T-L
+def test_verify_without_needed_snapshots_exits_1(tmp_path, capsys,
+                                                 monkeypatch, stepper,
                                                  weights, key):
+    """One line naming what is missing, before the ledger is built."""
     out = _simulated(tmp_path, stepper, weights)
+    monkeypatch.setattr("degenrd.cli.build_ledger", None)
     capsys.readouterr()
     assert main(["verify", str(out)]) == 1
     err = capsys.readouterr().err.strip()
@@ -333,6 +354,46 @@ def test_verify_rejects_corrupt_fields(run_dir, capsys, corrupt, quick):
     err = capsys.readouterr().err.strip()
     assert "fields.npz" in err and "\n" not in err
     assert not (run_dir / "verification.json").exists()
+
+
+@pytest.mark.parametrize("name,corrupt", [
+    ("summary.json", lambda p: p.write_text(json.dumps(
+        {k: v for k, v in json.loads(p.read_text()).items() if k != "B0"}))),
+    ("trace.csv", lambda p: p.write_text("garbage\n")),
+    ("trace.csv", lambda p: p.write_text("t,mass\n0,2\n1\n")),
+    ("config.json", lambda p: p.write_text("{not json")),
+    ("fields.npz", lambda p: p.write_bytes(p.read_bytes()[:300])),
+], ids=["summary-without-B0", "trace-garbage", "trace-short-row",
+        "config-not-json", "fields-truncated"])
+def test_verify_rejects_corrupt_run_files(run_dir, capsys, name, corrupt):
+    """A malformed file of the run directory gives exit 2 and a one-line
+    error naming it, not a traceback."""
+    corrupt(run_dir / name)
+    capsys.readouterr()
+    assert main(["verify", str(run_dir), "--quick"]) == 2
+    err = capsys.readouterr().err.strip()
+    assert name in err and "\n" not in err
+
+
+@pytest.mark.parametrize("record_stride", [0.15, 0.4])
+def test_snapshots_kept_whatever_the_record_stride(tmp_path, record_stride):
+    """field_stride 0.25 keeps all 9 snapshots of t_end = 2 when it is not
+    a multiple of record_stride, each a row of the trace, and a full
+    verify reaches the report."""
+    doc = json.loads(json.dumps(CFG))
+    doc["grid"]["resolution"] = 32
+    doc["stepper"]["record_stride"] = record_stride
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(doc))
+    out = tmp_path / "run"
+    assert main(["simulate", str(cfg), "-o", str(out)]) == 0
+    with np.load(out / "fields.npz") as npz:
+        times = npz["times"]
+    np.testing.assert_allclose(times, np.arange(9) * 0.25, atol=1e-12)
+    with open(out / "trace.csv", newline="") as fh:
+        trace_t = [float(r[0]) for r in list(csv.reader(fh))[1:]]
+    assert set(times.tolist()) <= set(trace_t)
+    assert main(["verify", str(out)]) in (0, 3)
 
 
 # ---------------------------------------------------------------------------
@@ -431,6 +492,18 @@ def test_interp_check_missing_column_exits_1(tmp_path, capsys):
 
 _WINDOW = ["--t1", "0.2", "--t2", "0.5", "--t3", "0.8", "--T", "1.0",
            "--h", "0.1"]
+
+
+@pytest.mark.parametrize("text", ["t,y,N\n0,1,abc\n1,1,1\n",
+                                  "t,y,N\n0,1\n1,1,1\n", ""],
+                         ids=["non-numeric", "short-row", "empty"])
+def test_interp_check_malformed_series_exits_1(tmp_path, capsys, text):
+    p = tmp_path / "series.csv"
+    p.write_text(text)
+    assert main(["interp-check", str(p)] + _WINDOW) == 1
+    err = capsys.readouterr().err.strip()
+    assert err.startswith("error: ") and "series.csv" in err
+    assert "\n" not in err
 
 
 @pytest.mark.parametrize("sign,extra,needle", [

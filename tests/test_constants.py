@@ -18,6 +18,7 @@ import mpmath as mp
 import numpy as np
 import pytest
 
+from degenrd._xmath import DPS
 from degenrd.constants import (SOBOLEV_TRIALS, build_ledger, compute_K0,
                                compute_sobolev_constant, ln_time_integral,
                                _sobolev_ratios)
@@ -237,6 +238,18 @@ def test_ledger_serialization_and_determinism(ref_run, ref_params,
                         k0=1.0, k_sup=1.0, d1=1.0, d2=1.0, T=10.0)
     assert json.dumps(j1, sort_keys=True) \
         == json.dumps(led2.as_json(), sort_keys=True)
+
+
+def test_ledger_logs_at_working_precision(ref_ledger):
+    """Each printed log of an mpf constant is its log at 60 digits to the
+    25 digits printed, not a 15-digit log padded with noise."""
+    doc = ref_ledger.as_json()
+    with mp.workdps(DPS):
+        for name in ("ell", "h_chain", "M_ell", "D_ell", "mu2", "mu3", "c",
+                     "M"):
+            exact = mp.log(getattr(ref_ledger, name))
+            assert abs(mp.mpf(doc[name]["log"]) - exact) \
+                <= mp.mpf("1e-24") * abs(exact), name
 
 
 def test_every_constant_has_provenance(ref_ledger):

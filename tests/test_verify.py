@@ -6,6 +6,7 @@ import pytest
 
 from degenrd.grid import ball_mask, dirichlet_energy, integrate
 from degenrd.solver import CatalystSpec, InitialSpec, SimConfig, run
+from degenrd.logconv import read_times
 from degenrd.verify import audit, beta1_chain_check
 
 
@@ -31,6 +32,42 @@ def test_reference_audit_coverage(ref_audit):
         "observation_estimate", "interpolation_window",
     }
     assert expected <= ids
+
+
+FULL_VERIFY_IDS = [
+    "mass_conservation", "l2_monotone", "l3_monotone", "min_principle",
+    "mean_zero_shift", "energy_identity", "decay_certificate",
+    "theta_contraction", "beta1_dissipation", "antisymmetric_residual",
+    "sym_form_two_ways", "frequency_growth", "tilted_energy_identity",
+    "tilted_derivative_bound", "source_norm_bound", "observation_estimate",
+    "interpolation_window",
+]
+
+
+def test_full_verify_report_layout(ref_audit, tmp_path):
+    """The ids of a full verify, in order, for the reference 1-D run and a
+    2-D n=16 run."""
+    import json
+    from degenrd.cli import main
+    assert [e["invariant_id"] for e in ref_audit] == FULL_VERIFY_IDS
+    cfg = {"domain": {"dim": 2}, "grid": {"resolution": 16},
+           "catalyst": {"kind": "bump", "k0": 1.0, "x0": 0.25, "r": 0.1},
+           "stepper": {"t_end": 2.0},
+           "weights": {"x0_abs": 0.25, "r": 0.1, "T": 2.0}}
+    (tmp_path / "cfg.json").write_text(json.dumps(cfg))
+    out = tmp_path / "run"
+    assert main(["simulate", str(tmp_path / "cfg.json"), "-o", str(out)]) \
+        == 0
+    assert main(["verify", str(out)]) == 0
+    report = json.loads((out / "verification.json").read_text())
+    assert [e["invariant_id"] for e in report["checks"]] == FULL_VERIFY_IDS
+
+
+def test_read_times_of_a_full_verify():
+    """0, T/2 and the window times T - 2L, T - L, T with
+    L = min(1/2, T/4)/2."""
+    assert read_times(10.0) == [0.0, 5.0, 9.5, 9.75, 10.0]
+    assert read_times(0.5) == [0.0, 0.25, 0.375, 0.4375, 0.5]
 
 
 def test_audit_entries_serializable(ref_audit):
