@@ -1,8 +1,8 @@
 """Command-line entry point.
 
 Subcommands: simulate, verify, constants, interp-check, sweep, plot-data.
-Exit codes: 0 success, 1 usage/config error, 2 numerical failure,
-3 invariant/verification failure.
+Exit codes: 0 success, 1 usage/config error, 2 numerical failure or a
+malformed run-directory file, 3 invariant/verification failure.
 """
 
 from __future__ import annotations
@@ -50,10 +50,13 @@ def _write_trace_csv(path: Path, trace: TraceSeries) -> None:
             w.writerow(row)
 
 
+class MalformedFile(ValueError):
+    """A file of a run directory that cannot be read back (exit 2)."""
+
+
 @contextmanager
-def _reading(path: Path, error=ValueError):
-    """Yield `path`; re-raise an error of reading it as `error` naming the
-    file (ValueError: exit 2)."""
+def _reading(path: Path, error=MalformedFile):
+    """Yield `path`; re-raise an error of reading it as `error` naming it."""
     try:
         yield path
     except (ValueError, KeyError, IndexError, TypeError, BadZipFile) as exc:
@@ -61,7 +64,7 @@ def _reading(path: Path, error=ValueError):
             from exc
 
 
-def _read_columns(path: Path, error=ValueError) -> dict[str, np.ndarray]:
+def _read_columns(path: Path, error=MalformedFile) -> dict[str, np.ndarray]:
     """The columns of a CSV file, a header row over rows of numbers."""
     with _reading(path, error), \
             open(path, newline="", encoding="utf-8") as fh:
@@ -111,7 +114,7 @@ def save_run(run: RunResult, rc: RunConfig, out_dir: Path) -> dict:
 def load_run(run_dir: Path) -> tuple[RunResult, RunConfig]:
     """Reload a persisted run directory into an in-memory RunResult.
 
-    Raises ValueError naming the file when one is malformed, fields.npz
+    Raises MalformedFile naming the file when one is malformed, fields.npz
     included when its snapshots are not finite or not one per grid cell.
     """
     run_dir = Path(run_dir)
@@ -129,8 +132,8 @@ def load_run(run_dir: Path) -> tuple[RunResult, RunConfig]:
     shape = (times.size, grid.ncells)
     if a.shape != shape or b.shape != shape \
             or not (np.isfinite(a).all() and np.isfinite(b).all()):
-        raise ValueError(f"{path}: the snapshots must be finite, with "
-                         f"{grid.ncells} cells each")
+        raise MalformedFile(f"{path} is malformed (the snapshots must be "
+                            f"finite, with {grid.ncells} cells each)")
     return RunResult(config=rc.sim, grid=grid, trace=trace,
                      snapshot_times=times,
                      snapshots=np.stack([a, b], axis=1),
@@ -150,7 +153,20 @@ def _ledger(rc: RunConfig, grid, u0, B0: float):
                           "need catalyst.k0 > 0")
     return build_ledger(grid, rc.weights, *u0, B0, k0=cat.k0,
                         k_sup=cat.k_max, d1=rc.sim.d1, d2=rc.sim.d2,
-                        T=rc.weights.T, seed=rc.sim.seed)
+                        T=rc.weights.T)
+
+
+def _output(path: str, directory: bool) -> Path:
+    """`path`, checked before the work: a directory to make with parents,
+    or a file in an existing directory.  Raises OSError naming it."""
+    path = Path(path)
+    if directory:
+        base = next(p for p in (path, *path.parents) if p.exists())
+        if not base.is_dir():
+            raise OSError(f"output {path}: {base} is not a directory")
+    elif path.is_dir() or not path.parent.is_dir():
+        raise OSError(f"output {path}: a directory, or not in one")
+    return path
 
 
 # ---------------------------------------------------------------------------
@@ -159,9 +175,9 @@ def _ledger(rc: RunConfig, grid, u0, B0: float):
 
 def cmd_simulate(args) -> int:
     rc = load_config(args.config)            # parse before touching disk
+    out_dir = _output(args.output, directory=True)
     # the sparse solver's import is paid here, not inside solver.run
     import scipy.sparse.linalg  # noqa: F401
-    out_dir = Path(args.output)
     run = run_sim(rc.sim)
     save_run(run, rc, out_dir)
     return EXIT_OK
@@ -171,9 +187,6 @@ def cmd_verify(args) -> int:
     run, rc = load_run(Path(args.run_dir))
     if args.quick:
         entries = audit(run)
-    elif not run.snapshot_times.size:
-        raise ConfigError("full verify needs field snapshots, and this run "
-                          "was saved with stepper.save_fields = false")
     else:
         times = read_times(rc.weights.T)
         missing = [t for t in times
@@ -194,13 +207,14 @@ def cmd_verify(args) -> int:
 
 def cmd_constants(args) -> int:
     rc = load_config(args.config)
+    out = args.output and _output(args.output, directory=False)
     grid = build_grid(Domain(rc.sim.dim), rc.sim.resolution)
     u, B0 = init_state(grid, rc.sim)
     ledger = _ledger(rc, grid, u, B0)
     doc = {"format_version": FORMAT_VERSION, "ledger": ledger.as_json()}
     text = json.dumps(doc, indent=2, sort_keys=True)
-    if args.output:
-        Path(args.output).write_text(text + "\n", encoding="utf-8")
+    if out:
+        out.write_text(text + "\n", encoding="utf-8")
     print(text)
     return EXIT_OK
 
@@ -323,9 +337,8 @@ def build_parser() -> argparse.ArgumentParser:
     s = sub.add_parser("interp-check",
                        help="three-time interpolation check on a series")
     s.add_argument("series", help="CSV with columns t,y,N[,F1,F2]")
-    for name, default in (("t1", None), ("t2", None), ("t3", None),
-                          ("T", None), ("h", None)):
-        s.add_argument(f"--{name}", type=float, required=default is None)
+    for name in ("t1", "t2", "t3", "T", "h"):
+        s.add_argument(f"--{name}", type=float, required=True)
     s.add_argument("--C0", type=float, default=0.0)
     s.add_argument("--C1", type=float, default=0.0)
     s.add_argument("--F1", type=float, default=0.0)
@@ -360,10 +373,10 @@ def main(argv=None) -> int:
     except (ConfigError, OSError) as exc:    # OSError: an unusable path
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except (RuntimeError, FloatingPointError) as exc:
-        print(f"numerical failure: {exc}", file=sys.stderr)
+    except MalformedFile as exc:
+        print(f"error: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
-    except ValueError as exc:
+    except (RuntimeError, FloatingPointError, ValueError) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
 

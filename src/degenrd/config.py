@@ -1,8 +1,8 @@
 """JSON run-configuration schema and loader.
 
 A configuration file is a single JSON object with the sections below; every
-section and key is optional unless marked required, and unknown keys are
-rejected by name so typos cannot silently fall back to defaults.
+section and key is optional unless marked required, and an unknown key is
+rejected as `section.key`, so typos cannot silently fall back to defaults.
 
   domain:   {"dim": 1}
   grid:     {"resolution": 256}
@@ -13,7 +13,7 @@ rejected by name so typos cannot silently fall back to defaults.
   initial:  {"kind": "cosine", "amplitude": 0.3, "value_a": 1.0,
              "value_b": 1.0, "center": 0.2, "width": 0.1, "floor": 0.5}
   stepper:  {"dt": null, "t_end": 10.0, "record_stride": 0.05,
-             "save_fields": true, "field_stride": 0.25, "seed": 0}
+             "field_stride": 0.25}
   output:   {"label": "run"}
   weights:  {"x0_abs": 0.25, "r": 0.1, "s": 0.5, "h": 0.1, "T": 10.0}
 
@@ -42,8 +42,7 @@ _SECTIONS = {
                  "annulus_inner", "annulus_outer", "period"},
     "initial": {"kind", "amplitude", "value_a", "value_b", "center",
                 "width", "floor"},
-    "stepper": {"dt", "t_end", "record_stride", "save_fields",
-                "field_stride", "seed"},
+    "stepper": {"dt", "t_end", "record_stride", "field_stride"},
     "output": {"label"},
     "weights": {"x0_abs", "r", "s", "h", "T"},
 }
@@ -65,9 +64,8 @@ def _check_keys(section: str, data: dict) -> None:
         raise ConfigError(f"section {section!r} must be an object")
     unknown = set(data) - _SECTIONS[section]
     if unknown:
-        raise ConfigError(
-            f"unknown key(s) in section {section!r}: "
-            f"{', '.join(sorted(unknown))}")
+        raise ConfigError("unknown key(s): " + ", ".join(
+            f"{section}.{key}" for key in sorted(unknown)))
 
 
 def _check_numbers(section: str, data: dict) -> None:

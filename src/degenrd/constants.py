@@ -75,7 +75,7 @@ def _sobolev_ratios(grid: Grid, seed: int) -> list[float]:
     return ratios
 
 
-def compute_sobolev_constant(grid: Grid, seed: int = 0) -> float:
+def compute_sobolev_constant(grid: Grid) -> float:
     """Upper bound for the constant in (int g^6)^(1/3) <= C*(int g^2 +
     int |grad g|^2).
 
@@ -83,11 +83,11 @@ def compute_sobolev_constant(grid: Grid, seed: int = 0) -> float:
     a randomized family of smooth low-mode trial fields, then applies a
     1.1 safety factor.  The 1-D modes cos(k pi (x + 1/2)) are shared by
     all trials, and g^6 is formed as (g^2)^3 (numpy's `g ** 6` takes a
-    slow path for negative bases).  The best trial ratio found is about
-    0.7 (1-D n=256, 2-D n=32), so the search returns 1.1.
+    slow path for negative bases).  The trials use seed 0; with seeds 0-19
+    the best ratio is 0.33-0.79 (1-D n=256, 2-D n=32), so it returns 1.1.
     """
     # the constant field attains ratio 1 on a unit-measure domain
-    return 1.1 * max([1.0, *_sobolev_ratios(grid, seed)])
+    return 1.1 * max([1.0, *_sobolev_ratios(grid, 0)])
 
 
 @dataclass
@@ -442,8 +442,7 @@ def compute_chain(ledger: ConstantLedger, T: float) -> ConstantLedger:
 
 def build_ledger(grid: Grid, params: WeightParams, a0: np.ndarray,
                  b0: np.ndarray, B0: float, k0: float, k_sup: float,
-                 d1: float, d2: float, T: float,
-                 seed: int = 0) -> ConstantLedger:
+                 d1: float, d2: float, T: float) -> ConstantLedger:
     """End-to-end ledger construction for one configuration."""
     led = ConstantLedger(d1=d1, d2=d2, k0=k0, B0=B0)
     led.provenance["d1"] = led.provenance["d2"] = "configuration"
@@ -456,7 +455,7 @@ def build_ledger(grid: Grid, params: WeightParams, a0: np.ndarray,
     led.Cp = 1.0 / neumann_eigenvalue_1(grid)
     led.provenance["Cp"] = ("1/lambda_1, smallest nonzero Neumann "
                             "eigenvalue of the grid operator")
-    led.C_Sob = compute_sobolev_constant(grid, seed)
+    led.C_Sob = compute_sobolev_constant(grid)
     led.provenance["C_Sob"] = ("randomized Rayleigh-ratio maximization "
                                "with 1.1 safety factor")
     led.K0 = compute_K0(grid, a0, b0, k_sup)

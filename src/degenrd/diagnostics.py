@@ -47,25 +47,22 @@ class TraceSeries:
 
 def nearest_index(times: np.ndarray, t: float) -> int | None:
     """Index of the entry of `times` nearest t; None when it is further
-    than 1e-9 + 1e-6*max(1, |t|) from t."""
+    than 1e-9 + 1e-6*max(1, |t|) from t, or `times` is empty."""
+    if not times.size:
+        return None
     i = int(np.argmin(np.abs(times - t)))
     return i if abs(times[i] - t) <= 1e-9 + 1e-6 * max(1.0, abs(t)) else None
 
 
-def fit_decay_rate(series: TraceSeries, channel: str,
-                   window: tuple[float, float] | None = None) -> dict:
+def fit_decay_rate(series: TraceSeries, channel: str) -> dict:
     """Least-squares exponential-decay fit of a positive channel.
 
-    Fits log(channel) = intercept - rate * t on the window (defaults to the
-    run with the first 10% transient dropped) and returns
-    {rate, intercept, r_squared}.
+    Fits log(channel) = intercept - rate * t on the run with the first 10%
+    transient dropped and returns {rate, intercept, r_squared}.
     """
     t = series.times
     y = series[channel]
-    if window is None:
-        window = (t[0] + 0.1 * (t[-1] - t[0]), t[-1])
-    lo, hi = window
-    mask = (t >= lo - 1e-12) & (t <= hi + 1e-12)
+    mask = t >= t[0] + 0.1 * (t[-1] - t[0]) - 1e-12
     if np.count_nonzero(mask) < 10:
         raise ValueError("fit window must contain at least 10 samples")
     if np.any(y[mask] <= 0):

@@ -194,9 +194,7 @@ class SimConfig:
     dt: float | None = None
     t_end: float = 10.0
     record_stride: float = 0.05
-    save_fields: bool = True
     field_stride: float = 0.25
-    seed: int = 0
 
     def __post_init__(self):
         """Reject what the stepper cannot run, naming the config key."""
@@ -218,13 +216,6 @@ class SimConfig:
                 raise ValueError(
                     f"{key} = {value!r} exceeds half of stepper.t_end = "
                     f"{self.t_end!r}")
-        if isinstance(self.seed, bool) or not isinstance(self.seed, int) \
-                or self.seed < 0:
-            raise ValueError(
-                f"stepper.seed must be an integer >= 0; got {self.seed!r}")
-        if not isinstance(self.save_fields, bool):
-            raise ValueError(f"stepper.save_fields must be true or false; "
-                             f"got {self.save_fields!r}")
 
 
 def init_state(grid: Grid, config: SimConfig) -> tuple[np.ndarray, float]:
@@ -262,7 +253,7 @@ class Stepper:
     def __init__(self, grid: Grid, dt: float, d1: float, d2: float):
         import scipy.sparse as sp
         import scipy.sparse.linalg
-        self.grid, self.dt = grid, dt
+        self.dt = dt
         eye = sp.identity(grid.ncells, format="csc")
         L = grid.laplacian.tocsc()
         self.solve = []
@@ -375,13 +366,17 @@ def run(config: SimConfig, grid: Grid | None = None) -> RunResult:
 
     # every snapshot is a record: records are spaced by the longest stride
     # up to record_stride that field_stride is a whole multiple of
-    stride, per_snap = config.record_stride, 1
-    if config.save_fields:
-        per_snap = math.ceil(config.field_stride / stride - 1e-9)
-        if abs(per_snap * stride - config.field_stride) \
-                > 1e-9 * config.field_stride:
-            stride = config.field_stride / per_snap
+    stride = config.record_stride
+    per_snap = math.ceil(config.field_stride / stride - 1e-9)
+    if abs(per_snap * stride - config.field_stride) \
+            > 1e-9 * config.field_stride:
+        stride = config.field_stride / per_snap
     dt = config.dt if config.dt is not None else default_dt(grid, config, *u)
+    if not config.t_end / 2.0 ** 52 < dt:     # t += dt would stall
+        key = "stepper.dt" if config.dt is not None else "the stability " \
+            f"bound of catalyst.k_max = {config.catalyst.k_max:g} (default k0)"
+        raise ConfigError(f"{key}: dt = {dt:g} needs over 2**52 steps to "
+                          f"reach stepper.t_end = {config.t_end:g}")
     rec_every = max(1, round(stride / dt))
     dt = stride / rec_every if config.dt is None else dt
     nsteps = max(1, round(config.t_end / dt))
@@ -396,7 +391,7 @@ def run(config: SimConfig, grid: Grid | None = None) -> RunResult:
     stepper = Stepper(grid, dt, config.d1, config.d2)
     ball = ball_mask(grid, config.catalyst.x0, config.catalyst.r)
     profile = config.catalyst.profile(grid)
-    snap_every = per_snap * rec_every if config.save_fields else None
+    snap_every = per_snap * rec_every
 
     times, rows, snap_times, snapshots = [], [], [], []
 
@@ -404,7 +399,7 @@ def run(config: SimConfig, grid: Grid | None = None) -> RunResult:
         k = config.catalyst.at(profile, t)
         times.append(t)
         rows.append(_record(grid, config, u[0], u[1], k, ball))
-        if snap_every and (n % snap_every == 0 or n == nsteps):
+        if n % snap_every == 0 or n == nsteps:
             snap_times.append(t)
             snapshots.append(u)             # `step` returns a new array
 

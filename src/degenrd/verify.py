@@ -146,19 +146,17 @@ def _frequency_trace_checks(run: RunResult, ft, ledger,
     """Inequalities along the frequency trace with ledger constants."""
     out = [CheckResult(
         "frequency_growth",
-        "finite-difference N'(t) never exceeds its certified growth bound"
-        if ledger is not None else
-        "frequency function evaluated (no ledger: growth bound not "
-        "checked)", -float(len(ft.flags)), 0.5)]
+        "finite-difference N'(t) never exceeds its certified growth bound",
+        -float(len(ft.flags)), 0.5)]
     n2 = ft.norm2_values
     scale = max(float(np.max(n2)), _FLOOR)
-    if params.s <= (ledger.s2 if ledger is not None else 1.0):
+    if params.s <= ledger.s2:
         out.append(CheckResult(
             "sym_form_nonnegative",
             "the symmetric tilted form is nonnegative below the smallness "
             "threshold",
             float(np.min(ft.Sff_values)) / scale, 1e-9))
-    if ledger is None or ft.times.size < 5:
+    if ft.times.size < 5:
         return out
     # tilted energy identity: (1/2) d/dt ||f||^2 + <Sf,f> = <source, f>
     dn2 = centered_derivative(ft.times, n2)
@@ -195,25 +193,23 @@ def _frequency_trace_checks(run: RunResult, ft, ledger,
 
 def audit(run: RunResult, ledger=None, params: WeightParams | None = None
           ) -> list[dict]:
-    """Full audit of one run; returns serializable entries.
+    """Audit of one run; returns serializable entries.
 
-    Always performs the conservation/monotonicity checks.  With a ledger the
-    decay, contraction, and dissipation checks are added; with weight
-    parameters the tilted-form residuals and the frequency-trace bounds;
-    with both, the observation estimate and the interpolation window.
-    Every check is one `CheckResult`.
+    Quick, `audit(run)`: the conservation/monotonicity checks alone.  Full,
+    `audit(run, ledger, params)`: those, then the decay, contraction and
+    dissipation checks, the tilted-form residuals, the frequency-trace
+    bounds, the observation estimate and the interpolation window.  Every
+    check is one `CheckResult`.
     """
     checks = list(solver_checks(run))
     if ledger is not None:
         checks += [decay_certificate_check(run, ledger),
                    theta_contraction_check(run, ledger),
                    beta1_chain_check(run, ledger)]
-    if params is not None:
         wf = weight_fields(params, run.grid)
         ft = frequency_trace(run, wf, ledger)
-        checks += tilted_form_checks(run, ft, wf)
-        checks += _frequency_trace_checks(run, ft, ledger, params)
-    if params is not None and ledger is not None:
-        checks += [observation_estimate_check(run, params, ledger),
+        checks += [*tilted_form_checks(run, ft, wf),
+                   *_frequency_trace_checks(run, ft, ledger, params),
+                   observation_estimate_check(run, params, ledger),
                    interpolation_window_check(run, params, ledger)]
     return [c.as_dict() for c in checks]

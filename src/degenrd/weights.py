@@ -39,7 +39,7 @@ class WeightParams:
              the center itself is (x0_abs, 0, ..., 0).
     r      : radius of the observation ball, with x0_abs + r < R.
     s      : tilt strength in (0, 1].
-    h      : terminal time-shift in (0, 1].
+    h      : terminal time-shift in (0, 1], with h**2 > 0 in floats.
     T      : terminal time (> 0).
     dim    : ambient dimension (1 or 2).
     """
@@ -61,8 +61,9 @@ class WeightParams:
                              "0 < r and weights.x0_abs + r < R")
         if not 0 < self.s <= 1:
             raise ValueError("weights.s must lie in (0, 1]")
-        if not 0 < self.h <= 1:
-            raise ValueError("weights.h must lie in (0, 1]")
+        if not (0 < self.h <= 1 and self.h ** 2 > 0):
+            raise ValueError("weights.h must lie in (0, 1], with h**2 > 0 "
+                             f"in double precision; got {self.h!r}")
         if not self.T > 0:
             raise ValueError("weights.T must be positive")
 

@@ -56,8 +56,7 @@ def _heat_rate_error(res: int, dt: float) -> float:
     cfg = SimConfig(dim=1, resolution=res, dt=dt, t_end=0.5,
                     record_stride=4 * dt,
                     catalyst=CatalystSpec(kind="constant", k0=0.0),
-                    initial=InitialSpec(kind="cosine", amplitude=0.3),
-                    save_fields=False)
+                    initial=InitialSpec(kind="cosine", amplitude=0.3))
     fit = fit_decay_rate(run(cfg).trace, "l2_dist")
     return fit["rate"] / 2.0 - math.pi ** 2   # signed field-rate error
 
@@ -82,8 +81,7 @@ def _energy_residual(res: int, dt: float, stride: float) -> float:
                     record_stride=stride,
                     catalyst=CatalystSpec(kind="bump", k0=1.0, x0=0.25,
                                           r=0.1),
-                    initial=InitialSpec(kind="cosine", amplitude=0.3),
-                    save_fields=False)
+                    initial=InitialSpec(kind="cosine", amplitude=0.3))
     r = run(cfg)
     # compare over a window common to both refinement levels (the first
     # interior sample sits at a resolution-dependent time otherwise)
@@ -290,8 +288,7 @@ def test_criterion_10_shrinking_support(tmp_path):
         "grid": {"resolution": 128},
         "catalyst": {"kind": "bump", "k0": 1.0, "x0": 0.25, "r": 0.1},
         "initial": {"kind": "cosine", "amplitude": 0.3},
-        "stepper": {"t_end": 6.0, "record_stride": 0.05,
-                    "save_fields": False},
+        "stepper": {"t_end": 6.0, "record_stride": 0.05},
     }
     cfg_path = tmp_path / "c.json"
     cfg_path.write_text(json.dumps(cfg))
@@ -305,7 +302,7 @@ def test_criterion_10_shrinking_support(tmp_path):
     full = run(SimConfig(dim=1, resolution=128,
                          catalyst=CatalystSpec(kind="constant", k0=1.0),
                          initial=InitialSpec(kind="cosine", amplitude=0.3),
-                         t_end=6.0, record_stride=0.05, save_fields=False))
+                         t_end=6.0, record_stride=0.05))
     rates.insert(0, fit_decay_rate(full.trace, "l2_dist")["rate"])
     ok = code == 0 and all(r > 0 for r in rates)
     _report(10, "exponential decay survives shrinking catalyst support",

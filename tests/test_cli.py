@@ -70,7 +70,8 @@ def test_trace_columns_documented(run_dir):
 
 def test_config_keys_documented():
     """Every key the parser accepts has a row in its section's table in
-    docs/config_schema.md; a combined row such as `x0`, `r` counts."""
+    docs/config_schema.md, and every key in such a table is accepted; a
+    combined row such as `x0`, `r` counts."""
     doc = (Path(__file__).resolve().parents[1] / "docs"
            / "config_schema.md").read_text(encoding="utf-8")
     documented = {}
@@ -83,6 +84,9 @@ def test_config_keys_documented():
     assert [f"{section}.{key}" for section, keys in _SECTIONS.items()
             for key in sorted(keys)
             if key not in documented.get(section, ())] == []
+    assert [f"{section}.{key}" for section, keys in documented.items()
+            for key in sorted(keys)
+            if key not in _SECTIONS.get(section, ())] == []
 
 
 def test_simulate_bitwise_idempotent(cfg_path, tmp_path):
@@ -179,6 +183,10 @@ def test_bad_resolution_rejected_at_parse(tmp_path, capsys, resolution):
     ("stepper", "seed", 1.5),
     ("stepper", "seed", -1),
     ("stepper", "save_fields", "no"),
+    # deleted keys: a seed that changed no output, and a false save_fields
+    # that left a run no full verify could read
+    ("stepper", "seed", 0),
+    ("stepper", "save_fields", False),
     ("stepper", "field_stride", 0),
     ("stepper", "field_stride", -0.25),
     # numbers of the other sections: each of these ended in a raw
@@ -190,6 +198,8 @@ def test_bad_resolution_rejected_at_parse(tmp_path, capsys, resolution):
     ("weights", "s", "abc"),
     ("weights", "h", [1]),
     ("catalyst", "r", True),
+    # h**2 underflowed to 0, and a full verify divided by it
+    ("weights", "h", 1e-300),
     # integers beyond double range ended in an OverflowError traceback
     ("catalyst", "r", 10 ** 400),
     ("stepper", "t_end", 10 ** 400),
@@ -230,6 +240,12 @@ def test_bad_stepper_value_rejected_at_parse(tmp_path, capsys, section, key,
     ("initial", {"kind": "gaussian", "floor": -1.0}, "initial.floor"),
     ("initial", {"kind": "constant", "value_a": 0.0}, "initial.value_a"),
     ("stepper", {"dt": 0.5}, "stepper.dt"),
+    # a step the clock t += dt cannot reach t_end with: the stable step
+    # underflowed to 0 (a ZeroDivisionError), or over 2**52 steps (a run
+    # that never ended)
+    ("catalyst", {"k0": 1e308}, "catalyst.k_max"),
+    ("catalyst", {"k0": 1e200}, "catalyst.k_max"),
+    ("stepper", {"dt": 1e-300}, "stepper.dt"),
 ], ids=str)
 def test_config_error_before_first_step_names_key(tmp_path, capsys, section,
                                                   update, key):
@@ -262,9 +278,13 @@ def test_half_t_end_strides_accepted(tmp_path):
 
 
 @pytest.mark.parametrize("command", ["simulate", "sweep", "constants"])
-def test_unusable_output_path_exits_1(cfg_path, tmp_path, capsys, command):
+def test_unusable_output_path_exits_1(cfg_path, tmp_path, capsys,
+                                      monkeypatch, command):
     """An output path that is a file (or, for `constants`, a directory)
-    exits 1 with a one-line error naming it."""
+    exits 1 with a one-line error naming it, before any simulation or
+    ledger is computed."""
+    monkeypatch.setattr("degenrd.cli.run_sim", None)
+    monkeypatch.setattr("degenrd.cli.build_ledger", None)
     out = tmp_path / "taken"
     if command == "constants":
         out.mkdir()
@@ -321,7 +341,6 @@ def _simulated(tmp_path, stepper, weights):
 
 @pytest.mark.parametrize("stepper,weights,key", [
     ({"t_end": 1.0}, {"T": 1.0}, "weights.T"),        # T-L = 0.875
-    ({"save_fields": False}, {}, "stepper.save_fields"),
     ({"t_end": 0.5}, {"T": 0.5}, "0.375, 0.4375")])   # T-2L, T-L
 def test_verify_without_needed_snapshots_exits_1(tmp_path, capsys,
                                                  monkeypatch, stepper,
@@ -335,6 +354,22 @@ def test_verify_without_needed_snapshots_exits_1(tmp_path, capsys,
     assert err.startswith("error: ") and "\n" not in err
     assert key in err
     assert main(["verify", str(out), "--quick"]) == 0
+
+
+def test_verify_of_a_run_without_snapshots_exits_1(run_dir, capsys,
+                                                   monkeypatch):
+    """A fields.npz that holds no snapshot gives the same one line, naming
+    every time a full verify reads."""
+    npz = dict(np.load(run_dir / "fields.npz"))
+    for name in ("times", "a", "b"):
+        npz[name] = npz[name][:0]
+    np.savez(run_dir / "fields.npz", **npz)
+    monkeypatch.setattr("degenrd.cli.build_ledger", None)
+    capsys.readouterr()
+    assert main(["verify", str(run_dir)]) == 1
+    err = capsys.readouterr().err.strip()
+    assert err.startswith("error: ") and "\n" not in err
+    assert "none near t = [0.0, 1.0, 1.5, 1.75, 2.0]" in err
 
 
 @pytest.mark.parametrize("quick", [True, False], ids=["quick", "full"])
@@ -372,7 +407,8 @@ def test_verify_rejects_corrupt_run_files(run_dir, capsys, name, corrupt):
     capsys.readouterr()
     assert main(["verify", str(run_dir), "--quick"]) == 2
     err = capsys.readouterr().err.strip()
-    assert name in err and "\n" not in err
+    assert re.match(rf"error: \S*{re.escape(name)} is malformed \(", err)
+    assert "\n" not in err
 
 
 @pytest.mark.parametrize("record_stride", [0.15, 0.4])

@@ -94,13 +94,15 @@ def _loop_sobolev_ratios(grid, seed):
 @pytest.mark.parametrize("dim,n", [(1, 256), (2, 16), (2, 32)], ids=str)
 def test_sobolev_trials_match_the_mode_loop(dim, n, seed):
     """Every trial ratio matches the written-out loop to rounding (only g^6
-    is formed differently), and no trial beats the constant field."""
+    is formed differently), and no trial of either seed beats the constant
+    field, so the constant is 1.1 whatever the seed."""
     grid = build_grid(Domain(dim), n)
     ref = np.array(_loop_sobolev_ratios(grid, seed))
     got = np.array(_sobolev_ratios(grid, seed))
     assert got.shape == ref.shape == (SOBOLEV_TRIALS,)
     assert np.max(np.abs(got - ref) / ref) <= 1e-15
-    assert compute_sobolev_constant(grid, seed) == 1.1
+    assert got.max() < 1.0
+    assert compute_sobolev_constant(grid) == 1.1
 
 
 # ---------------------------------------------------------------------------

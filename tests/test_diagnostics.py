@@ -67,9 +67,9 @@ def test_fit_scale_invariance():
 
 def test_fit_window_and_positivity_errors():
     t = np.linspace(0, 1, 51)
-    s = _series(t, y=np.exp(-t))
+    short = _series(t[:10], y=np.exp(-t[:10]))
     with pytest.raises(ValueError):
-        fit_decay_rate(s, "y", window=(0.0, 0.05))   # too few samples
+        fit_decay_rate(short, "y")          # 9 samples past the first 10%
     bad = _series(t, y=np.exp(-t) - 0.5)
     with pytest.raises(ValueError):
         fit_decay_rate(bad, "y")

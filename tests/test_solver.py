@@ -99,8 +99,7 @@ def test_single_mode_per_step_factor_exact():
 
 def test_heat_decay_rate_oracle():
     cfg = _cfg(resolution=256, dt=1e-3, t_end=1.0, record_stride=0.01,
-               catalyst=CatalystSpec(kind="constant", k0=0.0),
-               save_fields=False)
+               catalyst=CatalystSpec(kind="constant", k0=0.0))
     r = run(cfg)
     fit = fit_decay_rate(r.trace, "l2_dist")
     assert fit["r_squared"] > 1 - 1e-10

@@ -93,15 +93,6 @@ def test_diagnostics_audit_wrapper(ref_run):
                                                     "l2_monotone"}
 
 
-def test_audit_without_ledger_skips_chain_checks(ref_run, ref_params):
-    entries = audit(ref_run, None, ref_params)
-    ids = {e["invariant_id"] for e in entries}
-    assert "decay_certificate" not in ids
-    assert "observation_estimate" not in ids
-    assert "antisymmetric_residual" in ids
-    assert all(e["pass"] for e in entries)
-
-
 def test_degenerate_catalyst_skips_beta1(ref_audit):
     entry = next(e for e in ref_audit
                  if e["invariant_id"] == "beta1_dissipation")
@@ -114,11 +105,9 @@ def test_full_catalyst_runs_beta1(ref_ledger):
                     catalyst=CatalystSpec(kind="constant", k0=1.0),
                     initial=InitialSpec(kind="cosine", amplitude=0.3),
                     t_end=4.0, record_stride=0.05, field_stride=0.25)
-    entries = audit(run(cfg), ref_ledger)
-    entry = next(e for e in entries
-                 if e["invariant_id"] == "beta1_dissipation")
-    assert "skipped" not in entry["reference"]
-    assert entry["pass"]
+    check = beta1_chain_check(run(cfg), ref_ledger)
+    assert "skipped" not in check.reference
+    assert check.passed
 
 
 def _beta1_margin_from_snapshots(r, ledger):
