@@ -11,7 +11,6 @@ import argparse
 import csv
 import json
 import sys
-from concurrent.futures import ProcessPoolExecutor
 from contextlib import contextmanager
 from pathlib import Path
 from zipfile import BadZipFile
@@ -25,7 +24,7 @@ from .diagnostics import TraceSeries, fit_decay_rate, nearest_index, \
     solver_checks
 from .grid import build_grid, Domain
 from .logconv import InterpInput, interp_check, read_times
-from .solver import RunResult, init_state, run as run_sim
+from .solver import RunResult, init_state, run as run_sim, step_plan
 from .verify import audit
 
 EXIT_OK, EXIT_USAGE, EXIT_NUMERICAL, EXIT_INVARIANT = 0, 1, 2, 3
@@ -210,6 +209,7 @@ def cmd_constants(args) -> int:
     out = args.output and _output(args.output, directory=False)
     grid = build_grid(Domain(rc.sim.dim), rc.sim.resolution)
     u, B0 = init_state(grid, rc.sim)
+    step_plan(grid, rc.sim, u)               # the config must simulate
     ledger = _ledger(rc, grid, u, B0)
     doc = {"format_version": FORMAT_VERSION, "ledger": ledger.as_json()}
     text = json.dumps(doc, indent=2, sort_keys=True)
@@ -281,6 +281,7 @@ def cmd_sweep(args) -> int:
     # the pool starts all its workers at once: no more than there are points
     jobs = min(args.jobs, len(values))
     if jobs > 1:
+        from concurrent.futures import ProcessPoolExecutor
         with ProcessPoolExecutor(max_workers=jobs) as pool:
             results = list(pool.map(_sweep_one, payloads))
     else:

@@ -1,7 +1,8 @@
 """The explicit-constant chain: from sampled geometry to a decay certificate.
 
-Every named constant of the analysis is computed here, stored with a
-provenance string describing exactly how it was produced, and kept in a
+Every named constant of the analysis is computed here and stored as one
+ledger `Entry`: its value, its log, its method (input, exact, closed form
+or sampled) and a provenance string naming its inputs, kept in a
 representation that survives the enormous dynamic range of the chain:
 ordinary floats where possible, arbitrary-exponent mpmath values for the
 multiplied-out exponentials, and natural-log form for quantities whose
@@ -23,6 +24,7 @@ import numpy as np
 
 from ._xmath import DPS, logaddexp, to_float, fmt
 from .grid import Grid, dirichlet_energy, integrate, neumann_eigenvalue_1
+from .solver import ConfigError
 from .weights import (WeightParams, GeometryConstants, geometry_constants,
                       eval_psi, eval_grad_psi, eval_hess_psi, eval_lap_psi,
                       eval_grad_lap_psi, _sample_points)
@@ -31,11 +33,25 @@ SOBOLEV_TRIALS = 300        # random trial fields of the Sobolev search
 DERIVATIVE_SAMPLES = 20001  # scan size of the sampled derivative maxima
 
 
+def _finite(name: str, formula) -> float:
+    """formula() in float64; ConfigError naming catalyst.k_max, which sets
+    K0 and through it C1, when the value leaves double range."""
+    try:
+        value = formula()
+    except OverflowError:
+        value = math.inf
+    if not math.isfinite(value):
+        raise ConfigError(f"catalyst.k_max is too large for the constant "
+                          f"ledger: {name} overflows double precision")
+    return value
+
+
 def compute_K0(grid: Grid, a0: np.ndarray, b0: np.ndarray,
                k_sup: float) -> float:
     """Data bound K0 = max((4*int(a0^3+b0^3)+4)^(2/3), 32*sup(k)^2)."""
     cubic = integrate(grid, a0 ** 3 + b0 ** 3)
-    return max((4.0 * cubic + 4.0) ** (2.0 / 3.0), 32.0 * k_sup ** 2)
+    return _finite("K0", lambda: max((4.0 * cubic + 4.0) ** (2.0 / 3.0),
+                                     32.0 * k_sup ** 2))
 
 
 def _sobolev_ratios(grid: Grid, seed: int) -> list[float]:
@@ -90,123 +106,63 @@ def compute_sobolev_constant(grid: Grid) -> float:
     return 1.1 * max([1.0, *_sobolev_ratios(grid, 0)])
 
 
+METHODS = ("input", "exact", "closed form", "sampled")
+# the ledger attributes that read an entry's log
+_LOGS = {"ln_M_ell_bound": "M_ell_bound", "ln_K_ell": "K_ell",
+         "log_beta": "beta", "ln_theta": "theta"}
+
+
+@dataclass(frozen=True)
+class Entry:
+    """One ledger constant: its value (float, mpf where it can leave double
+    range, or None when only the log is kept), its natural log (the log of
+    an mpf value at `DPS`; None for a plain float), how the entry itself
+    was produced (one of METHODS) and its provenance, naming its inputs."""
+
+    value: float | mp.mpf | None
+    log: mp.mpf | float | None
+    method: str
+    provenance: str
+
+
 @dataclass
 class ConstantLedger:
-    """All named constants of the chain, with provenance strings.
+    """All named constants of the chain: one `Entry` per constant, filled
+    in order by the stages of `build_ledger`, over the weight geometry
+    behind the `geometry.*` entries.
 
-    Scalar magnitudes that can exceed double range (ell, M_ell, D_ell,
-    mu2, mu3, c, M) are mpmath floats; beta and the interpolation
-    prefactor are stored as natural logs (log_beta, ln_K_ell) because
-    their own exponents exceed double range.
+    Values read as attributes (`ledger.C1`), logs as the names in _LOGS.
+    beta's value is 0.0 whenever log_beta is below double range (the exact
+    exponent integer would not fit in memory); theta < 1 and beta > 0 are
+    certified by the finiteness of log_beta even when the floats round to
+    1.0 and 0.0.
     """
 
-    # inputs / environment
-    d1: float = float("nan")
-    d2: float = float("nan")
-    k0: float = float("nan")
-    B0: float = float("nan")
-    T: float = float("nan")
-    # geometry
-    geometry: GeometryConstants | None = None
-    # functional-analytic constants
-    Cp: float = float("nan")
-    C_Sob: float = float("nan")
-    K0: float = float("nan")
-    # commutator / smallness chain
-    C2: float = float("nan")
-    C3: float = float("nan")
-    C4: float = float("nan")
-    C5: float = float("nan")
-    C6: float = float("nan")
-    C7: float = float("nan")
-    s0: float = float("nan")
-    s1: float = float("nan")
-    s2: float = float("nan")
-    C0: float = float("nan")
-    C1: float = float("nan")
-    # interpolation chain
-    ell: mp.mpf | None = None
-    h_chain: mp.mpf | None = None
-    M_ell: mp.mpf | None = None
-    ln_M_ell_bound: mp.mpf | None = None
-    D_ell: mp.mpf | None = None
-    ln_K_ell: mp.mpf | None = None
-    mu2: mp.mpf | None = None
-    mu3: mp.mpf | None = None
-    c: mp.mpf | None = None
-    M: mp.mpf | None = None
-    # decay certificate
-    beta1: float = float("nan")
-    log_beta: mp.mpf | None = None
-    provenance: dict = field(default_factory=dict)
+    geometry: GeometryConstants
+    entries: dict[str, Entry] = field(default_factory=dict)
 
-    # -- derived decay-certificate quantities ------------------------------
-    @property
-    def beta(self) -> float:
-        """Decay rate beta = |ln theta|/2.
+    def put(self, name: str, value, method: str, provenance: str,
+            log=None):
+        """Add the entry `name`; returns `value`."""
+        if log is None and isinstance(value, mp.mpf):
+            with mp.workdps(DPS):
+                log = mp.log(value)
+        self.entries[name] = Entry(value, log, method, provenance)
+        return value
 
-        Certified positive through the finiteness of log_beta; the float
-        value underflows to 0.0 whenever log_beta is below double range
-        (exponentiating such logs exactly is deliberately avoided — the
-        exact exponent integer would not fit in memory).
-        """
-        if self.log_beta < -745:
-            return 0.0
-        return to_float(mp.e ** self.log_beta)
+    def __getattr__(self, name):
+        entry = self.__dict__.get("entries", {}).get(_LOGS.get(name, name))
+        if entry is None:
+            raise AttributeError(name)
+        return entry.log if name in _LOGS else entry.value
 
-    @property
-    def ln_theta(self) -> float:
-        """ln theta = -2*beta; strictly negative in exact arithmetic."""
-        return -2.0 * self.beta
-
-    @property
-    def theta(self) -> float:
-        """Two-step contraction factor; strictly below 1 in exact
-        arithmetic by finiteness of log_beta, even when float rounding
-        returns 1.0."""
-        return math.exp(self.ln_theta)
-
-    @property
-    def gamma(self) -> float:
-        return math.exp(-self.ln_theta)
-
-    def geometry_params(self) -> dict:
-        return self.geometry.as_dict() if self.geometry else {}
-
-    @mp.workdps(DPS)                    # the logs at working precision
+    @mp.workdps(DPS)                    # fmt renders at working precision
     def as_json(self) -> dict:
-        ent = {}
-
-        def put(name, value, log_value=None):
-            ent[name] = {
-                "value": to_float(value) if value is not None else None,
-                "log": fmt(log_value) if log_value is not None else None,
-                "provenance": self.provenance.get(name, ""),
-            }
-
-        for name in ("d1", "d2", "k0", "B0", "T", "Cp", "C_Sob", "K0",
-                     "C2", "C3", "C4", "C5", "C6", "C7",
-                     "s0", "s1", "s2", "C0", "C1", "beta1"):
-            put(name, getattr(self, name))
-        for name, val in self.geometry_params().items():
-            put(f"geometry.{name}", val)
-        if self.ell is not None:
-            put("ell", self.ell, mp.log(self.ell))
-            put("h_chain", self.h_chain, mp.log(self.h_chain))
-            put("M_ell", self.M_ell, mp.log(self.M_ell))
-            put("M_ell_bound", None, self.ln_M_ell_bound)
-            put("D_ell", self.D_ell, mp.log(self.D_ell))
-            put("K_ell", None, self.ln_K_ell)
-            put("mu0", self.geometry.mu0)
-            put("mu1", self.geometry.mu1)
-            put("mu2", self.mu2, mp.log(self.mu2))
-            put("mu3", self.mu3, mp.log(self.mu3))
-            put("c", self.c, mp.log(self.c))
-            put("M", self.M, mp.log(self.M))
-            put("beta", self.beta, self.log_beta)
-            put("theta", self.theta, self.ln_theta)
-            put("gamma", self.gamma, -self.ln_theta)
-        return ent
+        return {name: {"value": None if e.value is None
+                       else to_float(e.value),
+                       "log": None if e.log is None else fmt(e.log),
+                       "method": e.method, "provenance": e.provenance}
+                for name, e in self.entries.items()}
 
 
 def _sampled_derivative_maxima(params: WeightParams) -> dict:
@@ -234,42 +190,40 @@ def compute_analysis_constants(ledger: ConstantLedger,
     with no displayed formula are sampled derivative maxima combined by the
     same Young-inequality steps as the analysis, recorded in provenance.
     """
-    g = ledger.geometry
+    g, put = ledger.geometry, ledger.put
     d_max = max(ledger.d1, ledger.d2)
     d_min = min(ledger.d1, ledger.d2)
     m = _sampled_derivative_maxima(params)
-    prov = ledger.provenance
 
-    ledger.C4 = m["max_lap"]
-    prov["C4"] = "sampled max |lap psi| over closed ball * 1.05"
-    ledger.C2 = d_max * (m["max_hess"] + m["max_grad_lap"])
-    prov["C2"] = ("max(d) * (sampled max |hess psi| + sampled max "
-                  "|grad lap psi|), 1.05 safety on each factor")
-    ledger.C3 = ledger.C2 * max(2.5, 0.5 * d_max)
-    prov["C3"] = ("C2 * max(5/2, max(d)/2): Young split of the gradient "
-                  "commutator terms")
-    ledger.C5 = max(d_max * ledger.C4, (d_max * ledger.C4) ** 2)
-    prov["C5"] = "max(max(d)*C4, (max(d)*C4)^2): boundary-term bound"
-    ledger.s0 = min(1.0, 2.0 / (g.c1 * d_max))
-    prov["s0"] = ("min(1, 2/(c1*max(d))): makes every multiplier eta_i "
-                  "nonpositive via the gradient-value bound c1")
-    ledger.s1 = (3.0 / 8.0) / (0.5 * d_max * m["max_hess"] + ledger.C5)
-    prov["s1"] = "(3/8) / (max(d)*max|hess psi|/2 + C5)"
-    ledger.s2 = min(ledger.s0, ledger.s1,
-                    1.0 / (ledger.C3 + ledger.C5), g.c2 / d_min)
-    prov["s2"] = "min(s0, s1, 1/(C3+C5), c2/min(d))"
-    ledger.C0 = 1.0 - d_min * ledger.s2 / (4.0 * g.c2)
-    prov["C0"] = "1 - min(d)*s2/(4*c2)"
-    ledger.C6 = m["max_psi"] + d_max * m["max_grad_sq"]
-    prov["C6"] = "max|psi| + max(d)*max|grad psi|^2 (sampled, 1.05 safety)"
-    ledger.C7 = d_max * ledger.C6 / (g.c2 * g.c3 ** 2)
-    prov["C7"] = "max(d)*C6/(c2*c3^2)"
-    ledger.C1 = max(1.0, ledger.C3 + ledger.C5 + ledger.C7,
-                    4.0 * ledger.K0 * (1.0 + ledger.K0 * ledger.C_Sob),
-                    4.0 * ledger.K0 ** 2 * ledger.C_Sob / d_min)
-    prov["C1"] = ("max(1, C3+C5+C7, 4*K0*(1+K0*C_Sob), "
-                  "4*K0^2*C_Sob/min(d))")
-    if ledger.s2 <= 0 or not 0.0 < ledger.C0 < 1.0:
+    C4 = put("C4", m["max_lap"], "sampled",
+             "sampled max |lap psi| over closed ball * 1.05")
+    C2 = put("C2", d_max * (m["max_hess"] + m["max_grad_lap"]), "sampled",
+             "max(d) * (sampled max |hess psi| + sampled max "
+             "|grad lap psi|), 1.05 safety on each factor")
+    C3 = put("C3", C2 * max(2.5, 0.5 * d_max), "closed form",
+             "C2 * max(5/2, max(d)/2): Young split of the gradient "
+             "commutator terms")
+    C5 = put("C5", max(d_max * C4, (d_max * C4) ** 2), "closed form",
+             "max(max(d)*C4, (max(d)*C4)^2): boundary-term bound")
+    s0 = put("s0", min(1.0, 2.0 / (g.c1 * d_max)), "closed form",
+             "min(1, 2/(c1*max(d))): makes every multiplier eta_i "
+             "nonpositive via the gradient-value bound c1")
+    s1 = put("s1", (3.0 / 8.0) / (0.5 * d_max * m["max_hess"] + C5),
+             "sampled", "(3/8) / (max(d)*max|hess psi|/2 + C5)")
+    s2 = put("s2", min(s0, s1, 1.0 / (C3 + C5), g.c2 / d_min),
+             "closed form", "min(s0, s1, 1/(C3+C5), c2/min(d))")
+    C0 = put("C0", 1.0 - d_min * s2 / (4.0 * g.c2), "closed form",
+             "1 - min(d)*s2/(4*c2)")
+    C6 = put("C6", m["max_psi"] + d_max * m["max_grad_sq"], "sampled",
+             "max|psi| + max(d)*max|grad psi|^2 (sampled, 1.05 safety)")
+    C7 = put("C7", d_max * C6 / (g.c2 * g.c3 ** 2), "closed form",
+             "max(d)*C6/(c2*c3^2)")
+    K0, C_Sob = ledger.K0, ledger.C_Sob
+    put("C1", _finite("C1", lambda: max(
+        1.0, C3 + C5 + C7, 4.0 * K0 * (1.0 + K0 * C_Sob),
+        4.0 * K0 ** 2 * C_Sob / d_min)), "closed form",
+        "max(1, C3+C5+C7, 4*K0*(1+K0*C_Sob), 4*K0^2*C_Sob/min(d))")
+    if s2 <= 0 or not 0.0 < C0 < 1.0:
         raise ValueError("inconsistent geometry sampling: s2 or C0 out of "
                          "range")
     return ledger
@@ -361,23 +315,20 @@ def compute_chain(ledger: ConstantLedger, T: float) -> ConstantLedger:
     solve.
     """
     with mp.workdps(DPS):
-        g = ledger.geometry
-        prov = ledger.provenance
+        g, put = ledger.geometry, ledger.put
         C0, C1 = mp.mpf(ledger.C0), mp.mpf(ledger.C1)
         mu0, mu1 = mp.mpf(g.mu0), mp.mpf(g.mu1)
-        ledger.T = float(T)
-        prov["T"] = "certificate horizon (configuration)"
+        put("T", float(T), "input",
+            "certificate horizon (configuration)")
 
-        ell = ledger.ell = _select_ell(mu0, mu1, C0, C1)
-        prov["ell"] = (
-            "smallest window multiplier with mu1*(1+Mbar)/(ell+1) <= mu0/2; "
-            "log-space asymptotic solve (condition verified at the "
-            "reported value)")
+        ell = put("ell", _select_ell(mu0, mu1, C0, C1), "closed form",
+                  "smallest window multiplier with geometry.mu1*(1+Mbar)/"
+                  "(ell+1) <= geometry.mu0/2; log-space asymptotic solve "
+                  "(condition verified at the reported value)")
 
         L = window_length(T)
-        h = L / ell
-        ledger.h_chain = h
-        prov["h_chain"] = "min(1/(2*ell), T/(4*ell))/2"
+        h = put("h_chain", L / ell, "closed form",
+                "min(1/(2*ell), T/(4*ell))/2")
 
         # M_ell = 3 * J1/J2 with J_k integrals of exp(-C1 tau)(tau+h)^-1-C0.
         # J1 by dominant balance: substituting tau = h*u gives
@@ -390,53 +341,60 @@ def compute_chain(ledger: ConstantLedger, T: float) -> ConstantLedger:
                  + mp.log(1 - (1 + ell) ** -C0))
         ln_j2 = ln_time_integral(C0, C1, h, L, 2 * L)
         ln_M = mp.log(3) + ln_j1 - ln_j2
-        ledger.M_ell = mp.e ** ln_M
-        prov["M_ell"] = ("3 * ratio of weighted time integrals over "
-                         "[T-ell*h, T] and [T-2*ell*h, T-ell*h]: the "
-                         "second in closed form (upper incomplete gamma "
-                         "function), the first by dominant balance")
-        ledger.ln_M_ell_bound = _ln_mbar(mp.log(ell + 1), C0, C1)
-        prov["M_ell_bound"] = "3*e^C1*(ell+1)^C0/(1-(2/3)^C0)"
-        if ln_M > ledger.ln_M_ell_bound:
+        M_ell = put("M_ell", mp.e ** ln_M, "closed form",
+                    "3 * ratio of weighted time integrals over "
+                    "[T-ell*h, T] and [T-2*ell*h, T-ell*h]: the "
+                    "second in closed form (upper incomplete gamma "
+                    "function), the first by dominant balance")
+        ln_bound = _ln_mbar(mp.log(ell + 1), C0, C1)
+        put("M_ell_bound", None, "closed form",
+            "3*e^C1*(ell+1)^C0/(1-(2/3)^C0)", log=ln_bound)
+        if ln_M > ln_bound:
             raise ValueError("M_ell exceeds its closed-form bound; "
                              "geometry sampling inconsistent")
 
-        one_plus_M = 1 + ledger.M_ell
-        ledger.D_ell = 3 * C1 * one_plus_M * (1 + 2 * ell + 8 * ell ** 2)
-        prov["D_ell"] = "3*C1*(1+M_ell)*(1+2*ell+8*ell^2)"
-        ledger.ln_K_ell = ln_prefactor(ledger.D_ell, C0, one_plus_M,
-                                       2 * ell + 1)
-        prov["K_ell"] = "exp(D_ell) * (2*ell+1)^(3*C0*(1+M_ell)) (log form)"
+        one_plus_M = 1 + M_ell
+        D_ell = put("D_ell",
+                    3 * C1 * one_plus_M * (1 + 2 * ell + 8 * ell ** 2),
+                    "closed form", "3*C1*(1+M_ell)*(1+2*ell+8*ell^2)")
+        ln_K = ln_prefactor(D_ell, C0, one_plus_M, 2 * ell + 1)
+        put("K_ell", None, "closed form",
+            "exp(D_ell) * (2*ell+1)^(3*C0*(1+M_ell)) (log form)", log=ln_K)
 
         s2 = mp.mpf(ledger.s2)
-        ledger.mu2 = 2 * ell * s2 * mu0
-        prov["mu2"] = ("2*ell*s2*mu0: dominates s2*mu0*(ell + 2*ell/T) for "
-                       "the large-h branch of the observation estimate")
-        ledger.mu3 = max(ledger.mu2, one_plus_M * mp.log(2) + ledger.ln_K_ell)
-        prov["mu3"] = "max(mu2, (1+M_ell)*ln 2 + ln K_ell)"
-        ledger.c = 2 * ledger.mu3 + mp.log(4)
-        prov["c"] = "2*mu3 + ln 4 (prefactor exponent, h optimized out)"
-        ledger.M = 1 + 2 * ledger.M_ell
-        prov["M"] = "1 + 2*M_ell (final interpolation exponent)"
-        if not (ledger.c > 1 and ledger.M > 1):
+        mu2 = put("mu2", 2 * ell * s2 * mu0, "closed form",
+                  "2*ell*s2*geometry.mu0: dominates s2*mu0*(ell + 2*ell/T) "
+                  "for the large-h branch of the observation estimate")
+        mu3 = put("mu3", max(mu2, one_plus_M * mp.log(2) + ln_K),
+                  "closed form", "max(mu2, (1+M_ell)*ln 2 + ln K_ell)")
+        c = put("c", 2 * mu3 + mp.log(4), "closed form",
+                "2*mu3 + ln 4 (prefactor exponent, h optimized out)")
+        M = put("M", 1 + 2 * M_ell, "closed form",
+                "1 + 2*M_ell (final interpolation exponent)")
+        if not (c > 1 and M > 1):
             raise ValueError("chain outputs must satisfy c > 1 and M > 1")
 
-        ledger.beta1 = max(ledger.Cp / (2 * ledger.d1),
-                           ledger.Cp / (2 * ledger.d2),
-                           1.0 / (8.0 * ledger.B0 * ledger.k0))
-        prov["beta1"] = "max(Cp/(2*d1), Cp/(2*d2), 1/(8*B0*k0))"
+        Cp = ledger.Cp
+        beta1 = put("beta1", max(Cp / (2 * ledger.d1), Cp / (2 * ledger.d2),
+                                 1.0 / (8.0 * ledger.B0 * ledger.k0)),
+                    "closed form", "max(Cp/(2*d1), Cp/(2*d2), 1/(8*B0*k0))")
 
         # theta = (1/(1 + e^{-2c} M / beta1))^(1/M); with z the log of the
         # small term, beta = log1p(e^z)/(2M), kept in log form.
-        z = -2 * ledger.c + mp.log(ledger.M) - mp.log(mp.mpf(ledger.beta1))
+        z = -2 * c + mp.log(M) - mp.log(mp.mpf(beta1))
         if z < -50:
-            ledger.log_beta = z - mp.log(2 * ledger.M)
+            log_beta = z - mp.log(2 * M)
         else:
-            ledger.log_beta = mp.log(mp.log1p(mp.e ** z) / (2 * ledger.M))
-        prov["beta"] = ("|ln theta|/2 with theta = (1/(1+e^(-2c)*M/"
-                        "beta1))^(1/M); stored as natural log")
-        prov["theta"] = "exp(-2*beta)"
-        prov["gamma"] = "1/theta"
+            log_beta = mp.log(mp.log1p(mp.e ** z) / (2 * M))
+        beta = 0.0 if log_beta < -745 else to_float(mp.e ** log_beta)
+        put("beta", beta, "closed form",
+            "|ln theta|/2 with theta = (1/(1+e^(-2c)*M/beta1))^(1/M); "
+            "stored as natural log", log=log_beta)
+        ln_theta = -2.0 * beta
+        put("theta", math.exp(ln_theta), "closed form", "exp(-2*beta)",
+            log=ln_theta)
+        put("gamma", math.exp(-ln_theta), "closed form", "1/theta",
+            log=-ln_theta)
     return ledger
 
 
@@ -444,23 +402,41 @@ def build_ledger(grid: Grid, params: WeightParams, a0: np.ndarray,
                  b0: np.ndarray, B0: float, k0: float, k_sup: float,
                  d1: float, d2: float, T: float) -> ConstantLedger:
     """End-to-end ledger construction for one configuration."""
-    led = ConstantLedger(d1=d1, d2=d2, k0=k0, B0=B0)
-    led.provenance["d1"] = led.provenance["d2"] = "configuration"
-    led.provenance["k0"] = "catalyst floor on the observation ball"
-    led.provenance["B0"] = "cellwise min of the normalized initial data"
-    led.geometry = geometry_constants(params)
-    for k in ("c01", "c02", "c1", "c2", "c3", "rho", "mu0", "mu1"):
-        led.provenance[f"geometry.{k}"] = \
-            "sampled extremal ratio, 1.05 safety factor"
-    led.Cp = 1.0 / neumann_eigenvalue_1(grid)
-    led.provenance["Cp"] = ("1/lambda_1, smallest nonzero Neumann "
-                            "eigenvalue of the grid operator")
-    led.C_Sob = compute_sobolev_constant(grid)
-    led.provenance["C_Sob"] = ("randomized Rayleigh-ratio maximization "
-                               "with 1.1 safety factor")
-    led.K0 = compute_K0(grid, a0, b0, k_sup)
-    led.provenance["K0"] = \
-        "max((4*int(a0^3+b0^3)+4)^(2/3), 32*sup(k)^2)"
+    led = ConstantLedger(geometry_constants(params))
+    put, g = led.put, led.geometry
+    put("d1", d1, "input", "configuration")
+    put("d2", d2, "input", "configuration")
+    put("k0", k0, "input", "catalyst floor on the observation ball")
+    put("B0", B0, "exact", "cellwise min of the normalized initial data")
+    probe = f"on the closed ball sampled at resolution {g.probe_resolution}"
+    put("geometry.c01", g.c01, "sampled",
+        f"min of (psi(x0)-psi)/|grad psi|^2 near x0, and its limit at x0, "
+        f"{probe}, / 1.05")
+    put("geometry.c02", g.c02, "sampled",
+        f"max of (psi(x0)-psi)/|grad psi|^2 near x0, and its limit at x0, "
+        f"{probe}, * 1.05")
+    put("geometry.c1", g.c1, "sampled",
+        f"max of |grad phi_i|^2/|phi_i|, and its limit at x0, {probe}, "
+        f"* 1.05")
+    put("geometry.c2", g.c2, "sampled",
+        f"max of |phi_i|/|grad phi_i|^2 on |x| >= geometry.rho (phi1 also "
+        f"inside), and the pinch limit at x0, {probe}, * 1.05")
+    put("geometry.c3", g.c3, "sampled",
+        f"min of 2*psi on |x| < geometry.rho, {probe}, / 1.05")
+    put("geometry.rho", g.rho, "closed form",
+        "(|x0| + R)/2: inner radius of the outer annulus")
+    put("geometry.mu0", g.mu0, "sampled",
+        f"min of psi(x0)-psi outside the observation ball B(x0, r), "
+        f"{probe}, / 1.05")
+    put("geometry.mu1", g.mu1, "closed form",
+        "psi(x0) = 2*|x0|*R = sup(-phi1)")
+    put("Cp", 1.0 / neumann_eigenvalue_1(grid), "exact",
+        "1/lambda_1, smallest nonzero Neumann eigenvalue of the grid "
+        "operator")
+    put("C_Sob", compute_sobolev_constant(grid), "sampled",
+        "randomized Rayleigh-ratio maximization with 1.1 safety factor")
+    put("K0", compute_K0(grid, a0, b0, k_sup), "closed form",
+        "max((4*int(a0^3+b0^3)+4)^(2/3), 32*sup(k)^2)")
     compute_analysis_constants(led, params)
     compute_chain(led, T)
     return led

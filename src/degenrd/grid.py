@@ -270,10 +270,12 @@ def neumann_eigenvalue_1(grid: Grid) -> float:
     2-D: lam is the smaller of mode 0's second eigenvalue (its first is 0)
     and mode 1's first (`_ring_mode`; eigenvalues rise with m up to
     ntheta/2).  The mode's eigenvector comes from one solve shifted by its
-    eigenvalue, and lam is its Rayleigh quotient on the full grid, exact to
-    rounding where the dense eigenvalue is off by eps * lam_max / lam
-    (2e-12 at n=128).  `eigh` is not used: its eigenvector path took
-    16-48 ms at n = 32-64 under OpenBLAS's default threading (2-core host).
+    eigenvalue (moved off it by 1e-12 relative where that is singular in
+    floats, as at n = 11), and lam is its Rayleigh quotient on the full
+    grid, exact to rounding where the dense eigenvalue is off by
+    eps * lam_max / lam (2e-12 at n=128).  `eigh` is not used: its
+    eigenvector path took 16-48 ms at n = 32-64 under OpenBLAS's default
+    threading (2-core host).
     Raises RuntimeError when a solve fails or the eigenpair fails its
     residual check on the full grid, with A applied face by face.
     """
@@ -290,7 +292,12 @@ def neumann_eigenvalue_1(grid: Grid) -> float:
             w0, w1 = (np.linalg.eigvalsh(H) for H, _ in modes)
             m, mu = (0, w0[1]) if w0[1] <= w1[0] else (1, w1[0])
             H, w = modes[m]
-            y = w * np.linalg.solve(H - mu * np.eye(w.size), np.ones(w.size))
+            shifted, one = H - mu * np.eye(w.size), np.ones(w.size)
+            try:
+                y = w * np.linalg.solve(shifted, one)
+            except np.linalg.LinAlgError:   # mu is exact to the last bit
+                y = w * np.linalg.solve(shifted - 1e-12 * mu * np.eye(w.size),
+                                        one)
         except np.linalg.LinAlgError as exc:
             raise RuntimeError(f"eigenvalue solve failed: {exc}") from exc
         if m == 0:

@@ -289,6 +289,44 @@ def default_dt(grid: Grid, config: SimConfig, a, b) -> float:
     return min(stability_dt(config, a, b), 0.5 * grid.spacing)
 
 
+def step_plan(grid: Grid, config: SimConfig,
+              u: np.ndarray) -> tuple[float, int, int, int]:
+    """(dt, nsteps, rec_every, snap_every) of a run from the state u at
+    t = 0.  Raises ConfigError naming the key when dt needs over 2**52
+    steps to reach t_end, or when a set stepper.dt exceeds the t = 0
+    stability bound."""
+    # every snapshot is a record: records are spaced by the longest stride
+    # up to record_stride that field_stride is a whole multiple of
+    stride = config.record_stride
+    per_snap = math.ceil(config.field_stride / stride - 1e-9)
+    if abs(per_snap * stride - config.field_stride) \
+            > 1e-9 * config.field_stride:
+        stride = config.field_stride / per_snap
+    dt = config.dt if config.dt is not None else default_dt(grid, config, *u)
+    if not config.t_end / 2.0 ** 52 < dt:     # t += dt would stall
+        key = "stepper.dt" if config.dt is not None else "the stability " \
+            f"bound of catalyst.k_max = {config.catalyst.k_max:g} (default k0)"
+        raise ConfigError(f"{key}: dt = {dt:g} needs over 2**52 steps to "
+                          f"reach stepper.t_end = {config.t_end:g}")
+    rec_every = max(1, round(stride / dt))
+    if config.dt is None:
+        # a and b stay in the invariant rectangle [0, max u]^2, so the
+        # stability bound with a + b = 2*max u holds at every step
+        bound = stability_dt(config, u.max(), u.max())
+        if stride / rec_every > bound:
+            rec_every = math.ceil(stride / bound)
+        dt = stride / rec_every
+    nsteps = max(1, round(config.t_end / dt))
+    if abs(nsteps * dt - config.t_end) > 1e-9 * config.t_end:
+        nsteps = math.ceil(config.t_end / dt - 1e-12)
+        dt = config.t_end / nsteps
+        rec_every = max(1, round(stride / dt))
+    if config.dt is not None and dt > stability_dt(config, *u) * (1 + 1e-12):
+        raise ConfigError("stepper.dt exceeds the explicit-reaction "
+                          "stability bound at t = 0; reduce it")
+    return dt, nsteps, rec_every, per_snap * rec_every
+
+
 _SIGN = np.array([[1.0], [-1.0]])   # the reaction adds to a, takes from b
 
 
@@ -363,35 +401,11 @@ def run(config: SimConfig, grid: Grid | None = None) -> RunResult:
     if grid is None:
         grid = build_grid(Domain(config.dim), config.resolution)
     u, B0 = init_state(grid, config)
-
-    # every snapshot is a record: records are spaced by the longest stride
-    # up to record_stride that field_stride is a whole multiple of
-    stride = config.record_stride
-    per_snap = math.ceil(config.field_stride / stride - 1e-9)
-    if abs(per_snap * stride - config.field_stride) \
-            > 1e-9 * config.field_stride:
-        stride = config.field_stride / per_snap
-    dt = config.dt if config.dt is not None else default_dt(grid, config, *u)
-    if not config.t_end / 2.0 ** 52 < dt:     # t += dt would stall
-        key = "stepper.dt" if config.dt is not None else "the stability " \
-            f"bound of catalyst.k_max = {config.catalyst.k_max:g} (default k0)"
-        raise ConfigError(f"{key}: dt = {dt:g} needs over 2**52 steps to "
-                          f"reach stepper.t_end = {config.t_end:g}")
-    rec_every = max(1, round(stride / dt))
-    dt = stride / rec_every if config.dt is None else dt
-    nsteps = max(1, round(config.t_end / dt))
-    if abs(nsteps * dt - config.t_end) > 1e-9 * config.t_end:
-        nsteps = math.ceil(config.t_end / dt - 1e-12)
-        dt = config.t_end / nsteps
-        rec_every = max(1, round(stride / dt))
-    if config.dt is not None and dt > stability_dt(config, *u) * (1 + 1e-12):
-        raise ConfigError("stepper.dt exceeds the explicit-reaction "
-                          "stability bound at t = 0; reduce it")
+    dt, nsteps, rec_every, snap_every = step_plan(grid, config, u)
 
     stepper = Stepper(grid, dt, config.d1, config.d2)
     ball = ball_mask(grid, config.catalyst.x0, config.catalyst.r)
     profile = config.catalyst.profile(grid)
-    snap_every = per_snap * rec_every
 
     times, rows, snap_times, snapshots = [], [], [], []
 

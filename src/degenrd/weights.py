@@ -211,7 +211,8 @@ def weight_fields(params: WeightParams, grid: Grid) -> WeightFields:
 
 @dataclass(frozen=True)
 class GeometryConstants:
-    """Sampled geometric constants of the weight, with 1.05 safety margin.
+    """Geometric constants of the weight: the sampled ones with a 1.05
+    safety margin, at probe resolution `probe_resolution`.
 
     c01, c02 : two-sided pinch  c01*|grad psi|^2 <= psi(x0)-psi
                <= c02*|grad psi|^2 near x0.
@@ -219,7 +220,8 @@ class GeometryConstants:
     c2       : |phi_i| <= c2*|grad phi_i|^2 on the outer annulus
                (and for phi1 on its complement).
     c3       : phi3 - phi1 <= -c3 off the outer annulus (c3 = min of 2*psi).
-    rho      : inner radius of the outer annulus, (|x0| + R)/2.
+    rho      : inner radius of the outer annulus, (|x0| + R)/2 (closed
+               form).
     mu0      : phi1 <= -mu0 outside the observation ball.
     mu1      : sup(-phi1) = psi(x0) = 2|x0|R (closed form).
     """
@@ -233,11 +235,6 @@ class GeometryConstants:
     mu0: float
     mu1: float
     probe_resolution: int
-
-    def as_dict(self) -> dict:
-        return {k: getattr(self, k) for k in
-                ("c01", "c02", "c1", "c2", "c3", "rho", "mu0", "mu1",
-                 "probe_resolution")}
 
 
 def _sample_points(params: WeightParams, m: int) -> np.ndarray:

@@ -262,6 +262,63 @@ def test_config_error_before_first_step_names_key(tmp_path, capsys, section,
     assert not out.exists()
 
 
+def test_default_dt_stays_under_the_stability_bound(tmp_path):
+    """With d1 != d2, max(a + b) grows past its t = 0 value; the default
+    step is bounded with a + b <= 2*max(a0, b0), so the run does not trip
+    the step's own stability guard (it exited 2, asking to reduce a dt
+    that was never set)."""
+    doc = {"domain": {"dim": 1}, "grid": {"resolution": 12},
+           "physics": {"d1": 1.0, "d2": 2.0},
+           "catalyst": {"kind": "bump", "k0": 5.0},
+           "initial": {"kind": "cosine"},
+           "stepper": {"t_end": 1.0, "record_stride": 0.05},
+           "weights": {"T": 1.0}}
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(doc))
+    out = tmp_path / "run"
+    assert main(["simulate", str(cfg), "-o", str(out)]) == 0
+    assert json.loads((out / "summary.json").read_text())["dt"] == 0.025
+
+
+def _k_max_config(tmp_path, k0, **stepper):
+    doc = json.loads(Path("configs/degenerate_bump.json").read_text())
+    doc["grid"]["resolution"] = 32
+    doc["catalyst"]["k0"] = k0
+    doc["stepper"].update({"t_end": 2.0, **stepper})
+    doc["weights"]["T"] = doc["stepper"]["t_end"]
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(doc))
+    return cfg
+
+
+def _one_line_naming(capsys, key):
+    err = capsys.readouterr().err.strip()
+    return err.startswith("error: ") and "\n" not in err and key in err
+
+
+@pytest.mark.parametrize("k0", [1e75, 1e100, 1e150, 1e308])
+def test_constants_rejects_a_huge_catalyst(tmp_path, capsys, k0):
+    """`constants` applies the step budget `simulate` does: a ceiling
+    whose stable step needs over 2**52 steps exits 1 naming it."""
+    assert main(["constants", str(_k_max_config(tmp_path, k0))]) == 1
+    assert _one_line_naming(capsys, "catalyst.k_max")
+
+
+def test_ledger_overflow_exits_1(tmp_path, capsys):
+    """A horizon short enough for the step budget still leaves K0 out of
+    double range: `constants` and a full verify exit 1 naming
+    catalyst.k_max."""
+    cfg = _k_max_config(tmp_path, 1e200, t_end=1e-199,
+                        record_stride=2e-200, field_stride=2.5e-200)
+    out = tmp_path / "run"
+    with np.errstate(all="ignore"):
+        assert main(["simulate", str(cfg), "-o", str(out)]) == 0
+    for argv in (["constants", str(cfg)], ["verify", str(out)]):
+        capsys.readouterr()
+        assert main(argv) == 1
+        assert _one_line_naming(capsys, "catalyst.k_max")
+
+
 def test_half_t_end_strides_accepted(tmp_path):
     """The largest accepted dt and record_stride give three samples."""
     doc = json.loads(json.dumps(CFG))
@@ -605,9 +662,10 @@ def test_sweep_rejects_unknown_param(cfg_path, tmp_path):
 
 @pytest.fixture()
 def pool_sizes(monkeypatch):
-    """Replaces the sweep's ProcessPoolExecutor with one that maps in this
+    """Replaces the sweep's ProcessPoolExecutor, which `cmd_sweep` imports
+    from concurrent.futures when it runs, with one that maps in this
     process, so no worker process starts; returns its max_workers list."""
-    import degenrd.cli as cli
+    import concurrent.futures
     sizes = []
 
     class InlinePool:
@@ -623,7 +681,8 @@ def pool_sizes(monkeypatch):
         def map(self, fn, items):
             return map(fn, items)
 
-    monkeypatch.setattr(cli, "ProcessPoolExecutor", InlinePool)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor",
+                        InlinePool)
     return sizes
 
 

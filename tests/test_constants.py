@@ -19,9 +19,10 @@ import numpy as np
 import pytest
 
 from degenrd._xmath import DPS
-from degenrd.constants import (SOBOLEV_TRIALS, build_ledger, compute_K0,
-                               compute_sobolev_constant, ln_time_integral,
-                               _sobolev_ratios)
+from degenrd.config import ConfigError
+from degenrd.constants import (METHODS, SOBOLEV_TRIALS, build_ledger,
+                               compute_K0, compute_sobolev_constant,
+                               ln_time_integral, _sobolev_ratios)
 from degenrd.grid import Domain, build_grid, dirichlet_energy, integrate
 from degenrd.weights import eval_lap_psi
 
@@ -256,7 +257,38 @@ def test_ledger_logs_at_working_precision(ref_ledger):
 
 def test_every_constant_has_provenance(ref_ledger):
     for name, ent in ref_ledger.as_json().items():
-        if name in ("M_ell_bound", "mu0", "mu1",
-                    "geometry.probe_resolution"):
-            continue
         assert ent["provenance"], f"missing provenance for {name}"
+        assert ent["method"] in METHODS, name
+
+
+def test_ledger_methods_and_no_duplicates(ref_ledger):
+    """Each entry says how it was produced; the geometry's closed forms
+    are not labelled as samples, the sampled entries name the probe
+    resolution, and mu0, mu1 and the sample count are not entries of
+    their own."""
+    doc = ref_ledger.as_json()
+    method = {name: ent["method"] for name, ent in doc.items()}
+    for name in ("d1", "d2", "k0", "T"):
+        assert method[name] == "input", name
+    assert method["B0"] == method["Cp"] == "exact"
+    assert method["geometry.mu1"] == method["geometry.rho"] == "closed form"
+    sampled = {"C_Sob", "C2", "C4", "C6", "s1", "geometry.c01",
+               "geometry.c02", "geometry.c1", "geometry.c2", "geometry.c3",
+               "geometry.mu0"}
+    assert {n for n, m in method.items() if m == "sampled"} == sampled
+    probe = str(ref_ledger.geometry.probe_resolution)
+    for name in sampled:
+        if name.startswith("geometry."):
+            assert probe in doc[name]["provenance"], name
+    assert not {"mu0", "mu1", "geometry.probe_resolution"} & set(doc)
+    assert doc["geometry.mu1"]["value"] == ref_ledger.geometry.mu1
+
+
+@pytest.mark.parametrize("k_sup,name", [(1e80, "C1"), (1e200, "K0")])
+def test_ledger_overflow_names_k_max(ref_run, ref_params, k_sup, name):
+    """A catalyst ceiling whose K0 or C1 leaves double range is a config
+    error naming catalyst.k_max, not an OverflowError."""
+    a0, b0 = ref_run.snapshots[0]
+    with pytest.raises(ConfigError, match=rf"catalyst\.k_max.*{name}"):
+        build_ledger(ref_run.grid, ref_params, a0, b0, ref_run.B0, k0=1.0,
+                     k_sup=k_sup, d1=1.0, d2=1.0, T=10.0)

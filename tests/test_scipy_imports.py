@@ -204,11 +204,13 @@ print(seen)
 
 
 def test_sweep_loads_scipy_before_the_pool(tmp_path):
+    """A sweep loads scipy before its pool starts; importing the CLI loads
+    neither scipy nor the process pool, which only `cmd_sweep` imports."""
     (tmp_path / "c.json").write_text(json.dumps(CFG))
     code = f"""
 import sys
 import degenrd.cli as cli
-seen = [{_SCIPY}]
+seen = [{_SCIPY}, "concurrent.futures.process" in sys.modules]
 class InlinePool:
     def __init__(self, max_workers):
         seen.append("scipy.sparse.linalg" in sys.modules)
@@ -218,9 +220,10 @@ class InlinePool:
         return False
     def map(self, fn, items):
         return map(fn, items)
-cli.ProcessPoolExecutor = InlinePool
+import concurrent.futures
+concurrent.futures.ProcessPoolExecutor = InlinePool
 assert cli.main(["sweep", "c.json", "--param", "k0", "--values", "0.5,1",
                  "-j", "2", "-o", "sweep"]) == 0
 print(seen)
 """
-    assert _python(code, tmp_path) == "[[], True]"
+    assert _python(code, tmp_path) == "[[], False, True]"

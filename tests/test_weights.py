@@ -246,6 +246,4 @@ def test_geometry_clause_bounds_hold_on_fresh_samples(geom):
 
 
 def test_geometry_constants_deterministic():
-    a = geometry_constants(P1).as_dict()
-    b = geometry_constants(P1).as_dict()
-    assert a == b
+    assert geometry_constants(P1) == geometry_constants(P1)
