@@ -247,8 +247,7 @@ _SWEEPABLE = {
 
 
 def _sweep_one(payload):
-    raw_json, out_dir, param, value = payload
-    rc = parse_config(json.loads(raw_json))
+    rc, out_dir, param, value = payload
     fit = save_run(run_sim(rc.sim), rc, Path(out_dir))["decay_fit"] \
         or {"rate": 0.0, "r_squared": 0.0}
     return {"param": param, "value": value, "beta_obs": fit["rate"],
@@ -268,16 +267,21 @@ def cmd_sweep(args) -> int:
         values = [float(v) for v in args.values.split(",")]
     except ValueError as exc:
         raise ConfigError(f"bad --values list: {exc}") from exc
+    points = []                              # every point parses first
+    for v in values:
+        raw = json.loads(json.dumps(rc.raw))
+        raw.setdefault(section, {})[key] = v
+        try:
+            points.append(parse_config(raw))
+        except ConfigError as exc:
+            raise ConfigError(f"sweep point {section}.{key} = {_g(v)}: "
+                              f"{exc}") from exc
     # imported once before the pool forks, not again in every worker
     import scipy.sparse.linalg  # noqa: F401
     out_root = Path(args.output)
     out_root.mkdir(parents=True, exist_ok=True)
-    payloads = []
-    for v in values:
-        raw = json.loads(json.dumps(rc.raw))
-        raw.setdefault(section, {})[key] = v
-        sub = out_root / f"{args.param}_{_g(v)}"
-        payloads.append((json.dumps(raw), str(sub), args.param, v))
+    payloads = [(point, str(out_root / f"{args.param}_{_g(v)}"),
+                 args.param, v) for point, v in zip(points, values)]
     # the pool starts all its workers at once: no more than there are points
     jobs = min(args.jobs, len(values))
     if jobs > 1:

@@ -9,9 +9,9 @@ multiplied-out exponentials, and natural-log form for quantities whose
 exponent itself leaves double range (the contraction defect beta, the
 interpolation prefactor K_ell).
 
-The chain is deliberately conservative: each constant is an upper (or
-lower, as appropriate) bound obtained from dense sampling with a safety
-factor, so every downstream inequality must hold for the reported values.
+The chain is meant to be conservative: each sampled constant is an extreme
+over dense samples with a safety factor, and C_Sob is the constant field's
+ratio with one.  Neither is a certified bound yet (ROADMAP items 6 and 7).
 """
 
 from __future__ import annotations
@@ -23,26 +23,25 @@ import mpmath as mp
 import numpy as np
 
 from ._xmath import DPS, logaddexp, to_float, fmt
-from .grid import Grid, dirichlet_energy, integrate, neumann_eigenvalue_1
+from .grid import Grid, integrate, neumann_eigenvalue_1
 from .solver import ConfigError
 from .weights import (WeightParams, GeometryConstants, geometry_constants,
                       eval_psi, eval_grad_psi, eval_hess_psi, eval_lap_psi,
                       eval_grad_lap_psi, _sample_points)
 
-SOBOLEV_TRIALS = 300        # random trial fields of the Sobolev search
 DERIVATIVE_SAMPLES = 20001  # scan size of the sampled derivative maxima
 
 
-def _finite(name: str, formula) -> float:
-    """formula() in float64; ConfigError naming catalyst.k_max, which sets
-    K0 and through it C1, when the value leaves double range."""
+def _finite(key: str, name: str, formula) -> float:
+    """formula() in float64; ConfigError naming the config key `key` that
+    drives constant `name` out of double range when it leaves it."""
     try:
         value = formula()
     except OverflowError:
         value = math.inf
     if not math.isfinite(value):
-        raise ConfigError(f"catalyst.k_max is too large for the constant "
-                          f"ledger: {name} overflows double precision")
+        raise ConfigError(f"{key} is too large for the constant ledger: "
+                          f"{name} overflows double precision")
     return value
 
 
@@ -50,60 +49,20 @@ def compute_K0(grid: Grid, a0: np.ndarray, b0: np.ndarray,
                k_sup: float) -> float:
     """Data bound K0 = max((4*int(a0^3+b0^3)+4)^(2/3), 32*sup(k)^2)."""
     cubic = integrate(grid, a0 ** 3 + b0 ** 3)
-    return _finite("K0", lambda: max((4.0 * cubic + 4.0) ** (2.0 / 3.0),
-                                     32.0 * k_sup ** 2))
-
-
-def _sobolev_ratios(grid: Grid, seed: int) -> list[float]:
-    """(int g^6)^(1/3) / (int g^2 + int |grad g|^2) for each trial field g
-    of `compute_sobolev_constant` whose denominator is not zero."""
-    rng = np.random.default_rng(seed)
-    n, nmodes = grid.ncells, 8
-    kpi = [k * math.pi for k in range(1, nmodes + 1)]
-    if grid.domain.dim == 1:
-        modes = [np.cos(kp * (grid.centers[:, 0] + 0.5)) for kp in kpi]
-    else:
-        x0, x1 = (np.ascontiguousarray(c) for c in grid.centers.T)
-        R = grid.domain.radius
-        p, q = np.empty(n), np.empty(n)
-    ratios = []
-    for _ in range(SOBOLEV_TRIALS):
-        coef = rng.standard_normal(nmodes + 1) / (1.0 + np.arange(nmodes + 1))
-        g = np.full(n, coef[0])
-        if grid.domain.dim == 1:
-            for c, mode in zip(coef[1:], modes):
-                g += c * mode
-        else:
-            angs = rng.uniform(0, 2 * math.pi, nmodes)
-            for c, kp, ang in zip(coef[1:], kpi, angs):
-                # c*cos(kp*(proj/R + 1)/2), proj = x . (cos ang, sin ang)
-                np.multiply(x0, math.cos(ang), out=p)
-                p += np.multiply(x1, math.sin(ang), out=q)
-                p /= R
-                p += 1.0
-                p *= kp
-                p /= 2
-                g += np.multiply(np.cos(p, out=p), c, out=p)
-        g2 = g * g
-        denom = integrate(grid, g2) + dirichlet_energy(grid, g)
-        if denom > 1e-300:
-            ratios.append(integrate(grid, g2 * g2 * g2) ** (1.0 / 3.0) / denom)
-    return ratios
+    return _finite("catalyst.k_max", "K0",
+                   lambda: max((4.0 * cubic + 4.0) ** (2.0 / 3.0),
+                               32.0 * k_sup ** 2))
 
 
 def compute_sobolev_constant(grid: Grid) -> float:
-    """Upper bound for the constant in (int g^6)^(1/3) <= C*(int g^2 +
-    int |grad g|^2).
+    """1.1 * the Rayleigh ratio (int g^6)^(1/3) / (int g^2 + int
+    |grad g|^2) of the constant field, which is 1 on a unit-measure domain.
 
-    Maximizes the discrete Rayleigh-type ratio over the constant field and
-    a randomized family of smooth low-mode trial fields, then applies a
-    1.1 safety factor.  The 1-D modes cos(k pi (x + 1/2)) are shared by
-    all trials, and g^6 is formed as (g^2)^3 (numpy's `g ** 6` takes a
-    slow path for negative bases).  The trials use seed 0; with seeds 0-19
-    the best ratio is 0.33-0.79 (1-D n=256, 2-D n=32), so it returns 1.1.
+    One sample of the ratio that the embedding H^1 in L^6 bounds, not a
+    certified bound (ROADMAP item 6): no field of a random low-mode search
+    ever beat the constant one.  `grid` is for the certified bound.
     """
-    # the constant field attains ratio 1 on a unit-measure domain
-    return 1.1 * max([1.0, *_sobolev_ratios(grid, 0)])
+    return 1.1
 
 
 METHODS = ("input", "exact", "closed form", "sampled")
@@ -193,6 +152,7 @@ def compute_analysis_constants(ledger: ConstantLedger,
     g, put = ledger.geometry, ledger.put
     d_max = max(ledger.d1, ledger.d2)
     d_min = min(ledger.d1, ledger.d2)
+    d_key = "physics.d1" if ledger.d1 >= ledger.d2 else "physics.d2"
     m = _sampled_derivative_maxima(params)
 
     C4 = put("C4", m["max_lap"], "sampled",
@@ -200,11 +160,13 @@ def compute_analysis_constants(ledger: ConstantLedger,
     C2 = put("C2", d_max * (m["max_hess"] + m["max_grad_lap"]), "sampled",
              "max(d) * (sampled max |hess psi| + sampled max "
              "|grad lap psi|), 1.05 safety on each factor")
-    C3 = put("C3", C2 * max(2.5, 0.5 * d_max), "closed form",
-             "C2 * max(5/2, max(d)/2): Young split of the gradient "
-             "commutator terms")
-    C5 = put("C5", max(d_max * C4, (d_max * C4) ** 2), "closed form",
-             "max(max(d)*C4, (max(d)*C4)^2): boundary-term bound")
+    C3 = put("C3", _finite(d_key, "C3", lambda: C2 * max(2.5, 0.5 * d_max)),
+             "closed form", "C2 * max(5/2, max(d)/2): Young split of the "
+             "gradient commutator terms")
+    C5 = put("C5", _finite(d_key, "C5", lambda: max(d_max * C4,
+                                                    (d_max * C4) ** 2)),
+             "closed form", "max(max(d)*C4, (max(d)*C4)^2): boundary-term "
+             "bound")
     s0 = put("s0", min(1.0, 2.0 / (g.c1 * d_max)), "closed form",
              "min(1, 2/(c1*max(d))): makes every multiplier eta_i "
              "nonpositive via the gradient-value bound c1")
@@ -216,16 +178,22 @@ def compute_analysis_constants(ledger: ConstantLedger,
              "1 - min(d)*s2/(4*c2)")
     C6 = put("C6", m["max_psi"] + d_max * m["max_grad_sq"], "sampled",
              "max|psi| + max(d)*max|grad psi|^2 (sampled, 1.05 safety)")
-    C7 = put("C7", d_max * C6 / (g.c2 * g.c3 ** 2), "closed form",
-             "max(d)*C6/(c2*c3^2)")
-    K0, C_Sob = ledger.K0, ledger.C_Sob
-    put("C1", _finite("C1", lambda: max(
-        1.0, C3 + C5 + C7, 4.0 * K0 * (1.0 + K0 * C_Sob),
-        4.0 * K0 ** 2 * C_Sob / d_min)), "closed form",
-        "max(1, C3+C5+C7, 4*K0*(1+K0*C_Sob), 4*K0^2*C_Sob/min(d))")
+    C7 = put("C7", _finite(d_key, "C7", lambda: d_max * C6
+                           / (g.c2 * g.c3 ** 2)),
+             "closed form", "max(d)*C6/(c2*c3^2)")
+    if s2 > 0 and C0 == 1.0:
+        raise ConfigError(
+            f"physics.d1 = {ledger.d1:g} and physics.d2 = {ledger.d2:g} "
+            f"round the constant ledger's C0 = 1 - min(d)*s2/(4*c2) to 1 "
+            f"in double precision")
     if s2 <= 0 or not 0.0 < C0 < 1.0:
         raise ValueError("inconsistent geometry sampling: s2 or C0 out of "
                          "range")
+    K0, C_Sob = ledger.K0, ledger.C_Sob
+    put("C1", _finite("catalyst.k_max", "C1", lambda: max(
+        1.0, C3 + C5 + C7, 4.0 * K0 * (1.0 + K0 * C_Sob),
+        4.0 * K0 ** 2 * C_Sob / d_min)), "closed form",
+        "max(1, C3+C5+C7, 4*K0*(1+K0*C_Sob), 4*K0^2*C_Sob/min(d))")
     return ledger
 
 
@@ -434,7 +402,8 @@ def build_ledger(grid: Grid, params: WeightParams, a0: np.ndarray,
         "1/lambda_1, smallest nonzero Neumann eigenvalue of the grid "
         "operator")
     put("C_Sob", compute_sobolev_constant(grid), "sampled",
-        "randomized Rayleigh-ratio maximization with 1.1 safety factor")
+        "1.1 * the Rayleigh ratio 1 of the constant field on a "
+        "unit-measure domain; not a certified bound (ROADMAP item 6)")
     put("K0", compute_K0(grid, a0, b0, k_sup), "closed form",
         "max((4*int(a0^3+b0^3)+4)^(2/3), 32*sup(k)^2)")
     compute_analysis_constants(led, params)

@@ -280,10 +280,11 @@ def test_default_dt_stays_under_the_stability_bound(tmp_path):
     assert json.loads((out / "summary.json").read_text())["dt"] == 0.025
 
 
-def _k_max_config(tmp_path, k0, **stepper):
+def _bump_config(tmp_path, k0=1.0, d1=1.0, **stepper):
     doc = json.loads(Path("configs/degenerate_bump.json").read_text())
     doc["grid"]["resolution"] = 32
     doc["catalyst"]["k0"] = k0
+    doc["physics"]["d1"] = d1
     doc["stepper"].update({"t_end": 2.0, **stepper})
     doc["weights"]["T"] = doc["stepper"]["t_end"]
     cfg = tmp_path / "cfg.json"
@@ -300,7 +301,7 @@ def _one_line_naming(capsys, key):
 def test_constants_rejects_a_huge_catalyst(tmp_path, capsys, k0):
     """`constants` applies the step budget `simulate` does: a ceiling
     whose stable step needs over 2**52 steps exits 1 naming it."""
-    assert main(["constants", str(_k_max_config(tmp_path, k0))]) == 1
+    assert main(["constants", str(_bump_config(tmp_path, k0))]) == 1
     assert _one_line_naming(capsys, "catalyst.k_max")
 
 
@@ -308,8 +309,8 @@ def test_ledger_overflow_exits_1(tmp_path, capsys):
     """A horizon short enough for the step budget still leaves K0 out of
     double range: `constants` and a full verify exit 1 naming
     catalyst.k_max."""
-    cfg = _k_max_config(tmp_path, 1e200, t_end=1e-199,
-                        record_stride=2e-200, field_stride=2.5e-200)
+    cfg = _bump_config(tmp_path, 1e200, t_end=1e-199,
+                       record_stride=2e-200, field_stride=2.5e-200)
     out = tmp_path / "run"
     with np.errstate(all="ignore"):
         assert main(["simulate", str(cfg), "-o", str(out)]) == 0
@@ -317,6 +318,22 @@ def test_ledger_overflow_exits_1(tmp_path, capsys):
         capsys.readouterr()
         assert main(argv) == 1
         assert _one_line_naming(capsys, "catalyst.k_max")
+
+
+@pytest.mark.parametrize("d1", [1e200, 1e150, 1e-30, 1e-300])
+def test_ledger_rejects_an_extreme_diffusivity(tmp_path, capsys, d1):
+    """A diffusivity that overflows C3 or C5, or rounds C0 to 1, is named:
+    `constants` exits 1 in one line (1e200 was an OverflowError traceback,
+    the others exit 2), and so does a full verify of a tiny one's run."""
+    cfg = _bump_config(tmp_path, d1=d1)
+    assert main(["constants", str(cfg)]) == 1
+    assert _one_line_naming(capsys, "physics.d1")
+    if d1 < 1:
+        out = tmp_path / "run"
+        assert main(["simulate", str(cfg), "-o", str(out)]) == 0
+        capsys.readouterr()
+        assert main(["verify", str(out)]) == 1
+        assert _one_line_naming(capsys, "physics.d1")
 
 
 def test_half_t_end_strides_accepted(tmp_path):
@@ -710,6 +727,26 @@ def test_sweep_rejects_nonpositive_jobs(pool_sizes, cfg_path, tmp_path,
     assert main(["sweep", str(cfg_path), "--param", "k0", "--values", "1",
                  "-j", jobs, "-o", str(out)]) == 1
     assert "--jobs" in capsys.readouterr().err
+    assert not out.exists() and pool_sizes == []
+
+
+@pytest.mark.parametrize("param,key", [("k0", "catalyst.k0"),
+                                       ("r", "weights.r")])
+def test_sweep_checks_every_point_first(pool_sizes, tmp_path, capsys, param,
+                                        key):
+    """A bad value anywhere in --values exits 1 naming its key and value
+    before any point runs or any directory is made (the valid 0.1 point
+    before it used to run in full and leave its directory)."""
+    doc = json.loads(json.dumps(CFG))
+    del doc["weights"]                       # weights.r defaults to r
+    cfg = tmp_path / "c.json"
+    cfg.write_text(json.dumps(doc))
+    out = tmp_path / "sweep"
+    assert main(["sweep", str(cfg), "--param", param, "--values", "0.1,-1",
+                 "-j", "1", "-o", str(out)]) == 1
+    err = capsys.readouterr().err.strip()
+    assert err.startswith("error: ") and "\n" not in err
+    assert key in err and "= -1:" in err
     assert not out.exists() and pool_sizes == []
 
 

@@ -13,6 +13,7 @@ Frozen oracles:
 """
 
 import math
+import re
 
 import mpmath as mp
 import numpy as np
@@ -20,9 +21,8 @@ import pytest
 
 from degenrd._xmath import DPS
 from degenrd.config import ConfigError
-from degenrd.constants import (METHODS, SOBOLEV_TRIALS, build_ledger,
-                               compute_K0, compute_sobolev_constant,
-                               ln_time_integral, _sobolev_ratios)
+from degenrd.constants import (METHODS, build_ledger, compute_K0,
+                               compute_sobolev_constant, ln_time_integral)
 from degenrd.grid import Domain, build_grid, dirichlet_energy, integrate
 from degenrd.weights import eval_lap_psi
 
@@ -55,6 +55,10 @@ def test_Cp_reference_value(ref_ledger):
 
 
 def test_sobolev_constant_lower_bound_and_random_audit(grid256):
+    """1.1 on every grid, the constant field's ratio 1 with the 1.1 factor,
+    and no random low-mode field of the 1-D grid exceeds it."""
+    for dim, n in ((1, 256), (2, 16), (2, 32)):
+        assert compute_sobolev_constant(build_grid(Domain(dim), n)) == 1.1
     C = compute_sobolev_constant(grid256)
     assert C >= 1.0  # attained by the constant field on unit measure
     rng = np.random.default_rng(101)
@@ -66,44 +70,6 @@ def test_sobolev_constant_lower_bound_and_random_audit(grid256):
         lhs = integrate(grid256, g ** 6) ** (1.0 / 3.0)
         rhs = C * (integrate(grid256, g * g) + dirichlet_energy(grid256, g))
         assert lhs <= rhs * (1 + 1e-10)
-
-
-def _loop_sobolev_ratios(grid, seed):
-    """The trial search written out mode by mode with `g ** 6`: the
-    reference for `_sobolev_ratios`, whose trial fields it draws alike."""
-    rng = np.random.default_rng(seed)
-    x = grid.centers
-    R = grid.domain.radius
-    ratios = []
-    for _ in range(SOBOLEV_TRIALS):
-        coef = rng.standard_normal(9) / (1.0 + np.arange(9))
-        g = np.full(grid.ncells, coef[0])
-        for k in range(1, 9):
-            if grid.domain.dim == 1:
-                g = g + coef[k] * np.cos(k * math.pi * (x[:, 0] + 0.5))
-            else:
-                ang = rng.uniform(0, 2 * math.pi)
-                proj = (x[:, 0] * math.cos(ang) + x[:, 1] * math.sin(ang))
-                g = g + coef[k] * np.cos(k * math.pi * (proj / R + 1.0) / 2)
-        denom = integrate(grid, g * g) + dirichlet_energy(grid, g)
-        if denom > 1e-300:
-            ratios.append(integrate(grid, g ** 6) ** (1.0 / 3.0) / denom)
-    return ratios
-
-
-@pytest.mark.parametrize("seed", [0, 1])
-@pytest.mark.parametrize("dim,n", [(1, 256), (2, 16), (2, 32)], ids=str)
-def test_sobolev_trials_match_the_mode_loop(dim, n, seed):
-    """Every trial ratio matches the written-out loop to rounding (only g^6
-    is formed differently), and no trial of either seed beats the constant
-    field, so the constant is 1.1 whatever the seed."""
-    grid = build_grid(Domain(dim), n)
-    ref = np.array(_loop_sobolev_ratios(grid, seed))
-    got = np.array(_sobolev_ratios(grid, seed))
-    assert got.shape == ref.shape == (SOBOLEV_TRIALS,)
-    assert np.max(np.abs(got - ref) / ref) <= 1e-15
-    assert got.max() < 1.0
-    assert compute_sobolev_constant(grid) == 1.1
 
 
 # ---------------------------------------------------------------------------
@@ -292,3 +258,17 @@ def test_ledger_overflow_names_k_max(ref_run, ref_params, k_sup, name):
     with pytest.raises(ConfigError, match=rf"catalyst\.k_max.*{name}"):
         build_ledger(ref_run.grid, ref_params, a0, b0, ref_run.B0, k0=1.0,
                      k_sup=k_sup, d1=1.0, d2=1.0, T=10.0)
+
+
+@pytest.mark.parametrize("d1,d2,key,name", [
+    (1e200, 1.0, "physics.d1", "C3"), (1.0, 2e152, "physics.d2", "C5"),
+    (1e150, 1.0, "physics.d1", "C0"), (1e-30, 1.0, "physics.d1", "C0"),
+    (1.0, 1e-300, "physics.d2", "C0")])
+def test_ledger_overflow_names_the_diffusivity(ref_run, ref_params, d1, d2,
+                                               key, name):
+    """A diffusivity that drives C3, C5 or C7 out of double range, or
+    rounds C0 = 1 - min(d)*s2/(4*c2) to 1, is a config error naming it."""
+    a0, b0 = ref_run.snapshots[0]
+    with pytest.raises(ConfigError, match=rf"{re.escape(key)}.*{name}"):
+        build_ledger(ref_run.grid, ref_params, a0, b0, ref_run.B0, k0=1.0,
+                     k_sup=1.0, d1=d1, d2=d2, T=10.0)

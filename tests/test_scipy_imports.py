@@ -8,7 +8,8 @@ it: `Grid.laplacian` (assembled on first access), `Stepper.__init__`
 parsing the config, before `solver.run` and before the sweep's pool forks
 its workers.  The verification layer (`constants`, `verify`, `logconv`,
 `weights`, `diagnostics`) loads none, so neither does any `verify` or
-`constants` run.
+`constants` run; nor do they load `numpy.random`, since the ledger draws
+no random numbers.
 """
 
 import ast
@@ -171,6 +172,7 @@ print({_SCIPY})
 
 
 def test_full_verify_and_constants_load_no_scipy(tmp_path):
+    """Neither loads scipy, and neither loads `numpy.random`."""
     from degenrd.cli import main
     cfg = tmp_path / "c.json"      # snapshots on the T/8 grid verify reads
     cfg.write_text(json.dumps(dict(CFG, stepper={
@@ -181,7 +183,7 @@ import sys
 from degenrd.cli import main
 assert main(["verify", "run"]) == 0
 assert main(["constants", "c.json", "-o", "ledger.json"]) == 0
-print({_SCIPY})
+print({_SCIPY} + [m for m in sys.modules if m.startswith("numpy.random")])
 """
     assert _python(code, tmp_path) == "[]"
 
