@@ -25,9 +25,8 @@ import numpy as np
 from ._xmath import DPS, logaddexp, to_float, fmt
 from .grid import Grid, integrate, neumann_eigenvalue_1
 from .solver import ConfigError
-from .weights import (WeightParams, GeometryConstants, geometry_constants,
-                      eval_psi, eval_grad_psi, eval_hess_psi, eval_lap_psi,
-                      eval_grad_lap_psi, _sample_points)
+from .weights import (WeightParams, GeometryConstants, PsiJet,
+                      geometry_constants, _sample_points)
 
 DERIVATIVE_SAMPLES = 20001  # scan size of the sampled derivative maxima
 
@@ -126,18 +125,16 @@ class ConstantLedger:
 
 def _sampled_derivative_maxima(params: WeightParams) -> dict:
     """Dense-scan maxima of psi and its derivatives over the closed ball."""
-    pts = _sample_points(params, DERIVATIVE_SAMPLES)
-    hess = np.atleast_3d(eval_hess_psi(params, pts))
-    hess_norm = np.max(np.abs(np.linalg.eigvalsh(hess)), axis=-1)
-    grad = eval_grad_psi(params, pts)
-    glap = eval_grad_lap_psi(params, pts)
+    jet = PsiJet(params, _sample_points(params, DERIVATIVE_SAMPLES))
+    hess_norm = np.max(np.abs(np.linalg.eigvalsh(jet.hess)), axis=-1)
+    grad = jet.grad
     return {
-        "max_psi": float(np.max(np.abs(eval_psi(params, pts)))) * 1.05,
+        "max_psi": float(np.max(np.abs(jet.psi))) * 1.05,
         "max_grad_sq": float(np.max(np.sum(grad * grad, axis=-1))) * 1.05,
         "max_hess": float(np.max(hess_norm)) * 1.05,
-        "max_lap": float(np.max(np.abs(eval_lap_psi(params, pts)))) * 1.05,
+        "max_lap": float(np.max(np.abs(jet.lap))) * 1.05,
         "max_grad_lap": float(
-            np.max(np.linalg.norm(np.atleast_2d(glap), axis=-1))) * 1.05,
+            np.max(np.linalg.norm(jet.grad_lap, axis=-1))) * 1.05,
     }
 
 

@@ -38,8 +38,7 @@ from .diagnostics import (TOLERANCES, CheckResult, centered_derivative,
                           fd_error_estimate)
 from .grid import Grid, integrate, dirichlet_energy, cell_gradient, \
     ball_mask, ball_norm2
-from .weights import (WeightParams, WeightFields, weight_fields,
-                      eval_grad_psi)
+from .weights import WeightParams, WeightFields, PsiJet, weight_fields
 from .solver import ConfigError, RunResult
 
 _FLOOR = TOLERANCES["norm_floor"]
@@ -155,8 +154,8 @@ def sym_form_direct(ts: TiltedState, d1: float, d2: float) -> float:
     """
     grid, f = ts.grid, ts.f
     d = np.array((d1, d2))[SPECIES]
-    gpsi_b = eval_grad_psi(ts.wf.params, grid.bface_mid)
-    dn_psi = np.sum(np.atleast_2d(gpsi_b) * grid.bface_normal, axis=1)
+    gpsi_b = PsiJet(ts.wf.params, grid.bface_mid).grad
+    dn_psi = np.sum(gpsi_b * grid.bface_normal, axis=1)
     if grid.domain.dim == 1:
         inner = np.array([1, grid.ncells - 2])
         f_b = 1.5 * f[:, grid.bface_cell] - 0.5 * f[:, inner]

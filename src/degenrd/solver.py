@@ -77,6 +77,8 @@ class CatalystSpec:
             # oracle runs); localized kinds need a positive floor.
             raise ValueError("catalyst.k0 must be positive (floor on the "
                              "ball)")
+        if not self.r > 0:
+            raise ValueError(f"catalyst.r must be positive; got {self.r!r}")
         kmax = self.k_max if self.k_max is not None else self.k0
         object.__setattr__(self, "k_max", float(kmax))
         if self.k_max < self.k0:
@@ -250,7 +252,10 @@ class Stepper:
     species per row, and looks `solve` up at call time.
     """
 
-    def __init__(self, grid: Grid, dt: float, d1: float, d2: float):
+    def __init__(self, grid: Grid, dt: float, d1: float, d2: float,
+                 dt_set: bool = False):
+        """Raises ConfigError naming the diffusivity key whose matrix
+        cannot be factorized, and stepper.dt when `dt_set`."""
         import scipy.sparse as sp
         import scipy.sparse.linalg
         self.dt = dt
@@ -263,9 +268,12 @@ class Stepper:
             try:
                 self.solve.append(scipy.sparse.linalg.splu(A).solve)
             except RuntimeError as exc:
-                raise RuntimeError(
-                    f"implicit diffusion solve failed to factorize: {exc}"
-                ) from exc
+                keys = [k for k, v in (("physics.d1", d1), ("physics.d2", d2))
+                        if v == d] + ["stepper.dt"] * dt_set
+                raise ConfigError(
+                    f"{', '.join(keys)}: the Crank-Nicolson matrix "
+                    f"I - (dt/2)*d*L with d = {d:g}, dt = {dt:g} cannot be "
+                    f"factorized ({exc})") from exc
             self.forward.append((eye + (0.5 * dt * d) * L).tocsr())
 
     def implicit(self, rhs: np.ndarray) -> np.ndarray:
@@ -403,7 +411,7 @@ def run(config: SimConfig, grid: Grid | None = None) -> RunResult:
     u, B0 = init_state(grid, config)
     dt, nsteps, rec_every, snap_every = step_plan(grid, config, u)
 
-    stepper = Stepper(grid, dt, config.d1, config.d2)
+    stepper = Stepper(grid, dt, config.d1, config.d2, config.dt is not None)
     ball = ball_mask(grid, config.catalyst.x0, config.catalyst.r)
     profile = config.catalyst.profile(grid)
 

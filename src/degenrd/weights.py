@@ -8,9 +8,9 @@ positive inside the ball, zero on the boundary, with a nondegenerate
 maximum at the interior point x0 = (|x0|, 0, ..., 0).  Two shifted copies
 phi1 = psi - psi(x0) and phi3 = -psi - psi(x0) are combined with the
 time factor Gamma(t) = T - t + h into the exponents Phi_i = s*phi_i/Gamma
-used to tilt the solution components.  All first, second, and third
-derivatives are evaluated from the differentiated formulas, never by
-numerical differencing.
+used to tilt the solution components.  `PsiJet` evaluates psi and its
+first, second, and third derivatives from the differentiated formulas,
+never by numerical differencing.
 
 Geometric constants (the two-sided quadratic pinch around x0 and the
 gradient/value comparison constants on the annulus near the boundary) are
@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -82,90 +83,72 @@ class WeightParams:
         return self.T - t + self.h
 
 
-def _as_points(params: WeightParams, point) -> tuple[np.ndarray, bool]:
-    pts = np.asarray(point, dtype=float)
-    scalar = pts.ndim == 1
-    pts = np.atleast_2d(pts)
-    if pts.shape[-1] != params.dim:
-        raise ValueError(f"points must have {params.dim} coordinates")
-    R = params.radius
-    rad = np.linalg.norm(pts, axis=-1)
-    if np.any(rad > R * (1 + 1e-12) + 1e-14):
-        raise ValueError("point outside the closed domain")
-    return pts, scalar
+class PsiJet:
+    """psi and its closed-form derivatives on an (m, dim) point array.
 
+    The points are validated, and q = 2|x0|R, den = |x0|^2 + R^2 - 2|x0|x_1
+    and g = R^2 - |x|^2 formed, once; each derivative is computed on first
+    access.
+    """
 
-def _den(params: WeightParams, pts: np.ndarray) -> np.ndarray:
-    a, R = params.x0_abs, params.radius
-    return a * a + R * R - 2.0 * a * pts[..., 0]
+    def __init__(self, params: WeightParams, points):
+        pts = np.asarray(points, dtype=float)
+        if pts.ndim != 2 or pts.shape[1] != params.dim:
+            raise ValueError(f"points must be an (m, {params.dim}) array "
+                             f"of coordinates")
+        a, R = params.x0_abs, params.radius
+        if np.any(np.linalg.norm(pts, axis=-1) > R * (1 + 1e-12) + 1e-14):
+            raise ValueError("point outside the closed domain")
+        self.pts, self.a, self.n = pts, a, params.dim
+        self.q = 2.0 * a * R
+        self.den = a * a + R * R - 2.0 * a * pts[:, 0]
+        self.g = R * R - np.sum(pts * pts, axis=-1)
 
+    @cached_property
+    def psi(self) -> np.ndarray:
+        """Weight value psi(x); vanishes on the boundary, peaks at x0."""
+        return self.q * self.g / self.den
 
-def eval_psi(params: WeightParams, point):
-    """Weight value psi(x); vanishes on the boundary, peaks at x0."""
-    pts, scalar = _as_points(params, point)
-    a, R = params.x0_abs, params.radius
-    q = 2.0 * a * R
-    g = R * R - np.sum(pts * pts, axis=-1)
-    out = q * g / _den(params, pts)
-    return float(out[0]) if scalar else out
+    @cached_property
+    def grad(self) -> np.ndarray:
+        """Gradient of psi, shape (m, dim)."""
+        a, q, den, g = self.a, self.q, self.den, self.g
+        grad = -2.0 * q * self.pts / den[:, None]
+        grad[:, 0] += 2.0 * a * q * g / (den * den)
+        return grad
 
+    @cached_property
+    def hess(self) -> np.ndarray:
+        """Hessian of psi, shape (m, dim, dim)."""
+        a, n, pts = self.a, self.n, self.pts
+        inv = 1.0 / self.den
+        H = np.zeros((pts.shape[0], n, n))
+        for k in range(n):
+            H[:, k, k] += -2.0 * inv
+        H[:, 0, :] += -4.0 * a * pts * (inv * inv)[:, None]
+        H[:, :, 0] += -4.0 * a * pts * (inv * inv)[:, None]
+        H[:, 0, 0] += 8.0 * a * a * self.g * inv ** 3
+        H *= self.q
+        return H
 
-def eval_grad_psi(params: WeightParams, point):
-    """Closed-form gradient of psi, shape (..., dim)."""
-    pts, scalar = _as_points(params, point)
-    a, R = params.x0_abs, params.radius
-    q = 2.0 * a * R
-    den = _den(params, pts)
-    g = R * R - np.sum(pts * pts, axis=-1)
-    grad = -2.0 * q * pts / den[..., None]
-    grad[..., 0] += 2.0 * a * q * g / (den * den)
-    return grad[0] if scalar else grad
+    @cached_property
+    def lap(self) -> np.ndarray:
+        """Laplacian of psi, shape (m,)."""
+        a, den, g = self.a, self.den, self.g
+        return self.q * (-2.0 * self.n / den
+                         - 8.0 * a * self.pts[:, 0] / den ** 2
+                         + 8.0 * a * a * g / den ** 3)
 
-
-def eval_hess_psi(params: WeightParams, point):
-    """Closed-form Hessian of psi, shape (..., dim, dim)."""
-    pts, scalar = _as_points(params, point)
-    a, R, n = params.x0_abs, params.radius, params.dim
-    q = 2.0 * a * R
-    den = _den(params, pts)
-    g = R * R - np.sum(pts * pts, axis=-1)
-    m = pts.shape[0]
-    H = np.zeros((m, n, n))
-    inv = 1.0 / den
-    for k in range(n):
-        H[:, k, k] += -2.0 * inv
-    H[:, 0, :] += -4.0 * a * pts * (inv * inv)[:, None]
-    H[:, :, 0] += -4.0 * a * pts * (inv * inv)[:, None]
-    H[:, 0, 0] += 8.0 * a * a * g * inv ** 3
-    H *= q
-    return H[0] if scalar else H
-
-
-def eval_lap_psi(params: WeightParams, point):
-    """Closed-form Laplacian of psi."""
-    pts, scalar = _as_points(params, point)
-    a, R, n = params.x0_abs, params.radius, params.dim
-    q = 2.0 * a * R
-    den = _den(params, pts)
-    g = R * R - np.sum(pts * pts, axis=-1)
-    out = q * (-2.0 * n / den - 8.0 * a * pts[..., 0] / den ** 2
-               + 8.0 * a * a * g / den ** 3)
-    return float(out[0]) if scalar else out
-
-
-def eval_grad_lap_psi(params: WeightParams, point):
-    """Closed-form gradient of the Laplacian of psi, shape (..., dim)."""
-    pts, scalar = _as_points(params, point)
-    a, R, n = params.x0_abs, params.radius, params.dim
-    q = 2.0 * a * R
-    den = _den(params, pts)
-    g = R * R - np.sum(pts * pts, axis=-1)
-    out = -16.0 * a * a * pts / den[..., None] ** 3
-    out[..., 0] += ((-4.0 * n - 8.0) * a / den ** 2
-                    - 32.0 * a * a * pts[..., 0] / den ** 3
-                    + 48.0 * a ** 3 * g / den ** 4)
-    out *= q
-    return out[0] if scalar else out
+    @cached_property
+    def grad_lap(self) -> np.ndarray:
+        """Gradient of the Laplacian of psi, shape (m, dim)."""
+        a, den, g = self.a, self.den, self.g
+        out = -16.0 * a * a * self.pts / den[:, None] ** 3
+        out[:, 0] += ((-4.0 * self.n - 8.0) * a / den ** 2
+                      - 32.0 * a * a * self.pts[:, 0] / den ** 3
+                      + 48.0 * a ** 3 * g / den ** 4)
+        out *= self.q
+        return out
 
 
 def psi_at_x0(params: WeightParams) -> float:
@@ -190,18 +173,18 @@ def weight_fields(params: WeightParams, grid: Grid) -> WeightFields:
     """Evaluate psi, its shifts and derivatives on all cell centers."""
     if grid.domain.dim != params.dim:
         raise ValueError("grid dimension does not match weight parameters")
-    pts = grid.centers
-    psi = eval_psi(params, pts)
+    jet = PsiJet(params, grid.centers)
+    psi = jet.psi
     if np.any(psi <= 0):
         raise ValueError("psi must be positive at interior cells")
     peak = psi_at_x0(params)
-    grad = eval_grad_psi(params, pts)
+    grad = jet.grad
     wf = WeightFields(
         params=params,
         phi1=psi - peak,
         phi3=-psi - peak,
         grad_psi=grad,
-        laplacian_psi=eval_lap_psi(params, pts),
+        laplacian_psi=jet.lap,
         grad_psi_sq=np.sum(grad * grad, axis=-1),
     )
     if np.any(wf.phi1 > 1e-12):
@@ -293,8 +276,8 @@ def _geometry_constants_once(params: WeightParams,
     R, a = params.radius, params.x0_abs
     pts = _sample_points(params, m)
     peak = psi_at_x0(params)
-    psi = eval_psi(params, pts)
-    grad = eval_grad_psi(params, pts)
+    jet = PsiJet(params, pts)
+    psi, grad = jet.psi, jet.grad
     grad_sq = np.sum(grad * grad, axis=-1)
     phi1 = psi - peak
     phi3 = -psi - peak

@@ -20,8 +20,7 @@ from degenrd.logconv import (InterpInput, frequency_trace, interp_check,
                              tilt)
 from degenrd.solver import CatalystSpec, InitialSpec, SimConfig, run
 from degenrd.verify import decay_certificate_check, theta_contraction_check
-from degenrd.weights import (WeightParams, eval_grad_psi, eval_psi,
-                             psi_at_x0, weight_fields)
+from degenrd.weights import PsiJet, WeightParams, psi_at_x0, weight_fields
 
 
 def _report(num: int, name: str, ok: bool, detail: str = "") -> None:
@@ -140,8 +139,9 @@ def test_criterion_05_weight_geometry(ref_ledger, ref_params):
     p = ref_params
     rng = np.random.default_rng(2024)
     pts = rng.uniform(-p.radius, p.radius, (10_000, 1))
-    psi = eval_psi(p, pts)
-    grad_sq = eval_grad_psi(p, pts).reshape(-1) ** 2
+    jet = PsiJet(p, pts)
+    psi = jet.psi
+    grad_sq = jet.grad.reshape(-1) ** 2
     peak = psi_at_x0(p)
     phi1, phi3 = psi - peak, -psi - peak
     dist0 = np.abs(pts[:, 0] - p.x0_abs)
@@ -162,9 +162,9 @@ def test_criterion_05_weight_geometry(ref_ledger, ref_params):
     errs = []
     sample = pts[::50]
     for eps in (1e-4, 5e-5):
-        fd = (eval_psi(p, sample + eps) - eval_psi(p, sample - eps)) \
+        fd = (PsiJet(p, sample + eps).psi - PsiJet(p, sample - eps).psi) \
             / (2 * eps)
-        errs.append(np.max(np.abs(eval_grad_psi(p, sample).reshape(-1)
+        errs.append(np.max(np.abs(PsiJet(p, sample).grad.reshape(-1)
                                   - fd)))
     order2 = errs[0] / max(errs[1], 1e-15) > 3.0
     _report(5, "weight geometry clauses and gradient order",

@@ -227,6 +227,9 @@ def test_bad_stepper_value_rejected_at_parse(tmp_path, capsys, section, key,
     ("weights", {"r": 0.4}, "weights.r"),
     ("catalyst", {"k_max": 0.5}, "catalyst.k_max"),
     ("catalyst", {"k0": -1.0}, "catalyst.k0"),
+    # a radius <= 0 ran with weights.r set: it is checked on its own now
+    ("catalyst", {"r": -1.0}, "catalyst.r"),
+    ("catalyst", {"r": 0.0}, "catalyst.r"),
     ("catalyst", {"kind": "ring"}, "catalyst.kind"),
     ("catalyst", {"kind": "time-modulated-bump", "period": 0.0},
      "catalyst.period"),
@@ -280,11 +283,11 @@ def test_default_dt_stays_under_the_stability_bound(tmp_path):
     assert json.loads((out / "summary.json").read_text())["dt"] == 0.025
 
 
-def _bump_config(tmp_path, k0=1.0, d1=1.0, **stepper):
+def _bump_config(tmp_path, k0=1.0, d1=1.0, d2=1.0, **stepper):
     doc = json.loads(Path("configs/degenerate_bump.json").read_text())
     doc["grid"]["resolution"] = 32
     doc["catalyst"]["k0"] = k0
-    doc["physics"]["d1"] = d1
+    doc["physics"].update(d1=d1, d2=d2)
     doc["stepper"].update({"t_end": 2.0, **stepper})
     doc["weights"]["T"] = doc["stepper"]["t_end"]
     cfg = tmp_path / "cfg.json"
@@ -334,6 +337,47 @@ def test_ledger_rejects_an_extreme_diffusivity(tmp_path, capsys, d1):
         capsys.readouterr()
         assert main(["verify", str(out)]) == 1
         assert _one_line_naming(capsys, "physics.d1")
+
+
+@pytest.mark.parametrize("physics,stepper,keys", [
+    ({"d1": 1e150}, {}, ["physics.d1"]),
+    ({"d1": 1e200}, {}, ["physics.d1"]),
+    ({"d2": 1e150}, {}, ["physics.d2"]),
+    ({"d2": 1e200}, {}, ["physics.d2"]),
+    ({"d1": 1e150, "d2": 1e150}, {"dt": 0.01},
+     ["physics.d1", "physics.d2", "stepper.dt"]),
+], ids=["d1-1e150", "d1-1e200", "d2-1e150", "d2-1e200", "both-dt-1e150"])
+def test_simulate_names_an_unfactorizable_diffusivity(tmp_path, capsys,
+                                                      physics, stepper, keys):
+    """A Crank-Nicolson matrix I - (dt/2)*d*L that rounds to singular exits
+    1 before the first step, naming the diffusivity (and a set stepper.dt);
+    it exited 2 naming no key."""
+    cfg = _bump_config(tmp_path, **physics, **stepper)
+    out = tmp_path / "run"
+    assert main(["simulate", str(cfg), "-o", str(out)]) == 1
+    err = capsys.readouterr().err.strip()
+    assert err.startswith("error: ") and "\n" not in err
+    assert err.startswith(f"error: {', '.join(keys)}: ")
+    assert not out.exists()
+
+
+_REPO = Path(__file__).resolve().parents[1]
+
+
+@pytest.mark.parametrize("config,recorded", [
+    ("configs/degenerate_bump.json", "constants_degenerate_bump.json"),
+    ("perfbench/workloads/disk2d.json", "constants_disk2d.json"),
+], ids=["degenerate_bump", "disk2d"])
+def test_constants_reproduces_the_recorded_ledger(tmp_path, capsys, config,
+                                                  recorded):
+    """`constants` writes the ledger recorded in tests/data byte for byte.
+    A change that means to move a ledger value re-records these files and
+    lists every moved number."""
+    out = tmp_path / "ledger.json"
+    assert main(["constants", str(_REPO / config), "-o", str(out)]) == 0
+    capsys.readouterr()
+    assert out.read_bytes() \
+        == (_REPO / "tests" / "data" / recorded).read_bytes()
 
 
 def test_half_t_end_strides_accepted(tmp_path):
@@ -730,15 +774,20 @@ def test_sweep_rejects_nonpositive_jobs(pool_sizes, cfg_path, tmp_path,
     assert not out.exists() and pool_sizes == []
 
 
-@pytest.mark.parametrize("param,key", [("k0", "catalyst.k0"),
-                                       ("r", "weights.r")])
+@pytest.mark.parametrize("param,key,weights", [
+    ("k0", "catalyst.k0", False),
+    ("r", "catalyst.r", False),              # weights.r defaults to r
+    ("r", "catalyst.r", True),               # weights.r = 0.1 set
+], ids=["k0-catalyst.k0", "r-catalyst.r", "r-catalyst.r-weights.r-set"])
 def test_sweep_checks_every_point_first(pool_sizes, tmp_path, capsys, param,
-                                        key):
+                                        key, weights):
     """A bad value anywhere in --values exits 1 naming its key and value
     before any point runs or any directory is made (the valid 0.1 point
-    before it used to run in full and leave its directory)."""
+    before it used to run in full and leave its directory; with weights.r
+    set, r = -1 ran too)."""
     doc = json.loads(json.dumps(CFG))
-    del doc["weights"]                       # weights.r defaults to r
+    if not weights:
+        del doc["weights"]
     cfg = tmp_path / "c.json"
     cfg.write_text(json.dumps(doc))
     out = tmp_path / "sweep"

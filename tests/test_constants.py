@@ -24,7 +24,7 @@ from degenrd.config import ConfigError
 from degenrd.constants import (METHODS, build_ledger, compute_K0,
                                compute_sobolev_constant, ln_time_integral)
 from degenrd.grid import Domain, build_grid, dirichlet_energy, integrate
-from degenrd.weights import eval_lap_psi
+from degenrd.weights import PsiJet
 
 
 # ---------------------------------------------------------------------------
@@ -78,7 +78,7 @@ def test_sobolev_constant_lower_bound_and_random_audit(grid256):
 
 def test_C4_dominates_dense_laplacian_scan(ref_ledger, ref_params):
     pts = np.linspace(-0.4999, 0.4999, 50_001).reshape(-1, 1)
-    scan = np.max(np.abs(eval_lap_psi(ref_params, pts)))
+    scan = np.max(np.abs(PsiJet(ref_params, pts).lap))
     assert ref_ledger.C4 >= scan  # 1.05 safety absorbs the finer scan
 
 

@@ -25,7 +25,7 @@ from degenrd.logconv import (InterpInput, check_cubic_bound,
                              observation_estimate_check, quadratic_forms,
                              sym_form_direct, tilt)
 from degenrd.solver import CatalystSpec, InitialSpec, SimConfig, run
-from degenrd.weights import WeightParams, eval_grad_psi, weight_fields
+from degenrd.weights import PsiJet, WeightParams, weight_fields
 
 M_ORACLE = 3 * math.log(2) / math.log(1.5)
 MARGIN_ORACLE = 0.3 * (M_ORACLE - 1)
@@ -135,8 +135,8 @@ def _per_component_reference(r, params, t, u):
     s, gam = params.s, params.gamma(t)
     u1, u2 = u - 1.0
     v1 = cfg.catalyst.values(grid, t) * (u1 + u2 + 2.0) * (u2 - u1)
-    gpsi_b = eval_grad_psi(params, grid.bface_mid)
-    dn_psi = np.sum(np.atleast_2d(gpsi_b) * grid.bface_normal, axis=1)
+    gpsi_b = PsiJet(params, grid.bface_mid).grad
+    dn_psi = np.sum(gpsi_b * grid.bface_normal, axis=1)
     f, Phi, comp = {}, {}, {}
     Sff = Aff = F2 = direct = 0.0
     for i in (1, 2, 3, 4):

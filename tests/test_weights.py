@@ -4,7 +4,9 @@ Frozen oracles (hand-derived from the closed form of the weight):
   * peak value psi(x0) = 2*|x0|*R;
   * Hessian at x0 equals -(4*|x0|*R/(R^2-|x0|^2)) * I;
   * all derivative evaluators agree with central finite differences at
-    second order.
+    second order;
+  * `PsiJet` is bitwise equal to the five per-quantity evaluators it
+    replaced, kept below as the reference.
 """
 
 import math
@@ -12,8 +14,7 @@ import math
 import numpy as np
 import pytest
 
-from degenrd.weights import (WeightParams, eval_grad_lap_psi, eval_grad_psi,
-                             eval_hess_psi, eval_lap_psi, eval_psi,
+from degenrd.weights import (PsiJet, WeightParams, _sample_points,
                              geometry_constants, psi_at_x0, weight_fields)
 from degenrd.grid import Domain, build_grid
 from degenrd.logconv import tilt
@@ -39,8 +40,137 @@ def test_params_validation(kwargs):
 
 
 def test_out_of_domain_point_rejected():
-    with pytest.raises(ValueError):
-        eval_psi(P1, np.array([0.7]))
+    with pytest.raises(ValueError, match="outside the closed domain"):
+        PsiJet(P1, np.array([[0.7]]))
+
+
+@pytest.mark.parametrize("p,points", [
+    (P1, np.array([0.1])),                   # one point, no point axis
+    (P1, np.zeros((3, 2))),                  # 2-D points, 1-D weight
+    (P2, np.zeros((3, 1))),
+    (P2, np.zeros((2, 3, 2))),
+], ids=["single", "dim2-for-1", "dim1-for-2", "3-axes"])
+def test_points_must_be_an_m_by_dim_array(p, points):
+    with pytest.raises(ValueError, match=rf"\(m, {p.dim}\) array"):
+        PsiJet(p, points)
+
+
+# ---------------------------------------------------------------------------
+# the evaluator against the per-quantity functions it replaced
+# ---------------------------------------------------------------------------
+
+def _as_points(params: WeightParams, point) -> tuple[np.ndarray, bool]:
+    pts = np.asarray(point, dtype=float)
+    scalar = pts.ndim == 1
+    pts = np.atleast_2d(pts)
+    if pts.shape[-1] != params.dim:
+        raise ValueError(f"points must have {params.dim} coordinates")
+    R = params.radius
+    rad = np.linalg.norm(pts, axis=-1)
+    if np.any(rad > R * (1 + 1e-12) + 1e-14):
+        raise ValueError("point outside the closed domain")
+    return pts, scalar
+
+
+def _den(params: WeightParams, pts: np.ndarray) -> np.ndarray:
+    a, R = params.x0_abs, params.radius
+    return a * a + R * R - 2.0 * a * pts[..., 0]
+
+
+def eval_psi(params: WeightParams, point):
+    """Weight value psi(x); vanishes on the boundary, peaks at x0."""
+    pts, scalar = _as_points(params, point)
+    a, R = params.x0_abs, params.radius
+    q = 2.0 * a * R
+    g = R * R - np.sum(pts * pts, axis=-1)
+    out = q * g / _den(params, pts)
+    return float(out[0]) if scalar else out
+
+
+def eval_grad_psi(params: WeightParams, point):
+    """Closed-form gradient of psi, shape (..., dim)."""
+    pts, scalar = _as_points(params, point)
+    a, R = params.x0_abs, params.radius
+    q = 2.0 * a * R
+    den = _den(params, pts)
+    g = R * R - np.sum(pts * pts, axis=-1)
+    grad = -2.0 * q * pts / den[..., None]
+    grad[..., 0] += 2.0 * a * q * g / (den * den)
+    return grad[0] if scalar else grad
+
+
+def eval_hess_psi(params: WeightParams, point):
+    """Closed-form Hessian of psi, shape (..., dim, dim)."""
+    pts, scalar = _as_points(params, point)
+    a, R, n = params.x0_abs, params.radius, params.dim
+    q = 2.0 * a * R
+    den = _den(params, pts)
+    g = R * R - np.sum(pts * pts, axis=-1)
+    m = pts.shape[0]
+    H = np.zeros((m, n, n))
+    inv = 1.0 / den
+    for k in range(n):
+        H[:, k, k] += -2.0 * inv
+    H[:, 0, :] += -4.0 * a * pts * (inv * inv)[:, None]
+    H[:, :, 0] += -4.0 * a * pts * (inv * inv)[:, None]
+    H[:, 0, 0] += 8.0 * a * a * g * inv ** 3
+    H *= q
+    return H[0] if scalar else H
+
+
+def eval_lap_psi(params: WeightParams, point):
+    """Closed-form Laplacian of psi."""
+    pts, scalar = _as_points(params, point)
+    a, R, n = params.x0_abs, params.radius, params.dim
+    q = 2.0 * a * R
+    den = _den(params, pts)
+    g = R * R - np.sum(pts * pts, axis=-1)
+    out = q * (-2.0 * n / den - 8.0 * a * pts[..., 0] / den ** 2
+               + 8.0 * a * a * g / den ** 3)
+    return float(out[0]) if scalar else out
+
+
+def eval_grad_lap_psi(params: WeightParams, point):
+    """Closed-form gradient of the Laplacian of psi, shape (..., dim)."""
+    pts, scalar = _as_points(params, point)
+    a, R, n = params.x0_abs, params.radius, params.dim
+    q = 2.0 * a * R
+    den = _den(params, pts)
+    g = R * R - np.sum(pts * pts, axis=-1)
+    out = -16.0 * a * a * pts / den[..., None] ** 3
+    out[..., 0] += ((-4.0 * n - 8.0) * a / den ** 2
+                    - 32.0 * a * a * pts[..., 0] / den ** 3
+                    + 48.0 * a ** 3 * g / den ** 4)
+    out *= q
+    return out[0] if scalar else out
+
+
+_REFERENCE = {"psi": eval_psi, "grad": eval_grad_psi, "hess": eval_hess_psi,
+              "lap": eval_lap_psi, "grad_lap": eval_grad_lap_psi}
+
+
+def _package_point_sets(dim):
+    """Every point set the package evaluates psi on: the geometry and
+    derivative scans, cell centres and boundary face midpoints."""
+    probe = WeightParams(x0_abs=0.25, r=0.1, s=0.5, h=0.1, T=1.0, dim=dim)
+    sets = {f"sample{m}": _sample_points(probe, m)
+            for m in (10_000, 20_000, 40_000, 20_001)}
+    for n in ((256,) if dim == 1 else (32, 64)):
+        grid = build_grid(Domain(dim), n)
+        sets[f"centers{n}"] = grid.centers
+        sets[f"bface_mid{n}"] = grid.bface_mid
+    return sets
+
+
+@pytest.mark.parametrize("dim", [1, 2])
+@pytest.mark.parametrize("x0,r", [(0.25, 0.1), (0.2, 0.08)])
+def test_jet_bitwise_equals_the_per_quantity_evaluators(dim, x0, r):
+    params = WeightParams(x0_abs=x0, r=r, s=0.5, h=0.1, T=1.0, dim=dim)
+    for name, pts in _package_point_sets(dim).items():
+        jet = PsiJet(params, pts)
+        for attr, reference in _REFERENCE.items():
+            assert np.array_equal(getattr(jet, attr),
+                                  reference(params, pts)), (name, attr)
 
 
 # ---------------------------------------------------------------------------
@@ -50,8 +180,8 @@ def test_out_of_domain_point_rejected():
 @pytest.mark.parametrize("p", [P1, P2])
 def test_peak_value_oracle(p):
     assert psi_at_x0(p) == pytest.approx(2 * p.x0_abs * p.radius, rel=1e-14)
-    assert eval_psi(p, p.x0_point) == pytest.approx(2 * p.x0_abs * p.radius,
-                                                    rel=1e-12)
+    assert PsiJet(p, p.x0_point[None]).psi[0] == pytest.approx(
+        2 * p.x0_abs * p.radius, rel=1e-12)
 
 
 @pytest.mark.parametrize("p", [P1, P2])
@@ -65,12 +195,12 @@ def test_peak_is_global_max_and_boundary_zero(p):
         rg, tg = np.meshgrid(rr, tt)
         pts = np.column_stack([(rg * np.cos(tg)).ravel(),
                                (rg * np.sin(tg)).ravel()])
-    psi = eval_psi(p, pts)
+    psi = PsiJet(p, pts).psi
     assert np.all(psi <= psi_at_x0(p) + 1e-12)
     assert np.all(psi >= -1e-12)
     bnd = np.zeros((2, p.dim))
     bnd[0, 0], bnd[1, 0] = R, -R
-    assert np.max(np.abs(eval_psi(p, bnd))) < 1e-12
+    assert np.max(np.abs(PsiJet(p, bnd).psi)) < 1e-12
 
 
 def _interior_points(p, n, rng):
@@ -92,10 +222,9 @@ def test_gradient_matches_finite_differences(p):
         for k in range(p.dim):
             e = np.zeros(p.dim)
             e[k] = eps
-            fd[:, k] = (eval_psi(p, pts + e) - eval_psi(p, pts - e)) \
+            fd[:, k] = (PsiJet(p, pts + e).psi - PsiJet(p, pts - e).psi) \
                 / (2 * eps)
-        errs[eps] = np.max(np.abs(np.atleast_2d(eval_grad_psi(p, pts))
-                                  - fd))
+        errs[eps] = np.max(np.abs(PsiJet(p, pts).grad - fd))
     assert errs[1e-4] < 1e-6
     assert errs[1e-4] / max(errs[5e-5], 1e-14) > 3.0   # order 2
 
@@ -105,18 +234,16 @@ def test_hessian_and_laplacian_match_finite_differences(p):
     rng = np.random.default_rng(13)
     pts = _interior_points(p, 25, rng)
     eps = 1e-4
-    hess = np.atleast_3d(eval_hess_psi(p, pts))
-    if p.dim == 1:
-        hess = hess.reshape(-1, 1, 1)
+    jet = PsiJet(p, pts)
     for k in range(p.dim):
         e = np.zeros(p.dim)
         e[k] = eps
-        fd_row = (np.atleast_2d(eval_grad_psi(p, pts + e))
-                  - np.atleast_2d(eval_grad_psi(p, pts - e))) / (2 * eps)
-        rel = np.abs(hess[:, k, :] - fd_row) / (1.0 + np.abs(fd_row))
+        fd_row = (PsiJet(p, pts + e).grad - PsiJet(p, pts - e).grad) \
+            / (2 * eps)
+        rel = np.abs(jet.hess[:, k, :] - fd_row) / (1.0 + np.abs(fd_row))
         assert np.max(rel) < 5e-5
-    trace = np.einsum("nkk->n", hess)
-    assert np.max(np.abs(trace - eval_lap_psi(p, pts))) < 1e-10
+    trace = np.einsum("nkk->n", jet.hess)
+    assert np.max(np.abs(trace - jet.lap)) < 1e-10
 
 
 @pytest.mark.parametrize("p", [P1, P2])
@@ -124,12 +251,11 @@ def test_gradient_of_laplacian_matches_finite_differences(p):
     rng = np.random.default_rng(17)
     pts = _interior_points(p, 25, rng)
     eps = 1e-4
-    g = np.atleast_2d(eval_grad_lap_psi(p, pts))
+    g = PsiJet(p, pts).grad_lap
     for k in range(p.dim):
         e = np.zeros(p.dim)
         e[k] = eps
-        fd = (eval_lap_psi(p, pts + e) - eval_lap_psi(p, pts - e)) \
-            / (2 * eps)
+        fd = (PsiJet(p, pts + e).lap - PsiJet(p, pts - e).lap) / (2 * eps)
         rel = np.abs(g[:, k] - fd) / (1.0 + np.abs(fd))
         assert np.max(rel) < 1e-3
 
@@ -138,7 +264,7 @@ def test_gradient_of_laplacian_matches_finite_differences(p):
 def test_hessian_at_peak_oracle(p):
     R, a = p.radius, p.x0_abs
     lam = 4 * a * R / (R * R - a * a)
-    H = np.asarray(eval_hess_psi(p, p.x0_point)).reshape(p.dim, p.dim)
+    H = PsiJet(p, p.x0_point[None]).hess[0]
     assert np.allclose(H, -lam * np.eye(p.dim), atol=1e-9)
 
 
@@ -152,7 +278,7 @@ def test_phi_signs_and_reconstruction():
     assert np.all(wf.phi1 <= 1e-12)
     assert np.all(wf.phi3 <= 1e-12)
     # phi3 - phi1 = -2 psi by construction
-    assert np.allclose(wf.phi3 - wf.phi1, -2 * eval_psi(P1, g.centers),
+    assert np.allclose(wf.phi3 - wf.phi1, -2 * PsiJet(P1, g.centers).psi,
                        atol=1e-12)
 
 
@@ -161,8 +287,9 @@ def _Phi_eta_closed_form(params, sign, pts, t, d):
     + d*s*|grad psi|^2/4) with phi_i = sign*psi - psi(x0), from the
     pointwise evaluators."""
     gamma = params.T - t + params.h
-    phi = sign * eval_psi(params, pts) - psi_at_x0(params)
-    grad = eval_grad_psi(params, pts).reshape(-1)
+    jet = PsiJet(params, pts)
+    phi = sign * jet.psi - psi_at_x0(params)
+    grad = jet.grad.reshape(-1)
     eta = (params.s / gamma ** 2) * (-0.5 * np.abs(phi)
                                      + 0.25 * d * params.s * grad ** 2)
     return params.s * phi / gamma, eta
@@ -185,15 +312,15 @@ def test_Phi_eta_consistency():
 def test_weight_fields_match_pointwise():
     g = build_grid(Domain(1), 128)
     wf = weight_fields(P1, g)
-    psi = eval_psi(P1, g.centers)
+    jet = PsiJet(P1, g.centers)
+    psi = jet.psi
     assert np.allclose(wf.phi1 + psi_at_x0(P1), psi, atol=1e-14)
     assert np.allclose(wf.phi3 + psi_at_x0(P1), -psi, atol=1e-14)
-    grad = eval_grad_psi(P1, g.centers)
+    grad = jet.grad
     assert np.allclose(wf.grad_psi, grad, atol=1e-14)
     assert np.allclose(wf.grad_psi_sq, np.sum(grad * grad, axis=-1),
                        atol=1e-14)
-    assert np.allclose(wf.laplacian_psi, eval_lap_psi(P1, g.centers),
-                       atol=1e-12)
+    assert np.allclose(wf.laplacian_psi, jet.lap, atol=1e-12)
 
 
 # ---------------------------------------------------------------------------
@@ -214,8 +341,9 @@ def test_geometry_clause_bounds_hold_on_fresh_samples(geom):
     """Zero violations of all clauses at 10^4 random points."""
     rng = np.random.default_rng(23)
     pts = rng.uniform(-P1.radius, P1.radius, (10_000, 1))
-    psi = eval_psi(P1, pts)
-    grad = eval_grad_psi(P1, pts).reshape(-1)
+    jet = PsiJet(P1, pts)
+    psi = jet.psi
+    grad = jet.grad.reshape(-1)
     grad_sq = grad ** 2
     peak = psi_at_x0(P1)
     phi1, phi3 = psi - peak, -psi - peak
