@@ -34,8 +34,7 @@ import numpy as np
 from ._xmath import DPS, logaddexp, to_float, fmt
 from .constants import (interp_margin, ln_prefactor, ln_time_integral,
                         window_length)
-from .diagnostics import (TOLERANCES, CheckResult, centered_derivative,
-                          fd_error_estimate)
+from .diagnostics import TOLERANCES, CheckResult, fd_derivative
 from .grid import Grid, integrate, dirichlet_energy, cell_gradient, \
     ball_mask, ball_norm2
 from .weights import WeightParams, WeightFields, PsiJet, weight_fields
@@ -219,7 +218,8 @@ def growth_violations(t: np.ndarray, N: np.ndarray, C0, C1, F2, T,
     (H2) of the interpolation lemma,
     N' <= ((1+C0)/(T-t+h) + C1)*N + F2, by more than differencing noise."""
     bound = ((1.0 + C0) / (T - t + h) + C1) * N + F2
-    return t[centered_derivative(t, N) > bound + fd_error_estimate(t, N)]
+    dN, err = fd_derivative(t, N)
+    return t[dN > bound + err]
 
 
 @dataclass(frozen=True)
@@ -272,8 +272,7 @@ def interp_check(inp: InterpInput) -> dict:
     t, y, N = inp.times, inp.y, inp.N
     gamma_t = inp.T - t + inp.h
 
-    yp = centered_derivative(t, y)
-    y_err = fd_error_estimate(t, y)
+    yp, y_err = fd_derivative(t, y)
     lhs1 = np.abs(0.5 * yp + N * y)
     rhs1 = (0.5 * N + inp.C0 / gamma_t + inp.C1 + inp.F1) * y
     bad1 = lhs1 > rhs1 + 0.5 * y_err

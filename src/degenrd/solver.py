@@ -428,7 +428,13 @@ def run(config: SimConfig, grid: Grid | None = None) -> RunResult:
     t = 0.0
     take(0, u, t)
     for n in range(1, nsteps + 1):
-        u = step(u, t, profile, config, stepper)
+        try:
+            u = step(u, t, profile, config, stepper)
+        except RuntimeError as exc:
+            raise RuntimeError(
+                f"{exc}: step {n} from t = {t:g}, stepper.dt = {dt:g} ("
+                f"{'default' if config.dt is None else 'set'}), physics.d1 "
+                f"= {config.d1:g}, physics.d2 = {config.d2:g}") from exc
         t += dt
         if n % rec_every == 0 or n == nsteps:
             take(n, u, t)

@@ -12,8 +12,7 @@ import math
 
 import numpy as np
 
-from .diagnostics import (TOLERANCES, CheckResult, centered_derivative,
-                          fd_error_estimate, solver_checks)
+from .diagnostics import TOLERANCES, CheckResult, fd_derivative, solver_checks
 from .logconv import (FrequencyTrace, frequency_trace,
                       interpolation_window_check, observation_estimate_check,
                       sym_form_direct, tilt)
@@ -159,14 +158,13 @@ def _frequency_trace_checks(run: RunResult, ft, ledger,
     if ft.times.size < 5:
         return out
     # tilted energy identity: (1/2) d/dt ||f||^2 + <Sf,f> = <source, f>
-    dn2 = centered_derivative(ft.times, n2)
-    err = fd_error_estimate(ft.times, n2)
+    dn2, err = fd_derivative(ft.times, n2)
     resid = np.abs(0.5 * dn2 + ft.Sff_values - ft.Fdotf_values)
     # differencing allowance: third-derivative model of an exponential at
     # the locally observed frequency (n2' ~ -2 N n2)
     dt = float(np.min(np.diff(ft.times)))
     rate = 2.0 * np.nan_to_num(ft.N_values, nan=0.0)
-    fd_model = (dt ** 2 / 6.0) * np.abs(rate) ** 3 * n2
+    fd_model = (dt * rate) ** 2 / 6.0 * np.abs(rate) * n2
     budget = 0.5 * err + fd_model + 1e4 * run.grid.spacing ** 2 * scale \
         + 50.0 * dt ** 2 * scale
     out.append(CheckResult(

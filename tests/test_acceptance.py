@@ -85,7 +85,7 @@ def _energy_residual(res: int, dt: float, stride: float) -> float:
     # compare over a window common to both refinement levels (the first
     # interior sample sits at a resolution-dependent time otherwise)
     interior_t = r.trace.times[1:-1]
-    res = energy_identity_residuals(r.trace)
+    res, _ = energy_identity_residuals(r.trace)
     return float(np.max(res[interior_t >= 0.1]))
 
 

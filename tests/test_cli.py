@@ -315,12 +315,31 @@ def test_ledger_overflow_exits_1(tmp_path, capsys):
     cfg = _bump_config(tmp_path, 1e200, t_end=1e-199,
                        record_stride=2e-200, field_stride=2.5e-200)
     out = tmp_path / "run"
-    with np.errstate(all="ignore"):
-        assert main(["simulate", str(cfg), "-o", str(out)]) == 0
+    assert main(["simulate", str(cfg), "-o", str(out)]) == 0
     for argv in (["constants", str(cfg)], ["verify", str(out)]):
         capsys.readouterr()
         assert main(argv) == 1
         assert _one_line_naming(capsys, "catalyst.k_max")
+
+
+def _reject_constant(name):
+    raise ValueError(f"{name} is not JSON")
+
+
+def test_tiny_horizon_run_writes_strict_json(tmp_path, capsys):
+    """With samples 1.25e-200 apart, the energy check's time derivative and
+    its allowance stay finite: simulate exits 0 with nothing on stderr
+    (numpy's warnings are errors under pytest), and summary.json is strict
+    JSON with finite margins.  np.gradient divided by zero here, and the
+    energy_identity margin was written as a bare NaN."""
+    cfg = _bump_config(tmp_path, 1e200, t_end=1e-199,
+                       record_stride=2e-200, field_stride=2.5e-200)
+    out = tmp_path / "run"
+    assert main(["simulate", str(cfg), "-o", str(out)]) == 0
+    assert capsys.readouterr().err == ""
+    summary = json.loads((out / "summary.json").read_text(),
+                         parse_constant=_reject_constant)
+    assert all(math.isfinite(c["margin"]) for c in summary["checks"])
 
 
 @pytest.mark.parametrize("d1", [1e200, 1e150, 1e-30, 1e-300])
@@ -358,6 +377,25 @@ def test_simulate_names_an_unfactorizable_diffusivity(tmp_path, capsys,
     err = capsys.readouterr().err.strip()
     assert err.startswith("error: ") and "\n" not in err
     assert err.startswith(f"error: {', '.join(keys)}: ")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("physics", [{"d1": 1e200, "d2": 1e200},
+                                     {"d1": 1e200}], ids=["both", "d1"])
+def test_lost_positivity_names_the_step_and_keys(tmp_path, capsys, physics):
+    """A diffusivity that factorizes but rings below zero is a numerical
+    failure (exit 2) in one line naming the step, its time, stepper.dt and
+    the diffusivities with their values; it named none of them."""
+    cfg = _bump_config(tmp_path, **physics, dt=0.01)
+    out = tmp_path / "run"
+    assert main(["simulate", str(cfg), "-o", str(out)]) == 2
+    err = capsys.readouterr().err.strip()
+    assert err.startswith("numerical failure: positivity lost") \
+        and "\n" not in err
+    d1, d2 = physics["d1"], physics.get("d2", 1.0)
+    assert re.search(r": step \d+ from t = \S+, stepper\.dt = ", err)
+    assert err.endswith(f"stepper.dt = 0.01 (set), physics.d1 = {d1:g}, "
+                        f"physics.d2 = {d2:g}")
     assert not out.exists()
 
 

@@ -9,8 +9,7 @@ Frozen oracles:
 import numpy as np
 import pytest
 
-from degenrd.diagnostics import (CheckResult, TraceSeries,
-                                 centered_derivative, fd_error_estimate,
+from degenrd.diagnostics import (CheckResult, TraceSeries, fd_derivative,
                                  fit_decay_rate)
 
 
@@ -76,21 +75,83 @@ def test_fit_window_and_positivity_errors():
 
 
 # ---------------------------------------------------------------------------
-# finite-difference helpers
+# finite-difference derivative and its error estimate
 # ---------------------------------------------------------------------------
+
+# The two helpers `fd_derivative` replaced, kept verbatim as its bitwise
+# reference: it differences in a power-of-two time unit, which changes no
+# rounding.
+
+def centered_derivative(t: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """Centered finite-difference derivative, one-sided at the ends."""
+    return np.gradient(y, t, edge_order=2)
+
+
+def fd_error_estimate(t: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """Pointwise error estimate for the centered derivative.
+
+    Compares the full-resolution derivative with one computed on the
+    twice-coarsened samples (three-point Richardson style); the difference
+    bounds the differencing noise, floored at rounding scale.
+    """
+    d_fine = centered_derivative(t, y)
+    if t.size >= 7:
+        d_coarse = centered_derivative(t[::2], y[::2])
+        est = np.abs(np.interp(t, t[::2], d_coarse) - d_fine)
+    else:
+        est = np.zeros_like(d_fine)
+    scale = np.maximum(np.abs(y), np.max(np.abs(y)) * 1e-6)
+    dt = np.min(np.diff(t))
+    return est + 1e-12 * scale / dt + 1e-300
+
+
+def _assert_matches_reference(t, y):
+    dy, err = fd_derivative(t, y)
+    assert np.array_equal(dy, centered_derivative(t, y))
+    assert np.array_equal(err, fd_error_estimate(t, y))
+
+
+@pytest.mark.parametrize("n", [3, 5, 6, 7, 8, 41, 201])
+@pytest.mark.parametrize("span", [1e-3, 0.37, 1.0, 10.0, 1e3], ids=str)
+@pytest.mark.parametrize("uneven", [False, True], ids=["uniform", "uneven"])
+def test_fd_derivative_bitwise_equals_the_two_helpers(n, span, uneven):
+    rng = np.random.default_rng(n)
+    if uneven:
+        steps = rng.uniform(0.2, 1.0, n - 1)
+        t = 0.3 * span + span * np.concatenate(
+            [[0.0], np.cumsum(steps)]) / steps.sum()
+    else:
+        t = np.linspace(0.0, span, n)
+    y = np.exp(-3.0 * t / span) * (1.0 + 0.1 * rng.standard_normal(n))
+    _assert_matches_reference(t, y)
+
+
+def test_fd_derivative_bitwise_on_a_run_trace(ref_run):
+    _assert_matches_reference(ref_run.trace.times, ref_run.trace["l2_dist"])
+
+
+def test_fd_derivative_is_exact_under_power_of_two_time_scaling():
+    """Scaling uneven t by 2**-600 scales the derivative by exactly 2**600;
+    the spacing products 2**-1200 would underflow inside np.gradient."""
+    t = np.linspace(0.0, 1.0, 41) ** 2
+    y = np.cos(3.0 * t)
+    dy, _ = fd_derivative(t, y)
+    dy_small, err_small = fd_derivative(t * 2.0 ** -600, y)
+    assert np.array_equal(dy_small, dy * 2.0 ** 600)
+    assert np.all(np.isfinite(err_small))
+
 
 def test_centered_derivative_quadratic_exact():
     t = np.linspace(0, 1, 41)
     y = 3 * t ** 2 + 2 * t + 1
-    d = centered_derivative(t, y)
+    d, _ = fd_derivative(t, y)
     assert np.max(np.abs(d - (6 * t + 2))) < 1e-10
 
 
 def test_fd_error_estimate_bounds_true_error():
     t = np.linspace(0, 2, 201)
     y = np.exp(-3 * t)
-    d = centered_derivative(t, y)
-    est = fd_error_estimate(t, y)
+    d, est = fd_derivative(t, y)
     true_err = np.abs(d - (-3 * y))
     interior = slice(2, -2)
     assert np.all(true_err[interior] <= 2.0 * est[interior] + 1e-12)

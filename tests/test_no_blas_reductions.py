@@ -1,4 +1,5 @@
-"""No BLAS-threaded reduction and no mpmath quadrature in the package source.
+"""No BLAS-threaded reduction, no mpmath quadrature and one time differencing
+in the package source.
 
 `np.dot`, `np.vdot`, `np.inner` and a whole-array `np.linalg.norm` are BLAS
 calls: OpenBLAS splits long vectors over threads, so the sum depends on the
@@ -10,6 +11,9 @@ axis (`np.linalg.norm(x, axis=1)`) does not call BLAS and is allowed.
 absolute error: on an integrand far below 1, such as the ledger's
 e^-2837, it stops early without a warning.  The package takes its
 integrals in closed form.
+
+`np.gradient` appears only in `diagnostics.fd_derivative`, which every
+time derivative of a sampled series goes through, with its error estimate.
 """
 
 import ast
@@ -62,6 +66,23 @@ def mp_quadratures(source: str) -> list[str]:
     return found
 
 
+def gradient_uses(source: str) -> list[str]:
+    """`line: owner` for every use of numpy's `gradient` in `source`; the
+    owner is the top-level function or class it sits in, or <module>."""
+    found = []
+    for top in ast.parse(source).body:
+        owner = getattr(top, "name", "<module>")
+        for node in ast.walk(top):
+            if isinstance(node, ast.Attribute) \
+                    and _dotted(node) in ("np.gradient", "numpy.gradient"):
+                found.append(f"{node.lineno}: {owner}")
+            elif isinstance(node, ast.ImportFrom) \
+                    and node.module == "numpy" \
+                    and any(a.name == "gradient" for a in node.names):
+                found.append(f"{node.lineno}: {owner}")
+    return found
+
+
 @pytest.mark.parametrize("path", sorted(_SRC.glob("*.py")),
                          ids=lambda p: p.name)
 def test_no_blas_reduction_in_source(path):
@@ -88,3 +109,19 @@ def test_quadrature_scanner_flags_each_form():
            "mp.mp.quadgl(f, [0, 1])\nmp.gammainc(0.5, 1, 2)\nquad(f)\n")
     assert mp_quadratures(src) == [
         "1: mp.quad", "2: mpmath.quadts", "3: mp.mp.quadgl"]
+
+
+def test_np_gradient_only_in_fd_derivative():
+    uses = [f"{p.name} {use}" for p in sorted(_SRC.glob("*.py"))
+            for use in gradient_uses(p.read_text(encoding="utf-8"))]
+    assert uses and all(u.startswith("diagnostics.py ")
+                        and u.endswith(": fd_derivative") for u in uses), uses
+
+
+def test_gradient_scanner_flags_each_form():
+    src = ("def fd_derivative(t, y):\n    return np.gradient(y, t)\n"
+           "class C:\n    def d(self):\n        return numpy.gradient(1)\n"
+           "g = np.gradient\nfrom numpy import gradient\n"
+           "np.diff(x)\n")
+    assert gradient_uses(src) == ["2: fd_derivative", "5: C", "6: <module>",
+                                  "7: <module>"]

@@ -3,7 +3,9 @@
 Every configuration the parser accepts either runs or is rejected with
 exit 1 and one line naming the offending key: `simulate` exits 0 or 1,
 the quick `verify` of a run exits 0 or 3, and `constants` exits 0 or 1.
-No command ends in a traceback.  The examples are drawn deterministically
+No command ends in a traceback, and every JSON file `simulate` and the
+quick `verify` write, and the ledger `constants` prints, is strict JSON:
+no `NaN` or `Infinity`.  The examples are drawn deterministically
 (`derandomize`), so the test reads the same configurations on every run.
 """
 
@@ -49,13 +51,20 @@ def configs(draw):
     }
 
 
-def _main(argv) -> tuple[int, str]:
-    """Exit code and standard error of one command."""
-    err = io.StringIO()
-    with contextlib.redirect_stdout(io.StringIO()), \
-            contextlib.redirect_stderr(err):
+def _main(argv) -> tuple[int, str, str]:
+    """Exit code, standard error and standard output of one command."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         code = main(argv)
-    return code, err.getvalue()
+    return code, err.getvalue(), out.getvalue()
+
+
+def _reject_constant(name):
+    raise ValueError(f"{name} is not JSON")
+
+
+def _strict_json(text: str):
+    return json.loads(text, parse_constant=_reject_constant)
 
 
 @settings(max_examples=12, deadline=None, derandomize=True)
@@ -64,11 +73,15 @@ def test_small_configs_run_or_name_a_key(doc):
     with tempfile.TemporaryDirectory() as tmp:
         cfg, out = Path(tmp) / "cfg.json", Path(tmp) / "run"
         cfg.write_text(json.dumps(doc))
-        code, err = _main(["simulate", str(cfg), "-o", str(out)])
+        code, err, _ = _main(["simulate", str(cfg), "-o", str(out)])
         assert code in (0, 1), err
         if code == 0:
             assert _main(["verify", "--quick", str(out)])[0] in (0, 3)
+            for path in out.glob("*.json"):
+                _strict_json(path.read_text())
         else:
             assert _KEY.search(err), err
-        code, err = _main(["constants", str(cfg)])
+        code, err, ledger = _main(["constants", str(cfg)])
         assert code == 0 or (code == 1 and _KEY.search(err)), err
+        if code == 0:
+            _strict_json(ledger)
