@@ -404,10 +404,9 @@ def _record(grid, config, a, b, k, ball):
     }
 
 
-def run(config: SimConfig, grid: Grid | None = None) -> RunResult:
+def run(config: SimConfig) -> RunResult:
     """Advance the system to t_end, recording traces and snapshots."""
-    if grid is None:
-        grid = build_grid(Domain(config.dim), config.resolution)
+    grid = build_grid(Domain(config.dim), config.resolution)
     u, B0 = init_state(grid, config)
     dt, nsteps, rec_every, snap_every = step_plan(grid, config, u)
 

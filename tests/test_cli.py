@@ -3,10 +3,12 @@
 import csv
 import json
 import math
+import os
 import re
 import shutil
 import subprocess
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -14,6 +16,8 @@ import pytest
 
 from degenrd.cli import main
 from degenrd.config import _SECTIONS
+from degenrd.diagnostics import TraceSeries, solver_checks
+from degenrd.verify import audit
 
 CFG = {
     "format_version": "1.0",
@@ -484,6 +488,72 @@ def test_verify_detects_tampering(run_dir, tmp_path):
     assert not report["pass"]
 
 
+_DISSIPATION = ("dissipation_grad_a", "dissipation_grad_b",
+                "dissipation_reaction")
+
+
+def _sample(channel, value):
+    """Sets sample 5 of `channel` to value(channels, B0)."""
+    def mutate(t, ch, B0):
+        ch[channel][5] = value(ch, B0)
+    return mutate
+
+
+def _dissipation_after(t0, factor):
+    """Scales the three dissipation channels by `factor` for t > t0."""
+    def mutate(t, ch, B0):
+        for name in _DISSIPATION:
+            ch[name][t > t0] *= factor
+    return mutate
+
+
+_BLIND = pytest.mark.xfail(strict=True, reason=(
+    "ROADMAP item 10: energy_identity divides its margin by the run's "
+    "largest l2_dist, so it cannot see the dissipation after the "
+    "transient (margin 0.1258 -> 0.1153 zeroed, 0.1104 x10)"))
+
+# One trace mutation per quick-audit check that the check must fail.  The
+# sample mutations overstep the check's tolerance twice; mean_zero_shift
+# reads the mass channel, as mass_conservation does.
+_MASS_SHIFT = _sample("mass", lambda ch, B0: ch["mass"][5] + 2e-8)
+_TAMPERING = [
+    pytest.param("mass_conservation", _MASS_SHIFT, id="mass+2e-8"),
+    pytest.param("mean_zero_shift", _MASS_SHIFT, id="mean_zero-mass+2e-8"),
+    pytest.param("l2_monotone",
+                 _sample("l2_dist", lambda ch, B0: ch["l2_dist"][4] + 2e-8),
+                 id="l2_dist-uptick"),
+    pytest.param("l3_monotone",
+                 _sample("l3_sum", lambda ch, B0: ch["l3_sum"][0] + 2e-6),
+                 id="l3_sum-above-start"),
+    pytest.param("min_principle", _sample("min_ab", lambda ch, B0: B0 - 2e-6),
+                 id="min_ab-below-B0"),
+    pytest.param("energy_identity", _dissipation_after(0.05, 0.0),
+                 id="dissipation-zeroed-after-0.05"),
+    pytest.param("energy_identity", _dissipation_after(0.2, 0.0),
+                 id="dissipation-zeroed-after-0.2", marks=_BLIND),
+    pytest.param("energy_identity", _dissipation_after(0.5, 10.0),
+                 id="dissipation-x10-after-0.5", marks=_BLIND),
+]
+
+
+def test_every_quick_check_has_a_mutation(ref_run):
+    assert {p.values[0] for p in _TAMPERING} \
+        == {c.invariant_id for c in solver_checks(ref_run)}
+
+
+@pytest.mark.parametrize("check,mutate", _TAMPERING)
+def test_quick_audit_fails_its_mutation(ref_run, check, mutate):
+    """The in-memory form of the tampering above, on the reference run:
+    the quick audit fails `check` once its trace input is mutated."""
+    ch = {name: v.copy() for name, v in ref_run.trace.channels.items()}
+    mutate(ref_run.trace.times, ch, ref_run.B0)
+    tampered = replace(ref_run, trace=TraceSeries(ref_run.trace.times, ch))
+
+    def passed(run):
+        return {e["invariant_id"]: e["pass"] for e in audit(run)}[check]
+    assert passed(ref_run) and not passed(tampered)
+
+
 def _simulated(tmp_path, stepper, weights):
     doc = json.loads(json.dumps(CFG))
     doc["stepper"].update(stepper)
@@ -837,6 +907,18 @@ def test_sweep_checks_every_point_first(pool_sizes, tmp_path, capsys, param,
     assert not out.exists() and pool_sizes == []
 
 
+@pytest.mark.parametrize("values", ["0.1,0.1", "0.1,0.10000000000000001"])
+def test_sweep_rejects_a_repeated_value(pool_sizes, cfg_path, tmp_path,
+                                        capsys, values):
+    """Equal values, however written, would share one point directory
+    (both workers writing it at once under -j 2) and one table row twice."""
+    out = tmp_path / "sweep"
+    assert main(["sweep", str(cfg_path), "--param", "r", "--values", values,
+                 "-j", "2", "-o", str(out)]) == 1
+    assert "repeats 0.10000000000000001" in capsys.readouterr().err
+    assert not out.exists() and pool_sizes == []
+
+
 def test_plot_data_long_format(run_dir):
     assert main(["plot-data", str(run_dir)]) == 0
     with open(run_dir / "plot_data.csv", newline="") as fh:
@@ -854,6 +936,28 @@ def test_module_entry_point_usage_error():
     proc = subprocess.run([sys.executable, "-m", "degenrd.cli"],
                           capture_output=True)
     assert proc.returncode == 1
+
+
+def test_main_freezes_the_imports_once(run_dir):
+    """The first `main` call moves the live objects into the collector's
+    permanent generation; a second call in the same process adds none."""
+    code = ("import contextlib, gc, io, sys\n"
+            "from degenrd.cli import main\n"
+            "counts = [gc.get_freeze_count()]\n"
+            "for _ in range(2):\n"
+            "    with contextlib.redirect_stdout(io.StringIO()):\n"
+            "        assert main(['verify', '--quick', sys.argv[1]]) == 0\n"
+            "    counts.append(gc.get_freeze_count())\n"
+            "print(*counts)\n")
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run([sys.executable, "-c", code, str(run_dir)],
+                          env=env, capture_output=True, text=True,
+                          timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    before, first, second = map(int, proc.stdout.split())
+    assert before == 0 and first > 0 and second == first
 
 
 def test_bundled_configs_parse():
