@@ -17,8 +17,7 @@ Layers, bottom up:
   config/cli   JSON configuration and the `degenrd` command.
 """
 
-from .grid import Domain, Grid, build_grid, integrate, dirichlet_energy, \
-    domain_radius
+from .grid import Grid, build_grid, integrate, dirichlet_energy, domain_radius
 from .weights import WeightParams, weight_fields, geometry_constants
 from .solver import CatalystSpec, InitialSpec, SimConfig, run
 from .diagnostics import TraceSeries, fit_decay_rate, TOLERANCES
@@ -31,8 +30,7 @@ from .config import RunConfig, load_config, parse_config
 __version__ = "0.1.0"
 
 __all__ = [
-    "Domain", "Grid", "build_grid", "integrate",
-    "dirichlet_energy", "domain_radius",
+    "Grid", "build_grid", "integrate", "dirichlet_energy", "domain_radius",
     "WeightParams", "weight_fields", "geometry_constants",
     "CatalystSpec", "InitialSpec", "SimConfig", "run",
     "TraceSeries", "fit_decay_rate", "audit", "TOLERANCES",

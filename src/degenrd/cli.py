@@ -1,6 +1,6 @@
 """Command-line entry point.
 
-Subcommands: simulate, verify, constants, interp-check, sweep, plot-data.
+Subcommands: simulate, verify, constants, interp-check, sweep.
 Exit codes: 0 success, 1 usage/config error, 2 numerical failure or a
 malformed run-directory file, 3 invariant/verification failure.
 """
@@ -23,7 +23,7 @@ from .config import FORMAT_VERSION, ConfigError, RunConfig, load_config, \
 from .constants import build_ledger
 from .diagnostics import TraceSeries, fit_decay_rate, nearest_index, \
     solver_checks
-from .grid import build_grid, Domain
+from .grid import build_grid
 from .logconv import InterpInput, interp_check, read_times
 from .solver import RunResult, init_state, run as run_sim, step_plan
 from .verify import audit
@@ -75,12 +75,6 @@ def _read_columns(path: Path, error=MalformedFile) -> dict[str, np.ndarray]:
     return dict(zip(header, data.T))
 
 
-def _read_trace_csv(path: Path) -> TraceSeries:
-    col = _read_columns(path)
-    with _reading(path):
-        return TraceSeries(col.pop("t"), col)
-
-
 def save_run(run: RunResult, rc: RunConfig, out_dir: Path) -> dict:
     """Persist a finished run; returns the summary dict."""
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -89,7 +83,7 @@ def save_run(run: RunResult, rc: RunConfig, out_dir: Path) -> dict:
     _write_trace_csv(out_dir / "trace.csv", run.trace)
     np.savez(out_dir / "fields.npz", times=run.snapshot_times,
              a=run.snapshots[:, 0], b=run.snapshots[:, 1],
-             dim=run.grid.domain.dim, resolution=run.config.resolution)
+             dim=run.grid.dim, resolution=run.config.resolution)
     try:
         fit = fit_decay_rate(run.trace, "l2_dist")
     except ValueError:
@@ -123,8 +117,10 @@ def load_run(run_dir: Path) -> tuple[RunResult, RunConfig]:
     with _reading(run_dir / "summary.json") as path:
         summary = json.loads(path.read_text())
         B0, dt = float(summary["B0"]), float(summary["dt"])
-    grid = build_grid(Domain(rc.sim.dim), rc.sim.resolution)
-    trace = _read_trace_csv(run_dir / "trace.csv")
+    grid = build_grid(rc.sim.dim, rc.sim.resolution)
+    col = _read_columns(run_dir / "trace.csv")
+    with _reading(run_dir / "trace.csv"):
+        trace = TraceSeries(col.pop("t"), col)
     # a file of our own: np.load leaves its handle open on a bad zip
     with _reading(run_dir / "fields.npz") as path, open(path, "rb") as fh, \
             np.load(fh) as npz:
@@ -152,8 +148,7 @@ def _ledger(rc: RunConfig, grid, u0, B0: float):
                           "needs 1/(8*B0*k0)); constants and a full verify "
                           "need catalyst.k0 > 0")
     return build_ledger(grid, rc.weights, *u0, B0, k0=cat.k0,
-                        k_sup=cat.k_max, d1=rc.sim.d1, d2=rc.sim.d2,
-                        T=rc.weights.T)
+                        k_sup=cat.k_max, d1=rc.sim.d1, d2=rc.sim.d2)
 
 
 def _output(path: str, directory: bool) -> Path:
@@ -208,7 +203,7 @@ def cmd_verify(args) -> int:
 def cmd_constants(args) -> int:
     rc = load_config(args.config)
     out = args.output and _output(args.output, directory=False)
-    grid = build_grid(Domain(rc.sim.dim), rc.sim.resolution)
+    grid = build_grid(rc.sim.dim, rc.sim.resolution)
     u, B0 = init_state(grid, rc.sim)
     step_plan(grid, rc.sim, u)               # the config must simulate
     ledger = _ledger(rc, grid, u, B0)
@@ -304,20 +299,6 @@ def cmd_sweep(args) -> int:
     return EXIT_OK
 
 
-def cmd_plot_data(args) -> int:
-    trace = _read_trace_csv(Path(args.run_dir) / "trace.csv")
-    out = Path(args.output) if args.output \
-        else Path(args.run_dir) / "plot_data.csv"
-    with open(out, "w", newline="", encoding="utf-8") as fh:
-        w = csv.writer(fh)
-        w.writerow(["t", "channel", "value"])
-        for name in sorted(trace.channels):
-            for i in range(trace.times.size):
-                w.writerow([_g(trace.times[i]), name,
-                            _g(trace[name][i])])
-    return EXIT_OK
-
-
 # ---------------------------------------------------------------------------
 
 def build_parser() -> argparse.ArgumentParser:
@@ -362,12 +343,6 @@ def build_parser() -> argparse.ArgumentParser:
     s.add_argument("-o", "--output", required=True)
     s.add_argument("-j", "--jobs", type=int, default=2)
     s.set_defaults(func=cmd_sweep)
-
-    s = sub.add_parser("plot-data",
-                       help="tidy long-format CSV for external plotting")
-    s.add_argument("run_dir")
-    s.add_argument("-o", "--output")
-    s.set_defaults(func=cmd_plot_data)
     return p
 
 

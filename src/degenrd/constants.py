@@ -269,9 +269,11 @@ def window_length(T: float) -> mp.mpf:
     return min(mp.mpf(1) / 2, mp.mpf(T) / 4) / 2
 
 
-def compute_chain(ledger: ConstantLedger, T: float) -> ConstantLedger:
+def compute_chain(ledger: ConstantLedger,
+                  params: WeightParams) -> ConstantLedger:
     """Complete the ledger: interpolation window, observation constants
-    (c, M), and the decay certificate (theta, gamma, beta).
+    (c, M), and the decay certificate (theta, gamma, beta), for the
+    horizon T of `params`.
 
     All arithmetic runs at 60 significant digits with arbitrary-precision
     exponents; quantities whose exponents leave double range are kept as
@@ -283,8 +285,8 @@ def compute_chain(ledger: ConstantLedger, T: float) -> ConstantLedger:
         g, put = ledger.geometry, ledger.put
         C0, C1 = mp.mpf(ledger.C0), mp.mpf(ledger.C1)
         mu0, mu1 = mp.mpf(g.mu0), mp.mpf(g.mu1)
-        put("T", float(T), "input",
-            "certificate horizon (configuration)")
+        T = put("T", float(params.T), "input",
+                "certificate horizon (configuration)")
 
         ell = put("ell", _select_ell(mu0, mu1, C0, C1), "closed form",
                   "smallest window multiplier with geometry.mu1*(1+Mbar)/"
@@ -365,7 +367,7 @@ def compute_chain(ledger: ConstantLedger, T: float) -> ConstantLedger:
 
 def build_ledger(grid: Grid, params: WeightParams, a0: np.ndarray,
                  b0: np.ndarray, B0: float, k0: float, k_sup: float,
-                 d1: float, d2: float, T: float) -> ConstantLedger:
+                 d1: float, d2: float) -> ConstantLedger:
     """End-to-end ledger construction for one configuration."""
     led = ConstantLedger(geometry_constants(params))
     put, g = led.put, led.geometry
@@ -404,5 +406,5 @@ def build_ledger(grid: Grid, params: WeightParams, a0: np.ndarray,
     put("K0", compute_K0(grid, a0, b0, k_sup), "closed form",
         "max((4*int(a0^3+b0^3)+4)^(2/3), 32*sup(k)^2)")
     compute_analysis_constants(led, params)
-    compute_chain(led, T)
+    compute_chain(led, params)
     return led

@@ -1,4 +1,4 @@
-"""Unit-measure ball domains, finite-volume grids, and discrete Neumann operators.
+"""Finite-volume grids on the unit-measure ball; discrete Neumann operators.
 
 The computational domain is the ball of measure one: an interval of length 1
 in 1-D, a disk of area 1 in 2-D.  All spatial operators are cell-centered
@@ -11,7 +11,6 @@ in the volume-weighted inner product.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
@@ -32,25 +31,15 @@ def grid_spacing(dim: int, resolution: int) -> float:
     return (1.0 if dim == 1 else domain_radius(dim)) / resolution
 
 
-@dataclass(frozen=True)
-class Domain:
-    """Ball of unit measure in dimension 1 or 2."""
-
-    dim: int
-    radius: float = field(init=False)
-
-    def __post_init__(self):
-        object.__setattr__(self, "radius", domain_radius(self.dim))
-
-
 class Grid:
     """Cell-centered finite-volume grid on a unit-measure ball.
 
     Attributes
     ----------
+    dim, radius : dimension (1 or 2) and radius of the ball
     centers : (ncells, dim) cell centroids (all strictly inside the domain)
     volumes : (ncells,) cell measures, summing to 1
-    spacing : characteristic mesh width
+    spacing : characteristic mesh width, `grid_spacing(dim, resolution)`
     face_i, face_j : interior face neighbor indices
     face_trans : face transmissibility area/distance (unit diffusivity)
     face_area, face_normal : interior face geometry
@@ -60,13 +49,13 @@ class Grid:
         load scipy; the eigenvalue and the integrals use the face arrays
     """
 
-    def __init__(self, domain, resolution, centers, volumes, spacing,
-                 faces, bfaces):
-        self.domain = domain
+    def __init__(self, dim, resolution, centers, volumes, faces, bfaces):
+        self.dim = dim
+        self.radius = domain_radius(dim)
         self.resolution = int(resolution)
+        self.spacing = grid_spacing(dim, self.resolution)
         self.centers = np.ascontiguousarray(centers, dtype=float)
         self.volumes = np.ascontiguousarray(volumes, dtype=float)
-        self.spacing = float(spacing)
         (self.face_i, self.face_j, self.face_trans,
          self.face_area, self.face_normal) = faces
         (self.bface_cell, self.bface_area,
@@ -88,15 +77,15 @@ class Grid:
     def summary(self) -> dict:
         """JSON-serializable grid metadata."""
         return {
-            "dim": self.domain.dim,
-            "radius": self.domain.radius,
+            "dim": self.dim,
+            "radius": self.radius,
             "resolution": self.resolution,
             "spacing": self.spacing,
             "ncells": self.ncells,
         }
 
 
-def _build_grid_1d(domain: Domain, resolution: int) -> Grid:
+def _build_grid_1d(resolution: int) -> Grid:
     n = resolution
     dx = grid_spacing(1, n)
     centers = (-0.5 + dx * (np.arange(n) + 0.5)).reshape(n, 1)
@@ -114,12 +103,12 @@ def _build_grid_1d(domain: Domain, resolution: int) -> Grid:
         np.array([[-0.5], [0.5]]),
         np.array([[-1.0], [1.0]]),
     )
-    return Grid(domain, resolution, centers, volumes, dx, faces, bfaces)
+    return Grid(1, resolution, centers, volumes, faces, bfaces)
 
 
-def _build_grid_2d(domain: Domain, resolution: int) -> Grid:
+def _build_grid_2d(resolution: int) -> Grid:
     """Structured polar grid; the center cell is a full small disk."""
-    R = domain.radius
+    R = domain_radius(2)
     nr = resolution
     ntheta = 4 * resolution
     dr = grid_spacing(2, nr)
@@ -167,16 +156,17 @@ def _build_grid_2d(domain: Domain, resolution: int) -> Grid:
         np.column_stack([cos_m, sin_m]),
     )
     faces = (fi, fj, ftr, far, fno)
-    return Grid(domain, resolution, centers, volumes, dr, faces, bfaces)
+    return Grid(2, resolution, centers, volumes, faces, bfaces)
 
 
-def build_grid(domain: Domain, resolution: int) -> Grid:
-    """Build the finite-volume grid; 1-D interval or 2-D polar disk."""
+def build_grid(dim: int, resolution: int) -> Grid:
+    """Build the finite-volume grid on the unit-measure ball: the interval
+    for dim 1, the polar disk for dim 2.  Raises ValueError for another dim
+    or a resolution below 8."""
+    domain_radius(dim)                   # raises on an unsupported dim
     if resolution < 8:
         raise ValueError("resolution must be at least 8")
-    if domain.dim == 1:
-        return _build_grid_1d(domain, resolution)
-    return _build_grid_2d(domain, resolution)
+    return (_build_grid_1d if dim == 1 else _build_grid_2d)(resolution)
 
 
 def integrate(grid: Grid, values: np.ndarray) -> float:
@@ -206,7 +196,7 @@ def cell_gradient(grid: Grid, values: np.ndarray) -> np.ndarray:
     averages (boundary faces use the cell value).
     """
     v = np.asarray(values, float)
-    if grid.domain.dim == 1:
+    if grid.dim == 1:
         n = grid.ncells
         dx = grid.spacing
         g = np.empty(n)
@@ -280,7 +270,7 @@ def neumann_eigenvalue_1(grid: Grid) -> float:
     residual check on the full grid, with A applied face by face.
     """
     V = grid.volumes
-    if grid.domain.dim == 1:
+    if grid.dim == 1:
         dx = grid.spacing
         lam = (4.0 / dx ** 2) * math.sin(math.pi * dx / 2.0) ** 2
         z = np.cos(math.pi * (grid.centers[:, 0] + 0.5))
@@ -320,7 +310,7 @@ def neumann_eigenvalue_1(grid: Grid) -> float:
 
 def ball_mask(grid: Grid, x0_axis: float, r: float) -> np.ndarray:
     """Cells whose center lies in the ball of radius r about (x0, 0, ...)."""
-    x0 = np.zeros(grid.domain.dim)
+    x0 = np.zeros(grid.dim)
     x0[0] = x0_axis
     return np.linalg.norm(grid.centers - x0, axis=1) <= r
 

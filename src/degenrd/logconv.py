@@ -155,7 +155,7 @@ def sym_form_direct(ts: TiltedState, d1: float, d2: float) -> float:
     d = np.array((d1, d2))[SPECIES]
     gpsi_b = PsiJet(ts.wf.params, grid.bface_mid).grad
     dn_psi = np.sum(gpsi_b * grid.bface_normal, axis=1)
-    if grid.domain.dim == 1:
+    if grid.dim == 1:
         inner = np.array([1, grid.ncells - 2])
         f_b = 1.5 * f[:, grid.bface_cell] - 0.5 * f[:, inner]
     else:
@@ -436,11 +436,8 @@ def interpolation_window_check(run: RunResult, params: WeightParams,
         s = mp.mpf(ledger.s2)
         L = ell * h
 
-        wf = weight_fields(
-            WeightParams(params.x0_abs, params.r, min(ledger.s2, 1.0),
-                         min(params.h, 1.0), float(T), dim=params.dim),
-            grid)
-        phi = _phi_rows(wf)
+        # phi1 and phi3 depend on x0_abs and dim alone, not on r, s, h, T
+        phi = _phi_rows(weight_fields(params, grid))
 
         def ln_norms(t_float, gamma):
             """ln ||f||^2 over all four rows and over rows 1, 2 alone."""

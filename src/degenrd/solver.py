@@ -23,7 +23,7 @@ import warnings
 
 import numpy as np
 
-from .grid import Domain, Grid, build_grid, integrate, dirichlet_energy, \
+from .grid import Grid, build_grid, integrate, dirichlet_energy, \
     ball_mask, ball_norm2
 from .diagnostics import TraceSeries, nearest_index
 
@@ -112,7 +112,7 @@ class CatalystSpec:
         if self.kind == "constant":
             return np.full(grid.ncells, self.k0)
         w = self._width(grid.spacing)
-        x0 = np.zeros(grid.domain.dim)
+        x0 = np.zeros(grid.dim)
         x0[0] = self.x0
         dist = np.linalg.norm(grid.centers - x0, axis=1)
         if self.kind in ("bump", "time-modulated-bump"):
@@ -172,7 +172,7 @@ class InitialSpec:
             a = 1.0 + self.amplitude * mode
             b = 1.0 - self.amplitude * mode
         else:
-            c = np.zeros(grid.domain.dim)
+            c = np.zeros(grid.dim)
             c[0] = self.center
             da = np.linalg.norm(grid.centers - c, axis=1)
             db = np.linalg.norm(grid.centers + c, axis=1)
@@ -406,7 +406,7 @@ def _record(grid, config, a, b, k, ball):
 
 def run(config: SimConfig) -> RunResult:
     """Advance the system to t_end, recording traces and snapshots."""
-    grid = build_grid(Domain(config.dim), config.resolution)
+    grid = build_grid(config.dim, config.resolution)
     u, B0 = init_state(grid, config)
     dt, nsteps, rec_every, snap_every = step_plan(grid, config, u)
 

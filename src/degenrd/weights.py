@@ -171,7 +171,7 @@ class WeightFields:
 
 def weight_fields(params: WeightParams, grid: Grid) -> WeightFields:
     """Evaluate psi, its shifts and derivatives on all cell centers."""
-    if grid.domain.dim != params.dim:
+    if grid.dim != params.dim:
         raise ValueError("grid dimension does not match weight parameters")
     jet = PsiJet(params, grid.centers)
     psi = jet.psi

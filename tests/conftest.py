@@ -5,14 +5,14 @@ from __future__ import annotations
 import pytest
 
 from degenrd.constants import build_ledger
-from degenrd.grid import Domain, build_grid
+from degenrd.grid import build_grid
 from degenrd.solver import CatalystSpec, InitialSpec, SimConfig, run
 from degenrd.weights import WeightParams
 
 
 @pytest.fixture(scope="session")
 def grid256():
-    return build_grid(Domain(1), 256)
+    return build_grid(1, 256)
 
 
 @pytest.fixture(scope="session")
@@ -38,4 +38,4 @@ def ref_params():
 def ref_ledger(ref_run, ref_params):
     a0, b0 = ref_run.snapshots[0]
     return build_ledger(ref_run.grid, ref_params, a0, b0, ref_run.B0,
-                        k0=1.0, k_sup=1.0, d1=1.0, d2=1.0, T=10.0)
+                        k0=1.0, k_sup=1.0, d1=1.0, d2=1.0)

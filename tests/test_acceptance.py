@@ -14,7 +14,7 @@ import pytest
 
 from degenrd.constants import build_ledger
 from degenrd.diagnostics import energy_identity_residuals, fit_decay_rate
-from degenrd.grid import build_grid, Domain
+from degenrd.grid import build_grid
 from degenrd.logconv import (InterpInput, frequency_trace, interp_check,
                              observation_estimate_check, quadratic_forms,
                              tilt)
@@ -105,7 +105,7 @@ def test_criterion_03_energy_identity():
 # ---------------------------------------------------------------------------
 
 def _aff_at(res: int, p: WeightParams) -> float:
-    g = build_grid(Domain(1), res)
+    g = build_grid(1, res)
     x = g.centers[:, 0]
     a = 1.0 + 0.3 * np.cos(math.pi * (x + 0.5)) \
         + 0.1 * np.cos(3 * math.pi * (x + 0.5))
@@ -219,7 +219,7 @@ def test_criterion_07_observation_estimate(ref_run):
     for T in (1.0, 5.0, 10.0):
         p = WeightParams(x0_abs=0.25, r=0.1, s=0.5, h=0.1, T=T, dim=1)
         led = build_ledger(ref_run.grid, p, a0, b0, ref_run.B0,
-                           k0=1.0, k_sup=1.0, d1=1.0, d2=1.0, T=T)
+                           k0=1.0, k_sup=1.0, d1=1.0, d2=1.0)
         pairs = [(1.0, 6.0), (2.0, 9.0), (0.5, 9.5)] if T == 10.0 else []
         out = observation_estimate_check(ref_run, p, led)
         # strict: each window's margin is nonnegative, not just within the
@@ -269,7 +269,7 @@ def test_criterion_09_ledger_integrity(ref_run, ref_params, ref_ledger):
     )
     a0, b0 = ref_run.snapshots[0]
     led2 = build_ledger(ref_run.grid, ref_params, a0, b0, ref_run.B0,
-                        k0=1.0, k_sup=1.0, d1=1.0, d2=1.0, T=10.0)
+                        k0=1.0, k_sup=1.0, d1=1.0, d2=1.0)
     deterministic = json.dumps(led.as_json(), sort_keys=True) \
         == json.dumps(led2.as_json(), sort_keys=True)
     _report(9, "ledger integrity and determinism",

@@ -807,7 +807,7 @@ def test_interp_check_outside_the_lemma_exits_1(tmp_path, t_end, extra,
 
 
 # ---------------------------------------------------------------------------
-# sweep and plot-data
+# sweep
 # ---------------------------------------------------------------------------
 
 def test_sweep_writes_comparison_table(cfg_path, tmp_path):
@@ -917,15 +917,6 @@ def test_sweep_rejects_a_repeated_value(pool_sizes, cfg_path, tmp_path,
                  "-j", "2", "-o", str(out)]) == 1
     assert "repeats 0.10000000000000001" in capsys.readouterr().err
     assert not out.exists() and pool_sizes == []
-
-
-def test_plot_data_long_format(run_dir):
-    assert main(["plot-data", str(run_dir)]) == 0
-    with open(run_dir / "plot_data.csv", newline="") as fh:
-        rows = list(csv.reader(fh))
-    assert rows[0] == ["t", "channel", "value"]
-    channels = {r[1] for r in rows[1:]}
-    assert "l2_dist" in channels and "mass" in channels
 
 
 # ---------------------------------------------------------------------------

@@ -23,7 +23,7 @@ from degenrd._xmath import DPS
 from degenrd.config import ConfigError
 from degenrd.constants import (METHODS, build_ledger, compute_K0,
                                compute_sobolev_constant, ln_time_integral)
-from degenrd.grid import Domain, build_grid, dirichlet_energy, integrate
+from degenrd.grid import build_grid, dirichlet_energy, integrate
 from degenrd.weights import PsiJet
 
 
@@ -58,7 +58,7 @@ def test_sobolev_constant_lower_bound_and_random_audit(grid256):
     """1.1 on every grid, the constant field's ratio 1 with the 1.1 factor,
     and no random low-mode field of the 1-D grid exceeds it."""
     for dim, n in ((1, 256), (2, 16), (2, 32)):
-        assert compute_sobolev_constant(build_grid(Domain(dim), n)) == 1.1
+        assert compute_sobolev_constant(build_grid(dim, n)) == 1.1
     C = compute_sobolev_constant(grid256)
     assert C >= 1.0  # attained by the constant field on unit measure
     rng = np.random.default_rng(101)
@@ -204,7 +204,7 @@ def test_ledger_serialization_and_determinism(ref_run, ref_params,
         assert "provenance" in ent and "value" in ent
     a0, b0 = ref_run.snapshots[0]
     led2 = build_ledger(ref_run.grid, ref_params, a0, b0, ref_run.B0,
-                        k0=1.0, k_sup=1.0, d1=1.0, d2=1.0, T=10.0)
+                        k0=1.0, k_sup=1.0, d1=1.0, d2=1.0)
     assert json.dumps(j1, sort_keys=True) \
         == json.dumps(led2.as_json(), sort_keys=True)
 
@@ -257,7 +257,7 @@ def test_ledger_overflow_names_k_max(ref_run, ref_params, k_sup, name):
     a0, b0 = ref_run.snapshots[0]
     with pytest.raises(ConfigError, match=rf"catalyst\.k_max.*{name}"):
         build_ledger(ref_run.grid, ref_params, a0, b0, ref_run.B0, k0=1.0,
-                     k_sup=k_sup, d1=1.0, d2=1.0, T=10.0)
+                     k_sup=k_sup, d1=1.0, d2=1.0)
 
 
 @pytest.mark.parametrize("d1,d2,key,name", [
@@ -271,4 +271,4 @@ def test_ledger_overflow_names_the_diffusivity(ref_run, ref_params, d1, d2,
     a0, b0 = ref_run.snapshots[0]
     with pytest.raises(ConfigError, match=rf"{re.escape(key)}.*{name}"):
         build_ledger(ref_run.grid, ref_params, a0, b0, ref_run.B0, k0=1.0,
-                     k_sup=1.0, d1=d1, d2=d2, T=10.0)
+                     k_sup=1.0, d1=d1, d2=d2)

@@ -26,15 +26,15 @@ import scipy.sparse as sp
 import scipy.sparse.linalg
 
 import degenrd
-from degenrd.grid import (Domain, Grid, ball_mask, build_grid,
+from degenrd.grid import (Grid, ball_mask, build_grid,
                           cell_gradient, dirichlet_energy, domain_radius,
                           integrate, neumann_eigenvalue_1, _ring_mode)
 
 
-def _loop_grid_2d(domain: Domain, resolution: int) -> Grid:
+def _loop_grid_2d(resolution: int) -> Grid:
     """The polar grid built face by face: the reference for the vectorized
     builder, which must give the same arrays bit for bit."""
-    R = domain.radius
+    R = domain_radius(2)
     nr = resolution
     ntheta = 4 * resolution
     dr = R / nr
@@ -89,7 +89,7 @@ def _loop_grid_2d(domain: Domain, resolution: int) -> Grid:
               np.column_stack([cos_m, sin_m]))
     faces = (np.asarray(fi), np.asarray(fj), np.asarray(ftr),
              np.asarray(far), np.asarray(fno, float))
-    return Grid(domain, resolution, centers, volumes, dr, faces, bfaces)
+    return Grid(2, resolution, centers, volumes, faces, bfaces)
 
 
 def test_domain_radius_oracles():
@@ -102,17 +102,17 @@ def test_domain_radius_oracles():
 def test_unsupported_dimension_rejected():
     for dim in (0, 3):
         with pytest.raises(ValueError, match="unsupported dimension"):
-            Domain(dim)
+            build_grid(dim, 64)
 
 
 def test_resolution_floor():
     with pytest.raises(ValueError):
-        build_grid(Domain(1), 4)
+        build_grid(1, 4)
 
 
 @pytest.mark.parametrize("dim,res", [(1, 64), (1, 256), (2, 12), (2, 24)])
 def test_unit_measure(dim, res):
-    g = build_grid(Domain(dim), res)
+    g = build_grid(dim, res)
     assert g.volumes.sum() == pytest.approx(1.0, rel=1e-12)
     assert integrate(g, np.full(g.ncells, 3.5)) == pytest.approx(3.5,
                                                                  rel=1e-12)
@@ -121,7 +121,7 @@ def test_unit_measure(dim, res):
 @pytest.mark.parametrize("dim,res", [(1, 128), (2, 16)])
 def test_energy_matches_operator_pairing_exactly(dim, res):
     """sum_faces t*(dv)^2 == <-L v, v>_V identically (discrete identity)."""
-    g = build_grid(Domain(dim), res)
+    g = build_grid(dim, res)
     rng = np.random.default_rng(7)
     v = rng.standard_normal(g.ncells)
     lv = g.laplacian @ v
@@ -131,7 +131,7 @@ def test_energy_matches_operator_pairing_exactly(dim, res):
 
 @pytest.mark.parametrize("dim,res", [(1, 128), (2, 16)])
 def test_operator_symmetry_and_conservation(dim, res):
-    g = build_grid(Domain(dim), res)
+    g = build_grid(dim, res)
     A = np.diag(g.volumes) @ g.laplacian.toarray()
     assert np.max(np.abs(A - A.T)) < 1e-10
     # zero-flux conservation: volume-weighted sum of L v vanishes
@@ -146,9 +146,9 @@ def test_operator_symmetry_and_conservation(dim, res):
 
 _REDUCTIONS_N64 = """
 import numpy as np
-from degenrd.grid import (Domain, ball_mask, ball_norm2, build_grid,
+from degenrd.grid import (ball_mask, ball_norm2, build_grid,
                           dirichlet_energy, integrate)
-g = build_grid(Domain(2), 64)
+g = build_grid(2, 64)
 u1 = np.random.default_rng(5).standard_normal(g.ncells)
 u2 = np.cos(7.0 * g.centers[:, 0]) * np.sin(3.0 * g.centers[:, 1])
 ball = ball_mask(g, 0.0, 0.5)
@@ -179,8 +179,8 @@ _GRID_ARRAYS = ("centers", "volumes", "face_i", "face_j", "face_trans",
 
 @pytest.mark.parametrize("res", [8, 9, 32, 64])
 def test_2d_grid_matches_face_by_face_build(res):
-    g = build_grid(Domain(2), res)
-    ref = _loop_grid_2d(Domain(2), res)
+    g = build_grid(2, res)
+    ref = _loop_grid_2d(res)
     for name in _GRID_ARRAYS:
         got, want = getattr(g, name), getattr(ref, name)
         assert got.dtype == want.dtype and got.shape == want.shape, name
@@ -188,12 +188,12 @@ def test_2d_grid_matches_face_by_face_build(res):
     for name in ("data", "indices", "indptr"):
         assert np.array_equal(getattr(g.laplacian, name),
                               getattr(ref.laplacian, name)), name
-    assert g.spacing == ref.spacing
+    assert g.spacing == domain_radius(2) / res
 
 
 @pytest.mark.parametrize("k", [1, 2, 5])
 def test_1d_discrete_eigenpair_exact(k):
-    g = build_grid(Domain(1), 128)
+    g = build_grid(1, 128)
     dx = g.spacing
     xi = g.centers[:, 0] + 0.5            # map [-1/2,1/2] to [0,1]
     phi = np.cos(k * math.pi * xi)
@@ -205,13 +205,13 @@ def test_1d_discrete_eigenpair_exact(k):
 def test_1d_first_eigenvalue_converges_to_pi_squared():
     errs = []
     for res in (64, 128):
-        g = build_grid(Domain(1), res)
+        g = build_grid(1, res)
         errs.append(abs(neumann_eigenvalue_1(g) - math.pi ** 2))
     assert errs[0] / errs[1] == pytest.approx(4.0, rel=0.05)
 
 
 def test_2d_first_eigenvalue_disk_oracle():
-    g = build_grid(Domain(2), 24)
+    g = build_grid(2, 24)
     lam = neumann_eigenvalue_1(g)
     exact = 1.8411837813 ** 2 * math.pi   # (p'_11 / R)^2, R = pi^(-1/2)
     assert lam == pytest.approx(exact, rel=0.02)
@@ -220,14 +220,14 @@ def test_2d_first_eigenvalue_disk_oracle():
 @pytest.mark.parametrize("res,rel", [(256, 1e-12), (4096, 1e-9)])
 def test_1d_first_eigenvalue_closed_form(res, rel):
     """lambda_1 = 4 n^2 sin^2(pi/2n), the k=1 pair above."""
-    lam = neumann_eigenvalue_1(build_grid(Domain(1), res))
+    lam = neumann_eigenvalue_1(build_grid(1, res))
     exact = 4.0 * res ** 2 * math.sin(math.pi / (2 * res)) ** 2
     assert lam == pytest.approx(exact, rel=rel)
 
 
 def test_2d_first_eigenvalue_disk_oracle_fine():
     """16,129 cells; the error is second order, 3.4e-5 here."""
-    lam = neumann_eigenvalue_1(build_grid(Domain(2), 64))
+    lam = neumann_eigenvalue_1(build_grid(2, 64))
     assert lam == pytest.approx(1.8411837813 ** 2 * math.pi, rel=1e-4)
 
 
@@ -257,7 +257,7 @@ def _dense_spectrum(g):
 @pytest.mark.parametrize("dim,res", [(1, 64), (1, 128), (1, 256),
                                      (2, 24), (2, 32), (2, 64)])
 def test_first_eigenvalue_matches_lanczos(dim, res):
-    g = build_grid(Domain(dim), res)
+    g = build_grid(dim, res)
     assert neumann_eigenvalue_1(g) == pytest.approx(_lanczos_lambda_1(g),
                                                     rel=1e-12)
 
@@ -266,7 +266,7 @@ def test_first_eigenvalue_matches_lanczos(dim, res):
 def test_2d_first_eigenvalue_matches_dense_solve(res):
     """At n = 11 the shift by the mode's eigenvalue is singular in floats,
     so the shifted solve moves off it."""
-    g = build_grid(Domain(2), res)
+    g = build_grid(2, res)
     assert neumann_eigenvalue_1(g) == pytest.approx(
         _dense_spectrum(g)[1], rel=1e-12)
 
@@ -276,7 +276,7 @@ def test_2d_angular_modes_give_the_whole_spectrum(res):
     """Mode 0, modes 1..ntheta/2-1 twice (cos and sin) and mode ntheta/2
     together carry every eigenvalue of the full grid, centre cell
     included."""
-    g = build_grid(Domain(2), res)
+    g = build_grid(2, res)
     ntheta = 4 * res
     modes = [np.linalg.eigvalsh(_ring_mode(g, m)[0])
              for m in range(ntheta // 2 + 1)]
@@ -288,7 +288,7 @@ def test_2d_angular_modes_give_the_whole_spectrum(res):
 
 
 def test_first_eigenvalue_bitwise_reproducible():
-    lams = [neumann_eigenvalue_1(build_grid(Domain(2), 32))
+    lams = [neumann_eigenvalue_1(build_grid(2, 32))
             for _ in range(2)]
     assert lams[0] == lams[1]
 
@@ -298,14 +298,14 @@ def test_first_eigenvalue_independent_of_blas_threads():
     OpenBLAS's thread count."""
     env = dict(os.environ, OPENBLAS_NUM_THREADS="1",
                PYTHONPATH=str(Path(degenrd.__file__).parents[1]))
-    script = ("from degenrd.grid import Domain, build_grid, "
+    script = ("from degenrd.grid import build_grid, "
               "neumann_eigenvalue_1\n"
-              "print(*(neumann_eigenvalue_1(build_grid(Domain(2), n)).hex() "
+              "print(*(neumann_eigenvalue_1(build_grid(2, n)).hex() "
               "for n in (32, 64)))")
     single = subprocess.run([sys.executable, "-c", script], env=env,
                             capture_output=True, text=True,
                             check=True).stdout.split()
-    assert [neumann_eigenvalue_1(build_grid(Domain(2), n)).hex()
+    assert [neumann_eigenvalue_1(build_grid(2, n)).hex()
             for n in (32, 64)] == single
 
 
@@ -315,7 +315,7 @@ def test_first_eigenvalue_failure_raises_runtime_error(monkeypatch):
         raise np.linalg.LinAlgError("Eigenvalues did not converge")
     monkeypatch.setattr(np.linalg, "eigvalsh", no_convergence)
     with pytest.raises(RuntimeError, match="eigenvalue solve failed"):
-        neumann_eigenvalue_1(build_grid(Domain(2), 16))
+        neumann_eigenvalue_1(build_grid(2, 16))
 
 
 def test_first_eigenvalue_bad_eigenpair_raises_runtime_error(monkeypatch):
@@ -325,7 +325,7 @@ def test_first_eigenvalue_bad_eigenpair_raises_runtime_error(monkeypatch):
         return np.linspace(1.0, 2.0, b.size)
     monkeypatch.setattr(np.linalg, "solve", corrupted)
     with pytest.raises(RuntimeError, match="residual check"):
-        neumann_eigenvalue_1(build_grid(Domain(2), 16))
+        neumann_eigenvalue_1(build_grid(2, 16))
 
 
 def _scatter_cell_gradient(grid, v):
@@ -344,7 +344,7 @@ def _scatter_cell_gradient(grid, v):
 
 @pytest.mark.parametrize("n", [8, 9, 32, 64])
 def test_cell_gradient_2d_bitwise_equals_scatters(n):
-    g = build_grid(Domain(2), n)
+    g = build_grid(2, n)
     v = np.random.default_rng(n).standard_normal(g.ncells)
     grad = cell_gradient(g, v)
     assert grad.flags.c_contiguous
@@ -352,7 +352,7 @@ def test_cell_gradient_2d_bitwise_equals_scatters(n):
 
 
 def test_cell_gradient_linear_exact_1d():
-    g = build_grid(Domain(1), 64)
+    g = build_grid(1, 64)
     v = 3.0 * g.centers[:, 0] + 1.0
     grad = cell_gradient(g, v)
     assert np.max(np.abs(grad[:, 0] - 3.0)) < 1e-10
@@ -361,7 +361,7 @@ def test_cell_gradient_linear_exact_1d():
 def test_cell_gradient_second_order_1d():
     errs = []
     for res in (64, 128):
-        g = build_grid(Domain(1), res)
+        g = build_grid(1, res)
         x = g.centers[:, 0]
         grad = cell_gradient(g, np.sin(2 * np.pi * x))[:, 0]
         errs.append(np.max(np.abs(grad - 2 * np.pi * np.cos(2 * np.pi * x))))
@@ -369,7 +369,7 @@ def test_cell_gradient_second_order_1d():
 
 
 def test_ball_mask_1d():
-    g = build_grid(Domain(1), 256)
+    g = build_grid(1, 256)
     mask = ball_mask(g, 0.25, 0.1)
     x = g.centers[:, 0]
     assert np.array_equal(mask, np.abs(x - 0.25) <= 0.1 + 1e-12)
@@ -386,7 +386,7 @@ def test_grid_summary_serializable(grid256):
 def test_laplacian_assembled_on_first_access():
     """`build_grid` leaves the sparse Laplacian (and scipy) for the
     commands that step; it is built once, then cached."""
-    g = build_grid(Domain(2), 16)
+    g = build_grid(2, 16)
     assert "laplacian" not in vars(g)
     assert g.laplacian is g.laplacian
     assert "laplacian" in vars(g)

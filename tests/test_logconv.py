@@ -153,7 +153,7 @@ def _per_component_reference(r, params, t, u):
             - 0.5 * d * ((sign * s / gam) * wf.laplacian_psi) * fi
         Aff += integrate(grid, adv * fi)
         F2 += integrate(grid, vi ** 2 * np.exp(Phi[i]))
-        if grid.domain.dim == 1:
+        if grid.dim == 1:
             f_b = 1.5 * fi[grid.bface_cell] \
                 - 0.5 * fi[np.array([1, grid.ncells - 2])]
         else:

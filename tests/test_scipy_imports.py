@@ -163,7 +163,6 @@ import sys
 import degenrd.cli, degenrd.solver
 from degenrd.cli import main
 assert main(["verify", "run", "--quick"]) == 0
-assert main(["plot-data", "run"]) == 0
 assert main(["interp-check", "s.csv", "--t1", "0.2", "--t2", "0.5",
              "--t3", "0.8", "--T", "1.0", "--h", "0.1"]) == 0
 print({_SCIPY})

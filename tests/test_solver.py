@@ -17,7 +17,7 @@ import scipy.sparse.linalg
 
 from degenrd import solver
 from degenrd.diagnostics import fit_decay_rate
-from degenrd.grid import Domain, ball_mask, build_grid, integrate
+from degenrd.grid import ball_mask, build_grid, integrate
 from degenrd.solver import (CatalystSpec, InitialSpec, SimConfig, Stepper,
                             default_dt, init_state, run, step, stability_dt)
 
@@ -54,10 +54,10 @@ def test_annular_zero_must_avoid_observation_ball():
     bad = CatalystSpec(kind="annular-zero", k0=1.0, x0=0.25, r=0.1,
                        annulus_inner=0.2, annulus_outer=0.3)
     with pytest.raises(ValueError):
-        bad.values(build_grid(Domain(1), 256), 0.0)
+        bad.values(build_grid(1, 256), 0.0)
     spec = CatalystSpec(kind="annular-zero", k0=1.0, x0=0.3, r=0.05,
                         annulus_inner=0.05, annulus_outer=0.15)
-    g = build_grid(Domain(1), 256)
+    g = build_grid(1, 256)
     k = spec.values(g, 0.0)
     x = np.abs(g.centers[:, 0])
     assert np.all(k[(x > 0.05) & (x < 0.15)] < 1.0)
@@ -80,7 +80,7 @@ def test_init_state_normalized_mass(grid256):
 # ---------------------------------------------------------------------------
 
 def test_single_mode_per_step_factor_exact():
-    g = build_grid(Domain(1), 128)
+    g = build_grid(1, 128)
     dx = g.spacing
     k = 2
     lam = (4.0 / dx ** 2) * math.sin(k * math.pi * dx / 2.0) ** 2
@@ -150,7 +150,7 @@ def _guarded_step(u_edit, dt=0.01, catalyst=CatalystSpec(kind="bump",
                                                          k0=1.0)):
     """One `step` on a 1-D n=32 grid from ones with `u_edit` applied."""
     cfg = _cfg(resolution=32, catalyst=catalyst)
-    grid = build_grid(Domain(1), 32)
+    grid = build_grid(1, 32)
     u = np.ones((2, grid.ncells))
     u_edit(u)
     return step(u, 0.0, catalyst.profile(grid), cfg,
@@ -248,7 +248,7 @@ def _reference_step(grid, t, a, b, config, dt, solve, forward):
 
 def _reference_run(config, dt):
     """Times, trace channels and snapshots of the reference loop."""
-    grid = build_grid(Domain(config.dim), config.resolution)
+    grid = build_grid(config.dim, config.resolution)
     (a, b), _ = init_state(grid, config)
     rec_every = max(1, round(config.record_stride / dt))
     nsteps = max(1, round(config.t_end / dt))
@@ -320,7 +320,7 @@ def test_run_bitwise_equals_per_species_loop(case):
 
 @pytest.mark.parametrize("d2,nsolve", [(1.0, 1), (0.3, 2)])
 def test_one_factorization_when_diffusivities_equal(d2, nsolve):
-    g = build_grid(Domain(1), 64)
+    g = build_grid(1, 64)
     assert len(Stepper(g, 1e-3, 1.0, d2).solve) == nsolve
 
 

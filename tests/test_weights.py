@@ -16,7 +16,7 @@ import pytest
 
 from degenrd.weights import (PsiJet, WeightParams, _sample_points,
                              geometry_constants, psi_at_x0, weight_fields)
-from degenrd.grid import Domain, build_grid
+from degenrd.grid import build_grid
 from degenrd.logconv import tilt
 
 P1 = WeightParams(x0_abs=0.25, r=0.1, s=0.5, h=0.1, T=10.0, dim=1)
@@ -156,7 +156,7 @@ def _package_point_sets(dim):
     sets = {f"sample{m}": _sample_points(probe, m)
             for m in (10_000, 20_000, 40_000, 20_001)}
     for n in ((256,) if dim == 1 else (32, 64)):
-        grid = build_grid(Domain(dim), n)
+        grid = build_grid(dim, n)
         sets[f"centers{n}"] = grid.centers
         sets[f"bface_mid{n}"] = grid.bface_mid
     return sets
@@ -273,7 +273,7 @@ def test_hessian_at_peak_oracle(p):
 # ---------------------------------------------------------------------------
 
 def test_phi_signs_and_reconstruction():
-    g = build_grid(Domain(1), 201)
+    g = build_grid(1, 201)
     wf = weight_fields(P1, g)
     assert np.all(wf.phi1 <= 1e-12)
     assert np.all(wf.phi3 <= 1e-12)
@@ -299,7 +299,7 @@ def test_Phi_eta_consistency():
     """The tilt's exponent and multiplier rows (u1, u2 under phi1, then
     under phi3) against the closed form, with d1 = 1 and d2 = 2."""
     for n, t, atol_Phi in ((11, 3.0, 1e-14), (128, 1.5, 1e-13)):
-        g = build_grid(Domain(1), n)
+        g = build_grid(1, n)
         ts = tilt(g, t, np.ones((2, n)), np.zeros(n), weight_fields(P1, g))
         eta = ts.eta(1.0, 2.0)
         for row, (sign, d) in enumerate([(1, 1.0), (1, 2.0), (-1, 1.0),
@@ -310,7 +310,7 @@ def test_Phi_eta_consistency():
 
 
 def test_weight_fields_match_pointwise():
-    g = build_grid(Domain(1), 128)
+    g = build_grid(1, 128)
     wf = weight_fields(P1, g)
     jet = PsiJet(P1, g.centers)
     psi = jet.psi
@@ -321,6 +321,21 @@ def test_weight_fields_match_pointwise():
     assert np.allclose(wf.grad_psi_sq, np.sum(grad * grad, axis=-1),
                        atol=1e-14)
     assert np.allclose(wf.laplacian_psi, jet.lap, atol=1e-12)
+
+
+@pytest.mark.parametrize("dim,n", [(1, 256), (2, 32), (2, 64)])
+def test_phi_rows_depend_on_x0_and_dim_alone(dim, n):
+    """phi1 and phi3 are bitwise the same for every (r, s, h, T), so the
+    interpolation window may tilt with the configured weight fields."""
+    base = dict(x0_abs=0.25, r=0.1, s=0.5, h=0.1, T=10.0, dim=dim)
+    g = build_grid(dim, n)
+    ref = weight_fields(WeightParams(**base), g)
+    for change in (dict(r=0.05), dict(s=1.7e-4), dict(s=1.0), dict(h=1.0),
+                   dict(h=1e-3), dict(T=0.5), dict(T=1e4),
+                   dict(r=0.02, s=1e-9, h=0.9, T=3.0)):
+        wf = weight_fields(WeightParams(**{**base, **change}), g)
+        assert wf.phi1.tobytes() == ref.phi1.tobytes(), change
+        assert wf.phi3.tobytes() == ref.phi3.tobytes(), change
 
 
 # ---------------------------------------------------------------------------
