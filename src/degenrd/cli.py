@@ -25,7 +25,8 @@ from .diagnostics import TraceSeries, fit_decay_rate, nearest_index, \
     solver_checks
 from .grid import build_grid
 from .logconv import InterpInput, interp_check, read_times
-from .solver import RunResult, init_state, run as run_sim, step_plan
+from .solver import RunResult, init_state, load_extensions, run as run_sim, \
+    step_plan
 from .verify import audit
 
 EXIT_OK, EXIT_USAGE, EXIT_NUMERICAL, EXIT_INVARIANT = 0, 1, 2, 3
@@ -171,8 +172,7 @@ def _output(path: str, directory: bool) -> Path:
 def cmd_simulate(args) -> int:
     rc = load_config(args.config)            # parse before touching disk
     out_dir = _output(args.output, directory=True)
-    # the sparse solver's import is paid here, not inside solver.run
-    import scipy.sparse.linalg  # noqa: F401
+    load_extensions()                        # here, not inside solver.run
     run = run_sim(rc.sim)
     save_run(run, rc, out_dir)
     return EXIT_OK
@@ -275,8 +275,7 @@ def cmd_sweep(args) -> int:
         except ConfigError as exc:
             raise ConfigError(f"sweep point {section}.{key} = {_g(v)}: "
                               f"{exc}") from exc
-    # imported once before the pool forks, not again in every worker
-    import scipy.sparse.linalg  # noqa: F401
+    load_extensions()            # once, before the pool forks its workers
     out_root = Path(args.output)
     out_root.mkdir(parents=True, exist_ok=True)
     payloads = [(point, str(out_root / f"{args.param}_{_g(v)}"),

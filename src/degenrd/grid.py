@@ -44,9 +44,11 @@ class Grid:
     face_trans : face transmissibility area/distance (unit diffusivity)
     face_area, face_normal : interior face geometry
     bface_cell, bface_area, bface_mid, bface_normal : boundary face geometry
-    laplacian : sparse unit-diffusivity Neumann Laplacian (rows scaled 1/V),
-        assembled on first access, so that only the commands that step
-        load scipy; the eigenvalue and the integrals use the face arrays
+    laplacian : unit-diffusivity Neumann Laplacian (rows scaled 1/V) as
+        canonical CSR arrays (indptr, indices, data): int32 indices sorted
+        within each row, no duplicates.  Assembled on first access for
+        the commands that step; the eigenvalue and the integrals use the
+        face arrays
     """
 
     def __init__(self, dim, resolution, centers, volumes, faces, bfaces):
@@ -63,16 +65,22 @@ class Grid:
         self.ncells = self.centers.shape[0]
 
     @cached_property
-    def laplacian(self):
-        import scipy.sparse as sp
+    def laplacian(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         i, j, t = self.face_i, self.face_j, self.face_trans
-        rows = np.concatenate([i, j, i, j])
-        cols = np.concatenate([j, i, i, j])
-        vals = np.concatenate([t, t, -t, -t])
-        A = sp.csr_matrix((vals, (rows, cols)),
-                          shape=(self.ncells, self.ncells))
-        inv_v = sp.diags(1.0 / self.volumes)
-        return (inv_v @ A).tocsr()
+        n = self.ncells
+        rows = np.concatenate([i, j, np.arange(n)])
+        cols = np.concatenate([j, i, np.arange(n)])
+        # each diagonal entry sums -t over its faces from 0, first where
+        # the cell is face_i, then where it is face_j, each in face order:
+        # the order in which scipy sums the duplicate COO triplets
+        # (i, i, -t), (j, j, -t) (the tests compare with that assembly)
+        diag = -np.bincount(np.concatenate([i, j]), np.concatenate([t, t]), n)
+        order = np.argsort(rows * n + cols, kind="stable")
+        indptr = np.zeros(n + 1, np.intc)
+        np.cumsum(np.bincount(rows, minlength=n), out=indptr[1:])
+        data = (1.0 / self.volumes)[rows[order]] \
+            * np.concatenate([t, t, diag])[order]
+        return indptr, cols[order].astype(np.intc), data
 
     def summary(self) -> dict:
         """JSON-serializable grid metadata."""

@@ -16,9 +16,13 @@ invalidate the identities the verification harness checks.
 
 from __future__ import annotations
 
+import functools
+import importlib.machinery
+import importlib.util
 import math
 import sys
 from dataclasses import dataclass
+from pathlib import Path
 import warnings
 
 import numpy as np
@@ -243,30 +247,130 @@ def init_state(grid: Grid, config: SimConfig) -> tuple[np.ndarray, float]:
     return u, float(u.min())
 
 
+def _factor(superlu, n, indptr, indices, data):
+    """SuperLU factorization of the n x n matrix with canonical CSC arrays
+    (indptr, indices, data): `gstrf` called as scipy 1.17's
+    `scipy.sparse.linalg.splu(A)` calls it.  The L and U factors, never
+    read here, would come back as their raw CSC arrays."""
+    return superlu.gstrf(n, int(indptr[-1]), data, indices, indptr,
+                         csc_construct_func=lambda *arrays, **shape: arrays,
+                         ilu=False, options=dict(
+                             DiagPivotThresh=None, ColPerm=None,
+                             PanelSize=None, Relax=None))
+
+
+_EYE1 = (np.array([0, 1], np.intc), np.zeros(1, np.intc), np.ones(1))
+
+
+def _solve_eye1(superlu) -> np.ndarray:
+    return _factor(superlu, 1, *_EYE1).solve(np.ones(1))
+
+
+def _matvec_eye1(sparsetools) -> np.ndarray:
+    y = np.zeros(1)
+    sparsetools.csr_matvec(1, 1, *_EYE1, np.ones(1), y)
+    return y
+
+
+# scipy's compiled extensions that `splu` and `csr_matrix @ vector` run,
+# by module: the directory under the scipy package, and the call on the
+# 1x1 identity `_EYE1` (its CSR and CSC arrays) that must return [1.0]
+_EXTENSIONS = {"_superlu": ("sparse/linalg/_dsolve", _solve_eye1),
+               "_sparsetools": ("sparse", _matvec_eye1)}
+
+
+def _scipy_version() -> str:
+    from importlib import metadata
+    try:
+        return f"scipy {metadata.version('scipy')}"
+    except metadata.PackageNotFoundError:
+        return "scipy (not installed)"
+
+
+@functools.cache
+def load_extensions() -> dict:
+    """scipy's `_superlu` and `_sparsetools` extension modules, by name.
+
+    They are loaded from their files under the installed scipy package
+    without importing it (`scipy.sparse.linalg` costs about 0.35 s and
+    23 MB), and registered as `degenrd._superlu` and
+    `degenrd._sparsetools`: under scipy's names, a later `import
+    scipy.sparse` in the process would lose its `_sparsetools` attribute.
+    Raises OSError naming the installed scipy version and the file when
+    one is missing, cannot be loaded, or its entry point does not accept
+    the call this module makes.
+    """
+    scipy = importlib.util.find_spec("scipy")
+    root = Path(scipy.origin).parent if scipy and scipy.origin \
+        else Path("scipy")
+    suffix = importlib.machinery.EXTENSION_SUFFIXES[0]
+    modules = {}
+    for name, (where, probe) in _EXTENSIONS.items():
+        path = root / where / (name + suffix)
+        try:
+            if not path.is_file():
+                raise ImportError("no such file")
+            spec = importlib.util.spec_from_file_location(f"degenrd.{name}",
+                                                          path)
+            module = importlib.util.module_from_spec(spec)
+            spec.loader.exec_module(module)
+            if list(probe(module)) != [1.0]:
+                raise ValueError("wrong result on the 1x1 identity")
+        except (ImportError, AttributeError, TypeError, ValueError,
+                RuntimeError) as exc:
+            raise OSError(f"{_scipy_version()}: cannot use {path} "
+                          f"({exc})") from exc
+        modules[name] = sys.modules[spec.name] = module
+    return modules
+
+
+def _drop_zeros(indptr, indices, data):
+    """Compressed sparse arrays without their zero entries, which scipy's
+    sparse sums drop."""
+    keep = data != 0
+    kept = np.concatenate([[0], np.cumsum(keep)])[indptr].astype(np.intc)
+    return kept, indices[keep], data[keep]
+
+
 class Stepper:
     """Cached Crank-Nicolson factorizations for a fixed (grid, dt, d1, d2).
 
-    `solve` holds the SuperLU solve callables: one, shared by both species,
-    when d1 == d2, else one per species; `forward` holds the explicit CN
-    halves in the same way.  `implicit` solves for a (2, ncells) state, one
-    species per row, and looks `solve` up at call time.
+    The CN matrices are formed from the grid's CSR Laplacian arrays and
+    run on scipy's compiled SuperLU and sparse kernels (`load_extensions`),
+    bit for bit what `scipy.sparse.linalg.splu` and `csr_matrix @ vector`
+    compute on the same matrices assembled by scipy.sparse (the tests
+    compare them).  `solve` holds the SuperLU solve callables: one, shared
+    by both species, when d1 == d2, else one per species; `forward` holds
+    the CSR arrays (indptr, indices, data) of the explicit CN halves
+    I + (dt/2) d L in the same way.  `implicit` and `explicit` act on a
+    (2, ncells) state, one species per row; `implicit` looks `solve` up at
+    call time.
     """
 
     def __init__(self, grid: Grid, dt: float, d1: float, d2: float,
                  dt_set: bool = False):
         """Raises ConfigError naming the diffusivity key whose matrix
-        cannot be factorized, and stepper.dt when `dt_set`."""
-        import scipy.sparse as sp
-        import scipy.sparse.linalg
+        cannot be factorized, and stepper.dt when `dt_set`; OSError when
+        scipy's extensions cannot be used."""
+        ext = load_extensions()
+        self._matvec = ext["_sparsetools"].csr_matvec
         self.dt = dt
-        eye = sp.identity(grid.ncells, format="csc")
-        L = grid.laplacian.tocsc()
+        n = grid.ncells
+        indptr, indices, data = grid.laplacian
+        rows = np.repeat(np.arange(n, dtype=np.intc), np.diff(indptr))
+        diag = rows == indices
+        # the pattern is symmetric, so the CSC arrays of L share indptr
+        # and indices with its CSR arrays; `by_col` takes the CSR entries
+        # in column order
+        by_col = np.argsort(indices * np.int64(n) + rows, kind="stable")
         self.solve = []
         self.forward = []
         for d in ((d1,) if d1 == d2 else (d1, d2)):
-            A = (eye - (0.5 * dt * d) * L).tocsc()
+            cL = (0.5 * dt * d) * data
+            A = _drop_zeros(indptr, indices, np.where(diag, 1.0 - cL, -cL)
+                            [by_col])
             try:
-                self.solve.append(scipy.sparse.linalg.splu(A).solve)
+                self.solve.append(_factor(ext["_superlu"], n, *A).solve)
             except RuntimeError as exc:
                 keys = [k for k, v in (("physics.d1", d1), ("physics.d2", d2))
                         if v == d] + ["stepper.dt"] * dt_set
@@ -274,7 +378,8 @@ class Stepper:
                     f"{', '.join(keys)}: the Crank-Nicolson matrix "
                     f"I - (dt/2)*d*L with d = {d:g}, dt = {dt:g} cannot be "
                     f"factorized ({exc})") from exc
-            self.forward.append((eye + (0.5 * dt * d) * L).tocsr())
+            self.forward.append(_drop_zeros(indptr, indices,
+                                            np.where(diag, 1.0 + cL, cL)))
 
     def implicit(self, rhs: np.ndarray) -> np.ndarray:
         """Solve (I - dt/2 d L) x = rhs for both rows of `rhs`."""
@@ -283,6 +388,14 @@ class Stepper:
             # reduction over a species on the same (bitwise) code path
             return np.ascontiguousarray(self.solve[0](rhs.T).T)
         return np.array([s(r) for s, r in zip(self.solve, rhs)])
+
+    def explicit(self, u: np.ndarray) -> np.ndarray:
+        """(I + dt/2 d L) u for both rows of `u`."""
+        out = np.zeros(u.shape)
+        n = u.shape[1]
+        for F, x, y in zip((self.forward[0], self.forward[-1]), u, out):
+            self._matvec(n, n, *F, x, y)
+        return out
 
 
 def stability_dt(config: SimConfig, a: np.ndarray, b: np.ndarray) -> float:
@@ -355,8 +468,7 @@ def step(u: np.ndarray, t: float, profile: np.ndarray, config: SimConfig,
     u_h = stepper.implicit(u + h * _SIGN)
     sq = u_h * u_h
     rh = dt * (cat.at(profile, t + 0.5 * dt) * (sq[1] - sq[0]))
-    F = stepper.forward
-    rhs = np.array([F[0] @ u[0], F[-1] @ u[1]])
+    rhs = stepper.explicit(u)
     rhs += rh * _SIGN
     u_new = stepper.implicit(rhs)
     lo, hi = u_new.min(), u_new.max()     # NaN propagates through both

@@ -1,13 +1,33 @@
-"""Shared fixtures: the reference degenerate run and its constant ledger."""
+"""Shared fixtures: the reference degenerate run and its constant ledger,
+and the scipy assembly of the grid Laplacian."""
 
 from __future__ import annotations
 
+import numpy as np
 import pytest
+import scipy.sparse as sp
 
 from degenrd.constants import build_ledger
 from degenrd.grid import build_grid
 from degenrd.solver import CatalystSpec, InitialSpec, SimConfig, run
 from degenrd.weights import WeightParams
+
+
+def _scipy_laplacian(grid):
+    """The Laplacian as scipy.sparse assembled it before `Grid.laplacian`
+    moved to numpy: a CSR matrix whose row indices are not sorted."""
+    i, j, t = grid.face_i, grid.face_j, grid.face_trans
+    rows = np.concatenate([i, j, i, j])
+    cols = np.concatenate([j, i, i, j])
+    vals = np.concatenate([t, t, -t, -t])
+    A = sp.csr_matrix((vals, (rows, cols)), shape=(grid.ncells, grid.ncells))
+    return (sp.diags(1.0 / grid.volumes) @ A).tocsr()
+
+
+@pytest.fixture(scope="session")
+def scipy_laplacian():
+    """The reference assembly of `Grid.laplacian`, kept in the tests."""
+    return _scipy_laplacian
 
 
 @pytest.fixture(scope="session")

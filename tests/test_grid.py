@@ -10,7 +10,8 @@ Frozen oracles:
 
 The mode-reduced first eigenvalue is also checked against scipy solves of
 the assembled operator: shift-invert Lanczos, and dense `eigh` on small
-disks.
+disks.  The Laplacian's numpy CSR arrays must equal scipy's assembly bit
+for bit.
 """
 
 import math
@@ -92,6 +93,12 @@ def _loop_grid_2d(resolution: int) -> Grid:
     return Grid(2, resolution, centers, volumes, faces, bfaces)
 
 
+def laplacian_matrix(g):
+    """`g.laplacian`'s CSR arrays wrapped as a scipy matrix."""
+    indptr, indices, data = g.laplacian
+    return sp.csr_matrix((data, indices, indptr), shape=(g.ncells, g.ncells))
+
+
 def test_domain_radius_oracles():
     assert domain_radius(1) == pytest.approx(0.5, abs=0)
     assert domain_radius(2) == pytest.approx(math.pi ** -0.5, rel=1e-15)
@@ -124,7 +131,7 @@ def test_energy_matches_operator_pairing_exactly(dim, res):
     g = build_grid(dim, res)
     rng = np.random.default_rng(7)
     v = rng.standard_normal(g.ncells)
-    lv = g.laplacian @ v
+    lv = laplacian_matrix(g) @ v
     pairing = -float(np.dot(g.volumes * lv, v))
     assert dirichlet_energy(g, v) == pytest.approx(pairing, rel=1e-12)
 
@@ -132,16 +139,17 @@ def test_energy_matches_operator_pairing_exactly(dim, res):
 @pytest.mark.parametrize("dim,res", [(1, 128), (2, 16)])
 def test_operator_symmetry_and_conservation(dim, res):
     g = build_grid(dim, res)
-    A = np.diag(g.volumes) @ g.laplacian.toarray()
+    L = laplacian_matrix(g)
+    A = np.diag(g.volumes) @ L.toarray()
     assert np.max(np.abs(A - A.T)) < 1e-10
     # zero-flux conservation: volume-weighted sum of L v vanishes
     rng = np.random.default_rng(3)
     v = rng.standard_normal(g.ncells)
-    assert abs(np.dot(g.volumes, g.laplacian @ v)) < 1e-12
+    assert abs(np.dot(g.volumes, L @ v)) < 1e-12
     # constants are in the kernel
     c = np.ones(g.ncells)
     op_scale = np.max(np.abs(A)) / np.min(g.volumes)
-    assert np.max(np.abs(2.0 * (g.laplacian @ c))) < 1e-13 * op_scale
+    assert np.max(np.abs(2.0 * (L @ c))) < 1e-13 * op_scale
 
 
 _REDUCTIONS_N64 = """
@@ -185,9 +193,9 @@ def test_2d_grid_matches_face_by_face_build(res):
         got, want = getattr(g, name), getattr(ref, name)
         assert got.dtype == want.dtype and got.shape == want.shape, name
         assert np.array_equal(got, want), name
-    for name in ("data", "indices", "indptr"):
-        assert np.array_equal(getattr(g.laplacian, name),
-                              getattr(ref.laplacian, name)), name
+    for name, got, want in zip(("indptr", "indices", "data"),
+                               g.laplacian, ref.laplacian):
+        assert np.array_equal(got, want), name
     assert g.spacing == domain_radius(2) / res
 
 
@@ -198,7 +206,7 @@ def test_1d_discrete_eigenpair_exact(k):
     xi = g.centers[:, 0] + 0.5            # map [-1/2,1/2] to [0,1]
     phi = np.cos(k * math.pi * xi)
     lam = (4.0 / dx ** 2) * math.sin(k * math.pi * dx / 2.0) ** 2
-    resid = g.laplacian @ phi + lam * phi
+    resid = laplacian_matrix(g) @ phi + lam * phi
     assert np.max(np.abs(resid)) < 1e-9 * lam
 
 
@@ -235,7 +243,7 @@ def _generalized_problem(g):
     """A (face-transmissibility graph Laplacian) and V (volume diagonal)
     of A z = lam V z, assembled from the grid's sparse Laplacian."""
     V = sp.diags(g.volumes)
-    A = V @ (-g.laplacian)
+    A = V @ (-laplacian_matrix(g))
     return ((A + A.T) * 0.5).tocsc(), V.tocsc()
 
 
@@ -383,9 +391,23 @@ def test_grid_summary_serializable(grid256):
     assert s["dim"] == 1 and s["ncells"] == 256
 
 
+@pytest.mark.parametrize(
+    "dim,res", [(1, n) for n in [*range(8, 70), 256, 4096]]
+    + [(2, n) for n in [*range(8, 70), 96, 128]])
+def test_laplacian_arrays_equal_scipy_assembly(dim, res, scipy_laplacian):
+    """The numpy CSR arrays are scipy's canonical CSR arrays of the same
+    matrix, int32 indices included: the diagonal sums its faces in face
+    order, and each entry is (1/V)[row] * transmissibility."""
+    g = build_grid(dim, res)
+    ref = scipy_laplacian(g).sorted_indices()
+    for name, got in zip(("indptr", "indices", "data"), g.laplacian):
+        want = getattr(ref, name)
+        assert got.dtype == want.dtype and np.array_equal(got, want), name
+
+
 def test_laplacian_assembled_on_first_access():
-    """`build_grid` leaves the sparse Laplacian (and scipy) for the
-    commands that step; it is built once, then cached."""
+    """`build_grid` leaves the Laplacian's CSR arrays for the commands
+    that step; they are built once, then cached."""
     g = build_grid(2, 16)
     assert "laplacian" not in vars(g)
     assert g.laplacian is g.laplacian

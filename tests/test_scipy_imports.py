@@ -1,15 +1,20 @@
-"""scipy is loaded only by the commands that factorize.
+"""No command imports scipy's Python package.
 
-Importing `scipy.sparse.linalg` costs about half a second, most of a
-`verify --quick` and of the ledger.  So no module of the package imports
-scipy at module level, and only four functions import it where they use
-it: `Grid.laplacian` (assembled on first access), `Stepper.__init__`
-(SuperLU), and `cmd_simulate` and `cmd_sweep`, which import it once after
-parsing the config, before `solver.run` and before the sweep's pool forks
-its workers.  The verification layer (`constants`, `verify`, `logconv`,
-`weights`, `diagnostics`) loads none, so neither does any `verify` or
+Importing `scipy.sparse.linalg` costs about 0.35 s and 23 MB, more than a
+third of a short `simulate`.  The stepper runs two of scipy's compiled
+extensions, SuperLU (`_superlu`) and the sparse kernels (`_sparsetools`),
+and `solver.load_extensions` loads them from their files without
+importing scipy.  It is the one function listed as allowed to reach
+scipy: no module imports scipy at module level, and no other function
+imports it.  `cmd_simulate` and `cmd_sweep` call the loader after parsing
+the config, before `solver.run` and before the sweep's pool forks its
+workers, and a `simulate` or a two-worker `sweep` leaves no scipy module,
+`scipy.sparse` and `scipy.linalg` included, in `sys.modules`.  The
+verification layer (`constants`, `verify`, `logconv`, `weights`,
+`diagnostics`) loads none of it, so neither does any `verify` or
 `constants` run; nor do they load `numpy.random`, since the ledger draws
-no random numbers.
+no random numbers.  Where the extensions cannot be used, `simulate` and
+`sweep` exit 1 with one line naming the scipy version and the file.
 """
 
 import ast
@@ -17,6 +22,8 @@ import json
 import os
 import subprocess
 import sys
+from importlib import metadata
+from importlib.machinery import EXTENSION_SUFFIXES
 from pathlib import Path
 
 import pytest
@@ -71,11 +78,7 @@ def module_level_scipy_imports(source: str) -> list[str]:
 
 
 # the only functions of the package that may import scipy, by module file
-SCIPY_FUNCTIONS = {
-    "grid.py": {"Grid.laplacian"},
-    "solver.py": {"Stepper.__init__"},
-    "cli.py": {"cmd_simulate", "cmd_sweep"},
-}
+SCIPY_FUNCTIONS = {"solver.py": {"load_extensions"}}
 
 
 def scipy_imports_off_the_list(name: str, source: str) -> list[str]:
@@ -119,35 +122,43 @@ def test_scipy_imported_only_by_listed_functions(path):
 
 
 def test_scanner_flags_functions_off_the_list():
-    src = ("class Grid:\n"
-           "    def laplacian(self):\n"
+    src = ("def load_extensions():\n"
+           "    import scipy\n"
+           "class Stepper:\n"
+           "    def __init__(self):\n"
            "        import scipy.sparse as sp\n"
            "    def other(self):\n"
            "        def inner():\n"
            "            from scipy.sparse import linalg\n"
-           "def neumann_eigenvalue_1(grid):\n"
-           "    import scipy.sparse.linalg\n"
            "def helper():\n"
            "    import numpy.linalg\n")
-    assert scipy_imports_off_the_list("grid.py", src) == [
-        "Grid.other.inner 6: from scipy.sparse import",
-        "neumann_eigenvalue_1 8: import scipy.sparse.linalg"]
-    assert scipy_imports_off_the_list("weights.py", src)[0] == \
-        "Grid.laplacian 3: import scipy.sparse"
+    assert scipy_imports_off_the_list("solver.py", src) == [
+        "Stepper.__init__ 5: import scipy.sparse",
+        "Stepper.other.inner 8: from scipy.sparse import"]
+    assert scipy_imports_off_the_list("grid.py", src)[0] == \
+        "load_extensions 2: import scipy"
+
+
+def _run(args: list[str], cwd: Path, first: Path | None = None):
+    """Run `args` in a fresh interpreter that imports the package from
+    this source tree, with `first` ahead of it on the path."""
+    path = [str(first or ""), str(_SRC.parent),
+            os.environ.get("PYTHONPATH", "")]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, path)))
+    return subprocess.run([sys.executable, *args], cwd=cwd, env=env,
+                          capture_output=True, text=True, timeout=300)
 
 
 def _python(code: str, cwd: Path) -> str:
-    """Run `code` in a fresh interpreter that imports the package from
-    this source tree; returns its last line of stdout."""
-    path = [str(_SRC.parent), os.environ.get("PYTHONPATH", "")]
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, path)))
-    proc = subprocess.run([sys.executable, "-c", code], cwd=cwd, env=env,
-                          capture_output=True, text=True, timeout=300)
+    """Run `code` as `_run` does; returns its last line of stdout."""
+    proc = _run(["-c", code], cwd)
     assert proc.returncode == 0, proc.stderr
     return proc.stdout.strip().splitlines()[-1]
 
 
 _SCIPY = "[m for m in sys.modules if m.split('.')[0] == 'scipy']"
+_EXT = "[m for m in ('degenrd._superlu', 'degenrd._sparsetools') " \
+    "if m in sys.modules]"
 
 
 def test_quick_commands_load_no_scipy(tmp_path):
@@ -188,33 +199,37 @@ print({_SCIPY} + [m for m in sys.modules if m.startswith("numpy.random")])
 
 
 def test_simulate_loads_scipy_before_the_run(tmp_path):
+    """`simulate` loads scipy's two extensions before `solver.run`, and no
+    scipy module."""
     (tmp_path / "c.json").write_text(json.dumps(CFG))
     code = f"""
 import sys
 import degenrd.cli as cli
-seen = [{_SCIPY}]
+seen = [{_EXT}]
 run_sim = cli.run_sim
 def probe(*args, **kwargs):
-    seen.append("scipy.sparse.linalg" in sys.modules)
+    seen.append({_EXT})
     return run_sim(*args, **kwargs)
 cli.run_sim = probe
 assert cli.main(["simulate", "c.json", "-o", "run"]) == 0
-print(seen)
+print(seen + [{_SCIPY}])
 """
-    assert _python(code, tmp_path) == "[[], True]"
+    assert _python(code, tmp_path) == \
+        "[[], ['degenrd._superlu', 'degenrd._sparsetools'], []]"
 
 
 def test_sweep_loads_scipy_before_the_pool(tmp_path):
-    """A sweep loads scipy before its pool starts; importing the CLI loads
-    neither scipy nor the process pool, which only `cmd_sweep` imports."""
+    """A sweep loads scipy's two extensions before its pool starts;
+    importing the CLI loads neither them nor the process pool, which only
+    `cmd_sweep` imports."""
     (tmp_path / "c.json").write_text(json.dumps(CFG))
     code = f"""
 import sys
 import degenrd.cli as cli
-seen = [{_SCIPY}, "concurrent.futures.process" in sys.modules]
+seen = [{_EXT}, "concurrent.futures.process" in sys.modules]
 class InlinePool:
     def __init__(self, max_workers):
-        seen.append("scipy.sparse.linalg" in sys.modules)
+        seen.append({_EXT})
     def __enter__(self):
         return self
     def __exit__(self, *exc):
@@ -227,4 +242,50 @@ assert cli.main(["sweep", "c.json", "--param", "k0", "--values", "0.5,1",
                  "-j", "2", "-o", "sweep"]) == 0
 print(seen)
 """
-    assert _python(code, tmp_path) == "[[], False, True]"
+    assert _python(code, tmp_path) == \
+        "[[], False, ['degenrd._superlu', 'degenrd._sparsetools']]"
+
+
+def test_simulate_and_sweep_leave_no_scipy_package(tmp_path):
+    """After a `simulate` and a `sweep` on two worker processes, neither
+    `scipy.sparse` nor `scipy.linalg`, nor any other scipy module, is in
+    `sys.modules`."""
+    (tmp_path / "c.json").write_text(json.dumps(CFG))
+    code = f"""
+import sys
+from degenrd.cli import main
+assert main(["simulate", "c.json", "-o", "run"]) == 0
+assert main(["sweep", "c.json", "--param", "k0", "--values", "0.5,1",
+             "-j", "2", "-o", "sweep"]) == 0
+print({_SCIPY})
+"""
+    assert _python(code, tmp_path) == "[]"
+
+
+def test_missing_extensions_exit_1_naming_the_file(tmp_path):
+    """Pointed at a scipy package directory that holds no extension file,
+    `simulate` and `sweep` exit 1 with one line naming the installed
+    scipy version and the file the loader looked for."""
+    fake = tmp_path / "fake" / "scipy"
+    fake.mkdir(parents=True)
+    (fake / "__init__.py").write_text("")      # found first, never run
+    (tmp_path / "c.json").write_text(json.dumps(CFG))
+    want = (f"error: scipy {metadata.version('scipy')}: cannot use "
+            f"{fake / 'sparse/linalg/_dsolve/_superlu'}"
+            f"{EXTENSION_SUFFIXES[0]} (no such file)")
+    for args in (["simulate", "c.json", "-o", "run"],
+                 ["sweep", "c.json", "--param", "k0", "--values", "0.5,1",
+                  "-o", "sweep"]):
+        proc = _run(["-m", "degenrd.cli", *args], tmp_path, fake.parent)
+        assert (proc.returncode, proc.stderr.splitlines()) == (1, [want])
+
+
+def test_extension_rejecting_the_call_is_named(monkeypatch):
+    """An entry point that does not accept the loader's call is reported
+    as an OSError naming the scipy version and the file."""
+    from degenrd import solver
+    monkeypatch.setitem(solver._EXTENSIONS, "_superlu", (
+        "sparse/linalg/_dsolve", lambda m: m.gstrf(1, 1)))
+    with pytest.raises(OSError, match=rf"^scipy {metadata.version('scipy')}"
+                       r": cannot use \S+/_superlu\S+ \(.*\)$"):
+        solver.load_extensions.__wrapped__()

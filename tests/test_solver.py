@@ -254,7 +254,9 @@ def _reference_run(config, dt):
     nsteps = max(1, round(config.t_end / dt))
     snap_every = max(1, round(config.field_stride / dt))
     eye = sp.identity(grid.ncells, format="csc")
-    L = grid.laplacian.tocsc()
+    indptr, indices, data = grid.laplacian
+    L = sp.csr_matrix((data, indices, indptr),
+                      shape=(grid.ncells, grid.ncells)).tocsc()
     solve = [scipy.sparse.linalg.factorized((eye - (0.5 * dt * d) * L)
                                             .tocsc())
              for d in (config.d1, config.d2)]
@@ -312,6 +314,40 @@ def test_run_bitwise_equals_per_species_loop(case):
                                                 r.snapshots, snaps):
         assert t == t_ref
         assert np.array_equal(a, a_ref) and np.array_equal(b, b_ref)
+
+
+# ---------------------------------------------------------------------------
+# the CN operators against scipy's assembly, `splu` and CSR product
+# ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("dim,res", [(1, 8), (1, 256), (2, 8), (2, 11),
+                                     (2, 32)])
+@pytest.mark.parametrize("d1,d2", [(1.0, 1.0), (1.0, 0.3), (2.0, 1e-322)])
+def test_stepper_bitwise_equals_splu_and_csr_product(dim, res, d1, d2,
+                                                     scipy_laplacian):
+    """Both CN halves give scipy's bits: the solves those of `splu` on
+    I - (dt/2) d L, the explicit half `(I + (dt/2) d L).tocsr() @ u`.  At
+    d2 = 1e-322, (dt/2) d L underflows to 0 and scipy's sums drop the
+    zero entries."""
+    g = build_grid(dim, res)
+    dt = 1e-3
+    stepper = Stepper(g, dt, d1, d2)
+    eye = sp.identity(g.ncells, format="csc")
+    L = scipy_laplacian(g).tocsc()
+    solve = [scipy.sparse.linalg.splu((eye - (0.5 * dt * d) * L).tocsc())
+             .solve for d in (d1, d2)]
+    forward = [(eye + (0.5 * dt * d) * L).tocsr() for d in (d1, d2)]
+    u = np.random.default_rng(res).random((2, g.ncells))
+    for s in (0, 1):
+        assert np.array_equal(stepper.solve[-1 if s else 0](u[s]),
+                              solve[s](u[s]))
+        F = stepper.forward[-1 if s else 0]
+        for name, got in zip(("indptr", "indices", "data"), F):
+            assert np.array_equal(got, getattr(forward[s], name)), name
+    want = solve[0](u.T).T if d1 == d2 else [solve[0](u[0]), solve[1](u[1])]
+    assert np.array_equal(stepper.implicit(u), want)
+    assert np.array_equal(stepper.explicit(u),
+                          [forward[0] @ u[0], forward[1] @ u[1]])
 
 
 # ---------------------------------------------------------------------------
