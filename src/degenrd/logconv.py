@@ -37,7 +37,10 @@ from .constants import (interp_margin, ln_prefactor, ln_time_integral,
 from .diagnostics import TOLERANCES, CheckResult, fd_derivative
 from .grid import Grid, integrate, dirichlet_energy, cell_gradient, \
     ball_mask, ball_norm2
-from .weights import WeightParams, WeightFields, PsiJet, weight_fields
+from .weights import WeightParams, WeightFields, PsiJet
+# unused here: perfbench/tracing.py wraps `logconv.weight_fields` and
+# reports the target missing when the name does not resolve
+from .weights import weight_fields  # noqa: F401
 from .solver import ConfigError, RunResult
 
 _FLOOR = TOLERANCES["norm_floor"]
@@ -417,12 +420,13 @@ def read_times(T: float) -> list[float]:
         return [0.0, 0.5 * T, float(T - 2 * L), float(T - L), T]
 
 
-def interpolation_window_check(run: RunResult, params: WeightParams,
+def interpolation_window_check(run: RunResult, wf: WeightFields,
                                ledger) -> CheckResult:
     """Check the ledger's interpolation-window inequalities on a run.
 
-    Uses the chain's own (s, h, ell): the tilted norms at the window times
-    T, T-L, T-2L of `read_times` (L = ell*h) are evaluated in log space,
+    Uses the chain's own (s, h, ell) and the weight fields `wf` on the
+    run's grid: the tilted norms at the window times T, T-L, T-2L of
+    `read_times` (L = ell*h) are evaluated in log space,
     and the three inequalities — the interpolated bound with prefactor
     K_ell, the terminal-norm localization, and the untilting bound — are
     margins in log space; the check's margin is the least of the three.
@@ -437,7 +441,7 @@ def interpolation_window_check(run: RunResult, params: WeightParams,
         L = ell * h
 
         # phi1 and phi3 depend on x0_abs and dim alone, not on r, s, h, T
-        phi = _phi_rows(weight_fields(params, grid))
+        phi, params = _phi_rows(wf), wf.params
 
         def ln_norms(t_float, gamma):
             """ln ||f||^2 over all four rows and over rows 1, 2 alone."""

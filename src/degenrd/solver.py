@@ -345,6 +345,12 @@ class Stepper:
     I + (dt/2) d L in the same way.  `implicit` and `explicit` act on a
     (2, ncells) state, one species per row; `implicit` looks `solve` up at
     call time.
+
+    A Stepper also owns the workspace `step` computes in, allocated once
+    for its ncells: the squares `sq` and the right-hand sides `rhs`, both
+    (2, ncells) with their rows in `sq_rows` and `rhs_rows`, the reaction
+    term `react`, and `last`, the state `step` last returned with its
+    maximum.  One step at a time may use it.
     """
 
     def __init__(self, grid: Grid, dt: float, d1: float, d2: float,
@@ -380,6 +386,11 @@ class Stepper:
                     f"factorized ({exc})") from exc
             self.forward.append(_drop_zeros(indptr, indices,
                                             np.where(diag, 1.0 + cL, cL)))
+        self.sq, self.rhs = np.empty((2, n)), np.empty((2, n))
+        self.react = np.empty(n)
+        # views made once: a step would otherwise make ten
+        self.sq_rows, self.rhs_rows = tuple(self.sq), tuple(self.rhs)
+        self.last = (None, math.nan)
 
     def implicit(self, rhs: np.ndarray) -> np.ndarray:
         """Solve (I - dt/2 d L) x = rhs for both rows of `rhs`."""
@@ -389,21 +400,27 @@ class Stepper:
             return np.ascontiguousarray(self.solve[0](rhs.T).T)
         return np.array([s(r) for s, r in zip(self.solve, rhs)])
 
-    def explicit(self, u: np.ndarray) -> np.ndarray:
-        """(I + dt/2 d L) u for both rows of `u`."""
-        out = np.zeros(u.shape)
+    def explicit(self, u: np.ndarray, out: np.ndarray) -> np.ndarray:
+        """(I + dt/2 d L) u for both rows of `u`, written to and returned
+        in the C-contiguous `out`."""
+        out.fill(0.0)                   # csr_matvec adds the product to out
         n = u.shape[1]
         for F, x, y in zip((self.forward[0], self.forward[-1]), u, out):
             self._matvec(n, n, *F, x, y)
         return out
 
 
+def _reaction_dt(k_max: float, peak) -> float:
+    """0.5/(k_max * peak), the stability bound where a + b peaks at `peak`;
+    it does not rise as `peak` does."""
+    if k_max == 0.0:
+        return math.inf                      # pure diffusion: unconditional
+    return 0.5 / (k_max * max(peak, 1e-30))
+
+
 def stability_dt(config: SimConfig, a: np.ndarray, b: np.ndarray) -> float:
     """Explicit-reaction stability bound dt <= 0.5/(k_max * max(a+b))."""
-    peak = float((a + b).max())
-    if config.catalyst.k_max == 0.0:
-        return math.inf                      # pure diffusion: unconditional
-    return 0.5 / (config.catalyst.k_max * max(peak, 1e-30))
+    return _reaction_dt(config.catalyst.k_max, float((a + b).max()))
 
 
 def default_dt(grid: Grid, config: SimConfig, a, b) -> float:
@@ -448,34 +465,50 @@ def step_plan(grid: Grid, config: SimConfig,
     return dt, nsteps, rec_every, per_snap * rec_every
 
 
-_SIGN = np.array([[1.0], [-1.0]])   # the reaction adds to a, takes from b
-
-
 def step(u: np.ndarray, t: float, profile: np.ndarray, config: SimConfig,
          stepper: Stepper) -> np.ndarray:
     """One IMEX step of the (2, ncells) state `u` = (a, b) from time t.
 
     CN diffusion plus an explicit midpoint reaction; `profile` is the
-    catalyst's spatial profile (`CatalystSpec.profile`).
+    catalyst's spatial profile (`CatalystSpec.profile`).  The arithmetic
+    runs in `stepper`'s workspace; the new state is a fresh read-only
+    array, whose maximum the next step's stability guard reuses.
     """
     dt, cat = stepper.dt, config.catalyst
-    if dt > stability_dt(config, *u) * (1 + 1e-12):
+    sq, rhs, react = stepper.sq, stepper.rhs, stepper.react
+    (sq_a, sq_b), (rhs_a, rhs_b) = stepper.sq_rows, stepper.rhs_rows
+    a, b = u
+    last, peak = stepper.last
+    # fl(a + b) <= 2*max(u) and the bound does not rise with the peak, so
+    # max(a + b) is needed only when 2*max(u) fails to clear dt
+    if dt > _reaction_dt(cat.k_max, 2.0 * (peak if u is last else u.max())) \
+            * (1 + 1e-12) and dt > stability_dt(config, a, b) * (1 + 1e-12):
         raise ValueError(
             "dt exceeds the explicit-reaction stability bound; reduce dt")
-    # midpoint predictor: backward-Euler half step, reaction frozen at t
-    sq = u * u
-    h = (0.5 * dt) * (cat.at(profile, t) * (sq[1] - sq[0]))
-    u_h = stepper.implicit(u + h * _SIGN)
-    sq = u_h * u_h
-    rh = dt * (cat.at(profile, t + 0.5 * dt) * (sq[1] - sq[0]))
-    rhs = stepper.explicit(u)
-    rhs += rh * _SIGN
+    # midpoint predictor: backward-Euler half step, reaction frozen at t;
+    # the reaction adds to a and takes from b
+    np.multiply(u, u, out=sq)
+    np.subtract(sq_b, sq_a, out=react)
+    np.multiply(cat.at(profile, t), react, out=react)
+    np.multiply(0.5 * dt, react, out=react)
+    np.add(a, react, out=rhs_a)
+    np.subtract(b, react, out=rhs_b)
+    u_h = stepper.implicit(rhs)
+    np.multiply(u_h, u_h, out=sq)
+    np.subtract(sq_b, sq_a, out=react)
+    np.multiply(cat.at(profile, t + 0.5 * dt), react, out=react)
+    np.multiply(dt, react, out=react)
+    stepper.explicit(u, rhs)
+    np.add(rhs_a, react, out=rhs_a)
+    np.subtract(rhs_b, react, out=rhs_b)
     u_new = stepper.implicit(rhs)
     lo, hi = u_new.min(), u_new.max()     # NaN propagates through both
     if not (math.isfinite(lo) and math.isfinite(hi)):
         raise RuntimeError("non-finite state after step; reduce dt")
     if lo < 0:
         raise RuntimeError("positivity lost, reduce dt")
+    u_new.flags.writeable = False
+    stepper.last = (u_new, hi)
     return u_new
 
 
@@ -541,7 +574,7 @@ def run(config: SimConfig) -> RunResult:
     for n in range(1, nsteps + 1):
         try:
             u = step(u, t, profile, config, stepper)
-        except RuntimeError as exc:
+        except (RuntimeError, ValueError) as exc:
             raise RuntimeError(
                 f"{exc}: step {n} from t = {t:g}, stepper.dt = {dt:g} ("
                 f"{'default' if config.dt is None else 'set'}), physics.d1 "

@@ -209,5 +209,5 @@ def audit(run: RunResult, ledger=None, params: WeightParams | None = None
         checks += [*tilted_form_checks(run, ft, wf),
                    *_frequency_trace_checks(run, ft, ledger, params),
                    observation_estimate_check(run, params, ledger),
-                   interpolation_window_check(run, params, ledger)]
+                   interpolation_window_check(run, wf, ledger)]
     return [c.as_dict() for c in checks]

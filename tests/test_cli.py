@@ -403,6 +403,35 @@ def test_lost_positivity_names_the_step_and_keys(tmp_path, capsys, physics):
     assert not out.exists()
 
 
+def test_stability_failure_mid_run_names_the_step_and_keys(tmp_path, capsys):
+    """A set dt just under the t = 0 reaction bound passes the parse-time
+    check; a, diffusing fast, spreads onto b's slowly diffusing bump, a + b
+    peaks higher there and the in-step guard trips at step 2.  Like lost
+    positivity, that
+    exits 2 in one line naming the step, its time, stepper.dt and the
+    diffusivities; it named none of them."""
+    doc = {"domain": {"dim": 1}, "grid": {"resolution": 64},
+           "physics": {"d1": 1.0, "d2": 0.01},
+           "catalyst": {"kind": "constant", "k0": 1.0},
+           "initial": {"kind": "gaussian", "amplitude": 2.0, "width": 0.1,
+                       "center": 0.2, "floor": 0.5},
+           "stepper": {"t_end": 1.0, "record_stride": 0.05,
+                       "field_stride": 0.25,
+                       # the t = 0 bound times 1 - 1e-9
+                       "dt": 0.16685312279681258}}
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(doc))
+    out = tmp_path / "run"
+    assert main(["simulate", str(cfg), "-o", str(out)]) == 2
+    err = capsys.readouterr().err.strip()
+    assert "\n" not in err
+    assert err == ("numerical failure: dt exceeds the explicit-reaction "
+                   "stability bound; reduce dt: step 2 from t = 0.166667, "
+                   "stepper.dt = 0.166667 (set), physics.d1 = 1, "
+                   "physics.d2 = 0.01")
+    assert not out.exists()
+
+
 _REPO = Path(__file__).resolve().parents[1]
 
 

@@ -451,7 +451,8 @@ def test_observation_estimate_uses_the_weights_ball():
 
 def test_interpolation_window_check_reference(ref_run, ref_params,
                                               ref_ledger):
-    out = interpolation_window_check(ref_run, ref_params, ref_ledger)
+    out = interpolation_window_check(
+        ref_run, weight_fields(ref_params, ref_run.grid), ref_ledger)
     assert out.invariant_id == "interpolation_window"
     assert out.passed and out.margin > 0
 
@@ -508,7 +509,8 @@ def test_window_norms_match_percell_reference(ref_run, ref_params,
         return fast(*args)
 
     monkeypatch.setattr(logconv, "_ln_tilted_norm2", record)
-    interpolation_window_check(ref_run, ref_params, ref_ledger)
+    interpolation_window_check(
+        ref_run, weight_fields(ref_params, ref_run.grid), ref_ledger)
     monkeypatch.undo()
     assert [len(c[1]) for c in calls] == [4, 2] * 3
     huge = [math.isinf(float(c[3])) for c in calls]

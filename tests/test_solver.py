@@ -9,6 +9,7 @@ Frozen oracles:
 """
 
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -16,6 +17,7 @@ import scipy.sparse as sp
 import scipy.sparse.linalg
 
 from degenrd import solver
+from degenrd.config import load_config
 from degenrd.diagnostics import fit_decay_rate
 from degenrd.grid import ball_mask, build_grid, integrate
 from degenrd.solver import (CatalystSpec, InitialSpec, SimConfig, Stepper,
@@ -165,6 +167,25 @@ def test_step_rejects_dt_above_reaction_bound():
         _guarded_step(peak)
 
 
+def test_guard_reuses_only_the_peak_of_the_state_it_returned():
+    """`step` returns a read-only state, so the maximum the next guard
+    reuses is that state's; an edited copy is scanned anew and trips it."""
+    cfg = _cfg(resolution=32)
+    grid = build_grid(1, 32)
+    stepper = Stepper(grid, 0.01, cfg.d1, cfg.d2)
+    profile = cfg.catalyst.profile(grid)
+    u = step(np.ones((2, grid.ncells)), 0.0, profile, cfg, stepper)
+    with pytest.raises(ValueError, match="read-only"):
+        u[:, 7] = 30.0
+    spiked = u.copy()
+    spiked[:, 7] = 30.0                      # a + b = 60: bound 0.0083
+    with pytest.raises(ValueError, match="dt exceeds the explicit-reaction "
+                                         "stability bound"):
+        step(spiked, 0.01, profile, cfg, stepper)
+    assert np.array_equal(step(u, 0.01, profile, cfg, stepper),
+                          step(u.copy(), 0.01, profile, cfg, stepper))
+
+
 @pytest.mark.parametrize("value", [math.nan, math.inf], ids=str)
 def test_step_rejects_non_finite_state(value):
     def poison(u):
@@ -282,6 +303,15 @@ def _reference_run(config, dt):
     return times, {key: [r[key] for r in rows] for key in rows[0]}, snaps
 
 
+# away from the catalyst, slowly diffusing bumps of a and b keep max(a + b)
+# near 3 and 2*max(u) near 5 all run long: dt = 0.01 clears 0.5/(13*3) but
+# not 0.5/(13*5), so every step's guard needs the exact max(a + b)
+_EXACT_PEAK = dict(
+    d1=1e-3, d2=1e-3, dt=0.01,
+    catalyst=CatalystSpec(kind="bump", k0=13.0, x0=0.0, r=0.1),
+    initial=InitialSpec(kind="gaussian", amplitude=2.0, width=0.1,
+                        center=0.2, floor=0.5))
+
 _ORACLE_CASES = {
     "1d-bump": dict(catalyst=CatalystSpec(kind="bump", k0=1.0)),
     "1d-modulated": dict(catalyst=CatalystSpec(
@@ -294,6 +324,9 @@ _ORACLE_CASES = {
         initial=InitialSpec(kind="gaussian")),
     "2d-constant": dict(dim=2, resolution=16,
                         catalyst=CatalystSpec(kind="constant", k0=1.0)),
+    "1d-zero-catalyst": dict(catalyst=CatalystSpec(kind="constant", k0=0.0)),
+    "2d-bump-32": dict(dim=2, resolution=32),
+    "1d-exact-peak": _EXACT_PEAK,
 }
 
 
@@ -314,6 +347,116 @@ def test_run_bitwise_equals_per_species_loop(case):
                                                 r.snapshots, snaps):
         assert t == t_ref
         assert np.array_equal(a, a_ref) and np.array_equal(b, b_ref)
+
+
+def test_exact_peak_case_needs_the_exact_peak_mid_run():
+    """In the "1d-exact-peak" case the guard's 2*max(u) fails dt from the
+    state at t = 0.4, and max(a + b) clears it."""
+    kw = dict(resolution=64, t_end=0.5, record_stride=0.05,
+              field_stride=0.1, **_EXACT_PEAK)
+    cfg = _cfg(**kw)
+    t, u = run(cfg).snapshot_at(0.4)
+    assert t == pytest.approx(0.4)
+    assert cfg.dt > solver._reaction_dt(cfg.catalyst.k_max, 2.0 * u.max()) \
+        * (1 + 1e-12)
+    assert cfg.dt <= stability_dt(cfg, *u) * (1 + 1e-12)
+
+
+# ---------------------------------------------------------------------------
+# bitwise oracle: the step before it computed in the Stepper's workspace
+# ---------------------------------------------------------------------------
+
+# The step, the stability bound and the explicit CN half as they were when
+# each step allocated its temporaries, kept verbatim but for their names
+# as the bitwise reference of `step`.
+
+def _alloc_stability_dt(config: SimConfig, a: np.ndarray, b: np.ndarray
+                        ) -> float:
+    """Explicit-reaction stability bound dt <= 0.5/(k_max * max(a+b))."""
+    peak = float((a + b).max())
+    if config.catalyst.k_max == 0.0:
+        return math.inf                      # pure diffusion: unconditional
+    return 0.5 / (config.catalyst.k_max * max(peak, 1e-30))
+
+
+_SIGN = np.array([[1.0], [-1.0]])   # the reaction adds to a, takes from b
+
+
+def _alloc_step(u: np.ndarray, t: float, profile: np.ndarray,
+                config: SimConfig, stepper) -> np.ndarray:
+    """One IMEX step of the (2, ncells) state `u` = (a, b) from time t.
+
+    CN diffusion plus an explicit midpoint reaction; `profile` is the
+    catalyst's spatial profile (`CatalystSpec.profile`).
+    """
+    dt, cat = stepper.dt, config.catalyst
+    if dt > _alloc_stability_dt(config, *u) * (1 + 1e-12):
+        raise ValueError(
+            "dt exceeds the explicit-reaction stability bound; reduce dt")
+    # midpoint predictor: backward-Euler half step, reaction frozen at t
+    sq = u * u
+    h = (0.5 * dt) * (cat.at(profile, t) * (sq[1] - sq[0]))
+    u_h = stepper.implicit(u + h * _SIGN)
+    sq = u_h * u_h
+    rh = dt * (cat.at(profile, t + 0.5 * dt) * (sq[1] - sq[0]))
+    rhs = stepper.explicit(u)
+    rhs += rh * _SIGN
+    u_new = stepper.implicit(rhs)
+    lo, hi = u_new.min(), u_new.max()     # NaN propagates through both
+    if not (math.isfinite(lo) and math.isfinite(hi)):
+        raise RuntimeError("non-finite state after step; reduce dt")
+    if lo < 0:
+        raise RuntimeError("positivity lost, reduce dt")
+    return u_new
+
+
+class _AllocStepper:
+    """A Stepper's `dt` and `implicit`, and its explicit half as it was."""
+
+    def __init__(self, stepper):
+        self.dt, self.implicit = stepper.dt, stepper.implicit
+        self.forward, self._matvec = stepper.forward, stepper._matvec
+
+    def explicit(self, u: np.ndarray) -> np.ndarray:
+        """(I + dt/2 d L) u for both rows of `u`."""
+        out = np.zeros(u.shape)
+        n = u.shape[1]
+        for F, x, y in zip((self.forward[0], self.forward[-1]), u, out):
+            self._matvec(n, n, *F, x, y)
+        return out
+
+
+def test_shipped_run_bitwise_equals_the_allocating_step(monkeypatch):
+    """The full-length run of configs/degenerate_bump.json: every trace
+    channel and snapshot has the allocating step's bits, and the states
+    kept as snapshots share no memory with each other or the workspace."""
+    cfg = load_config(Path(__file__).resolve().parents[1] / "configs"
+                      / "degenerate_bump.json").sim
+    with monkeypatch.context() as m:
+        m.setattr(solver, "step", lambda u, t, profile, config, stepper:
+                  _alloc_step(u, t, profile, config, _AllocStepper(stepper)))
+        ref = run(cfg)
+    snap_times, kept, fast = set(ref.snapshot_times.tolist()), [], solver.step
+
+    def keep(u, t, profile, config, stepper):
+        u_new = fast(u, t, profile, config, stepper)
+        if t + stepper.dt in snap_times:
+            kept.append(u_new)
+            assert not any(np.shares_memory(u_new, w) for w in
+                           (stepper.sq, stepper.rhs, stepper.react))
+        return u_new
+    monkeypatch.setattr(solver, "step", keep)
+    r = run(cfg)
+    assert r.trace.times.size == 201 and len(r.snapshots) == 41
+    assert np.array_equal(r.trace.times, ref.trace.times)
+    assert sorted(r.trace.channels) == sorted(ref.trace.channels)
+    for key in ref.trace.channels:
+        assert np.array_equal(r.trace[key], ref.trace[key]), key
+    assert np.array_equal(r.snapshot_times, ref.snapshot_times)
+    assert np.array_equal(r.snapshots, ref.snapshots)
+    assert np.array_equal(kept, r.snapshots[1:])
+    assert not any(np.shares_memory(x, y)
+                   for i, x in enumerate(kept) for y in kept[:i])
 
 
 # ---------------------------------------------------------------------------
@@ -346,8 +489,9 @@ def test_stepper_bitwise_equals_splu_and_csr_product(dim, res, d1, d2,
             assert np.array_equal(got, getattr(forward[s], name)), name
     want = solve[0](u.T).T if d1 == d2 else [solve[0](u[0]), solve[1](u[1])]
     assert np.array_equal(stepper.implicit(u), want)
-    assert np.array_equal(stepper.explicit(u),
-                          [forward[0] @ u[0], forward[1] @ u[1]])
+    out = np.full_like(u, np.nan)           # `explicit` overwrites it all
+    assert stepper.explicit(u, out) is out
+    assert np.array_equal(out, [forward[0] @ u[0], forward[1] @ u[1]])
 
 
 # ---------------------------------------------------------------------------
