@@ -347,10 +347,9 @@ class Stepper:
     call time.
 
     A Stepper also owns the workspace `step` computes in, allocated once
-    for its ncells: the squares `sq` and the right-hand sides `rhs`, both
-    (2, ncells) with their rows in `sq_rows` and `rhs_rows`, the reaction
-    term `react`, and `last`, the state `step` last returned with its
-    maximum.  One step at a time may use it.
+    for its ncells: the squares `sq`, the reaction increment `dr` and the
+    right-hand sides `rhs`, each (2, ncells), and `last`, the state `step`
+    last returned with its maximum.  One step at a time may use it.
     """
 
     def __init__(self, grid: Grid, dt: float, d1: float, d2: float,
@@ -386,18 +385,16 @@ class Stepper:
                     f"factorized ({exc})") from exc
             self.forward.append(_drop_zeros(indptr, indices,
                                             np.where(diag, 1.0 + cL, cL)))
-        self.sq, self.rhs = np.empty((2, n)), np.empty((2, n))
-        self.react = np.empty(n)
-        # views made once: a step would otherwise make ten
-        self.sq_rows, self.rhs_rows = tuple(self.sq), tuple(self.rhs)
+        self.sq, self.dr, self.rhs = (np.empty((2, n)) for _ in range(3))
         self.last = (None, math.nan)
 
     def implicit(self, rhs: np.ndarray) -> np.ndarray:
         """Solve (I - dt/2 d L) x = rhs for both rows of `rhs`."""
         if len(self.solve) == 1:
-            # one two-column solve; contiguous rows keep every later
+            # one two-column solve; SuperLU returns it in Fortran order, so
+            # the transpose has the contiguous rows that keep every later
             # reduction over a species on the same (bitwise) code path
-            return np.ascontiguousarray(self.solve[0](rhs.T).T)
+            return self.solve[0](rhs.T).T
         return np.array([s(r) for s, r in zip(self.solve, rhs)])
 
     def explicit(self, u: np.ndarray, out: np.ndarray) -> np.ndarray:
@@ -450,7 +447,7 @@ def step_plan(grid: Grid, config: SimConfig,
     if config.dt is None:
         # a and b stay in the invariant rectangle [0, max u]^2, so the
         # stability bound with a + b = 2*max u holds at every step
-        bound = stability_dt(config, u.max(), u.max())
+        bound = _reaction_dt(config.catalyst.k_max, 2.0 * u.max())
         if stride / rec_every > bound:
             rec_every = math.ceil(stride / bound)
         dt = stride / rec_every
@@ -475,33 +472,27 @@ def step(u: np.ndarray, t: float, profile: np.ndarray, config: SimConfig,
     array, whose maximum the next step's stability guard reuses.
     """
     dt, cat = stepper.dt, config.catalyst
-    sq, rhs, react = stepper.sq, stepper.rhs, stepper.react
-    (sq_a, sq_b), (rhs_a, rhs_b) = stepper.sq_rows, stepper.rhs_rows
-    a, b = u
+    sq, dr, rhs = stepper.sq, stepper.dr, stepper.rhs
     last, peak = stepper.last
     # fl(a + b) <= 2*max(u) and the bound does not rise with the peak, so
     # max(a + b) is needed only when 2*max(u) fails to clear dt
     if dt > _reaction_dt(cat.k_max, 2.0 * (peak if u is last else u.max())) \
-            * (1 + 1e-12) and dt > stability_dt(config, a, b) * (1 + 1e-12):
+            * (1 + 1e-12) and dt > stability_dt(config, *u) * (1 + 1e-12):
         raise ValueError(
             "dt exceeds the explicit-reaction stability bound; reduce dt")
-    # midpoint predictor: backward-Euler half step, reaction frozen at t;
-    # the reaction adds to a and takes from b
+    # midpoint predictor: backward-Euler half step, reaction frozen at t.
+    # dr's rows are (r, -r): the reaction adds to a what it takes from b,
+    # and rounding to nearest is sign-symmetric
     np.multiply(u, u, out=sq)
-    np.subtract(sq_b, sq_a, out=react)
-    np.multiply(cat.at(profile, t), react, out=react)
-    np.multiply(0.5 * dt, react, out=react)
-    np.add(a, react, out=rhs_a)
-    np.subtract(b, react, out=rhs_b)
-    u_h = stepper.implicit(rhs)
+    np.subtract(sq[::-1], sq, out=dr)
+    np.multiply(cat.at(profile, t), dr, out=dr)
+    np.multiply(0.5 * dt, dr, out=dr)
+    u_h = stepper.implicit(np.add(u, dr, out=rhs))
     np.multiply(u_h, u_h, out=sq)
-    np.subtract(sq_b, sq_a, out=react)
-    np.multiply(cat.at(profile, t + 0.5 * dt), react, out=react)
-    np.multiply(dt, react, out=react)
-    stepper.explicit(u, rhs)
-    np.add(rhs_a, react, out=rhs_a)
-    np.subtract(rhs_b, react, out=rhs_b)
-    u_new = stepper.implicit(rhs)
+    np.subtract(sq[::-1], sq, out=dr)
+    np.multiply(cat.at(profile, t + 0.5 * dt), dr, out=dr)
+    np.multiply(dt, dr, out=dr)
+    u_new = stepper.implicit(np.add(stepper.explicit(u, rhs), dr, out=rhs))
     lo, hi = u_new.min(), u_new.max()     # NaN propagates through both
     if not (math.isfinite(lo) and math.isfinite(hi)):
         raise RuntimeError("non-finite state after step; reduce dt")
@@ -556,6 +547,9 @@ def run(config: SimConfig) -> RunResult:
     dt, nsteps, rec_every, snap_every = step_plan(grid, config, u)
 
     stepper = Stepper(grid, dt, config.d1, config.d2, config.dt is not None)
+    dt_source = "default" if config.dt is None else \
+        f"stepper.dt = {config.dt:g} set" + ("" if dt == config.dt else
+        f", shortened to divide stepper.t_end = {config.t_end:g}")
     ball = ball_mask(grid, config.catalyst.x0, config.catalyst.r)
     profile = config.catalyst.profile(grid)
 
@@ -576,9 +570,9 @@ def run(config: SimConfig) -> RunResult:
             u = step(u, t, profile, config, stepper)
         except (RuntimeError, ValueError) as exc:
             raise RuntimeError(
-                f"{exc}: step {n} from t = {t:g}, stepper.dt = {dt:g} ("
-                f"{'default' if config.dt is None else 'set'}), physics.d1 "
-                f"= {config.d1:g}, physics.d2 = {config.d2:g}") from exc
+                f"{exc}: step {n} from t = {t:g}, dt = {dt:g} ({dt_source}),"
+                f" physics.d1 = {config.d1:g}, physics.d2 = {config.d2:g}"
+            ) from exc
         t += dt
         if n % rec_every == 0 or n == nsteps:
             take(n, u, t)

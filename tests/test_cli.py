@@ -388,8 +388,9 @@ def test_simulate_names_an_unfactorizable_diffusivity(tmp_path, capsys,
                                      {"d1": 1e200}], ids=["both", "d1"])
 def test_lost_positivity_names_the_step_and_keys(tmp_path, capsys, physics):
     """A diffusivity that factorizes but rings below zero is a numerical
-    failure (exit 2) in one line naming the step, its time, stepper.dt and
-    the diffusivities with their values; it named none of them."""
+    failure (exit 2) in one line naming the step, its time, the dt it ran
+    with and the set stepper.dt, and the diffusivities with their values;
+    it named none of them."""
     cfg = _bump_config(tmp_path, **physics, dt=0.01)
     out = tmp_path / "run"
     assert main(["simulate", str(cfg), "-o", str(out)]) == 2
@@ -397,10 +398,20 @@ def test_lost_positivity_names_the_step_and_keys(tmp_path, capsys, physics):
     assert err.startswith("numerical failure: positivity lost") \
         and "\n" not in err
     d1, d2 = physics["d1"], physics.get("d2", 1.0)
-    assert re.search(r": step \d+ from t = \S+, stepper\.dt = ", err)
-    assert err.endswith(f"stepper.dt = 0.01 (set), physics.d1 = {d1:g}, "
-                        f"physics.d2 = {d2:g}")
+    assert re.search(r": step \d+ from t = \S+, dt = ", err)
+    assert err.endswith(f"dt = 0.01 (stepper.dt = 0.01 set), physics.d1 = "
+                        f"{d1:g}, physics.d2 = {d2:g}")
     assert not out.exists()
+
+
+def test_numerical_failure_with_the_default_dt_says_so(tmp_path, capsys):
+    """With no stepper.dt set, the failure names the dt the run chose."""
+    cfg = _bump_config(tmp_path, d1=1e30)
+    assert "dt" not in json.loads(cfg.read_text())["stepper"]
+    assert main(["simulate", str(cfg), "-o", str(tmp_path / "run")]) == 2
+    assert capsys.readouterr().err.strip() == (
+        "numerical failure: positivity lost, reduce dt: step 1 from t = 0, "
+        "dt = 0.0166667 (default), physics.d1 = 1e+30, physics.d2 = 1")
 
 
 def test_stability_failure_mid_run_names_the_step_and_keys(tmp_path, capsys):
@@ -408,8 +419,9 @@ def test_stability_failure_mid_run_names_the_step_and_keys(tmp_path, capsys):
     check; a, diffusing fast, spreads onto b's slowly diffusing bump, a + b
     peaks higher there and the in-step guard trips at step 2.  Like lost
     positivity, that
-    exits 2 in one line naming the step, its time, stepper.dt and the
-    diffusivities; it named none of them."""
+    exits 2 in one line naming the step, its time, the dt that ran (t_end/6,
+    shortened from the set stepper.dt) and the diffusivities; it named none
+    of them."""
     doc = {"domain": {"dim": 1}, "grid": {"resolution": 64},
            "physics": {"d1": 1.0, "d2": 0.01},
            "catalyst": {"kind": "constant", "k0": 1.0},
@@ -427,7 +439,8 @@ def test_stability_failure_mid_run_names_the_step_and_keys(tmp_path, capsys):
     assert "\n" not in err
     assert err == ("numerical failure: dt exceeds the explicit-reaction "
                    "stability bound; reduce dt: step 2 from t = 0.166667, "
-                   "stepper.dt = 0.166667 (set), physics.d1 = 1, "
+                   "dt = 0.166667 (stepper.dt = 0.166853 set, shortened to "
+                   "divide stepper.t_end = 1), physics.d1 = 1, "
                    "physics.d2 = 0.01")
     assert not out.exists()
 

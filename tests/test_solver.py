@@ -443,7 +443,7 @@ def test_shipped_run_bitwise_equals_the_allocating_step(monkeypatch):
         if t + stepper.dt in snap_times:
             kept.append(u_new)
             assert not any(np.shares_memory(u_new, w) for w in
-                           (stepper.sq, stepper.rhs, stepper.react))
+                           (stepper.sq, stepper.dr, stepper.rhs))
         return u_new
     monkeypatch.setattr(solver, "step", keep)
     r = run(cfg)
@@ -457,6 +457,37 @@ def test_shipped_run_bitwise_equals_the_allocating_step(monkeypatch):
     assert np.array_equal(kept, r.snapshots[1:])
     assert not any(np.shares_memory(x, y)
                    for i, x in enumerate(kept) for y in kept[:i])
+
+
+def test_row_swapped_increment_adds_and_takes_the_same_bits():
+    """`step`'s increment dr = c*(k*(sq[::-1] - sq)) has the rows (r, -r)
+    with r = c*(k*(b^2 - a^2)), so u + dr is (a + r, b - r) bit for bit,
+    except where a^2 = b^2 and b = -0.0: both rows of dr are +0 there, and
+    -0.0 + +0 is +0 where -0.0 - +0 is -0.0."""
+    rng = np.random.default_rng(7)
+    n = 4000
+    u = rng.standard_normal((2, n)) * 10.0 ** rng.uniform(-160, 150, (2, n))
+    pick = rng.random(n)
+    u[1, pick < 0.2] = u[0, pick < 0.2]            # equal squares,
+    u[1, pick > 0.9] = -u[0, pick > 0.9]           # either sign
+    u[rng.random((2, n)) < 0.1] = 0.0
+    u[rng.random((2, n)) < 0.1] = -0.0
+    k = rng.random(n)
+    k[rng.random(n) < 0.1] = 0.0
+    c = 0.5 * 1e-3
+    sq = u * u
+    assert np.isfinite(sq).all() and (sq[0] == sq[1]).sum() > n // 5
+    dr = np.subtract(sq[::-1], sq)
+    np.multiply(k, dr, out=dr)
+    np.multiply(c, dr, out=dr)
+    a, b = u
+    r = c * (k * (b * b - a * a))
+    got = (u + dr).view(np.int64)
+    want = np.array([a + r, b - r]).view(np.int64)
+    corner = np.signbit(b) & (b == 0.0) & (a * a == 0.0)
+    assert corner.any() and (~corner & (b == 0.0)).any()
+    assert np.array_equal(got[0], want[0])
+    assert np.array_equal(got[1] != want[1], corner)
 
 
 # ---------------------------------------------------------------------------
@@ -488,7 +519,8 @@ def test_stepper_bitwise_equals_splu_and_csr_product(dim, res, d1, d2,
         for name, got in zip(("indptr", "indices", "data"), F):
             assert np.array_equal(got, getattr(forward[s], name)), name
     want = solve[0](u.T).T if d1 == d2 else [solve[0](u[0]), solve[1](u[1])]
-    assert np.array_equal(stepper.implicit(u), want)
+    got = stepper.implicit(u)
+    assert got.flags.c_contiguous and np.array_equal(got, want)
     out = np.full_like(u, np.nan)           # `explicit` overwrites it all
     assert stepper.explicit(u, out) is out
     assert np.array_equal(out, [forward[0] @ u[0], forward[1] @ u[1]])
