@@ -137,21 +137,6 @@ def load_run(run_dir: Path) -> tuple[RunResult, RunConfig]:
                      B0=B0, dt=dt), rc
 
 
-def _ledger(rc: RunConfig, grid, u0, B0: float):
-    """The constant ledger of a config for the initial state u0 = (a0, b0).
-
-    Raises ConfigError for a catalyst floor k0 = 0 (pure diffusion), for
-    which the ledger's beta1 = max(..., 1/(8*B0*k0)) is undefined.
-    """
-    cat = rc.sim.catalyst
-    if cat.k0 == 0:
-        raise ConfigError("catalyst.k0 = 0 has no constant ledger (beta1 "
-                          "needs 1/(8*B0*k0)); constants and a full verify "
-                          "need catalyst.k0 > 0")
-    return build_ledger(grid, rc.weights, *u0, B0, k0=cat.k0,
-                        k_sup=cat.k_max, d1=rc.sim.d1, d2=rc.sim.d2)
-
-
 def _output(path: str, directory: bool) -> Path:
     """`path`, checked before the work: a directory to make with parents,
     or a file in an existing directory.  Raises OSError naming it."""
@@ -191,8 +176,8 @@ def cmd_verify(args) -> int:
                 f"full verify reads snapshots at t = {times}, set by "
                 f"weights.T, and this run has none near t = {missing}; "
                 f"put them on the stepper.field_stride grid")
-        ledger = _ledger(rc, run.grid, run.snapshots[0], run.B0)
-        entries = audit(run, ledger=ledger, params=rc.weights)
+        entries = audit(run, build_ledger(run.grid, rc.weights, rc.sim,
+                                          run.snapshots[0], run.B0))
     report = {"format_version": FORMAT_VERSION, "checks": entries,
               "pass": all(e["pass"] for e in entries)}
     _write_json(Path(args.run_dir) / "verification.json", report)
@@ -206,7 +191,7 @@ def cmd_constants(args) -> int:
     grid = build_grid(rc.sim.dim, rc.sim.resolution)
     u, B0 = init_state(grid, rc.sim)
     step_plan(grid, rc.sim, u)               # the config must simulate
-    ledger = _ledger(rc, grid, u, B0)
+    ledger = build_ledger(grid, rc.weights, rc.sim, u, B0)
     doc = {"format_version": FORMAT_VERSION, "ledger": ledger.as_json()}
     text = json.dumps(doc, indent=2, sort_keys=True)
     if out:

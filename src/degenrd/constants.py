@@ -24,7 +24,7 @@ import numpy as np
 
 from ._xmath import DPS, logaddexp, to_float, fmt
 from .grid import Grid, integrate, neumann_eigenvalue_1
-from .solver import ConfigError
+from .solver import ConfigError, SimConfig
 from .weights import (WeightParams, GeometryConstants, PsiJet,
                       geometry_constants, _sample_points)
 
@@ -85,9 +85,9 @@ class Entry:
 
 @dataclass
 class ConstantLedger:
-    """All named constants of the chain: one `Entry` per constant, filled
-    in order by the stages of `build_ledger`, over the weight geometry
-    behind the `geometry.*` entries.
+    """All named constants of the chain for the weights `params`: one
+    `Entry` per constant, filled in order by the stages of `build_ledger`,
+    over the weight geometry behind the `geometry.*` entries.
 
     Values read as attributes (`ledger.C1`), logs as the names in _LOGS.
     beta's value is 0.0 whenever log_beta is below double range (the exact
@@ -96,6 +96,7 @@ class ConstantLedger:
     1.0 and 0.0.
     """
 
+    params: WeightParams
     geometry: GeometryConstants
     entries: dict[str, Entry] = field(default_factory=dict)
 
@@ -138,8 +139,7 @@ def _sampled_derivative_maxima(params: WeightParams) -> dict:
     }
 
 
-def compute_analysis_constants(ledger: ConstantLedger,
-                               params: WeightParams) -> ConstantLedger:
+def compute_analysis_constants(ledger: ConstantLedger) -> ConstantLedger:
     """Fill the commutator/smallness constants C2..C7, s0..s2, C0, C1.
 
     Requires geometry, K0, C_Sob, d1, d2 already present.  The constants
@@ -150,7 +150,7 @@ def compute_analysis_constants(ledger: ConstantLedger,
     d_max = max(ledger.d1, ledger.d2)
     d_min = min(ledger.d1, ledger.d2)
     d_key = "physics.d1" if ledger.d1 >= ledger.d2 else "physics.d2"
-    m = _sampled_derivative_maxima(params)
+    m = _sampled_derivative_maxima(ledger.params)
 
     C4 = put("C4", m["max_lap"], "sampled",
              "sampled max |lap psi| over closed ball * 1.05")
@@ -269,11 +269,10 @@ def window_length(T: float) -> mp.mpf:
     return min(mp.mpf(1) / 2, mp.mpf(T) / 4) / 2
 
 
-def compute_chain(ledger: ConstantLedger,
-                  params: WeightParams) -> ConstantLedger:
+def compute_chain(ledger: ConstantLedger) -> ConstantLedger:
     """Complete the ledger: interpolation window, observation constants
     (c, M), and the decay certificate (theta, gamma, beta), for the
-    horizon T of `params`.
+    horizon T of `ledger.params`.
 
     All arithmetic runs at 60 significant digits with arbitrary-precision
     exponents; quantities whose exponents leave double range are kept as
@@ -285,7 +284,7 @@ def compute_chain(ledger: ConstantLedger,
         g, put = ledger.geometry, ledger.put
         C0, C1 = mp.mpf(ledger.C0), mp.mpf(ledger.C1)
         mu0, mu1 = mp.mpf(g.mu0), mp.mpf(g.mu1)
-        T = put("T", float(params.T), "input",
+        T = put("T", float(ledger.params.T), "input",
                 "certificate horizon (configuration)")
 
         ell = put("ell", _select_ell(mu0, mu1, C0, C1), "closed form",
@@ -365,15 +364,25 @@ def compute_chain(ledger: ConstantLedger,
     return ledger
 
 
-def build_ledger(grid: Grid, params: WeightParams, a0: np.ndarray,
-                 b0: np.ndarray, B0: float, k0: float, k_sup: float,
-                 d1: float, d2: float) -> ConstantLedger:
-    """End-to-end ledger construction for one configuration."""
-    led = ConstantLedger(geometry_constants(params))
+def build_ledger(grid: Grid, params: WeightParams, sim: SimConfig,
+                 u0: np.ndarray, B0: float) -> ConstantLedger:
+    """The constant ledger of the weights `params` for the physics of `sim`
+    (d1, d2, the catalyst's k0 and k_max) and its (2, ncells) initial state
+    u0, whose cellwise minimum is B0; it keeps `params` for the audit.
+
+    Raises ConfigError for a catalyst floor k0 = 0 (pure diffusion), for
+    which beta1 = max(..., 1/(8*B0*k0)) is undefined.
+    """
+    cat = sim.catalyst
+    if cat.k0 == 0:
+        raise ConfigError("catalyst.k0 = 0 has no constant ledger (beta1 "
+                          "needs 1/(8*B0*k0)); constants and a full verify "
+                          "need catalyst.k0 > 0")
+    led = ConstantLedger(params, geometry_constants(params))
     put, g = led.put, led.geometry
-    put("d1", d1, "input", "configuration")
-    put("d2", d2, "input", "configuration")
-    put("k0", k0, "input", "catalyst floor on the observation ball")
+    put("d1", sim.d1, "input", "configuration")
+    put("d2", sim.d2, "input", "configuration")
+    put("k0", cat.k0, "input", "catalyst floor on the observation ball")
     put("B0", B0, "exact", "cellwise min of the normalized initial data")
     probe = f"on the closed ball sampled at resolution {g.probe_resolution}"
     put("geometry.c01", g.c01, "sampled",
@@ -403,8 +412,8 @@ def build_ledger(grid: Grid, params: WeightParams, a0: np.ndarray,
     put("C_Sob", compute_sobolev_constant(grid), "sampled",
         "1.1 * the Rayleigh ratio 1 of the constant field on a "
         "unit-measure domain; not a certified bound (ROADMAP item 6)")
-    put("K0", compute_K0(grid, a0, b0, k_sup), "closed form",
+    put("K0", compute_K0(grid, *u0, cat.k_max), "closed form",
         "max((4*int(a0^3+b0^3)+4)^(2/3), 32*sup(k)^2)")
-    compute_analysis_constants(led, params)
-    compute_chain(led, params)
+    compute_analysis_constants(led)
+    compute_chain(led)
     return led

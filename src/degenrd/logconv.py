@@ -26,7 +26,7 @@ ledger arithmetic around them stays in mpmath.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import mpmath as mp
 import numpy as np
@@ -37,7 +37,7 @@ from .constants import (interp_margin, ln_prefactor, ln_time_integral,
 from .diagnostics import TOLERANCES, CheckResult, fd_derivative
 from .grid import Grid, integrate, dirichlet_energy, cell_gradient, \
     ball_mask, ball_norm2
-from .weights import WeightParams, WeightFields, PsiJet
+from .weights import WeightFields, PsiJet
 # unused here: perfbench/tracing.py wraps `logconv.weight_fields` and
 # reports the target missing when the name does not resolve
 from .weights import weight_fields  # noqa: F401
@@ -181,17 +181,11 @@ class FrequencyTrace:
     norm2_values: np.ndarray
     F_norm2: np.ndarray
     Fdotf_values: np.ndarray    # <tilted source, f>
-    flags: list = field(default_factory=list)   # (hy-bound) violation times
 
 
-def frequency_trace(run: RunResult, wf: WeightFields,
-                    ledger=None) -> FrequencyTrace:
+def frequency_trace(run: RunResult, wf: WeightFields) -> FrequencyTrace:
     """Evaluate N(t) on all field snapshots with t <= T, tilted with the
-    weight fields `wf` of the run's grid.
-
-    With a ledger, every sample where the finite-difference N' breaks the
-    growth hypothesis (`growth_violations` with F2 = 2*C1/h^2) is flagged.
-    """
+    weight fields `wf` of the run's grid; no ledger constant enters."""
     cfg, params = run.config, wf.params
     profile = cfg.catalyst.profile(run.grid)
     rows = []
@@ -206,13 +200,7 @@ def frequency_trace(run: RunResult, wf: WeightFields,
     times, Sff, Aff, F2, n2, fdf = np.array(rows).reshape(-1, 6).T
     with np.errstate(divide="ignore", invalid="ignore"):
         N = np.where(n2 < _FLOOR, np.nan, Sff / n2)
-    out = FrequencyTrace(times, N, Sff, Aff, n2, F2, fdf)
-    valid = ~np.isnan(N)
-    if ledger is not None and np.count_nonzero(valid) >= 5:
-        out.flags = growth_violations(
-            times[valid], N[valid], ledger.C0, ledger.C1,
-            2.0 * ledger.C1 / params.h ** 2, params.T, params.h).tolist()
-    return out
+    return FrequencyTrace(times, N, Sff, Aff, n2, F2, fdf)
 
 
 def growth_violations(t: np.ndarray, N: np.ndarray, C0, C1, F2, T,
@@ -353,11 +341,10 @@ def check_cubic_bound(run: RunResult, K0: float) -> float:
     return worst
 
 
-def observation_estimate_check(run: RunResult, params: WeightParams,
-                               ledger, t_start: float = 0.0,
+def observation_estimate_check(run: RunResult, ledger, t_start: float = 0.0,
                                t_final: float | None = None) -> CheckResult:
     """Verify the observation estimate with ledger (c, M) on the window
-    (t1, t) = (t_start, t_final), by default (0, T).
+    (t1, t) = (t_start, t_final), by default (0, T), T = ledger.params.T.
 
     The inequality compared (in logs):
       (1+M)*ln||u(t)||^2 <= c*(1+1/(t-t1)) + ln||u(t)||^2_ball
@@ -368,7 +355,7 @@ def observation_estimate_check(run: RunResult, params: WeightParams,
     """
     check_source_bound(run, ledger.K0)
     check_cubic_bound(run, ledger.K0)
-    grid, tr = run.grid, run.trace
+    grid, tr, params = run.grid, run.trace, ledger.params
     t_final = params.T if t_final is None else t_final
     u1, u2 = run.snapshot_at(t_final)[1] - 1.0
     y0 = tr["l2_dist"][tr.index_at(t_start)]

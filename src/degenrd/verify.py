@@ -13,11 +13,11 @@ import math
 import numpy as np
 
 from .diagnostics import TOLERANCES, CheckResult, fd_derivative, solver_checks
-from .logconv import (FrequencyTrace, frequency_trace,
+from .logconv import (FrequencyTrace, frequency_trace, growth_violations,
                       interpolation_window_check, observation_estimate_check,
                       sym_form_direct, tilt)
 from .solver import RunResult
-from .weights import WeightFields, WeightParams, weight_fields
+from .weights import WeightFields, weight_fields
 
 _FLOOR = TOLERANCES["norm_floor"]
 
@@ -140,13 +140,21 @@ def tilted_form_checks(run: RunResult, ft: FrequencyTrace,
     ]
 
 
-def _frequency_trace_checks(run: RunResult, ft, ledger,
-                            params: WeightParams) -> list[CheckResult]:
-    """Inequalities along the frequency trace with ledger constants."""
+def _frequency_trace_checks(run: RunResult, ft: FrequencyTrace,
+                            ledger) -> list[CheckResult]:
+    """Inequalities along the frequency trace with ledger constants; the
+    growth check counts the samples where the finite-difference N' breaks
+    the growth hypothesis (`growth_violations` with F2 = 2*C1/h^2)."""
+    params, valid = ledger.params, ~np.isnan(ft.N_values)
+    flags = []
+    if np.count_nonzero(valid) >= 5:
+        flags = growth_violations(
+            ft.times[valid], ft.N_values[valid], ledger.C0, ledger.C1,
+            2.0 * ledger.C1 / params.h ** 2, params.T, params.h)
     out = [CheckResult(
         "frequency_growth",
         "finite-difference N'(t) never exceeds its certified growth bound",
-        -float(len(ft.flags)), 0.5)]
+        -float(len(flags)), 0.5)]
     n2 = ft.norm2_values
     scale = max(float(np.max(n2)), _FLOOR)
     if params.s <= ledger.s2:
@@ -189,25 +197,25 @@ def _frequency_trace_checks(run: RunResult, ft, ledger,
     return out
 
 
-def audit(run: RunResult, ledger=None, params: WeightParams | None = None
-          ) -> list[dict]:
+def audit(run: RunResult, ledger=None) -> list[dict]:
     """Audit of one run; returns serializable entries.
 
     Quick, `audit(run)`: the conservation/monotonicity checks alone.  Full,
-    `audit(run, ledger, params)`: those, then the decay, contraction and
+    `audit(run, ledger)`: those, then the decay, contraction and
     dissipation checks, the tilted-form residuals, the frequency-trace
-    bounds, the observation estimate and the interpolation window.  Every
-    check is one `CheckResult`.
+    bounds, the observation estimate and the interpolation window, with
+    the weights `ledger.params` the ledger was built for.  Every check is
+    one `CheckResult`.
     """
     checks = list(solver_checks(run))
     if ledger is not None:
         checks += [decay_certificate_check(run, ledger),
                    theta_contraction_check(run, ledger),
                    beta1_chain_check(run, ledger)]
-        wf = weight_fields(params, run.grid)
-        ft = frequency_trace(run, wf, ledger)
+        wf = weight_fields(ledger.params, run.grid)
+        ft = frequency_trace(run, wf)
         checks += [*tilted_form_checks(run, ft, wf),
-                   *_frequency_trace_checks(run, ft, ledger, params),
-                   observation_estimate_check(run, params, ledger),
+                   *_frequency_trace_checks(run, ft, ledger),
+                   observation_estimate_check(run, ledger),
                    interpolation_window_check(run, wf, ledger)]
     return [c.as_dict() for c in checks]

@@ -56,6 +56,5 @@ def ref_params():
 
 @pytest.fixture(scope="session")
 def ref_ledger(ref_run, ref_params):
-    a0, b0 = ref_run.snapshots[0]
-    return build_ledger(ref_run.grid, ref_params, a0, b0, ref_run.B0,
-                        k0=1.0, k_sup=1.0, d1=1.0, d2=1.0)
+    return build_ledger(ref_run.grid, ref_params, ref_run.config,
+                        ref_run.snapshots[0], ref_run.B0)

@@ -213,20 +213,19 @@ def test_criterion_06_interpolation_checker(ref_ledger):
 # ---------------------------------------------------------------------------
 
 def test_criterion_07_observation_estimate(ref_run):
-    a0, b0 = ref_run.snapshots[0]
     ok = True
     details = []
     for T in (1.0, 5.0, 10.0):
         p = WeightParams(x0_abs=0.25, r=0.1, s=0.5, h=0.1, T=T, dim=1)
-        led = build_ledger(ref_run.grid, p, a0, b0, ref_run.B0,
-                           k0=1.0, k_sup=1.0, d1=1.0, d2=1.0)
+        led = build_ledger(ref_run.grid, p, ref_run.config,
+                           ref_run.snapshots[0], ref_run.B0)
         pairs = [(1.0, 6.0), (2.0, 9.0), (0.5, 9.5)] if T == 10.0 else []
-        out = observation_estimate_check(ref_run, p, led)
+        out = observation_estimate_check(ref_run, led)
         # strict: each window's margin is nonnegative, not just within the
         # check's tolerance
         ok = ok and out.passed and out.margin >= 0.0
         ok = ok and all(
-            observation_estimate_check(ref_run, p, led, t1, t).margin >= 0.0
+            observation_estimate_check(ref_run, led, t1, t).margin >= 0.0
             for t1, t in pairs)
         details.append(f"T={T}: margin={out.margin:.6e}")
     _report(7, "observation estimate (three horizons, window form)", ok,
@@ -267,9 +266,8 @@ def test_criterion_09_ledger_integrity(ref_run, ref_params, ref_ledger):
         and led.ln_theta == -2.0 * led.beta
         and mp.log(led.M_ell) <= led.ln_M_ell_bound
     )
-    a0, b0 = ref_run.snapshots[0]
-    led2 = build_ledger(ref_run.grid, ref_params, a0, b0, ref_run.B0,
-                        k0=1.0, k_sup=1.0, d1=1.0, d2=1.0)
+    led2 = build_ledger(ref_run.grid, ref_params, ref_run.config,
+                        ref_run.snapshots[0], ref_run.B0)
     deterministic = json.dumps(led.as_json(), sort_keys=True) \
         == json.dumps(led2.as_json(), sort_keys=True)
     _report(9, "ledger integrity and determinism",

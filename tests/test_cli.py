@@ -961,6 +961,39 @@ def test_sweep_rejects_a_repeated_value(pool_sizes, cfg_path, tmp_path,
     assert not out.exists() and pool_sizes == []
 
 
+_TYPED = pytest.mark.xfail(strict=True, reason=(
+    "sweep names each point's directory and comparison.csv value with "
+    "%.17g (r_0.10000000000000001); the fix changes sweep bytes, so it "
+    "waits for the next sweep re-record under ROADMAP item 1"))
+
+
+@pytest.fixture(scope="module")
+def sweep_r_typed(tmp_path_factory):
+    """The output of `sweep --param r --values 0.1 -j 1`, 1-D n = 16."""
+    doc = json.loads(json.dumps(CFG))
+    doc["grid"]["resolution"] = 16
+    doc["stepper"].update(t_end=0.5)
+    doc["weights"]["T"] = 0.5
+    root = tmp_path_factory.mktemp("typed")
+    cfg, out = root / "c.json", root / "sweep"
+    cfg.write_text(json.dumps(doc))
+    assert main(["sweep", str(cfg), "--param", "r", "--values", "0.1",
+                 "-j", "1", "-o", str(out)]) == 0
+    return out
+
+
+@_TYPED
+def test_sweep_point_directory_named_as_typed(sweep_r_typed):
+    assert (sweep_r_typed / "r_0.1").is_dir()
+
+
+@_TYPED
+def test_sweep_comparison_value_as_typed(sweep_r_typed):
+    with open(sweep_r_typed / "comparison.csv", newline="") as fh:
+        rows = list(csv.reader(fh))
+    assert [r[1] for r in rows[1:]] == ["0.1"]
+
+
 # ---------------------------------------------------------------------------
 # process-level entry point
 # ---------------------------------------------------------------------------

@@ -14,6 +14,7 @@ Frozen oracles:
 
 import math
 import re
+from dataclasses import replace
 
 import mpmath as mp
 import numpy as np
@@ -24,6 +25,7 @@ from degenrd.config import ConfigError
 from degenrd.constants import (METHODS, build_ledger, compute_K0,
                                compute_sobolev_constant, ln_time_integral)
 from degenrd.grid import build_grid, dirichlet_energy, integrate
+from degenrd.solver import CatalystSpec
 from degenrd.weights import PsiJet
 
 
@@ -202,9 +204,8 @@ def test_ledger_serialization_and_determinism(ref_run, ref_params,
     json.dumps(j1)
     for name, ent in j1.items():
         assert "provenance" in ent and "value" in ent
-    a0, b0 = ref_run.snapshots[0]
-    led2 = build_ledger(ref_run.grid, ref_params, a0, b0, ref_run.B0,
-                        k0=1.0, k_sup=1.0, d1=1.0, d2=1.0)
+    led2 = build_ledger(ref_run.grid, ref_params, ref_run.config,
+                        ref_run.snapshots[0], ref_run.B0)
     assert json.dumps(j1, sort_keys=True) \
         == json.dumps(led2.as_json(), sort_keys=True)
 
@@ -254,10 +255,11 @@ def test_ledger_methods_and_no_duplicates(ref_ledger):
 def test_ledger_overflow_names_k_max(ref_run, ref_params, k_sup, name):
     """A catalyst ceiling whose K0 or C1 leaves double range is a config
     error naming catalyst.k_max, not an OverflowError."""
-    a0, b0 = ref_run.snapshots[0]
+    cfg = replace(ref_run.config,
+                  catalyst=replace(ref_run.config.catalyst, k_max=k_sup))
     with pytest.raises(ConfigError, match=rf"catalyst\.k_max.*{name}"):
-        build_ledger(ref_run.grid, ref_params, a0, b0, ref_run.B0, k0=1.0,
-                     k_sup=k_sup, d1=1.0, d2=1.0)
+        build_ledger(ref_run.grid, ref_params, cfg, ref_run.snapshots[0],
+                     ref_run.B0)
 
 
 @pytest.mark.parametrize("d1,d2,key,name", [
@@ -268,7 +270,18 @@ def test_ledger_overflow_names_the_diffusivity(ref_run, ref_params, d1, d2,
                                                key, name):
     """A diffusivity that drives C3, C5 or C7 out of double range, or
     rounds C0 = 1 - min(d)*s2/(4*c2) to 1, is a config error naming it."""
-    a0, b0 = ref_run.snapshots[0]
+    cfg = replace(ref_run.config, d1=d1, d2=d2)
     with pytest.raises(ConfigError, match=rf"{re.escape(key)}.*{name}"):
-        build_ledger(ref_run.grid, ref_params, a0, b0, ref_run.B0, k0=1.0,
-                     k_sup=1.0, d1=d1, d2=d2)
+        build_ledger(ref_run.grid, ref_params, cfg, ref_run.snapshots[0],
+                     ref_run.B0)
+
+
+def test_build_ledger_rejects_zero_catalyst_floor(ref_run, ref_params):
+    """build_ledger itself rejects a pure-diffusion catalyst (k0 = 0),
+    whose beta1 = max(..., 1/(8*B0*k0)) is undefined, with a config error
+    naming catalyst.k0."""
+    cfg = replace(ref_run.config,
+                  catalyst=CatalystSpec(kind="constant", k0=0.0))
+    with pytest.raises(ConfigError, match=r"catalyst\.k0 = 0"):
+        build_ledger(ref_run.grid, ref_params, cfg, ref_run.snapshots[0],
+                     ref_run.B0)

@@ -25,6 +25,7 @@ from degenrd.logconv import (InterpInput, check_cubic_bound,
                              observation_estimate_check, quadratic_forms,
                              sym_form_direct, tilt)
 from degenrd.solver import CatalystSpec, InitialSpec, SimConfig, run
+from degenrd.verify import _frequency_trace_checks, audit
 from degenrd.weights import PsiJet, WeightParams, weight_fields
 
 M_ORACLE = 3 * math.log(2) / math.log(1.5)
@@ -108,10 +109,17 @@ def test_sym_form_two_assemblies_agree(ref_run, ref_params):
 # frequency trace
 # ---------------------------------------------------------------------------
 
+def _growth_flags(ft, led):
+    """The samples that the audit's frequency_growth check counts: N'
+    breaks the growth hypothesis with F2 = 2*C1/h^2 (ledger constants)."""
+    p = led.params
+    return growth_violations(ft.times, ft.N_values, led.C0, led.C1,
+                             2.0 * led.C1 / p.h ** 2, p.T, p.h).tolist()
+
+
 def test_frequency_trace_reference_run(ref_run, ref_params, ref_ledger):
-    tr = frequency_trace(ref_run, weight_fields(ref_params, ref_run.grid),
-                         ref_ledger)
-    assert tr.flags == []
+    tr = frequency_trace(ref_run, weight_fields(ref_params, ref_run.grid))
+    assert _growth_flags(tr, ref_ledger) == []
     assert np.all(np.isfinite(tr.N_values))
     assert np.all(tr.N_values > 0)
     assert np.all(tr.Sff_values >= -1e-12)
@@ -309,26 +317,31 @@ def test_interp_exponent_with_ledger_constants(ref_ledger):
         assert abs(mp.mpf(out["log_M"]) - ln_M) < 1e-12
 
 
-def test_frequency_flags_are_interp_growth_violations(ref_run, ref_params):
-    """frequency_trace flags exactly the samples where interp_check finds
-    the growth hypothesis broken with F2 = 2*C1/h^2.  The constants are
-    chosen so that some samples are flagged and some are not, and half the
-    F2 flags more of them; y = 0 keeps the first hypothesis out of the
-    violations."""
-    led = SimpleNamespace(C0=-0.99, C1=3e-6)
-    ft = frequency_trace(ref_run, weight_fields(ref_params, ref_run.grid),
-                         led)
-    assert 0 < len(ft.flags) < ft.times.size
+def test_frequency_flags_are_interp_growth_violations(ref_run, ref_params,
+                                                      ref_ledger):
+    """The audit's frequency_growth check counts exactly the samples where
+    interp_check finds the growth hypothesis broken with F2 = 2*C1/h^2.
+    The stub constants are chosen so that some samples are flagged and
+    some are not, and half the F2 flags more of them; y = 0 keeps the
+    first hypothesis out of the violations.  On the reference run the
+    full audit's margin is minus the count with the ledger's constants."""
+    led = SimpleNamespace(C0=-0.99, C1=3e-6, s2=0.0, params=ref_params)
+    ft = frequency_trace(ref_run, weight_fields(ref_params, ref_run.grid))
+    flags = _growth_flags(ft, led)
+    assert 0 < len(flags) < ft.times.size
     h, T = ref_params.h, ref_params.T
     zeros = np.zeros_like(ft.times)
     out = interp_check(InterpInput(
         times=ft.times, y=zeros, N=ft.N_values, F1=zeros,
         F2=np.full_like(ft.times, 2.0 * led.C1 / h ** 2),
         C0=led.C0, C1=led.C1, h=h, T=T, t1=1.0, t2=2.0, t3=3.0))
-    assert out["hypothesis_violations"] == ft.flags
-    assert growth_violations(ft.times, ft.N_values, led.C0, led.C1,
-                             2.0 * led.C1 / h ** 2, T, h).tolist() \
-        == ft.flags
+    assert out["hypothesis_violations"] == flags
+    growth = _frequency_trace_checks(ref_run, ft, led)[0]
+    assert growth.invariant_id == "frequency_growth"
+    assert growth.margin == -len(flags)
+    margins = {e["invariant_id"]: e["margin"]
+               for e in audit(ref_run, ref_ledger)}
+    assert margins["frequency_growth"] == -len(_growth_flags(ft, ref_ledger))
 
 
 def test_interp_constant_data_margin_zero():
@@ -373,11 +386,11 @@ def test_cubic_bound_holds(ref_run, ref_ledger):
 
 
 def test_observation_estimate_reference(ref_run, ref_params, ref_ledger):
-    out = observation_estimate_check(ref_run, ref_params, ref_ledger)
+    out = observation_estimate_check(ref_run, ref_ledger)
     assert out.invariant_id == "observation_estimate"
     assert out.passed and out.margin > 0
     for t1, t in [(1.0, 6.0), (2.0, 9.0)]:
-        assert observation_estimate_check(ref_run, ref_params, ref_ledger,
+        assert observation_estimate_check(ref_run, ref_ledger,
                                           t1, t).margin > 0
 
 
@@ -398,8 +411,9 @@ def test_observation_estimate_decayed_convention(grid256, ref_params):
                                   "l2_dist": np.zeros_like(times)})
     r = RunResult(config=cfg, grid=grid256, trace=trace,
                   snapshot_times=times, snapshots=snaps, B0=1.0, dt=1e-3)
-    led_stub = type("L", (), {"K0": 32.0, "M": 1.0, "c": 2.0})()
-    out = observation_estimate_check(r, ref_params, led_stub)
+    led_stub = type("L", (), {"K0": 32.0, "M": 1.0, "c": 2.0,
+                              "params": ref_params})()
+    out = observation_estimate_check(r, led_stub)
     assert out.margin == 0.0 and out.passed
 
 
@@ -429,8 +443,9 @@ def test_observation_estimate_uses_the_weights_ball():
                                             r=0.025),
                       t_end=1.0, record_stride=0.05, field_stride=0.25))
     params = WeightParams(x0_abs=0.25, r=0.1, s=0.5, h=0.1, T=1.0, dim=1)
-    led = type("L", (), {"K0": 32.0, "M": mp.mpf(2), "c": mp.mpf(1)})()
-    out = observation_estimate_check(r, params, led)
+    led = type("L", (), {"K0": 32.0, "M": mp.mpf(2), "c": mp.mpf(1),
+                         "params": params})()
+    out = observation_estimate_check(r, led)
 
     _, (aT, bT) = r.snapshot_at(1.0)
     usq = (aT - 1.0) ** 2 + (bT - 1.0) ** 2

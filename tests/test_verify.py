@@ -11,8 +11,8 @@ from degenrd.verify import audit, beta1_chain_check
 
 
 @pytest.fixture(scope="module")
-def ref_audit(ref_run, ref_ledger, ref_params):
-    return audit(ref_run, ref_ledger, ref_params)
+def ref_audit(ref_run, ref_ledger):
+    return audit(ref_run, ref_ledger)
 
 
 def test_reference_audit_all_pass(ref_audit):
@@ -79,9 +79,9 @@ def test_audit_entries_serializable(ref_audit):
         assert e["reference"]  # every entry carries a human explanation
 
 
-def test_audit_deterministic(ref_run, ref_ledger, ref_params, ref_audit):
+def test_audit_deterministic(ref_run, ref_ledger, ref_audit):
     import json
-    again = audit(ref_run, ref_ledger, ref_params)
+    again = audit(ref_run, ref_ledger)
     assert json.dumps(again, sort_keys=True) \
         == json.dumps(ref_audit, sort_keys=True)
 
