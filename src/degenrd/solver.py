@@ -83,6 +83,9 @@ class CatalystSpec:
                              "ball)")
         if not self.r > 0:
             raise ValueError(f"catalyst.r must be positive; got {self.r!r}")
+        if self.smoothness is not None and not self.smoothness > 0:
+            raise ValueError(f"catalyst.smoothness must be positive or "
+                             f"null; got {self.smoothness!r}")
         kmax = self.k_max if self.k_max is not None else self.k0
         object.__setattr__(self, "k_max", float(kmax))
         if self.k_max < self.k0:
@@ -165,6 +168,9 @@ class InitialSpec:
         if self.kind not in _INITIAL_KINDS:
             raise ValueError(f"initial.kind must be one of "
                              f"{_INITIAL_KINDS}; got {self.kind!r}")
+        if not self.width > 0:
+            raise ValueError(f"initial.width must be positive; got "
+                             f"{self.width!r}")
 
     def profiles(self, grid: Grid) -> tuple[np.ndarray, np.ndarray]:
         x1 = grid.centers[:, 0]
@@ -344,12 +350,7 @@ class Stepper:
     the CSR arrays (indptr, indices, data) of the explicit CN halves
     I + (dt/2) d L in the same way.  `implicit` and `explicit` act on a
     (2, ncells) state, one species per row; `implicit` looks `solve` up at
-    call time.
-
-    A Stepper also owns the workspace `step` computes in, allocated once
-    for its ncells: the squares `sq`, the reaction increment `dr` and the
-    right-hand sides `rhs`, each (2, ncells), and `last`, the state `step`
-    last returned with its maximum.  One step at a time may use it.
+    call time.  `last` is the state `step` last returned, with its maximum.
     """
 
     def __init__(self, grid: Grid, dt: float, d1: float, d2: float,
@@ -385,7 +386,6 @@ class Stepper:
                     f"factorized ({exc})") from exc
             self.forward.append(_drop_zeros(indptr, indices,
                                             np.where(diag, 1.0 + cL, cL)))
-        self.sq, self.dr, self.rhs = (np.empty((2, n)) for _ in range(3))
         self.last = (None, math.nan)
 
     def implicit(self, rhs: np.ndarray) -> np.ndarray:
@@ -397,10 +397,9 @@ class Stepper:
             return self.solve[0](rhs.T).T
         return np.array([s(r) for s, r in zip(self.solve, rhs)])
 
-    def explicit(self, u: np.ndarray, out: np.ndarray) -> np.ndarray:
-        """(I + dt/2 d L) u for both rows of `u`, written to and returned
-        in the C-contiguous `out`."""
-        out.fill(0.0)                   # csr_matvec adds the product to out
+    def explicit(self, u: np.ndarray) -> np.ndarray:
+        """(I + dt/2 d L) u for both rows of `u`."""
+        out = np.zeros(u.shape)         # csr_matvec adds the product to out
         n = u.shape[1]
         for F, x, y in zip((self.forward[0], self.forward[-1]), u, out):
             self._matvec(n, n, *F, x, y)
@@ -462,17 +461,19 @@ def step_plan(grid: Grid, config: SimConfig,
     return dt, nsteps, rec_every, per_snap * rec_every
 
 
+_SIGN = np.array([[1.0], [-1.0]])   # the reaction adds to a, takes from b
+
+
 def step(u: np.ndarray, t: float, profile: np.ndarray, config: SimConfig,
          stepper: Stepper) -> np.ndarray:
     """One IMEX step of the (2, ncells) state `u` = (a, b) from time t.
 
     CN diffusion plus an explicit midpoint reaction; `profile` is the
-    catalyst's spatial profile (`CatalystSpec.profile`).  The arithmetic
-    runs in `stepper`'s workspace; the new state is a fresh read-only
-    array, whose maximum the next step's stability guard reuses.
+    catalyst's spatial profile (`CatalystSpec.profile`).  The new state is
+    read-only, and the next step's stability guard reuses its maximum,
+    kept in `stepper.last`.
     """
     dt, cat = stepper.dt, config.catalyst
-    sq, dr, rhs = stepper.sq, stepper.dr, stepper.rhs
     last, peak = stepper.last
     # fl(a + b) <= 2*max(u) and the bound does not rise with the peak, so
     # max(a + b) is needed only when 2*max(u) fails to clear dt
@@ -480,19 +481,15 @@ def step(u: np.ndarray, t: float, profile: np.ndarray, config: SimConfig,
             * (1 + 1e-12) and dt > stability_dt(config, *u) * (1 + 1e-12):
         raise ValueError(
             "dt exceeds the explicit-reaction stability bound; reduce dt")
-    # midpoint predictor: backward-Euler half step, reaction frozen at t.
-    # dr's rows are (r, -r): the reaction adds to a what it takes from b,
-    # and rounding to nearest is sign-symmetric
-    np.multiply(u, u, out=sq)
-    np.subtract(sq[::-1], sq, out=dr)
-    np.multiply(cat.at(profile, t), dr, out=dr)
-    np.multiply(0.5 * dt, dr, out=dr)
-    u_h = stepper.implicit(np.add(u, dr, out=rhs))
-    np.multiply(u_h, u_h, out=sq)
-    np.subtract(sq[::-1], sq, out=dr)
-    np.multiply(cat.at(profile, t + 0.5 * dt), dr, out=dr)
-    np.multiply(dt, dr, out=dr)
-    u_new = stepper.implicit(np.add(stepper.explicit(u, rhs), dr, out=rhs))
+    # midpoint predictor: backward-Euler half step, reaction frozen at t
+    sq = u * u
+    h = (0.5 * dt) * (cat.at(profile, t) * (sq[1] - sq[0]))
+    u_h = stepper.implicit(u + h * _SIGN)
+    sq = u_h * u_h
+    rh = dt * (cat.at(profile, t + 0.5 * dt) * (sq[1] - sq[0]))
+    rhs = stepper.explicit(u)
+    rhs += rh * _SIGN
+    u_new = stepper.implicit(rhs)
     lo, hi = u_new.min(), u_new.max()     # NaN propagates through both
     if not (math.isfinite(lo) and math.isfinite(hi)):
         raise RuntimeError("non-finite state after step; reduce dt")

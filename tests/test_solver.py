@@ -363,12 +363,12 @@ def test_exact_peak_case_needs_the_exact_peak_mid_run():
 
 
 # ---------------------------------------------------------------------------
-# bitwise oracle: the step before it computed in the Stepper's workspace
+# bitwise oracle: the step before its guard reused the last state's peak
 # ---------------------------------------------------------------------------
 
-# The step, the stability bound and the explicit CN half as they were when
-# each step allocated its temporaries, kept verbatim but for their names
-# as the bitwise reference of `step`.
+# The step and the stability bound as they were when every step's guard
+# scanned a + b, kept verbatim but for their names as the bitwise
+# reference of `step`.
 
 def _alloc_stability_dt(config: SimConfig, a: np.ndarray, b: np.ndarray
                         ) -> float:
@@ -410,31 +410,14 @@ def _alloc_step(u: np.ndarray, t: float, profile: np.ndarray,
     return u_new
 
 
-class _AllocStepper:
-    """A Stepper's `dt` and `implicit`, and its explicit half as it was."""
-
-    def __init__(self, stepper):
-        self.dt, self.implicit = stepper.dt, stepper.implicit
-        self.forward, self._matvec = stepper.forward, stepper._matvec
-
-    def explicit(self, u: np.ndarray) -> np.ndarray:
-        """(I + dt/2 d L) u for both rows of `u`."""
-        out = np.zeros(u.shape)
-        n = u.shape[1]
-        for F, x, y in zip((self.forward[0], self.forward[-1]), u, out):
-            self._matvec(n, n, *F, x, y)
-        return out
-
-
 def test_shipped_run_bitwise_equals_the_allocating_step(monkeypatch):
     """The full-length run of configs/degenerate_bump.json: every trace
     channel and snapshot has the allocating step's bits, and the states
-    kept as snapshots share no memory with each other or the workspace."""
+    kept as snapshots share no memory with each other."""
     cfg = load_config(Path(__file__).resolve().parents[1] / "configs"
                       / "degenerate_bump.json").sim
     with monkeypatch.context() as m:
-        m.setattr(solver, "step", lambda u, t, profile, config, stepper:
-                  _alloc_step(u, t, profile, config, _AllocStepper(stepper)))
+        m.setattr(solver, "step", _alloc_step)
         ref = run(cfg)
     snap_times, kept, fast = set(ref.snapshot_times.tolist()), [], solver.step
 
@@ -442,8 +425,6 @@ def test_shipped_run_bitwise_equals_the_allocating_step(monkeypatch):
         u_new = fast(u, t, profile, config, stepper)
         if t + stepper.dt in snap_times:
             kept.append(u_new)
-            assert not any(np.shares_memory(u_new, w) for w in
-                           (stepper.sq, stepper.dr, stepper.rhs))
         return u_new
     monkeypatch.setattr(solver, "step", keep)
     r = run(cfg)
@@ -457,37 +438,6 @@ def test_shipped_run_bitwise_equals_the_allocating_step(monkeypatch):
     assert np.array_equal(kept, r.snapshots[1:])
     assert not any(np.shares_memory(x, y)
                    for i, x in enumerate(kept) for y in kept[:i])
-
-
-def test_row_swapped_increment_adds_and_takes_the_same_bits():
-    """`step`'s increment dr = c*(k*(sq[::-1] - sq)) has the rows (r, -r)
-    with r = c*(k*(b^2 - a^2)), so u + dr is (a + r, b - r) bit for bit,
-    except where a^2 = b^2 and b = -0.0: both rows of dr are +0 there, and
-    -0.0 + +0 is +0 where -0.0 - +0 is -0.0."""
-    rng = np.random.default_rng(7)
-    n = 4000
-    u = rng.standard_normal((2, n)) * 10.0 ** rng.uniform(-160, 150, (2, n))
-    pick = rng.random(n)
-    u[1, pick < 0.2] = u[0, pick < 0.2]            # equal squares,
-    u[1, pick > 0.9] = -u[0, pick > 0.9]           # either sign
-    u[rng.random((2, n)) < 0.1] = 0.0
-    u[rng.random((2, n)) < 0.1] = -0.0
-    k = rng.random(n)
-    k[rng.random(n) < 0.1] = 0.0
-    c = 0.5 * 1e-3
-    sq = u * u
-    assert np.isfinite(sq).all() and (sq[0] == sq[1]).sum() > n // 5
-    dr = np.subtract(sq[::-1], sq)
-    np.multiply(k, dr, out=dr)
-    np.multiply(c, dr, out=dr)
-    a, b = u
-    r = c * (k * (b * b - a * a))
-    got = (u + dr).view(np.int64)
-    want = np.array([a + r, b - r]).view(np.int64)
-    corner = np.signbit(b) & (b == 0.0) & (a * a == 0.0)
-    assert corner.any() and (~corner & (b == 0.0)).any()
-    assert np.array_equal(got[0], want[0])
-    assert np.array_equal(got[1] != want[1], corner)
 
 
 # ---------------------------------------------------------------------------
@@ -521,9 +471,8 @@ def test_stepper_bitwise_equals_splu_and_csr_product(dim, res, d1, d2,
     want = solve[0](u.T).T if d1 == d2 else [solve[0](u[0]), solve[1](u[1])]
     got = stepper.implicit(u)
     assert got.flags.c_contiguous and np.array_equal(got, want)
-    out = np.full_like(u, np.nan)           # `explicit` overwrites it all
-    assert stepper.explicit(u, out) is out
-    assert np.array_equal(out, [forward[0] @ u[0], forward[1] @ u[1]])
+    assert np.array_equal(stepper.explicit(u),
+                          [forward[0] @ u[0], forward[1] @ u[1]])
 
 
 # ---------------------------------------------------------------------------
