@@ -20,6 +20,7 @@ import functools
 import importlib.machinery
 import importlib.util
 import math
+import os
 import sys
 from dataclasses import dataclass
 from pathlib import Path
@@ -302,9 +303,13 @@ def load_extensions() -> dict:
     23 MB), and registered as `degenrd._superlu` and
     `degenrd._sparsetools`: under scipy's names, a later `import
     scipy.sparse` in the process would lose its `_sparsetools` attribute.
-    Raises OSError naming the installed scipy version and the file when
-    one is missing, cannot be loaded, or its entry point does not accept
-    the call this module makes.
+    `_superlu` links scipy's own OpenBLAS, whose pool threads spin but
+    get no SuperLU work, so it loads with OPENBLAS_NUM_THREADS=1 and the
+    caller's value (or its absence) is then restored; a later `import
+    scipy.linalg` shares that one-thread library.  numpy's OpenBLAS keeps
+    its pool.  Raises OSError naming the installed scipy version and the
+    file when one is missing, cannot be loaded, or its entry point does
+    not accept the call this module makes.
     """
     scipy = importlib.util.find_spec("scipy")
     root = Path(scipy.origin).parent if scipy and scipy.origin \
@@ -318,7 +323,14 @@ def load_extensions() -> dict:
                 raise ImportError("no such file")
             spec = importlib.util.spec_from_file_location(f"degenrd.{name}",
                                                           path)
-            module = importlib.util.module_from_spec(spec)
+            saved = os.environ.get("OPENBLAS_NUM_THREADS")
+            os.environ["OPENBLAS_NUM_THREADS"] = "1"    # read by dlopen
+            try:
+                module = importlib.util.module_from_spec(spec)
+            finally:
+                os.environ.pop("OPENBLAS_NUM_THREADS", None)
+                if saved is not None:
+                    os.environ["OPENBLAS_NUM_THREADS"] = saved
             spec.loader.exec_module(module)
             if list(probe(module)) != [1.0]:
                 raise ValueError("wrong result on the 1x1 identity")

@@ -15,6 +15,12 @@ verification layer (`constants`, `verify`, `logconv`, `weights`,
 `constants` run; nor do they load `numpy.random`, since the ledger draws
 no random numbers.  Where the extensions cannot be used, `simulate` and
 `sweep` exit 1 with one line naming the scipy version and the file.
+
+`_superlu` links scipy's own OpenBLAS, which starts its pool threads when
+the extension's file is loaded; they spin beside the step yet get no work
+from SuperLU.  The loader sets OPENBLAS_NUM_THREADS=1 for that load alone,
+so loading starts no thread, and restores the caller's value afterwards,
+an unset variable included, also when the load fails.
 """
 
 import ast
@@ -286,6 +292,56 @@ def test_extension_rejecting_the_call_is_named(monkeypatch):
     from degenrd import solver
     monkeypatch.setitem(solver._EXTENSIONS, "_superlu", (
         "sparse/linalg/_dsolve", lambda m: m.gstrf(1, 1)))
+    monkeypatch.setenv("OPENBLAS_NUM_THREADS", "3")
     with pytest.raises(OSError, match=rf"^scipy {metadata.version('scipy')}"
                        r": cannot use \S+/_superlu\S+ \(.*\)$"):
         solver.load_extensions.__wrapped__()
+    assert os.environ["OPENBLAS_NUM_THREADS"] == "3"
+
+
+_THREADS = """
+import json
+import os
+import numpy
+from degenrd.solver import load_extensions
+before = len(os.listdir("/proc/self/task"))
+load_extensions()
+print(json.dumps([before, len(os.listdir("/proc/self/task")),
+                  os.environ.get("OPENBLAS_NUM_THREADS")]))
+"""
+
+
+@pytest.mark.skipif(not Path("/proc/self/task").is_dir(),
+                    reason="no per-thread entries under /proc")
+@pytest.mark.parametrize("preset", [None, "3"])
+def test_loading_starts_no_thread_and_restores_the_variable(
+        tmp_path, monkeypatch, preset):
+    """Loading the extensions adds no thread to a process that imported
+    numpy, and leaves OPENBLAS_NUM_THREADS as the caller had it."""
+    if preset is None:
+        monkeypatch.delenv("OPENBLAS_NUM_THREADS", raising=False)
+    else:
+        monkeypatch.setenv("OPENBLAS_NUM_THREADS", preset)
+    before, after, value = json.loads(_python(_THREADS, tmp_path))
+    assert (after, value) == (before, preset)
+
+
+@pytest.mark.parametrize("preset", [None, "3"])
+def test_failed_load_restores_the_variable(monkeypatch, preset):
+    """An extension file that cannot be loaded is named in an OSError, and
+    OPENBLAS_NUM_THREADS, 1 while the load ran, is as it was before."""
+    from degenrd import solver
+    if preset is None:
+        monkeypatch.delenv("OPENBLAS_NUM_THREADS", raising=False)
+    else:
+        monkeypatch.setenv("OPENBLAS_NUM_THREADS", preset)
+    seen = []
+
+    def refuse(spec):
+        seen.append(os.environ.get("OPENBLAS_NUM_THREADS"))
+        raise ImportError("refused")
+
+    monkeypatch.setattr(solver.importlib.util, "module_from_spec", refuse)
+    with pytest.raises(OSError, match=r"_superlu\S+ \(refused\)$"):
+        solver.load_extensions.__wrapped__()
+    assert (seen, os.environ.get("OPENBLAS_NUM_THREADS")) == (["1"], preset)
