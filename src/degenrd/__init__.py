@@ -22,8 +22,8 @@ from .weights import WeightParams, weight_fields, geometry_constants
 from .solver import CatalystSpec, InitialSpec, SimConfig, run
 from .diagnostics import TraceSeries, fit_decay_rate, TOLERANCES
 from .constants import ConstantLedger, build_ledger
-from .logconv import (TiltedState, tilt, quadratic_forms, frequency_trace,
-                      InterpInput, interp_check, observation_estimate_check)
+from .logconv import (TiltedState, tilt, sym_form, antisym_form, interp_check,
+                      InterpInput, frequency_trace, observation_estimate_check)
 from .verify import audit
 from .config import RunConfig, load_config, parse_config
 
@@ -35,7 +35,7 @@ __all__ = [
     "CatalystSpec", "InitialSpec", "SimConfig", "run",
     "TraceSeries", "fit_decay_rate", "audit", "TOLERANCES",
     "ConstantLedger", "build_ledger",
-    "TiltedState", "tilt", "quadratic_forms", "frequency_trace",
+    "TiltedState", "tilt", "sym_form", "antisym_form", "frequency_trace",
     "InterpInput", "interp_check", "observation_estimate_check",
     "RunConfig", "load_config", "parse_config",
     "__version__",

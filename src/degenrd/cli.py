@@ -206,12 +206,15 @@ def cmd_interp_check(args) -> int:
         if need not in col:
             raise ConfigError(f"{args.series} has no {need!r} column")
     n = col["t"].size
-    inp = InterpInput(
-        times=col["t"], y=col["y"], N=col["N"],
-        F1=col.get("F1", np.full(n, args.F1)),
-        F2=col.get("F2", np.full(n, args.F2)),
-        C0=args.C0, C1=args.C1, h=args.h, T=args.T,
-        t1=args.t1, t2=args.t2, t3=args.t3)
+    try:
+        inp = InterpInput(
+            times=col["t"], y=col["y"], N=col["N"],
+            F1=col.get("F1", np.full(n, args.F1)),
+            F2=col.get("F2", np.full(n, args.F2)),
+            C0=args.C0, C1=args.C1, h=args.h, T=args.T,
+            t1=args.t1, t2=args.t2, t3=args.t3)
+    except ConfigError as exc:
+        raise ConfigError(f"{args.series}: {exc}") from None
     report = interp_check(inp)
     report["format_version"] = FORMAT_VERSION
     print(json.dumps(report, indent=2, sort_keys=True))

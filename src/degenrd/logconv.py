@@ -10,8 +10,10 @@ diffusivity a component has.  On top of the tilted fields this module
 evaluates
 
   * the symmetric form <Sf,f> = sum_i d_i*int|grad f_i|^2 - int eta_i f_i^2,
-  * the antisymmetric form <Af,f> (a residual: zero in the continuum),
-  * the frequency function N = <Sf,f>/||f||^2 and its growth bound,
+  * the antisymmetric form <Af,f> (a residual: zero in the continuum,
+    which the audit reads at T/2 alone),
+  * the frequency trace, a `TraceSeries` of N = <Sf,f>/||f||^2 and its
+    ingredients at every snapshot, and N's growth bound,
   * the three-time log-convexity interpolation inequality,
   * the end-to-end observation estimate with ledger constants.
 
@@ -34,7 +36,7 @@ import numpy as np
 from ._xmath import DPS, logaddexp, to_float, fmt
 from .constants import (interp_margin, ln_prefactor, ln_time_integral,
                         window_length)
-from .diagnostics import TOLERANCES, CheckResult, fd_derivative
+from .diagnostics import TOLERANCES, CheckResult, TraceSeries, fd_derivative
 from .grid import Grid, integrate, dirichlet_energy, cell_gradient, \
     ball_mask, ball_norm2
 from .weights import WeightFields, PsiJet
@@ -120,29 +122,27 @@ def tilt(grid: Grid, t: float, u: np.ndarray, k: np.ndarray,
                        v=np.array([v1, -v1])[SPECIES])
 
 
-def quadratic_forms(ts: TiltedState, d1: float, d2: float
-                    ) -> tuple[float, float, float]:
-    """(Sff, Aff, F2) for a tilted state.
-
-    Sff is assembled from the integrated-by-parts formula (gradient
-    energies minus the eta-weighted masses) and is exact for the discrete
-    operators; Aff is assembled from the definition of the antisymmetric
-    part and converges to zero at discretization order; F2 is the tilted
-    squared source norm.
-    """
+def sym_form(ts: TiltedState, d1: float, d2: float) -> float:
+    """<Sf,f> from the integrated-by-parts formula: gradient energies minus
+    the eta-weighted masses; exact for the discrete operators."""
     grid, f = ts.grid, ts.f
     d = np.array((d1, d2))[SPECIES]
-    eta, dPhi = ts.eta(d1, d2), ts.dPhi()
+    return sum(di * dirichlet_energy(grid, fi) - integrate(grid, ei * fi * fi)
+               for di, fi, ei in zip(d, f, ts.eta(d1, d2)))
+
+
+def antisym_form(ts: TiltedState, d1: float, d2: float) -> float:
+    """<Af,f> from the definition of the antisymmetric part; converges to
+    zero at discretization order."""
+    grid, f = ts.grid, ts.f
+    d = np.array((d1, d2))[SPECIES]
+    dPhi = ts.dPhi()
     grad_Phi = dPhi[:, :, None] * ts.wf.grad_psi
     lap_Phi = dPhi * ts.wf.laplacian_psi
-    Sff = sum(di * dirichlet_energy(grid, fi) - integrate(grid, ei * fi * fi)
-              for di, fi, ei in zip(d, f, eta))
-    Aff = sum(integrate(grid, (-di * np.sum(gi * cell_gradient(grid, fi),
-                                            axis=1)
-                               - 0.5 * di * li * fi) * fi)
-              for di, fi, gi, li in zip(d, f, grad_Phi, lap_Phi))
-    F2 = sum(integrate(grid, x) for x in ts.v ** 2 * np.exp(ts.Phi))
-    return Sff, Aff, F2
+    return sum(integrate(grid, (-di * np.sum(gi * cell_gradient(grid, fi),
+                                             axis=1)
+                                - 0.5 * di * li * fi) * fi)
+               for di, fi, gi, li in zip(d, f, grad_Phi, lap_Phi))
 
 
 def sym_form_direct(ts: TiltedState, d1: float, d2: float) -> float:
@@ -152,7 +152,7 @@ def sym_form_direct(ts: TiltedState, d1: float, d2: float) -> float:
     normal derivative on the boundary equals (1/2) dPhi_i/dn * f_i, so the
     direct assembly carries an explicit boundary-flux correction built from
     the analytic weight gradient and an extrapolated boundary trace.
-    Agrees with `quadratic_forms` at discretization order.
+    Agrees with `sym_form` at discretization order.
     """
     grid, f = ts.grid, ts.f
     d = np.array((d1, d2))[SPECIES]
@@ -170,22 +170,12 @@ def sym_form_direct(ts: TiltedState, d1: float, d2: float) -> float:
                for di, fi, bi, ei in zip(d, f, flux, ts.eta(d1, d2)))
 
 
-@dataclass
-class FrequencyTrace:
-    """N(t) and its ingredients along a run."""
-
-    times: np.ndarray
-    N_values: np.ndarray        # nan where ||f||^2 is below the floor
-    Sff_values: np.ndarray
-    Aff_values: np.ndarray
-    norm2_values: np.ndarray
-    F_norm2: np.ndarray
-    Fdotf_values: np.ndarray    # <tilted source, f>
-
-
-def frequency_trace(run: RunResult, wf: WeightFields) -> FrequencyTrace:
-    """Evaluate N(t) on all field snapshots with t <= T, tilted with the
-    weight fields `wf` of the run's grid; no ledger constant enters."""
+def frequency_trace(run: RunResult, wf: WeightFields) -> TraceSeries:
+    """N(t) and its ingredients on all field snapshots with t <= T, tilted
+    with the weight fields `wf` of the run's grid; no ledger constant
+    enters.  Channels: N (nan where ||f||^2 is below the floor), Sff,
+    norm2 = ||f||^2, F2 (the tilted squared source norm) and Fdotf (the
+    pairing <tilted source, f>)."""
     cfg, params = run.config, wf.params
     profile = cfg.catalyst.profile(run.grid)
     rows = []
@@ -193,14 +183,16 @@ def frequency_trace(run: RunResult, wf: WeightFields) -> FrequencyTrace:
         if t > params.T + 1e-12:
             continue
         ts = tilt(run.grid, t, u, cfg.catalyst.at(profile, t), wf)
-        fdf = sum(integrate(run.grid, x)
-                  for x in ts.v * ts.u[SPECIES] * np.exp(ts.Phi))
-        rows.append((t, *quadratic_forms(ts, cfg.d1, cfg.d2), ts.norm2(),
-                     fdf))
-    times, Sff, Aff, F2, n2, fdf = np.array(rows).reshape(-1, 6).T
+        w = np.exp(ts.Phi)
+        rows.append((t, sym_form(ts, cfg.d1, cfg.d2), ts.norm2(),
+                     sum(integrate(run.grid, x) for x in ts.v ** 2 * w),
+                     sum(integrate(run.grid, x)
+                         for x in ts.v * ts.u[SPECIES] * w)))
+    times, Sff, n2, F2, fdf = np.array(rows).reshape(-1, 5).T
     with np.errstate(divide="ignore", invalid="ignore"):
         N = np.where(n2 < _FLOOR, np.nan, Sff / n2)
-    return FrequencyTrace(times, N, Sff, Aff, n2, F2, fdf)
+    return TraceSeries(times, {"N": N, "Sff": Sff, "norm2": n2, "F2": F2,
+                               "Fdotf": fdf})
 
 
 def growth_violations(t: np.ndarray, N: np.ndarray, C0, C1, F2, T,
@@ -231,10 +223,18 @@ class InterpInput:
     t3: float
 
     def __post_init__(self):
-        for name in ("y", "N", "F1", "F2"):
-            arr = np.asarray(getattr(self, name), float)
+        for name, arr in zip(("t", "y", "N", "F1", "F2"), (
+                self.times, self.y, self.N, self.F1, self.F2)):
+            arr = np.asarray(arr, float)
             if arr.shape != np.asarray(self.times).shape:
                 raise ConfigError(f"{name} length mismatch")
+            if not np.all(np.isfinite(arr)):
+                raise ConfigError(f"{name} must be finite; it has nan or inf")
+        if np.any(np.diff(self.times) <= 0):
+            raise ConfigError("t must be strictly increasing")
+        for name in ("C0", "C1", "T", "h"):
+            if not math.isfinite(x := getattr(self, name)):
+                raise ConfigError(f"{name} must be finite; got {x}")
         if not (self.times[0] - 1e-12 <= self.t1 < self.t2 < self.t3
                 <= self.times[-1] + 1e-12):
             raise ConfigError("need t1 < t2 < t3 inside the sampled window")

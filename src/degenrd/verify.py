@@ -13,9 +13,9 @@ import math
 import numpy as np
 
 from .diagnostics import TOLERANCES, CheckResult, fd_derivative, solver_checks
-from .logconv import (FrequencyTrace, frequency_trace, growth_violations,
+from .logconv import (antisym_form, frequency_trace, growth_violations,
                       interpolation_window_check, observation_estimate_check,
-                      sym_form_direct, tilt)
+                      sym_form, sym_form_direct, tilt)
 from .solver import RunResult
 from .weights import WeightFields, weight_fields
 
@@ -109,24 +109,20 @@ def beta1_chain_check(run: RunResult, ledger) -> CheckResult:
                        worst, 1e-9)
 
 
-def tilted_form_checks(run: RunResult, ft: FrequencyTrace,
-                       wf: WeightFields) -> list[CheckResult]:
+def tilted_form_checks(run: RunResult, wf: WeightFields) -> list[CheckResult]:
     """Residual checks on the tilted quadratic forms at a mid-run state.
 
     The antisymmetric form and the direct/integrated-by-parts disagreement
     both vanish at discretization order; the budget here is a generous
     O(spacing^2) envelope (the refinement tests measure the order sharply).
-    Sff, Aff and ||f||^2 are the frequency trace's at that snapshot; only
-    the direct assembly tilts it again.
+    The snapshot nearest T/2 is tilted once; every form is read from it.
     """
     cfg = run.config
     t, u = run.snapshot_at(min(0.5 * wf.params.T, run.snapshot_times[-1]))
-    i = ft.times.tolist().index(t)
-    Sff, Aff, n2 = (float(x[i]) for x in (ft.Sff_values, ft.Aff_values,
-                                          ft.norm2_values))
     ts = tilt(run.grid, t, u, cfg.catalyst.values(run.grid, t), wf)
-    Sff_direct = sym_form_direct(ts, cfg.d1, cfg.d2)
-    scale = max(n2, abs(Sff), _FLOOR)
+    Sff, Aff, Sff_direct = (form(ts, cfg.d1, cfg.d2) for form in
+                            (sym_form, antisym_form, sym_form_direct))
+    scale = max(ts.norm2(), abs(Sff), _FLOOR)
     budget = 1e4 * run.grid.spacing ** 2 * scale
     return [
         CheckResult("antisymmetric_residual",
@@ -140,38 +136,39 @@ def tilted_form_checks(run: RunResult, ft: FrequencyTrace,
     ]
 
 
-def _frequency_trace_checks(run: RunResult, ft: FrequencyTrace,
+def _frequency_trace_checks(run: RunResult, wf: WeightFields,
                             ledger) -> list[CheckResult]:
-    """Inequalities along the frequency trace with ledger constants; the
-    growth check counts the samples where the finite-difference N' breaks
-    the growth hypothesis (`growth_violations` with F2 = 2*C1/h^2)."""
-    params, valid = ledger.params, ~np.isnan(ft.N_values)
+    """Inequalities along `frequency_trace(run, wf)` with ledger constants;
+    the growth check counts the samples where the finite-difference N'
+    breaks the growth hypothesis (`growth_violations`, F2 = 2*C1/h^2)."""
+    ft = frequency_trace(run, wf)
+    params, valid = ledger.params, ~np.isnan(ft["N"])
     flags = []
     if np.count_nonzero(valid) >= 5:
         flags = growth_violations(
-            ft.times[valid], ft.N_values[valid], ledger.C0, ledger.C1,
+            ft.times[valid], ft["N"][valid], ledger.C0, ledger.C1,
             2.0 * ledger.C1 / params.h ** 2, params.T, params.h)
     out = [CheckResult(
         "frequency_growth",
         "finite-difference N'(t) never exceeds its certified growth bound",
         -float(len(flags)), 0.5)]
-    n2 = ft.norm2_values
+    n2 = ft["norm2"]
     scale = max(float(np.max(n2)), _FLOOR)
     if params.s <= ledger.s2:
         out.append(CheckResult(
             "sym_form_nonnegative",
             "the symmetric tilted form is nonnegative below the smallness "
             "threshold",
-            float(np.min(ft.Sff_values)) / scale, 1e-9))
+            float(np.min(ft["Sff"])) / scale, 1e-9))
     if ft.times.size < 5:
         return out
     # tilted energy identity: (1/2) d/dt ||f||^2 + <Sf,f> = <source, f>
     dn2, err = fd_derivative(ft.times, n2)
-    resid = np.abs(0.5 * dn2 + ft.Sff_values - ft.Fdotf_values)
+    resid = np.abs(0.5 * dn2 + ft["Sff"] - ft["Fdotf"])
     # differencing allowance: third-derivative model of an exponential at
     # the locally observed frequency (n2' ~ -2 N n2)
     dt = float(np.min(np.diff(ft.times)))
-    rate = 2.0 * np.nan_to_num(ft.N_values, nan=0.0)
+    rate = 2.0 * np.nan_to_num(ft["N"], nan=0.0)
     fd_model = (dt * rate) ** 2 / 6.0 * np.abs(rate) * n2
     budget = 0.5 * err + fd_model + 1e4 * run.grid.spacing ** 2 * scale \
         + 50.0 * dt ** 2 * scale
@@ -181,8 +178,8 @@ def _frequency_trace_checks(run: RunResult, ft: FrequencyTrace,
         "and the source pairing (up to discretization noise)",
         float(np.min(budget - resid)) / scale, 1e-9))
     # two-sided derivative bound with ledger C1
-    lhs = np.abs(0.5 * dn2 + ft.Sff_values)
-    rhs = 0.5 * ft.Sff_values + (ledger.C1 / params.h) * n2
+    lhs = np.abs(0.5 * dn2 + ft["Sff"])
+    rhs = 0.5 * ft["Sff"] + (ledger.C1 / params.h) * n2
     out.append(CheckResult(
         "tilted_derivative_bound",
         "the tilted-norm derivative obeys the certified two-sided bound",
@@ -192,7 +189,7 @@ def _frequency_trace_checks(run: RunResult, ft: FrequencyTrace,
         "source_norm_bound",
         "the tilted squared source norm is controlled by the norm and "
         "the symmetric form",
-        float(np.min(ledger.C1 * (n2 + ft.Sff_values) - ft.F_norm2))
+        float(np.min(ledger.C1 * (n2 + ft["Sff"]) - ft["F2"]))
         / scale, 1e-9))
     return out
 
@@ -213,9 +210,8 @@ def audit(run: RunResult, ledger=None) -> list[dict]:
                    theta_contraction_check(run, ledger),
                    beta1_chain_check(run, ledger)]
         wf = weight_fields(ledger.params, run.grid)
-        ft = frequency_trace(run, wf)
-        checks += [*tilted_form_checks(run, ft, wf),
-                   *_frequency_trace_checks(run, ft, ledger),
+        checks += [*tilted_form_checks(run, wf),
+                   *_frequency_trace_checks(run, wf, ledger),
                    observation_estimate_check(run, ledger),
                    interpolation_window_check(run, wf, ledger)]
     return [c.as_dict() for c in checks]

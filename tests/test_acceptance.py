@@ -15,9 +15,8 @@ import pytest
 from degenrd.constants import build_ledger
 from degenrd.diagnostics import energy_identity_residuals, fit_decay_rate
 from degenrd.grid import build_grid
-from degenrd.logconv import (InterpInput, frequency_trace, interp_check,
-                             observation_estimate_check, quadratic_forms,
-                             tilt)
+from degenrd.logconv import (InterpInput, antisym_form, frequency_trace,
+                             interp_check, observation_estimate_check, tilt)
 from degenrd.solver import CatalystSpec, InitialSpec, SimConfig, run
 from degenrd.verify import decay_certificate_check, theta_contraction_check
 from degenrd.weights import PsiJet, WeightParams, psi_at_x0, weight_fields
@@ -113,8 +112,7 @@ def _aff_at(res: int, p: WeightParams) -> float:
     t = 0.5 * p.T
     k = CatalystSpec(kind="bump", k0=1.0, x0=p.x0_abs, r=p.r).values(g, t)
     ts = tilt(g, t, np.array([a, b]), k, weight_fields(p, g))
-    _, Aff, _ = quadratic_forms(ts, 1.0, 1.0)
-    return abs(Aff)
+    return abs(antisym_form(ts, 1.0, 1.0))
 
 
 @pytest.mark.parametrize("p", [
@@ -196,7 +194,7 @@ def test_criterion_06_interpolation_checker(ref_ledger):
     C0, C1 = ref_ledger.C0, ref_ledger.C1
     n = ft.times.size
     fed = interp_check(InterpInput(
-        times=ft.times, y=ft.norm2_values, N=ft.N_values,
+        times=ft.times, y=ft["norm2"], N=ft["N"],
         F1=np.full(n, C1 / p.h), F2=np.full(n, 2.0 * C1 / p.h ** 2),
         C0=C0, C1=C1, h=p.h, T=p.T, t1=0.5, t2=1.0, t3=1.5))
     ok = (closed["pass"] and closed["conclusion_margin"] >= 0

@@ -8,6 +8,7 @@ import re
 import shutil
 import subprocess
 import sys
+import warnings
 from dataclasses import replace
 from pathlib import Path
 
@@ -469,6 +470,21 @@ def test_constants_reproduces_the_recorded_ledger(tmp_path, capsys, config,
         == (_REPO / "tests" / "data" / recorded).read_bytes()
 
 
+def test_full_verify_reproduces_the_recorded_report(tmp_path, capsys):
+    """`simulate` then a full `verify` of the shipped config writes the
+    verification.json recorded in tests/data byte for byte: every margin
+    of the full audit is pinned.  A change that means to move a margin
+    re-records the file and lists every moved number."""
+    out = tmp_path / "run"
+    config = _REPO / "configs" / "degenerate_bump.json"
+    assert main(["simulate", str(config), "-o", str(out)]) == 0
+    assert main(["verify", str(out)]) == 0
+    capsys.readouterr()
+    assert (out / "verification.json").read_bytes() \
+        == (_REPO / "tests" / "data"
+            / "verification_degenerate_bump.json").read_bytes()
+
+
 def test_half_t_end_strides_accepted(tmp_path):
     """The largest accepted dt and record_stride give three samples."""
     doc = json.loads(json.dumps(CFG))
@@ -803,16 +819,38 @@ _WINDOW = ["--t1", "0.2", "--t2", "0.5", "--t3", "0.8", "--T", "1.0",
            "--h", "0.1"]
 
 
-@pytest.mark.parametrize("text", ["t,y,N\n0,1,abc\n1,1,1\n",
-                                  "t,y,N\n0,1\n1,1,1\n", ""],
-                         ids=["non-numeric", "short-row", "empty"])
-def test_interp_check_malformed_series_exits_1(tmp_path, capsys, text):
+def _series_text(t, y):
+    return "t,y,N\n" + "".join(f"{a!r},{b!r},0.5\n" for a, b in zip(t, y))
+
+
+_T = np.linspace(0, 1, 11).tolist()
+_Y = np.exp(-np.linspace(0, 1, 11)).tolist()
+
+
+@pytest.mark.parametrize("text,needle", [
+    ("t,y,N\n0,1,abc\n1,1,1\n", "malformed"),
+    ("t,y,N\n0,1\n1,1,1\n", "malformed"),
+    ("", "malformed"),
+    (_series_text([0.0, 0.3, 0.1] + _T[3:], _Y), "t must be strictly"),
+    (_series_text([0.0, 0.1, 0.1] + _T[3:], _Y), "t must be strictly"),
+    (_series_text(_T, _Y[:5] + [math.nan] + _Y[6:]), "y must be finite"),
+    (_series_text(_T, _Y[:5] + [math.inf] + _Y[6:]), "y must be finite"),
+    (_series_text(_T[:10] + [math.nan], _Y), "t must be finite"),
+], ids=["non-numeric", "short-row", "empty", "t-out-of-order",
+        "t-repeated", "y-nan", "y-inf", "t-nan"])
+def test_interp_check_malformed_series_exits_1(tmp_path, capsys, text,
+                                               needle):
+    """A series the lemma cannot read exits 1 in one line naming the file
+    and what is wrong, without a numpy warning and without a report."""
     p = tmp_path / "series.csv"
     p.write_text(text)
-    assert main(["interp-check", str(p)] + _WINDOW) == 1
-    err = capsys.readouterr().err.strip()
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        assert main(["interp-check", str(p)] + _WINDOW) == 1
+    out, err = capsys.readouterr()
+    err = err.strip()
     assert err.startswith("error: ") and "series.csv" in err
-    assert "\n" not in err
+    assert needle in err and "\n" not in err and out == ""
 
 
 @pytest.mark.parametrize("sign,extra,needle", [
@@ -820,12 +858,18 @@ def test_interp_check_malformed_series_exits_1(tmp_path, capsys, text):
     (1, ["--h", "-0.1"], "h must be positive"),
     (1, ["--t1", "0.6"], "t1 < t2 < t3"),
     (-1, [], "nonnegative"),
+    (1, ["--C0", "nan"], "C0 must be finite"),
+    (1, ["--C1", "inf"], "C1 must be finite"),
+    (1, ["--T", "inf"], "T must be finite"),
+    (1, ["--h", "inf"], "h must be finite"),
+    (1, ["--F1", "nan"], "F1 must be finite"),
+    (1, ["--F2=-inf"], "F2 must be finite"),
 ])
 def test_interp_check_bad_input_exits_1(tmp_path, capsys, sign, extra,
                                         needle):
-    """A shift h <= 0 (the lemma's T - t + h reaches 0), times out of order
-    and a negative y are usage errors, not numerical failures; a later flag
-    overrides the window's."""
+    """A shift h <= 0 (the lemma's T - t + h reaches 0), times out of order,
+    a negative y and a non-finite constant are usage errors, not numerical
+    failures; a later flag overrides the window's."""
     p = tmp_path / "s.csv"
     t = np.linspace(0, 1, 201)
     _write_series(p, t, sign * np.exp(-t), np.full_like(t, 0.5))

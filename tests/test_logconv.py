@@ -18,11 +18,11 @@ import pytest
 from degenrd import logconv
 from degenrd._xmath import DPS
 from degenrd.grid import cell_gradient, dirichlet_energy, integrate
-from degenrd.logconv import (InterpInput, check_cubic_bound,
+from degenrd.logconv import (InterpInput, antisym_form, check_cubic_bound,
                              check_source_bound, frequency_trace,
                              growth_violations, interp_check,
                              interpolation_window_check,
-                             observation_estimate_check, quadratic_forms,
+                             observation_estimate_check, sym_form,
                              sym_form_direct, tilt)
 from degenrd.solver import CatalystSpec, InitialSpec, SimConfig, run
 from degenrd.verify import _frequency_trace_checks, audit
@@ -49,8 +49,7 @@ def test_tilt_equilibrium_is_zero(grid256, ref_params):
     ts = tilt(grid256, 1.0, ones, k, weight_fields(ref_params, grid256))
     assert ts.norm2() == 0.0
     assert np.all(ts.v == 0.0)
-    Sff, Aff, F2 = quadratic_forms(ts, 1.0, 1.0)
-    assert Sff == Aff == F2 == 0.0
+    assert sym_form(ts, 1.0, 1.0) == antisym_form(ts, 1.0, 1.0) == 0.0
 
 
 def test_tilt_source_antisymmetry(ref_run, ref_params):
@@ -92,13 +91,12 @@ def test_tilt_rejects_time_outside_window(grid256, ref_params):
 def test_sym_form_nonnegative_for_small_tilt(ref_run):
     p = WeightParams(x0_abs=0.25, r=0.1, s=1e-4, h=0.1, T=10.0, dim=1)
     ts = _tilt_mid(ref_run, p)
-    Sff, _, _ = quadratic_forms(ts, 1.0, 1.0)
-    assert Sff >= -1e-15
+    assert sym_form(ts, 1.0, 1.0) >= -1e-15
 
 
 def test_sym_form_two_assemblies_agree(ref_run, ref_params):
     ts = _tilt_mid(ref_run, ref_params)
-    a = quadratic_forms(ts, 1.0, 1.0)[0]
+    a = sym_form(ts, 1.0, 1.0)
     b = sym_form_direct(ts, 1.0, 1.0)
     scale = max(abs(a), abs(b), ts.norm2())
     dx = ref_run.grid.spacing
@@ -113,21 +111,25 @@ def _growth_flags(ft, led):
     """The samples that the audit's frequency_growth check counts: N'
     breaks the growth hypothesis with F2 = 2*C1/h^2 (ledger constants)."""
     p = led.params
-    return growth_violations(ft.times, ft.N_values, led.C0, led.C1,
+    return growth_violations(ft.times, ft["N"], led.C0, led.C1,
                              2.0 * led.C1 / p.h ** 2, p.T, p.h).tolist()
 
 
 def test_frequency_trace_reference_run(ref_run, ref_params, ref_ledger):
     tr = frequency_trace(ref_run, weight_fields(ref_params, ref_run.grid))
     assert _growth_flags(tr, ref_ledger) == []
-    assert np.all(np.isfinite(tr.N_values))
-    assert np.all(tr.N_values > 0)
-    assert np.all(tr.Sff_values >= -1e-12)
-    assert np.all(tr.norm2_values > 0)
-    # antisymmetric residual vanishes at discretization order
+    assert np.all(np.isfinite(tr["N"]))
+    assert np.all(tr["N"] > 0)
+    assert np.all(tr["Sff"] >= -1e-12)
+    assert np.all(tr["norm2"] > 0)
+    # antisymmetric residual vanishes at discretization order at every
+    # snapshot the trace reads, each tilted here
+    cfg, wf = ref_run.config, weight_fields(ref_params, ref_run.grid)
+    Aff = [antisym_form(tilt(ref_run.grid, *ref_run.snapshot_at(t),
+                             cfg.catalyst.values(ref_run.grid, t), wf),
+                        cfg.d1, cfg.d2) for t in tr.times.tolist()]
     dx = ref_run.grid.spacing
-    assert np.max(np.abs(tr.Aff_values)) \
-        <= 1e3 * dx ** 2 * np.max(tr.norm2_values)
+    assert np.max(np.abs(Aff)) <= 1e3 * dx ** 2 * np.max(tr["norm2"])
 
 
 # ---------------------------------------------------------------------------
@@ -191,7 +193,8 @@ def test_row_map_bitwise_equals_per_component_loop(
         case, ref_run, ref_params, disk_unequal_diffusivities):
     """f, Sff, Aff, F2, ||f||^2, the source pairing and the direct Sff at
     every snapshot of the frequency trace equal the per-component loop
-    bit for bit."""
+    bit for bit: the trace's channels as it returns them, Aff and the
+    direct Sff from each snapshot tilted here."""
     r, params = (ref_run, ref_params) if case == "ref1d" \
         else disk_unequal_diffusivities
     cfg, wf = r.config, weight_fields(params, r.grid)
@@ -204,12 +207,12 @@ def test_row_map_bitwise_equals_per_component_loop(
         ts = tilt(r.grid, t, u, cfg.catalyst.values(r.grid, t), wf)
         for row in range(4):
             assert np.array_equal(ts.f[row], f[row + 1])
-        assert sym_form_direct(ts, cfg.d1, cfg.d2) == scalars[5]
-        ref.append(scalars[:5])
-    ref = np.array(ref).T
-    for got, want in zip((ft.Sff_values, ft.Aff_values, ft.F_norm2,
-                          ft.norm2_values, ft.Fdotf_values), ref):
-        assert np.array_equal(got, want)
+        Sff, Aff, F2, n2, fdf, direct = scalars
+        assert antisym_form(ts, cfg.d1, cfg.d2) == Aff
+        assert sym_form_direct(ts, cfg.d1, cfg.d2) == direct
+        ref.append((Sff, F2, n2, fdf))
+    for name, want in zip(("Sff", "F2", "norm2", "Fdotf"), np.array(ref).T):
+        assert np.array_equal(ft[name], want)
 
 
 # ---------------------------------------------------------------------------
@@ -332,11 +335,12 @@ def test_frequency_flags_are_interp_growth_violations(ref_run, ref_params,
     h, T = ref_params.h, ref_params.T
     zeros = np.zeros_like(ft.times)
     out = interp_check(InterpInput(
-        times=ft.times, y=zeros, N=ft.N_values, F1=zeros,
+        times=ft.times, y=zeros, N=ft["N"], F1=zeros,
         F2=np.full_like(ft.times, 2.0 * led.C1 / h ** 2),
         C0=led.C0, C1=led.C1, h=h, T=T, t1=1.0, t2=2.0, t3=3.0))
     assert out["hypothesis_violations"] == flags
-    growth = _frequency_trace_checks(ref_run, ft, led)[0]
+    growth = _frequency_trace_checks(
+        ref_run, weight_fields(ref_params, ref_run.grid), led)[0]
     assert growth.invariant_id == "frequency_growth"
     assert growth.margin == -len(flags)
     margins = {e["invariant_id"]: e["margin"]

@@ -163,3 +163,31 @@ def test_bad_run_reported_not_crashed():
     by_id = {e["invariant_id"]: e for e in entries}
     assert not by_id["mass_conservation"]["pass"]
     assert not by_id["l2_monotone"]["pass"]
+
+
+def test_full_audit_assembles_the_antisymmetric_form_once(monkeypatch):
+    """A full audit of the 2-D n=32 workload (9 snapshots up to T) takes
+    the cell gradients of <Af,f> for the four rows of one tilted state,
+    the T/2 snapshot's, and no others."""
+    from pathlib import Path
+
+    from degenrd import grid as grid_mod, logconv
+    from degenrd.config import load_config
+    from degenrd.constants import build_ledger
+
+    rc = load_config(Path(__file__).resolve().parents[1] / "perfbench"
+                     / "workloads" / "disk2d.json")
+    r = run(rc.sim)
+    ledger = build_ledger(r.grid, rc.weights, rc.sim, r.snapshots[0], r.B0)
+    gradient, calls = grid_mod.cell_gradient, []
+
+    def counted(grid, values):
+        calls.append(values.shape)
+        return gradient(grid, values)
+
+    monkeypatch.setattr(grid_mod, "cell_gradient", counted)
+    monkeypatch.setattr(logconv, "cell_gradient", counted)
+    entries = audit(r, ledger)
+    assert r.snapshot_times.size == 9
+    assert len(calls) == 4
+    assert all(e["pass"] for e in entries)
