@@ -116,8 +116,7 @@ def load_run(run_dir: Path) -> tuple[RunResult, RunConfig]:
     with _reading(run_dir / "config.json") as path:
         rc = parse_config(json.loads(path.read_text())["config"])
     with _reading(run_dir / "summary.json") as path:
-        summary = json.loads(path.read_text())
-        B0, dt = float(summary["B0"]), float(summary["dt"])
+        dt = float(json.loads(path.read_text())["dt"])
     grid = build_grid(rc.sim.dim, rc.sim.resolution)
     col = _read_columns(run_dir / "trace.csv")
     with _reading(run_dir / "trace.csv"):
@@ -133,8 +132,7 @@ def load_run(run_dir: Path) -> tuple[RunResult, RunConfig]:
                             f"finite, with {grid.ncells} cells each)")
     return RunResult(config=rc.sim, grid=grid, trace=trace,
                      snapshot_times=times,
-                     snapshots=np.stack([a, b], axis=1),
-                     B0=B0, dt=dt), rc
+                     snapshots=np.stack([a, b], axis=1), dt=dt), rc
 
 
 def _output(path: str, directory: bool) -> Path:
@@ -166,6 +164,9 @@ def cmd_simulate(args) -> int:
 def cmd_verify(args) -> int:
     run, rc = load_run(Path(args.run_dir))
     if args.quick:
+        if nearest_index(run.snapshot_times, 0.0) is None:
+            raise ConfigError("quick verify reads the initial floor B0 from "
+                              "the snapshot at t = 0; this run has none")
         entries = audit(run)
     else:
         times = read_times(rc.weights.T)
@@ -177,7 +178,7 @@ def cmd_verify(args) -> int:
                 f"weights.T, and this run has none near t = {missing}; "
                 f"put them on the stepper.field_stride grid")
         entries = audit(run, build_ledger(run.grid, rc.weights, rc.sim,
-                                          run.snapshots[0], run.B0))
+                                          run.snapshot_at(0.0)[1]))
     report = {"format_version": FORMAT_VERSION, "checks": entries,
               "pass": all(e["pass"] for e in entries)}
     _write_json(Path(args.run_dir) / "verification.json", report)
@@ -189,9 +190,9 @@ def cmd_constants(args) -> int:
     rc = load_config(args.config)
     out = args.output and _output(args.output, directory=False)
     grid = build_grid(rc.sim.dim, rc.sim.resolution)
-    u, B0 = init_state(grid, rc.sim)
+    u = init_state(grid, rc.sim)
     step_plan(grid, rc.sim, u)               # the config must simulate
-    ledger = build_ledger(grid, rc.weights, rc.sim, u, B0)
+    ledger = build_ledger(grid, rc.weights, rc.sim, u)
     doc = {"format_version": FORMAT_VERSION, "ledger": ledger.as_json()}
     text = json.dumps(doc, indent=2, sort_keys=True)
     if out:

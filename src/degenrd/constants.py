@@ -365,7 +365,7 @@ def compute_chain(ledger: ConstantLedger) -> ConstantLedger:
 
 
 def build_ledger(grid: Grid, params: WeightParams, sim: SimConfig,
-                 u0: np.ndarray, B0: float) -> ConstantLedger:
+                 u0: np.ndarray) -> ConstantLedger:
     """The constant ledger of the weights `params` for the physics of `sim`
     (d1, d2, the catalyst's k0 and k_max) and its (2, ncells) initial state
     u0, whose cellwise minimum is B0; it keeps `params` for the audit.
@@ -383,7 +383,8 @@ def build_ledger(grid: Grid, params: WeightParams, sim: SimConfig,
     put("d1", sim.d1, "input", "configuration")
     put("d2", sim.d2, "input", "configuration")
     put("k0", cat.k0, "input", "catalyst floor on the observation ball")
-    put("B0", B0, "exact", "cellwise min of the normalized initial data")
+    put("B0", float(u0.min()), "exact",
+        "cellwise min of the normalized initial data")
     probe = f"on the closed ball sampled at resolution {g.probe_resolution}"
     put("geometry.c01", g.c01, "sampled",
         f"min of (psi(x0)-psi)/|grad psi|^2 near x0, and its limit at x0, "

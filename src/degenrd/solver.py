@@ -231,12 +231,11 @@ class SimConfig:
                     f"{self.t_end!r}")
 
 
-def init_state(grid: Grid, config: SimConfig) -> tuple[np.ndarray, float]:
-    """Sample and normalize initial data; returns (u, B0), u = (a, b).
+def init_state(grid: Grid, config: SimConfig) -> np.ndarray:
+    """Sample and normalize initial data; returns u = (a, b).
 
     The raw profiles are rescaled by one common factor so the total mass of
-    a+b is exactly 2; u has shape (2, ncells), and B0 is the cellwise floor
-    min(a0, b0) after rescaling.
+    a+b is exactly 2; u has shape (2, ncells).
     """
     a, b = config.initial.profiles(grid)
     if np.min(a) <= 0 or np.min(b) <= 0:
@@ -250,8 +249,7 @@ def init_state(grid: Grid, config: SimConfig) -> tuple[np.ndarray, float]:
         warnings.warn(
             f"initial profiles far from mass-2 normalization "
             f"(rescale factor {factor:.3g})", stacklevel=2)
-    u = np.array([a, b]) * factor
-    return u, float(u.min())
+    return np.array([a, b]) * factor
 
 
 def _factor(superlu, n, indptr, indices, data):
@@ -521,8 +519,12 @@ class RunResult:
     trace: TraceSeries
     snapshot_times: np.ndarray      # (S,)
     snapshots: np.ndarray           # (S, 2, ncells): (a, b) at each time
-    B0: float
     dt: float
+
+    @property
+    def B0(self) -> float:
+        """The initial floor min(a0, b0), from the t = 0 snapshot."""
+        return float(self.snapshot_at(0.0)[1].min())
 
     def snapshot_at(self, t: float) -> tuple[float, np.ndarray]:
         """(t_i, u_i): the snapshot nearest t, u_i = (a, b)."""
@@ -552,7 +554,7 @@ def _record(grid, config, a, b, k, ball):
 def run(config: SimConfig) -> RunResult:
     """Advance the system to t_end, recording traces and snapshots."""
     grid = build_grid(config.dim, config.resolution)
-    u, B0 = init_state(grid, config)
+    u = init_state(grid, config)
     dt, nsteps, rec_every, snap_every = step_plan(grid, config, u)
 
     stepper = Stepper(grid, dt, config.d1, config.d2, config.dt is not None)
@@ -591,4 +593,4 @@ def run(config: SimConfig) -> RunResult:
     return RunResult(config=config, grid=grid, trace=trace,
                      snapshot_times=np.array(snap_times),
                      snapshots=np.reshape(snapshots, (-1, 2, grid.ncells)),
-                     B0=B0, dt=dt)
+                     dt=dt)

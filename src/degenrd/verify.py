@@ -119,8 +119,9 @@ def tilted_form_checks(run: RunResult, wf: WeightFields) -> list[CheckResult]:
     """
     cfg = run.config
     t, u = run.snapshot_at(min(0.5 * wf.params.T, run.snapshot_times[-1]))
-    ts = tilt(run.grid, t, u, cfg.catalyst.values(run.grid, t), wf)
-    Sff, Aff, Sff_direct = (form(ts, cfg.d1, cfg.d2) for form in
+    ts = tilt(run.grid, t, u, cfg.catalyst.values(run.grid, t), wf, cfg.d1,
+              cfg.d2)
+    Sff, Aff, Sff_direct = (form(ts) for form in
                             (sym_form, antisym_form, sym_form_direct))
     scale = max(ts.norm2(), abs(Sff), _FLOOR)
     budget = 1e4 * run.grid.spacing ** 2 * scale

@@ -57,4 +57,4 @@ def ref_params():
 @pytest.fixture(scope="session")
 def ref_ledger(ref_run, ref_params):
     return build_ledger(ref_run.grid, ref_params, ref_run.config,
-                        ref_run.snapshots[0], ref_run.B0)
+                        ref_run.snapshots[0])

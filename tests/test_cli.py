@@ -485,6 +485,30 @@ def test_full_verify_reproduces_the_recorded_report(tmp_path, capsys):
             / "verification_degenerate_bump.json").read_bytes()
 
 
+def test_full_verify_of_disk2d_reproduces_the_recorded_report(tmp_path,
+                                                              capsys):
+    """The same for the disk n = 32 workload: the 2-D branches of the
+    direct symmetric form and of the antisymmetric form are pinned."""
+    out = tmp_path / "run"
+    config = _REPO / "perfbench" / "workloads" / "disk2d.json"
+    assert main(["simulate", str(config), "-o", str(out)]) == 0
+    assert main(["verify", str(out)]) == 0
+    capsys.readouterr()
+    assert (out / "verification.json").read_bytes() \
+        == (_REPO / "tests" / "data" / "verification_disk2d.json").read_bytes()
+
+
+def test_simulate_reproduces_the_recorded_summary(tmp_path):
+    """`simulate` of the shipped config writes the summary.json recorded in
+    tests/data byte for byte, its initial floor B0 included."""
+    out = tmp_path / "run"
+    config = _REPO / "configs" / "degenerate_bump.json"
+    assert main(["simulate", str(config), "-o", str(out)]) == 0
+    assert (out / "summary.json").read_bytes() \
+        == (_REPO / "tests" / "data"
+            / "summary_degenerate_bump.json").read_bytes()
+
+
 def test_half_t_end_strides_accepted(tmp_path):
     """The largest accepted dt and record_stride give three samples."""
     doc = json.loads(json.dumps(CFG))
@@ -538,14 +562,48 @@ def test_verify_quick_pass(run_dir, capsys):
     assert json.loads(out)["pass"]
 
 
-def test_verify_detects_tampering(run_dir, tmp_path):
+def test_verify_takes_B0_from_the_snapshots(run_dir, capsys):
+    """summary.json's B0 is written, not read back: the minimum principle
+    compares against the floor of the t = 0 snapshot, so editing the
+    summary leaves the quick audit's output unchanged."""
+    assert main(["verify", str(run_dir), "--quick"]) == 0
+    before = capsys.readouterr().out
+    summary = json.loads((run_dir / "summary.json").read_text())
+    assert summary["B0"] == pytest.approx(0.7, abs=1e-3)
+    summary["B0"] = 0.5
+    (run_dir / "summary.json").write_text(json.dumps(summary))
+    assert main(["verify", str(run_dir), "--quick"]) == 0
+    assert capsys.readouterr().out == before
+
+
+def _set_trace_cell(run_dir, row, channel, value):
+    """Writes `value` into row `row` of `channel` in the run's trace.csv."""
     rows = (run_dir / "trace.csv").read_text().splitlines()
-    header = rows[0].split(",")
-    i = header.index("mass")
-    parts = rows[5].split(",")
-    parts[i] = "2.5"
-    rows[5] = ",".join(parts)
+    i = rows[0].split(",").index(channel)
+    parts = rows[row].split(",")
+    parts[i] = value
+    rows[row] = ",".join(parts)
     (run_dir / "trace.csv").write_text("\n".join(rows) + "\n")
+
+
+def test_violated_observation_hypothesis_fails_the_report(run_dir, capsys):
+    """A trace whose u_l3_max breaks the cubic-norm bound
+    ||u_i||_{L3}^2 <= K0 fails the observation estimate, naming the bound,
+    in a written report with exit 3: a failed inequality, not a numerical
+    failure."""
+    _set_trace_cell(run_dir, 5, "u_l3_max", "1000")
+    capsys.readouterr()
+    assert main(["verify", str(run_dir)]) == 3
+    report = json.loads((run_dir / "verification.json").read_text())
+    assert json.loads(capsys.readouterr().out) == report
+    failed = [e for e in report["checks"] if not e["pass"]]
+    assert [e["invariant_id"] for e in failed] == ["observation_estimate"]
+    assert "cubic-norm bound" in failed[0]["reference"]
+    assert failed[0]["margin"] < -1e-12
+
+
+def test_verify_detects_tampering(run_dir, tmp_path):
+    _set_trace_cell(run_dir, 5, "mass", "2.5")
     assert main(["verify", str(run_dir), "--quick"]) == 3
     report = json.loads((run_dir / "verification.json").read_text())
     assert not report["pass"]
@@ -661,6 +719,21 @@ def test_verify_of_a_run_without_snapshots_exits_1(run_dir, capsys,
     assert "none near t = [0.0, 1.0, 1.5, 1.75, 2.0]" in err
 
 
+def test_quick_verify_without_the_initial_snapshot_exits_1(run_dir, capsys):
+    """The quick audit's B0 is the floor of the t = 0 snapshot: a
+    fields.npz without it gives one line naming it, not a traceback or a
+    minimum principle failed against a later snapshot."""
+    npz = dict(np.load(run_dir / "fields.npz"))
+    for name in ("times", "a", "b"):
+        npz[name] = npz[name][1:]
+    np.savez(run_dir / "fields.npz", **npz)
+    capsys.readouterr()
+    assert main(["verify", str(run_dir), "--quick"]) == 1
+    err = capsys.readouterr().err.strip()
+    assert err.startswith("error: ") and "\n" not in err
+    assert "B0" in err and "t = 0" in err
+
+
 @pytest.mark.parametrize("quick", [True, False], ids=["quick", "full"])
 @pytest.mark.parametrize("corrupt", ["nan", "short"])
 def test_verify_rejects_corrupt_fields(run_dir, capsys, corrupt, quick):
@@ -682,12 +755,12 @@ def test_verify_rejects_corrupt_fields(run_dir, capsys, corrupt, quick):
 
 @pytest.mark.parametrize("name,corrupt", [
     ("summary.json", lambda p: p.write_text(json.dumps(
-        {k: v for k, v in json.loads(p.read_text()).items() if k != "B0"}))),
+        {k: v for k, v in json.loads(p.read_text()).items() if k != "dt"}))),
     ("trace.csv", lambda p: p.write_text("garbage\n")),
     ("trace.csv", lambda p: p.write_text("t,mass\n0,2\n1\n")),
     ("config.json", lambda p: p.write_text("{not json")),
     ("fields.npz", lambda p: p.write_bytes(p.read_bytes()[:300])),
-], ids=["summary-without-B0", "trace-garbage", "trace-short-row",
+], ids=["summary-without-dt", "trace-garbage", "trace-short-row",
         "config-not-json", "fields-truncated"])
 def test_verify_rejects_corrupt_run_files(run_dir, capsys, name, corrupt):
     """A malformed file of the run directory gives exit 2 and a one-line
@@ -836,8 +909,9 @@ _Y = np.exp(-np.linspace(0, 1, 11)).tolist()
     (_series_text(_T, _Y[:5] + [math.nan] + _Y[6:]), "y must be finite"),
     (_series_text(_T, _Y[:5] + [math.inf] + _Y[6:]), "y must be finite"),
     (_series_text(_T[:10] + [math.nan], _Y), "t must be finite"),
+    (_series_text([0.0, 1.0], _Y[:2]), "t needs at least 3 samples"),
 ], ids=["non-numeric", "short-row", "empty", "t-out-of-order",
-        "t-repeated", "y-nan", "y-inf", "t-nan"])
+        "t-repeated", "y-nan", "y-inf", "t-nan", "two-rows"])
 def test_interp_check_malformed_series_exits_1(tmp_path, capsys, text,
                                                needle):
     """A series the lemma cannot read exits 1 in one line naming the file

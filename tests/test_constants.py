@@ -205,7 +205,7 @@ def test_ledger_serialization_and_determinism(ref_run, ref_params,
     for name, ent in j1.items():
         assert "provenance" in ent and "value" in ent
     led2 = build_ledger(ref_run.grid, ref_params, ref_run.config,
-                        ref_run.snapshots[0], ref_run.B0)
+                        ref_run.snapshots[0])
     assert json.dumps(j1, sort_keys=True) \
         == json.dumps(led2.as_json(), sort_keys=True)
 
@@ -258,8 +258,7 @@ def test_ledger_overflow_names_k_max(ref_run, ref_params, k_sup, name):
     cfg = replace(ref_run.config,
                   catalyst=replace(ref_run.config.catalyst, k_max=k_sup))
     with pytest.raises(ConfigError, match=rf"catalyst\.k_max.*{name}"):
-        build_ledger(ref_run.grid, ref_params, cfg, ref_run.snapshots[0],
-                     ref_run.B0)
+        build_ledger(ref_run.grid, ref_params, cfg, ref_run.snapshots[0])
 
 
 @pytest.mark.parametrize("d1,d2,key,name", [
@@ -272,8 +271,7 @@ def test_ledger_overflow_names_the_diffusivity(ref_run, ref_params, d1, d2,
     rounds C0 = 1 - min(d)*s2/(4*c2) to 1, is a config error naming it."""
     cfg = replace(ref_run.config, d1=d1, d2=d2)
     with pytest.raises(ConfigError, match=rf"{re.escape(key)}.*{name}"):
-        build_ledger(ref_run.grid, ref_params, cfg, ref_run.snapshots[0],
-                     ref_run.B0)
+        build_ledger(ref_run.grid, ref_params, cfg, ref_run.snapshots[0])
 
 
 def test_build_ledger_rejects_zero_catalyst_floor(ref_run, ref_params):
@@ -283,5 +281,4 @@ def test_build_ledger_rejects_zero_catalyst_floor(ref_run, ref_params):
     cfg = replace(ref_run.config,
                   catalyst=CatalystSpec(kind="constant", k0=0.0))
     with pytest.raises(ConfigError, match=r"catalyst\.k0 = 0"):
-        build_ledger(ref_run.grid, ref_params, cfg, ref_run.snapshots[0],
-                     ref_run.B0)
+        build_ledger(ref_run.grid, ref_params, cfg, ref_run.snapshots[0])

@@ -24,7 +24,8 @@ from degenrd.logconv import (InterpInput, antisym_form, check_cubic_bound,
                              interpolation_window_check,
                              observation_estimate_check, sym_form,
                              sym_form_direct, tilt)
-from degenrd.solver import CatalystSpec, InitialSpec, SimConfig, run
+from degenrd.solver import CatalystSpec, ConfigError, InitialSpec, \
+    SimConfig, run
 from degenrd.verify import _frequency_trace_checks, audit
 from degenrd.weights import PsiJet, WeightParams, weight_fields
 
@@ -36,7 +37,8 @@ def _tilt_mid(ref_run, params):
     """The reference run's snapshot at t = 5, tilted with `params`."""
     t, u = ref_run.snapshot_at(5.0)
     k = ref_run.config.catalyst.values(ref_run.grid, t)
-    return tilt(ref_run.grid, t, u, k, weight_fields(params, ref_run.grid))
+    return tilt(ref_run.grid, t, u, k, weight_fields(params, ref_run.grid),
+                1.0, 1.0)
 
 
 # ---------------------------------------------------------------------------
@@ -46,10 +48,11 @@ def _tilt_mid(ref_run, params):
 def test_tilt_equilibrium_is_zero(grid256, ref_params):
     ones = np.ones((2, grid256.ncells))
     k = CatalystSpec(kind="bump", k0=1.0).values(grid256, 1.0)
-    ts = tilt(grid256, 1.0, ones, k, weight_fields(ref_params, grid256))
+    ts = tilt(grid256, 1.0, ones, k, weight_fields(ref_params, grid256),
+              1.0, 1.0)
     assert ts.norm2() == 0.0
     assert np.all(ts.v == 0.0)
-    assert sym_form(ts, 1.0, 1.0) == antisym_form(ts, 1.0, 1.0) == 0.0
+    assert sym_form(ts) == antisym_form(ts) == 0.0
 
 
 def test_tilt_source_antisymmetry(ref_run, ref_params):
@@ -81,7 +84,8 @@ def test_tilt_rejects_time_outside_window(grid256, ref_params):
     ones = np.ones((2, grid256.ncells))
     k = CatalystSpec(kind="bump", k0=1.0).values(grid256, 11.0)
     with pytest.raises(ValueError):
-        tilt(grid256, 11.0, ones, k, weight_fields(ref_params, grid256))
+        tilt(grid256, 11.0, ones, k, weight_fields(ref_params, grid256),
+             1.0, 1.0)
 
 
 # ---------------------------------------------------------------------------
@@ -91,13 +95,13 @@ def test_tilt_rejects_time_outside_window(grid256, ref_params):
 def test_sym_form_nonnegative_for_small_tilt(ref_run):
     p = WeightParams(x0_abs=0.25, r=0.1, s=1e-4, h=0.1, T=10.0, dim=1)
     ts = _tilt_mid(ref_run, p)
-    assert sym_form(ts, 1.0, 1.0) >= -1e-15
+    assert sym_form(ts) >= -1e-15
 
 
 def test_sym_form_two_assemblies_agree(ref_run, ref_params):
     ts = _tilt_mid(ref_run, ref_params)
-    a = sym_form(ts, 1.0, 1.0)
-    b = sym_form_direct(ts, 1.0, 1.0)
+    a = sym_form(ts)
+    b = sym_form_direct(ts)
     scale = max(abs(a), abs(b), ts.norm2())
     dx = ref_run.grid.spacing
     assert abs(a - b) <= 1e3 * dx ** 2 * scale
@@ -126,8 +130,8 @@ def test_frequency_trace_reference_run(ref_run, ref_params, ref_ledger):
     # snapshot the trace reads, each tilted here
     cfg, wf = ref_run.config, weight_fields(ref_params, ref_run.grid)
     Aff = [antisym_form(tilt(ref_run.grid, *ref_run.snapshot_at(t),
-                             cfg.catalyst.values(ref_run.grid, t), wf),
-                        cfg.d1, cfg.d2) for t in tr.times.tolist()]
+                             cfg.catalyst.values(ref_run.grid, t), wf,
+                             cfg.d1, cfg.d2)) for t in tr.times.tolist()]
     dx = ref_run.grid.spacing
     assert np.max(np.abs(Aff)) <= 1e3 * dx ** 2 * np.max(tr["norm2"])
 
@@ -204,12 +208,13 @@ def test_row_map_bitwise_equals_per_component_loop(
     for t in ft.times.tolist():
         t, u = r.snapshot_at(t)
         f, scalars = _per_component_reference(r, params, t, u)
-        ts = tilt(r.grid, t, u, cfg.catalyst.values(r.grid, t), wf)
+        ts = tilt(r.grid, t, u, cfg.catalyst.values(r.grid, t), wf, cfg.d1,
+                  cfg.d2)
         for row in range(4):
             assert np.array_equal(ts.f[row], f[row + 1])
         Sff, Aff, F2, n2, fdf, direct = scalars
-        assert antisym_form(ts, cfg.d1, cfg.d2) == Aff
-        assert sym_form_direct(ts, cfg.d1, cfg.d2) == direct
+        assert antisym_form(ts) == Aff
+        assert sym_form_direct(ts) == direct
         ref.append((Sff, F2, n2, fdf))
     for name, want in zip(("Sff", "F2", "norm2", "Fdotf"), np.array(ref).T):
         assert np.array_equal(ft[name], want)
@@ -363,6 +368,17 @@ def test_interp_detects_hypothesis_violation():
     assert not out["pass"]
 
 
+@pytest.mark.parametrize("n", [0, 2])
+def test_interp_input_needs_three_samples(n):
+    """Fewer than 3 samples, which the second-order one-sided derivative
+    ends need, is a ConfigError naming t, not an IndexError."""
+    t = np.linspace(0, 1, n)
+    with pytest.raises(ConfigError, match="t needs at least 3 samples"):
+        InterpInput(times=t, y=np.ones(n), N=np.zeros(n), F1=np.zeros(n),
+                    F2=np.zeros(n), C0=0.0, C1=0.0, h=0.1, T=1.0, t1=0.2,
+                    t2=0.5, t3=0.8)
+
+
 def test_interp_input_validation():
     t = np.linspace(0, 1, 11)
     with pytest.raises(ValueError):
@@ -381,8 +397,7 @@ def test_interp_input_validation():
 
 def test_source_bound_holds_and_detects(ref_run, ref_ledger):
     assert check_source_bound(ref_run, ref_ledger.K0) >= 0.0
-    with pytest.raises(ValueError):
-        check_source_bound(ref_run, 1e-9)
+    assert check_source_bound(ref_run, 1e-9) < -1e-12
 
 
 def test_cubic_bound_holds(ref_run, ref_ledger):
@@ -393,9 +408,6 @@ def test_observation_estimate_reference(ref_run, ref_params, ref_ledger):
     out = observation_estimate_check(ref_run, ref_ledger)
     assert out.invariant_id == "observation_estimate"
     assert out.passed and out.margin > 0
-    for t1, t in [(1.0, 6.0), (2.0, 9.0)]:
-        assert observation_estimate_check(ref_run, ref_ledger,
-                                          t1, t).margin > 0
 
 
 def test_observation_estimate_decayed_convention(grid256, ref_params):
@@ -414,7 +426,7 @@ def test_observation_estimate_decayed_convention(grid256, ref_params):
                         channels={"u_l3_max": np.zeros_like(times),
                                   "l2_dist": np.zeros_like(times)})
     r = RunResult(config=cfg, grid=grid256, trace=trace,
-                  snapshot_times=times, snapshots=snaps, B0=1.0, dt=1e-3)
+                  snapshot_times=times, snapshots=snaps, dt=1e-3)
     led_stub = type("L", (), {"K0": 32.0, "M": 1.0, "c": 2.0,
                               "params": ref_params})()
     out = observation_estimate_check(r, led_stub)

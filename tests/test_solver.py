@@ -69,12 +69,11 @@ def test_annular_zero_must_avoid_observation_ball():
 def test_init_state_normalized_mass(grid256):
     for kind in ("constant", "cosine", "gaussian"):
         cfg = _cfg(initial=InitialSpec(kind=kind))
-        u, B0 = init_state(grid256, cfg)
+        u = init_state(grid256, cfg)
         assert u.shape == (2, grid256.ncells)
         assert integrate(grid256, u[0] + u[1]) \
             == pytest.approx(2.0, abs=1e-13)
-        assert B0 > 0
-        assert np.all(u[0] >= B0 - 1e-13)
+        assert u.min() > 0
 
 
 # ---------------------------------------------------------------------------
@@ -128,7 +127,7 @@ def test_minimum_principle(ref_run):
 
 def test_reaction_increments_exactly_opposite(grid256):
     cfg = _cfg(resolution=256, dt=1e-3)
-    u, _ = init_state(grid256, cfg)
+    u = init_state(grid256, cfg)
     stepper = Stepper(grid256, cfg.dt, cfg.d1, cfg.d2)
     u2 = step(u, 0.0, cfg.catalyst.profile(grid256), cfg, stepper)
     m0 = integrate(grid256, u[0] + u[1])
@@ -226,7 +225,7 @@ def test_config_validation():
 
 def test_default_dt_positive(grid256):
     cfg = _cfg()
-    u, _ = init_state(grid256, cfg)
+    u = init_state(grid256, cfg)
     assert default_dt(grid256, cfg, *u) > 0
 
 
@@ -270,7 +269,7 @@ def _reference_step(grid, t, a, b, config, dt, solve, forward):
 def _reference_run(config, dt):
     """Times, trace channels and snapshots of the reference loop."""
     grid = build_grid(config.dim, config.resolution)
-    (a, b), _ = init_state(grid, config)
+    a, b = init_state(grid, config)
     rec_every = max(1, round(config.record_stride / dt))
     nsteps = max(1, round(config.t_end / dt))
     snap_every = max(1, round(config.field_stride / dt))

@@ -178,7 +178,7 @@ def test_full_audit_assembles_the_antisymmetric_form_once(monkeypatch):
     rc = load_config(Path(__file__).resolve().parents[1] / "perfbench"
                      / "workloads" / "disk2d.json")
     r = run(rc.sim)
-    ledger = build_ledger(r.grid, rc.weights, rc.sim, r.snapshots[0], r.B0)
+    ledger = build_ledger(r.grid, rc.weights, rc.sim, r.snapshots[0])
     gradient, calls = grid_mod.cell_gradient, []
 
     def counted(grid, values):

@@ -300,13 +300,13 @@ def test_Phi_eta_consistency():
     under phi3) against the closed form, with d1 = 1 and d2 = 2."""
     for n, t, atol_Phi in ((11, 3.0, 1e-14), (128, 1.5, 1e-13)):
         g = build_grid(1, n)
-        ts = tilt(g, t, np.ones((2, n)), np.zeros(n), weight_fields(P1, g))
-        eta = ts.eta(1.0, 2.0)
+        ts = tilt(g, t, np.ones((2, n)), np.zeros(n), weight_fields(P1, g),
+                  1.0, 2.0)
         for row, (sign, d) in enumerate([(1, 1.0), (1, 2.0), (-1, 1.0),
                                          (-1, 2.0)]):
             Phi_c, eta_c = _Phi_eta_closed_form(P1, sign, g.centers, t, d)
             assert np.allclose(ts.Phi[row], Phi_c, atol=atol_Phi)
-            assert np.allclose(eta[row], eta_c, atol=1e-13)
+            assert np.allclose(ts.eta[row], eta_c, atol=1e-13)
 
 
 def test_weight_fields_match_pointwise():
