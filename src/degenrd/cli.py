@@ -11,6 +11,7 @@ import argparse
 import csv
 import gc
 import json
+import math
 import sys
 from contextlib import contextmanager
 from pathlib import Path
@@ -25,8 +26,8 @@ from .diagnostics import TraceSeries, fit_decay_rate, nearest_index, \
     solver_checks
 from .grid import build_grid
 from .logconv import InterpInput, interp_check, read_times
-from .solver import RunResult, init_state, load_extensions, run as run_sim, \
-    step_plan
+from .solver import TRACE_CHANNELS, RunResult, init_state, load_extensions, \
+    run as run_sim, step_plan
 from .verify import audit
 
 EXIT_OK, EXIT_USAGE, EXIT_NUMERICAL, EXIT_INVARIANT = 0, 1, 2, 3
@@ -109,17 +110,29 @@ def save_run(run: RunResult, rc: RunConfig, out_dir: Path) -> dict:
 def load_run(run_dir: Path) -> tuple[RunResult, RunConfig]:
     """Reload a persisted run directory into an in-memory RunResult.
 
-    Raises MalformedFile naming the file when one is malformed, fields.npz
-    included when its snapshots are not finite or not one per grid cell.
+    Raises MalformedFile naming the file when one is malformed: also when
+    summary.json's dt is not a finite number > 0, when trace.csv lacks a
+    channel `simulate` records, holds a non-finite value or has fewer than
+    3 samples, and when fields.npz's snapshots are not finite or not one
+    per grid cell.
     """
     run_dir = Path(run_dir)
     with _reading(run_dir / "config.json") as path:
         rc = parse_config(json.loads(path.read_text())["config"])
     with _reading(run_dir / "summary.json") as path:
         dt = float(json.loads(path.read_text())["dt"])
+        if not (math.isfinite(dt) and dt > 0):
+            raise ValueError(f"dt must be a finite number > 0; got {dt!r}")
     grid = build_grid(rc.sim.dim, rc.sim.resolution)
     col = _read_columns(run_dir / "trace.csv")
     with _reading(run_dir / "trace.csv"):
+        missing = [c for c in ("t", *TRACE_CHANNELS) if c not in col]
+        if missing:
+            raise ValueError(f"no column {', '.join(missing)}")
+        if col["t"].size < 3:     # the three-point time derivatives need 3
+            raise ValueError(f"{col['t'].size} samples, fewer than 3")
+        if not all(np.isfinite(v).all() for v in col.values()):
+            raise ValueError("a value is not finite")
         trace = TraceSeries(col.pop("t"), col)
     # a file of our own: np.load leaves its handle open on a bad zip
     with _reading(run_dir / "fields.npz") as path, open(path, "rb") as fh, \

@@ -22,13 +22,41 @@ from dataclasses import dataclass, field
 import mpmath as mp
 import numpy as np
 
-from ._xmath import DPS, logaddexp, to_float, fmt
 from .grid import Grid, integrate, neumann_eigenvalue_1
 from .solver import ConfigError, SimConfig
-from .weights import (WeightParams, GeometryConstants, PsiJet,
-                      geometry_constants, _sample_points)
+from .weights import (WeightParams, GeometryConstants, derivative_maxima,
+                      geometry_constants)
 
-DERIVATIVE_SAMPLES = 20001  # scan size of the sampled derivative maxima
+DPS = 60    # working precision (significant digits) of the mpmath chain
+
+
+def logaddexp(a, b):
+    """log(e^a + e^b) for mpf arguments, safe for huge magnitudes."""
+    a, b = mp.mpf(a), mp.mpf(b)
+    if a < b:
+        a, b = b, a
+    d = b - a
+    if d < -mp.mpf(10) ** 6:
+        return a
+    return a + mp.log1p(mp.e ** d)
+
+
+def to_float(x) -> float:
+    """Clamp an mpf to double range (overflow -> +-1.8e308, underflow -> 0)."""
+    try:
+        f = float(x)
+    except (OverflowError, ValueError):
+        f = float("inf") if x > 0 else float("-inf")
+    if f == float("inf"):
+        return 1.7976931348623157e308
+    if f == float("-inf"):
+        return -1.7976931348623157e308
+    return f
+
+
+def fmt(x) -> str:
+    """Deterministic decimal rendering of an mpf."""
+    return mp.nstr(mp.mpf(x), 25, strip_zeros=True)
 
 
 def _finite(key: str, name: str, formula) -> float:
@@ -124,21 +152,6 @@ class ConstantLedger:
                 for name, e in self.entries.items()}
 
 
-def _sampled_derivative_maxima(params: WeightParams) -> dict:
-    """Dense-scan maxima of psi and its derivatives over the closed ball."""
-    jet = PsiJet(params, _sample_points(params, DERIVATIVE_SAMPLES))
-    hess_norm = np.max(np.abs(np.linalg.eigvalsh(jet.hess)), axis=-1)
-    grad = jet.grad
-    return {
-        "max_psi": float(np.max(np.abs(jet.psi))) * 1.05,
-        "max_grad_sq": float(np.max(np.sum(grad * grad, axis=-1))) * 1.05,
-        "max_hess": float(np.max(hess_norm)) * 1.05,
-        "max_lap": float(np.max(np.abs(jet.lap))) * 1.05,
-        "max_grad_lap": float(
-            np.max(np.linalg.norm(jet.grad_lap, axis=-1))) * 1.05,
-    }
-
-
 def compute_analysis_constants(ledger: ConstantLedger) -> ConstantLedger:
     """Fill the commutator/smallness constants C2..C7, s0..s2, C0, C1.
 
@@ -150,7 +163,7 @@ def compute_analysis_constants(ledger: ConstantLedger) -> ConstantLedger:
     d_max = max(ledger.d1, ledger.d2)
     d_min = min(ledger.d1, ledger.d2)
     d_key = "physics.d1" if ledger.d1 >= ledger.d2 else "physics.d2"
-    m = _sampled_derivative_maxima(ledger.params)
+    m = derivative_maxima(ledger.params)
 
     C4 = put("C4", m["max_lap"], "sampled",
              "sampled max |lap psi| over closed ball * 1.05")

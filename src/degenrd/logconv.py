@@ -33,9 +33,8 @@ from dataclasses import dataclass
 import mpmath as mp
 import numpy as np
 
-from ._xmath import DPS, logaddexp, to_float, fmt
-from .constants import (interp_margin, ln_prefactor, ln_time_integral,
-                        window_length)
+from .constants import (DPS, fmt, interp_margin, ln_prefactor,
+                        ln_time_integral, logaddexp, to_float, window_length)
 from .diagnostics import TOLERANCES, CheckResult, TraceSeries, fd_derivative
 from .grid import Grid, integrate, dirichlet_energy, cell_gradient, \
     ball_mask, ball_norm2

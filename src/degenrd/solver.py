@@ -534,21 +534,27 @@ class RunResult:
         return float(self.snapshot_times[i]), self.snapshots[i]
 
 
+# the trace's channels, in the order `_record` fills them and trace.csv
+# lists them
+TRACE_CHANNELS = ("mass", "l2_dist", "l3_sum", "min_ab", "dissipation_grad_a",
+                  "dissipation_grad_b", "dissipation_reaction", "u_l3_max",
+                  "l2_ball")
+
+
 def _record(grid, config, a, b, k, ball):
     u1, u2 = a - 1.0, b - 1.0
     du = u2 - u1
-    return {
-        "mass": integrate(grid, a + b),
-        "l2_dist": integrate(grid, u1 * u1 + u2 * u2),
-        "l3_sum": integrate(grid, a ** 3 + b ** 3),
-        "min_ab": float(min(a.min(), b.min())),
-        "dissipation_grad_a": config.d1 * dirichlet_energy(grid, a),
-        "dissipation_grad_b": config.d2 * dirichlet_energy(grid, b),
-        "dissipation_reaction": integrate(grid, k * (a + b) * du * du),
-        "u_l3_max": max(integrate(grid, np.abs(u1) ** 3),
-                        integrate(grid, np.abs(u2) ** 3)),
-        "l2_ball": ball_norm2(grid, u1, u2, ball),
-    }
+    return dict(zip(TRACE_CHANNELS, (
+        integrate(grid, a + b),
+        integrate(grid, u1 * u1 + u2 * u2),
+        integrate(grid, a ** 3 + b ** 3),
+        float(min(a.min(), b.min())),
+        config.d1 * dirichlet_energy(grid, a),
+        config.d2 * dirichlet_energy(grid, b),
+        integrate(grid, k * (a + b) * du * du),
+        max(integrate(grid, np.abs(u1) ** 3),
+            integrate(grid, np.abs(u2) ** 3)),
+        ball_norm2(grid, u1, u2, ball))))
 
 
 def run(config: SimConfig) -> RunResult:

@@ -12,11 +12,14 @@ used to tilt the solution components.  `PsiJet` evaluates psi and its
 first, second, and third derivatives from the differentiated formulas,
 never by numerical differencing.
 
-Geometric constants (the two-sided quadratic pinch around x0 and the
-gradient/value comparison constants on the annulus near the boundary) are
-obtained as sampled extremal ratios with a 1.05 safety factor; the paper
-chain only needs their existence, downstream checks use these reported
-values.
+Every sampled bound of psi lives here, each with a 1.05 safety factor:
+the geometric constants (the two-sided quadratic pinch around x0 and the
+gradient/value comparison constants on the annulus near the boundary) as
+sampled extremal ratios, and the derivative maxima (max |psi|,
+max |grad psi|^2, max |hess psi|, max |lap psi|, max |grad lap psi|) the
+ledger's C2..C7 are built from, as a dense scan of the closed ball.  The
+paper chain only needs their existence; downstream checks use these
+reported values.
 """
 
 from __future__ import annotations
@@ -30,6 +33,7 @@ import numpy as np
 from .grid import Grid, domain_radius
 
 _RATIO_CAP = 1e12
+DERIVATIVE_SAMPLES = 20001  # scan size of the sampled derivative maxima
 
 
 @dataclass(frozen=True)
@@ -340,3 +344,19 @@ def _geometry_constants_once(params: WeightParams,
     return GeometryConstants(
         c01=c01, c02=c02, c1=c1, c2=c2, c3=c3, rho=rho,
         mu0=mu0, mu1=peak, probe_resolution=m)
+
+
+def derivative_maxima(params: WeightParams) -> dict:
+    """Dense-scan maxima of psi and its derivatives over the closed ball,
+    each * 1.05."""
+    jet = PsiJet(params, _sample_points(params, DERIVATIVE_SAMPLES))
+    hess_norm = np.max(np.abs(np.linalg.eigvalsh(jet.hess)), axis=-1)
+    grad = jet.grad
+    return {
+        "max_psi": float(np.max(np.abs(jet.psi))) * 1.05,
+        "max_grad_sq": float(np.max(np.sum(grad * grad, axis=-1))) * 1.05,
+        "max_hess": float(np.max(hess_norm)) * 1.05,
+        "max_lap": float(np.max(np.abs(jet.lap))) * 1.05,
+        "max_grad_lap": float(
+            np.max(np.linalg.norm(jet.grad_lap, axis=-1))) * 1.05,
+    }

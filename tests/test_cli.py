@@ -753,24 +753,67 @@ def test_verify_rejects_corrupt_fields(run_dir, capsys, corrupt, quick):
     assert not (run_dir / "verification.json").exists()
 
 
-@pytest.mark.parametrize("name,corrupt", [
-    ("summary.json", lambda p: p.write_text(json.dumps(
+def _set_dt(dt):
+    def corrupt(p):
+        p.write_text(json.dumps(dict(json.loads(p.read_text()), dt=dt)))
+    return corrupt
+
+
+def _edit_trace(edit):
+    """Rewrite trace.csv with `edit(rows)`, rows[0] being the header."""
+    def corrupt(p):
+        with open(p, newline="") as fh:
+            rows = list(csv.reader(fh))
+        with open(p, "w", newline="") as fh:
+            csv.writer(fh).writerows(edit(rows))
+    return corrupt
+
+
+def _drop_mass(rows):
+    i = rows[0].index("mass")
+    return [r[:i] + r[i + 1:] for r in rows]
+
+
+def _nan_l2_dist(rows):
+    rows[len(rows) // 2][rows[0].index("l2_dist")] = "nan"
+    return rows
+
+
+# (id, file, corruption); each runs under `verify --quick` with its bare id
+# and under the full verify with id + "-full"
+_CORRUPT_RUN_FILES = [
+    ("summary-without-dt", "summary.json", lambda p: p.write_text(json.dumps(
         {k: v for k, v in json.loads(p.read_text()).items() if k != "dt"}))),
-    ("trace.csv", lambda p: p.write_text("garbage\n")),
-    ("trace.csv", lambda p: p.write_text("t,mass\n0,2\n1\n")),
-    ("config.json", lambda p: p.write_text("{not json")),
-    ("fields.npz", lambda p: p.write_bytes(p.read_bytes()[:300])),
-], ids=["summary-without-dt", "trace-garbage", "trace-short-row",
-        "config-not-json", "fields-truncated"])
-def test_verify_rejects_corrupt_run_files(run_dir, capsys, name, corrupt):
+    ("trace-garbage", "trace.csv", lambda p: p.write_text("garbage\n")),
+    ("trace-short-row", "trace.csv",
+     lambda p: p.write_text("t,mass\n0,2\n1\n")),
+    ("config-not-json", "config.json", lambda p: p.write_text("{not json")),
+    ("fields-truncated", "fields.npz",
+     lambda p: p.write_bytes(p.read_bytes()[:300])),
+    ("dt-zero", "summary.json", _set_dt(0)),
+    ("dt-negative", "summary.json", _set_dt(-0.01)),
+    ("dt-nan", "summary.json", _set_dt(math.nan)),
+    ("trace-without-mass", "trace.csv", _edit_trace(_drop_mass)),
+    ("trace-nan", "trace.csv", _edit_trace(_nan_l2_dist)),
+    ("trace-two-rows", "trace.csv", _edit_trace(lambda rows: rows[:3])),
+]
+
+
+@pytest.mark.parametrize("name,corrupt,quick", [
+    pytest.param(name, corrupt, quick, id=case + ("" if quick else "-full"))
+    for case, name, corrupt in _CORRUPT_RUN_FILES for quick in (True, False)])
+def test_verify_rejects_corrupt_run_files(run_dir, capsys, name, corrupt,
+                                          quick):
     """A malformed file of the run directory gives exit 2 and a one-line
-    error naming it, not a traceback."""
+    error naming it, not a traceback, and no verification.json."""
     corrupt(run_dir / name)
     capsys.readouterr()
-    assert main(["verify", str(run_dir), "--quick"]) == 2
+    assert main(["verify", str(run_dir), *(["--quick"] if quick else [])]) \
+        == 2
     err = capsys.readouterr().err.strip()
     assert re.match(rf"error: \S*{re.escape(name)} is malformed \(", err)
     assert "\n" not in err
+    assert not (run_dir / "verification.json").exists()
 
 
 @pytest.mark.parametrize("record_stride", [0.15, 0.4])

@@ -20,7 +20,7 @@ import mpmath as mp
 import numpy as np
 import pytest
 
-from degenrd._xmath import DPS
+from degenrd.constants import DPS
 from degenrd.config import ConfigError
 from degenrd.constants import (METHODS, build_ledger, compute_K0,
                                compute_sobolev_constant, ln_time_integral)

@@ -16,7 +16,7 @@ import numpy as np
 import pytest
 
 from degenrd import logconv
-from degenrd._xmath import DPS
+from degenrd.constants import DPS
 from degenrd.grid import cell_gradient, dirichlet_energy, integrate
 from degenrd.logconv import (InterpInput, antisym_form, check_cubic_bound,
                              check_source_bound, frequency_trace,
