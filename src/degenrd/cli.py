@@ -174,6 +174,23 @@ def cmd_simulate(args) -> int:
     return EXIT_OK
 
 
+def _snapshot_advice(run: RunResult, rc: RunConfig) -> str:
+    """How to put a run's snapshots where full verify reads them: a set
+    stepper.dt is rounded to whole steps per stride, which moves the
+    snapshots off the stepper.field_stride grid unless it divides it."""
+    sim = rc.sim
+    if sim.dt is not None:
+        dt, _, _, snap_every = step_plan(run.grid, sim,
+                                         init_state(run.grid, sim))
+        if not math.isclose(snap_every * dt, sim.field_stride,
+                            rel_tol=1e-9):
+            return (f"stepper.dt = {sim.dt:g} does not divide "
+                    f"stepper.field_stride = {sim.field_stride:g}, so the "
+                    f"snapshots were taken every {snap_every * dt:g}; set a "
+                    f"stepper.dt that divides it")
+    return "put them on the stepper.field_stride grid"
+
+
 def cmd_verify(args) -> int:
     run, rc = load_run(Path(args.run_dir))
     if args.quick:
@@ -189,7 +206,7 @@ def cmd_verify(args) -> int:
             raise ConfigError(
                 f"full verify reads snapshots at t = {times}, set by "
                 f"weights.T, and this run has none near t = {missing}; "
-                f"put them on the stepper.field_stride grid")
+                f"{_snapshot_advice(run, rc)}")
         entries = audit(run, build_ledger(run.grid, rc.weights, rc.sim,
                                           run.snapshot_at(0.0)[1]))
     report = {"format_version": FORMAT_VERSION, "checks": entries,

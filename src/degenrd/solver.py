@@ -356,11 +356,15 @@ class Stepper:
     bit for bit what `scipy.sparse.linalg.splu` and `csr_matrix @ vector`
     compute on the same matrices assembled by scipy.sparse (the tests
     compare them).  `solve` holds the SuperLU solve callables: one, shared
-    by both species, when d1 == d2, else one per species; `forward` holds
-    the CSR arrays (indptr, indices, data) of the explicit CN halves
-    I + (dt/2) d L in the same way.  `implicit` and `explicit` act on a
-    (2, ncells) state, one species per row; `implicit` looks `solve` up at
-    call time.  `last` is the state `step` last returned, with its maximum.
+    by both species, when d1 == d2, else one per species.  `forward` holds
+    the CSR arrays (indptr, indices, data) of the block-diagonal explicit
+    CN half diag(I + (dt/2) d1 L, I + (dt/2) d2 L) over the stacked
+    (2 ncells,) state, one block per species whether or not d1 == d2:
+    each row sums the products of its species' block in the same order,
+    so one `csr_matvec` call has the bits of the two per-species products.
+    `implicit` and `explicit` act on a (2, ncells) state, one species per
+    row; `implicit` looks `solve` up at call time.  `last` is the state
+    `step` last returned, with its maximum.
     """
 
     def __init__(self, grid: Grid, dt: float, d1: float, d2: float,
@@ -380,7 +384,7 @@ class Stepper:
         # in column order
         by_col = np.argsort(indices * np.int64(n) + rows, kind="stable")
         self.solve = []
-        self.forward = []
+        blocks = []
         for d in ((d1,) if d1 == d2 else (d1, d2)):
             cL = (0.5 * dt * d) * data
             A = _drop_zeros(indptr, indices, np.where(diag, 1.0 - cL, -cL)
@@ -394,8 +398,12 @@ class Stepper:
                     f"{', '.join(keys)}: the Crank-Nicolson matrix "
                     f"I - (dt/2)*d*L with d = {d:g}, dt = {dt:g} cannot be "
                     f"factorized ({exc})") from exc
-            self.forward.append(_drop_zeros(indptr, indices,
-                                            np.where(diag, 1.0 + cL, cL)))
+            blocks.append(_drop_zeros(indptr, indices,
+                                      np.where(diag, 1.0 + cL, cL)))
+        (p1, i1, v1), (p2, i2, v2) = blocks[0], blocks[-1]
+        self.forward = (np.concatenate([p1, p2[1:] + p1[-1]]),
+                        np.concatenate([i1, i2 + n]),
+                        np.concatenate([v1, v2]))
         self.last = (None, math.nan)
 
     def implicit(self, rhs: np.ndarray) -> np.ndarray:
@@ -410,9 +418,7 @@ class Stepper:
     def explicit(self, u: np.ndarray) -> np.ndarray:
         """(I + dt/2 d L) u for both rows of `u`."""
         out = np.zeros(u.shape)         # csr_matvec adds the product to out
-        n = u.shape[1]
-        for F, x, y in zip((self.forward[0], self.forward[-1]), u, out):
-            self._matvec(n, n, *F, x, y)
+        self._matvec(u.size, u.size, *self.forward, u.ravel(), out.ravel())
         return out
 
 
@@ -491,16 +497,27 @@ def step(u: np.ndarray, t: float, profile: np.ndarray, config: SimConfig,
             * (1 + 1e-12) and dt > stability_dt(config, *u) * (1 + 1e-12):
         raise ValueError(
             "dt exceeds the explicit-reaction stability bound; reduce dt")
-    # midpoint predictor: backward-Euler half step, reaction frozen at t
+    # midpoint predictor: backward-Euler half step, reaction frozen at t.
+    # Each reaction term is formed in place on its own new temporary; IEEE
+    # multiply and add commute, so (dt/2) * (k * (b^2 - a^2)) and
+    # u + h * _SIGN keep their bits in this order
     sq = u * u
-    h = (0.5 * dt) * (cat.at(profile, t) * (sq[1] - sq[0]))
-    u_h = stepper.implicit(u + h * _SIGN)
+    h = sq[1] - sq[0]
+    h *= cat.at(profile, t)
+    h *= 0.5 * dt
+    rhs = h * _SIGN
+    rhs += u
+    u_h = stepper.implicit(rhs)
     sq = u_h * u_h
-    rh = dt * (cat.at(profile, t + 0.5 * dt) * (sq[1] - sq[0]))
+    rh = sq[1] - sq[0]
+    rh *= cat.at(profile, t + 0.5 * dt)
+    rh *= dt
     rhs = stepper.explicit(u)
     rhs += rh * _SIGN
     u_new = stepper.implicit(rhs)
-    lo, hi = u_new.min(), u_new.max()     # NaN propagates through both
+    # whole-array reductions without ndarray.min's Python wrapper; NaN
+    # propagates through both
+    lo, hi = np.minimum.reduce(u_new, None), np.maximum.reduce(u_new, None)
     if not (math.isfinite(lo) and math.isfinite(hi)):
         raise RuntimeError("non-finite state after step; reduce dt")
     if lo < 0:

@@ -657,6 +657,31 @@ _TAMPERING = [
 ]
 
 
+@pytest.mark.xfail(strict=True, reason=(
+    "ROADMAP item 10: energy_identity's differencing of the trace misses "
+    "the fast early transient when the diffusivities differ strongly "
+    "(margin -0.0446 at d1 = 1, d2 = 0.1 and -0.109 at d1 = 0.01, d2 = 1; "
+    "worst at t = 0.042, and worse under refinement), though the "
+    "solver's own energy balance holds"), raises=AssertionError)
+@pytest.mark.parametrize("d1,d2", [(1.0, 0.1), (0.01, 1.0)])
+def test_quick_verify_passes_with_unequal_diffusivities(tmp_path, d1, d2):
+    """1-D n = 32, bump k0 = 1, t_end = T = 1, field_stride 0.125: the
+    quick audit passes whatever the two diffusivities, as it does at
+    d1 = d2 and at d2 = 0.3."""
+    doc = json.loads(json.dumps(CFG))
+    doc["grid"]["resolution"] = 32
+    doc["physics"] = {"d1": d1, "d2": d2}
+    doc["stepper"].update(t_end=1.0, field_stride=0.125)
+    doc["weights"]["T"] = 1.0
+    cfg, out = tmp_path / "cfg.json", tmp_path / "run"
+    cfg.write_text(json.dumps(doc))
+    assert main(["simulate", str(cfg), "-o", str(out)]) == 0
+    main(["verify", str(out), "--quick"])
+    report = json.loads((out / "verification.json").read_text())
+    assert [e["invariant_id"] for e in report["checks"]
+            if not e["pass"]] == []
+
+
 def test_every_quick_check_has_a_mutation(ref_run):
     assert {p.values[0] for p in _TAMPERING} \
         == {c.invariant_id for c in solver_checks(ref_run)}
@@ -701,6 +726,30 @@ def test_verify_without_needed_snapshots_exits_1(tmp_path, capsys,
     assert err.startswith("error: ") and "\n" not in err
     assert key in err
     assert main(["verify", str(out), "--quick"]) == 0
+
+
+def test_verify_names_a_set_dt_that_moved_the_snapshots(tmp_path, capsys,
+                                                        monkeypatch):
+    """stepper.dt = 0.01 takes a snapshot every 12 steps for
+    stepper.field_stride = 0.125 (0, 0.12, ..., 0.96, 1), so none falls
+    near T - L = 0.875: the one line names stepper.dt and the stride that
+    was used, not the field_stride grid the times are already on."""
+    doc = json.loads(json.dumps(CFG))
+    doc["grid"]["resolution"] = 16
+    doc["stepper"].update(t_end=1.0, dt=0.01, field_stride=0.125)
+    doc["weights"]["T"] = 1.0
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(doc))
+    out = tmp_path / "run"
+    assert main(["simulate", str(cfg), "-o", str(out)]) == 0
+    times = np.load(out / "fields.npz")["times"]
+    assert np.allclose(times, [0.12 * i for i in range(9)] + [1.0])
+    monkeypatch.setattr("degenrd.cli.build_ledger", None)
+    capsys.readouterr()
+    assert main(["verify", str(out)]) == 1
+    assert _one_line_naming(capsys, "stepper.dt = 0.01 does not divide "
+                            "stepper.field_stride = 0.125, so the snapshots "
+                            "were taken every 0.12")
 
 
 def test_verify_of_a_run_without_snapshots_exits_1(run_dir, capsys,

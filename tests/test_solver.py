@@ -449,24 +449,30 @@ def test_shipped_run_bitwise_equals_the_allocating_step(monkeypatch):
 def test_stepper_bitwise_equals_splu_and_csr_product(dim, res, d1, d2,
                                                      scipy_laplacian):
     """Both CN halves give scipy's bits: the solves those of `splu` on
-    I - (dt/2) d L, the explicit half `(I + (dt/2) d L).tocsr() @ u`.  At
-    d2 = 1e-322, (dt/2) d L underflows to 0 and scipy's sums drop the
-    zero entries."""
+    I - (dt/2) d L, the explicit half `(I + (dt/2) d L).tocsr() @ u` per
+    species, from the arrays of scipy's block-diagonal assembly of the two
+    forward operators.  At d2 = 1e-322, (dt/2) d L underflows to 0 and
+    scipy's sums drop the zero entries: block 2 is the identity."""
     g = build_grid(dim, res)
-    dt = 1e-3
+    n, dt = g.ncells, 1e-3
     stepper = Stepper(g, dt, d1, d2)
-    eye = sp.identity(g.ncells, format="csc")
+    eye = sp.identity(n, format="csc")
     L = scipy_laplacian(g).tocsc()
     solve = [scipy.sparse.linalg.splu((eye - (0.5 * dt * d) * L).tocsc())
              .solve for d in (d1, d2)]
     forward = [(eye + (0.5 * dt * d) * L).tocsr() for d in (d1, d2)]
-    u = np.random.default_rng(res).random((2, g.ncells))
+    u = np.random.default_rng(res).random((2, n))
     for s in (0, 1):
         assert np.array_equal(stepper.solve[-1 if s else 0](u[s]),
                               solve[s](u[s]))
-        F = stepper.forward[-1 if s else 0]
-        for name, got in zip(("indptr", "indices", "data"), F):
-            assert np.array_equal(got, getattr(forward[s], name)), name
+    block = sp.block_diag(forward, format="csr")
+    for name, got in zip(("indptr", "indices", "data"), stepper.forward):
+        assert np.array_equal(got, getattr(block, name)), name
+    if d2 == 1e-322:
+        indptr, indices, data = stepper.forward
+        assert np.array_equal(indptr[n:] - indptr[n], np.arange(n + 1))
+        assert np.array_equal(indices[indptr[n]:], np.arange(n, 2 * n))
+        assert np.array_equal(data[indptr[n]:], np.ones(n))
     want = solve[0](u.T).T if d1 == d2 else [solve[0](u[0]), solve[1](u[1])]
     got = stepper.implicit(u)
     assert got.flags.c_contiguous and np.array_equal(got, want)
@@ -482,6 +488,29 @@ def test_stepper_bitwise_equals_splu_and_csr_product(dim, res, d1, d2,
 def test_one_factorization_when_diffusivities_equal(d2, nsolve):
     g = build_grid(1, 64)
     assert len(Stepper(g, 1e-3, 1.0, d2).solve) == nsolve
+
+
+@pytest.mark.parametrize("dim,res", [(1, 64), (2, 16)])
+@pytest.mark.parametrize("d2,nsolve", [(1.0, 2), (0.3, 4)])
+def test_kernel_calls_per_step(dim, res, d2, nsolve):
+    """A step makes one `csr_matvec` call over both species and one SuperLU
+    solve per stage and factorization."""
+    cfg = _cfg(dim=dim, resolution=res, d2=d2, dt=1e-3)
+    g = build_grid(dim, res)
+    stepper = Stepper(g, cfg.dt, cfg.d1, cfg.d2)
+    calls = {"matvec": 0, "solve": 0}
+
+    def counted(fn, name):
+        def call(*args):
+            calls[name] += 1
+            return fn(*args)
+        return call
+    stepper._matvec = counted(stepper._matvec, "matvec")
+    stepper.solve = [counted(s, "solve") for s in stepper.solve]
+    u, t, profile = init_state(g, cfg), 0.0, cfg.catalyst.profile(g)
+    for _ in range(3):
+        u, t = step(u, t, profile, cfg, stepper), t + cfg.dt
+    assert calls == {"matvec": 3, "solve": 3 * nsolve}
 
 
 @pytest.mark.parametrize("catalyst", [
