@@ -12,8 +12,9 @@ Layers, bottom up:
   constants    the explicit constant ledger, down to the certified
                contraction factor and decay rate.
   logconv      tilted quadratic forms, the frequency function, the
-               three-time interpolation checker, the observation estimate.
-  verify       run-level audit combining all of the above.
+               three-time interpolation checker, the window's tilted norms.
+  verify       run-level audit: every check against the ledger, the
+               observation estimate and the interpolation window among them.
   config/cli   JSON configuration and the `degenrd` command.
 """
 
@@ -23,8 +24,8 @@ from .solver import CatalystSpec, InitialSpec, SimConfig, run
 from .diagnostics import TraceSeries, fit_decay_rate, TOLERANCES
 from .constants import ConstantLedger, build_ledger
 from .logconv import (TiltedState, tilt, sym_form, antisym_form, interp_check,
-                      InterpInput, frequency_trace, observation_estimate_check)
-from .verify import audit
+                      InterpInput, frequency_trace)
+from .verify import audit, observation_estimate_check
 from .config import RunConfig, load_config, parse_config
 
 __version__ = "0.1.0"

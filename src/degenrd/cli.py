@@ -25,10 +25,10 @@ from .constants import build_ledger
 from .diagnostics import TraceSeries, fit_decay_rate, nearest_index, \
     solver_checks
 from .grid import build_grid
-from .logconv import InterpInput, interp_check, read_times
+from .logconv import InterpInput, interp_check
 from .solver import TRACE_CHANNELS, RunResult, init_state, load_extensions, \
     run as run_sim, step_plan
-from .verify import audit
+from .verify import audit, read_times
 
 EXIT_OK, EXIT_USAGE, EXIT_NUMERICAL, EXIT_INVARIANT = 0, 1, 2, 3
 
@@ -113,7 +113,8 @@ def load_run(run_dir: Path) -> tuple[RunResult, RunConfig]:
     Raises MalformedFile naming the file when one is malformed: also when
     summary.json's dt is not a finite number > 0, when trace.csv lacks a
     channel `simulate` records, holds a non-finite value or has fewer than
-    3 samples, and when fields.npz's snapshots are not finite or not one
+    3 samples, and when fields.npz's times are not a 1-D, finite,
+    strictly increasing array or its snapshots are not finite or not one
     per grid cell.
     """
     run_dir = Path(run_dir)
@@ -138,11 +139,15 @@ def load_run(run_dir: Path) -> tuple[RunResult, RunConfig]:
     with _reading(run_dir / "fields.npz") as path, open(path, "rb") as fh, \
             np.load(fh) as npz:
         times, a, b = npz["times"], npz["a"], npz["b"]
-    shape = (times.size, grid.ncells)
-    if a.shape != shape or b.shape != shape \
-            or not (np.isfinite(a).all() and np.isfinite(b).all()):
-        raise MalformedFile(f"{path} is malformed (the snapshots must be "
-                            f"finite, with {grid.ncells} cells each)")
+        if times.ndim != 1 or not np.isfinite(times).all() \
+                or np.any(np.diff(times) <= 0):
+            raise ValueError("the times must be a 1-D, finite, strictly "
+                             "increasing array")
+        shape = (times.size, grid.ncells)
+        if a.shape != shape or b.shape != shape \
+                or not (np.isfinite(a).all() and np.isfinite(b).all()):
+            raise ValueError(f"the snapshots must be finite, with "
+                             f"{grid.ncells} cells each")
     return RunResult(config=rc.sim, grid=grid, trace=trace,
                      snapshot_times=times,
                      snapshots=np.stack([a, b], axis=1), dt=dt), rc

@@ -1,4 +1,4 @@
-"""Tilted-norm machinery: frequency function, interpolation, observation.
+"""Tilted-norm machinery: frequency function, interpolation, window norms.
 
 A state (a, b) is recast as u1 = a-1, u2 = b-1 and tilted with two opposite
 exponential weights, giving four components f_i = u_i * exp(Phi_i/2)
@@ -14,15 +14,14 @@ evaluates
     which the audit reads at T/2 alone),
   * the frequency trace, a `TraceSeries` of N = <Sf,f>/||f||^2 and its
     ingredients at every snapshot, and N's growth bound,
-  * the three-time log-convexity interpolation inequality,
-  * the end-to-end observation estimate with ledger constants.
+  * the three-time log-convexity interpolation inequality on sampled data,
+  * the tilted norms of the ledger's interpolation window, in log space:
+    float64 log-sums plus one exact mpmath shift, as the window's time
+    shift h is far below double range.
 
-Every integral over the components is taken one row at a time and summed
-in row order 1 to 4; one reduction over the stacked rows would round
-differently.  Checks that involve the ledger's interpolation window run
-in log space, because the window's time shift h is far below double range.
-Their tilted norms are float64 log-sums plus one exact mpmath shift; the
-ledger arithmetic around them stays in mpmath.
+It returns numbers; `verify` compares them with the ledger.  Every
+integral over the components is taken one row at a time and summed in row
+order 1 to 4; one reduction over the stacked rows would round differently.
 """
 
 from __future__ import annotations
@@ -34,10 +33,9 @@ import mpmath as mp
 import numpy as np
 
 from .constants import (DPS, fmt, interp_margin, ln_prefactor,
-                        ln_time_integral, logaddexp, to_float, window_length)
-from .diagnostics import TOLERANCES, CheckResult, TraceSeries, fd_derivative
-from .grid import Grid, integrate, dirichlet_energy, cell_gradient, \
-    ball_mask, ball_norm2
+                        ln_time_integral, to_float)
+from .diagnostics import TOLERANCES, TraceSeries, fd_derivative
+from .grid import Grid, integrate, dirichlet_energy, cell_gradient
 from .weights import WeightFields, PsiJet
 # unused here: perfbench/tracing.py wraps `logconv.weight_fields` and
 # reports the target missing when the name does not resolve
@@ -89,8 +87,8 @@ class TiltedState:
         return sum(integrate(self.grid, fi ** 2) for fi in self.f)
 
 
-def _reaction_source(k: np.ndarray, u1: np.ndarray,
-                     u2: np.ndarray) -> np.ndarray:
+def reaction_source(k: np.ndarray, u1: np.ndarray,
+                    u2: np.ndarray) -> np.ndarray:
     """v1 = k*(b^2 - a^2) written in u1 = a-1, u2 = b-1; v2 = -v1."""
     return k * (u1 + u2 + 2.0) * (u2 - u1)
 
@@ -108,7 +106,7 @@ def tilt(grid: Grid, t: float, u: np.ndarray, k: np.ndarray,
     if not 0 <= t <= params.T + 1e-12:
         raise ValueError("state time outside the weight window [0, T]")
     u = u - 1.0
-    v1 = _reaction_source(k, *u)
+    v1 = reaction_source(k, *u)
     phi = _phi_rows(wf)
     s, gam = params.s, params.gamma(t)
     Phi = s * phi / gam
@@ -172,13 +170,12 @@ def frequency_trace(run: RunResult, wf: WeightFields) -> TraceSeries:
     norm2 = ||f||^2, F2 (the tilted squared source norm) and Fdotf (the
     pairing <tilted source, f>)."""
     cfg, params = run.config, wf.params
-    profile = cfg.catalyst.profile(run.grid)
     rows = []
     for t, u in zip(run.snapshot_times.tolist(), run.snapshots):
         if t > params.T + 1e-12:
             continue
-        ts = tilt(run.grid, t, u, cfg.catalyst.at(profile, t), wf, cfg.d1,
-                  cfg.d2)
+        ts = tilt(run.grid, t, u, cfg.catalyst.values(run.grid, t), wf,
+                  cfg.d1, cfg.d2)
         w = np.exp(ts.Phi)
         rows.append((t, sym_form(ts), ts.norm2(),
                      sum(integrate(run.grid, x) for x in ts.v ** 2 * w),
@@ -306,69 +303,8 @@ def interp_check(inp: InterpInput) -> dict:
 
 
 # ---------------------------------------------------------------------------
-# observation estimate and ledger-window checks
+# tilted norms of the interpolation window
 # ---------------------------------------------------------------------------
-
-def check_source_bound(run: RunResult, K0: float) -> float:
-    """Cellwise |(v1,v2)|^2 <= K0*(|u|^2 + |u|^4) at every snapshot.
-
-    Returns the worst margin, negative where the bound is violated.
-    """
-    cat = run.config.catalyst
-    profile = cat.profile(run.grid)
-    worst = float("inf")
-    for t, u in zip(run.snapshot_times.tolist(), run.snapshots):
-        u1, u2 = u - 1.0
-        v1 = _reaction_source(cat.at(profile, t), u1, u2)
-        usq = u1 * u1 + u2 * u2
-        margin = np.min(K0 * (usq + usq * usq) - 2.0 * v1 * v1)
-        worst = min(worst, float(margin))
-    return worst
-
-
-def check_cubic_bound(run: RunResult, K0: float) -> float:
-    """max_i ||u_i||_{L^3}^2 <= K0 along the run; returns the worst margin,
-    negative where the bound is violated."""
-    return float(np.min(K0 - run.trace["u_l3_max"] ** (2.0 / 3.0)))
-
-
-def observation_estimate_check(run: RunResult, ledger) -> CheckResult:
-    """Verify the observation estimate with ledger (c, M) on the window
-    (0, T), T = ledger.params.T.
-
-    The inequality compared (in logs):
-      (1+M)*ln||u(T)||^2 <= c*(1+1/T) + ln||u(T)||^2_ball
-                            + M*ln||u(0)||^2.
-    It rests on the source and cubic bounds; when either is violated by
-    more than 1e-12 the check fails with that bound's margin and names it.
-    The norms ||u||^2 come from the trace; the ball norm is over the
-    weights' ball, which need not be the trace's `l2_ball`.
-    """
-    for bound, margin in (
-            ("pointwise source bound |(v1,v2)|^2 <= K0*(|u|^2+|u|^4)",
-             check_source_bound(run, ledger.K0)),
-            ("cubic-norm bound ||u_i||_{L3}^2 <= K0",
-             check_cubic_bound(run, ledger.K0))):
-        if margin < -1e-12:
-            return CheckResult("observation_estimate",
-                               f"hypothesis violated: {bound}", margin, 1e-12)
-    grid, tr, params = run.grid, run.trace, ledger.params
-    u1, u2 = run.snapshot_at(params.T)[1] - 1.0
-    y0 = tr["l2_dist"][tr.index_at(0.0)]
-    yT = tr["l2_dist"][tr.index_at(params.T)]
-    yB = ball_norm2(grid, u1, u2, ball_mask(grid, params.x0_abs, params.r))
-    margin = 0.0
-    if yT >= _FLOOR:
-        with mp.workdps(DPS):
-            margin = to_float(
-                ledger.c * (1 + 1 / mp.mpf(params.T))
-                + mp.log(mp.mpf(max(yB, _FLOOR)))
-                + ledger.M * mp.log(mp.mpf(max(y0, _FLOOR)))
-                - (1 + ledger.M) * mp.log(mp.mpf(yT)))
-    return CheckResult("observation_estimate",
-                       "terminal norm controlled by the ball norm and the "
-                       "initial norm", margin, 1e-9)
-
 
 def _ln_tilted_norm2(grid: Grid, u: np.ndarray, phi: np.ndarray, coef):
     """log of the tilted squared norm sum_i sum V*u_i^2*exp(coef*phi_i)
@@ -394,71 +330,10 @@ def _ln_tilted_norm2(grid: Grid, u: np.ndarray, phi: np.ndarray, coef):
     return coef * mp.mpf(phi_top) + top + math.log(np.exp(terms - top).sum())
 
 
-def read_times(T: float) -> list[float]:
-    """The snapshot times a full audit with horizon T reads: 0 and T (the
-    observation estimate), T/2 (the tilted forms) and the interpolation
-    window's T - 2L and T - L, L = `constants.window_length(T)`."""
-    with mp.workdps(DPS):
-        L = window_length(T)
-        return [0.0, 0.5 * T, float(T - 2 * L), float(T - L), T]
-
-
-def interpolation_window_check(run: RunResult, wf: WeightFields,
-                               ledger) -> CheckResult:
-    """Check the ledger's interpolation-window inequalities on a run.
-
-    Uses the chain's own (s, h, ell) and the weight fields `wf` on the
-    run's grid: the tilted norms at the window times T, T-L, T-2L of
-    `read_times` (L = ell*h) are evaluated in log space,
-    and the three inequalities — the interpolated bound with prefactor
-    K_ell, the terminal-norm localization, and the untilting bound — are
-    margins in log space; the check's margin is the least of the three.
-    ||u(0)||^2 and ||u(T)||^2 come from the trace.
-    """
-    t_lo, t_mid = read_times(ledger.T)[2:4]
-    with mp.workdps(DPS):
-        g, grid, tr = ledger.geometry, run.grid, run.trace
-        T = mp.mpf(ledger.T)
-        h, ell = ledger.h_chain, ledger.ell
-        s = mp.mpf(ledger.s2)
-        L = ell * h
-
-        # phi1 and phi3 depend on x0_abs and dim alone, not on r, s, h, T
-        phi, params = _phi_rows(wf), wf.params
-
-        def ln_norms(t_float, gamma):
-            """ln ||f||^2 over all four rows and over rows 1, 2 alone."""
-            u = (run.snapshot_at(t_float)[1] - 1.0)[SPECIES]
-            coef = s / gamma
-            return (_ln_tilted_norm2(grid, u, phi, coef),
-                    _ln_tilted_norm2(grid, u[:2], phi[:2], coef), u)
-
-        ln_fT, ln_pT, uT = ln_norms(float(T), h)
-        ln_fm, ln_pm, _ = ln_norms(t_mid, L + h)
-        ln_fl, _, _ = ln_norms(t_lo, 2 * L + h)
-
-        y_T = tr["l2_dist"][tr.index_at(float(T))]
-        yB_T = ball_norm2(grid, uT[0], uT[1],
-                          ball_mask(grid, params.x0_abs, params.r))
-        y_0 = tr["l2_dist"][tr.index_at(0.0)]
-
-        if y_0 < _FLOOR:
-            worst = 0.0         # fully decayed run: equalities by convention
-        else:
-            # interpolated three-time bound with prefactor K_ell
-            m1 = interp_margin(ledger.ln_K_ell, ledger.M_ell, ln_fl, ln_fm,
-                               ln_fT)
-            # terminal localization: tilted pair norm at T against the ball
-            # norm plus the exponentially crushed far-field remainder
-            rhs3 = logaddexp(mp.log(mp.mpf(max(yB_T, _FLOOR))),
-                             -s * mp.mpf(g.mu0) / h + mp.log(mp.mpf(y_0)))
-            m3 = rhs3 - ln_pT if ln_pT > mp.mpf("-inf") else mp.mpf(0)
-            # untilting: terminal norm against the mid-window tilted norm
-            m4 = (s * mp.mpf(g.mu1) / ((ell + 1) * h) + ln_pm
-                  - mp.log(mp.mpf(max(y_T, _FLOOR)))) \
-                if y_T >= _FLOOR else mp.mpf(0)
-            worst = min(to_float(m) for m in (m1, m3, m4))
-    return CheckResult("interpolation_window",
-                       "three-time interpolation, localization, and "
-                       "untilting inequalities on the certified window",
-                       worst, 1e-9)
+def ln_tilted_norms(grid: Grid, u: np.ndarray, wf: WeightFields, coef):
+    """ln ||f||^2 of the state u = (a, b), shape (2, ncells), tilted with
+    exp(coef*phi_i/2) for coef = s/Gamma: over all four rows and over
+    rows 1, 2 alone (mpf; see `_ln_tilted_norm2`)."""
+    u, phi = (u - 1.0)[SPECIES], _phi_rows(wf)
+    return (_ln_tilted_norm2(grid, u, phi, coef),
+            _ln_tilted_norm2(grid, u[:2], phi[:2], coef))

@@ -2,22 +2,27 @@
 
 Collects every checkable inequality for one finished run into a flat list
 of audit entries {invariant_id, reference, pass, margin, tolerance}.  The
-solver-level conservation checks live in `diagnostics`; here the ledger
-constants and the tilted-norm machinery are brought in.
+solver-level conservation checks live in `diagnostics`; every check that
+reads the ledger is built here, from the numbers `logconv` computes on
+the tilted state (its forms, the frequency trace, the window norms), and
+so is the list of snapshot times a full audit reads (`read_times`).
 """
 
 from __future__ import annotations
 
 import math
 
+import mpmath as mp
 import numpy as np
 
+from .constants import DPS, interp_margin, logaddexp, to_float, window_length
 from .diagnostics import TOLERANCES, CheckResult, fd_derivative, solver_checks
+from .grid import ball_mask, ball_norm2
 from .logconv import (antisym_form, frequency_trace, growth_violations,
-                      interpolation_window_check, observation_estimate_check,
-                      sym_form, sym_form_direct, tilt)
+                      ln_tilted_norms, reaction_source, sym_form,
+                      sym_form_direct, tilt)
 from .solver import RunResult
-from .weights import WeightFields, weight_fields
+from .weights import WeightFields, WeightParams, weight_fields
 
 _FLOOR = TOLERANCES["norm_floor"]
 
@@ -118,7 +123,7 @@ def tilted_form_checks(run: RunResult, wf: WeightFields) -> list[CheckResult]:
     The snapshot nearest T/2 is tilted once; every form is read from it.
     """
     cfg = run.config
-    t, u = run.snapshot_at(min(0.5 * wf.params.T, run.snapshot_times[-1]))
+    t, u = run.snapshot_at(0.5 * wf.params.T)
     ts = tilt(run.grid, t, u, cfg.catalyst.values(run.grid, t), wf, cfg.d1,
               cfg.d2)
     Sff, Aff, Sff_direct = (form(ts) for form in
@@ -193,6 +198,124 @@ def _frequency_trace_checks(run: RunResult, wf: WeightFields,
         float(np.min(ledger.C1 * (n2 + ft["Sff"]) - ft["F2"]))
         / scale, 1e-9))
     return out
+
+
+def read_times(T: float) -> list[float]:
+    """The snapshot times a full audit with horizon T reads: 0 and T (the
+    observation estimate), T/2 (the tilted forms) and the interpolation
+    window's T - 2L and T - L, L = `constants.window_length(T)`."""
+    with mp.workdps(DPS):
+        L = window_length(T)
+        return [0.0, 0.5 * T, float(T - 2 * L), float(T - L), T]
+
+
+def check_source_bound(run: RunResult, K0: float) -> float:
+    """Cellwise |(v1,v2)|^2 <= K0*(|u|^2 + |u|^4) at every snapshot.
+
+    Returns the worst margin, negative where the bound is violated.
+    """
+    cat, worst = run.config.catalyst, float("inf")
+    for t, u in zip(run.snapshot_times.tolist(), run.snapshots):
+        u1, u2 = u - 1.0
+        v1 = reaction_source(cat.values(run.grid, t), u1, u2)
+        usq = u1 * u1 + u2 * u2
+        worst = min(worst, float(np.min(K0 * (usq + usq * usq)
+                                        - 2.0 * v1 * v1)))
+    return worst
+
+
+def check_cubic_bound(run: RunResult, K0: float) -> float:
+    """max_i ||u_i||_{L^3}^2 <= K0 along the run; returns the worst margin,
+    negative where the bound is violated."""
+    return float(np.min(K0 - run.trace["u_l3_max"] ** (2.0 / 3.0)))
+
+
+def _terminal_norms(run: RunResult,
+                    params: WeightParams) -> tuple[float, float, float]:
+    """||u(0)||^2 and ||u(T)||^2 from the trace, and ||u(T)||^2 over the
+    weights' ball from the T snapshot; that ball need not be the trace's
+    `l2_ball`, which is over the catalyst's."""
+    grid, tr = run.grid, run.trace
+    u1, u2 = run.snapshot_at(params.T)[1] - 1.0
+    return (tr["l2_dist"][tr.index_at(0.0)],
+            tr["l2_dist"][tr.index_at(params.T)],
+            ball_norm2(grid, u1, u2, ball_mask(grid, params.x0_abs,
+                                               params.r)))
+
+
+def observation_estimate_check(run: RunResult, ledger) -> CheckResult:
+    """Verify the observation estimate with ledger (c, M) on the window
+    (0, T), T = ledger.params.T.
+
+    The inequality compared (in logs):
+      (1+M)*ln||u(T)||^2 <= c*(1+1/T) + ln||u(T)||^2_ball
+                            + M*ln||u(0)||^2.
+    It rests on the source and cubic bounds; when either is violated by
+    more than 1e-12 the check fails with that bound's margin and names it.
+    """
+    for bound, margin in (
+            ("pointwise source bound |(v1,v2)|^2 <= K0*(|u|^2+|u|^4)",
+             check_source_bound(run, ledger.K0)),
+            ("cubic-norm bound ||u_i||_{L3}^2 <= K0",
+             check_cubic_bound(run, ledger.K0))):
+        if margin < -1e-12:
+            return CheckResult("observation_estimate",
+                               f"hypothesis violated: {bound}", margin, 1e-12)
+    params, margin = ledger.params, 0.0
+    y0, yT, yB = _terminal_norms(run, params)
+    if yT >= _FLOOR:
+        with mp.workdps(DPS):
+            margin = to_float(
+                ledger.c * (1 + 1 / mp.mpf(params.T))
+                + mp.log(mp.mpf(max(yB, _FLOOR)))
+                + ledger.M * mp.log(mp.mpf(max(y0, _FLOOR)))
+                - (1 + ledger.M) * mp.log(mp.mpf(yT)))
+    return CheckResult("observation_estimate",
+                       "terminal norm controlled by the ball norm and the "
+                       "initial norm", margin, 1e-9)
+
+
+def interpolation_window_check(run: RunResult, wf: WeightFields,
+                               ledger) -> CheckResult:
+    """Check the ledger's interpolation-window inequalities on a run.
+
+    Uses the chain's own (s, h, ell) and the weight fields `wf` on the
+    run's grid, whose phi1 and phi3 depend on x0_abs and dim alone, not
+    on r, s, h or T: the tilted norms at the window times T, T-L, T-2L of
+    `read_times` (L = ell*h) are `ln_tilted_norms`, and the three
+    inequalities — the interpolated bound with prefactor K_ell, the
+    terminal-norm localization, and the untilting bound — are margins in
+    log space; the check's margin is the least of the three.
+    """
+    t_lo, t_mid = read_times(ledger.T)[2:4]
+    y_0, y_T, yB_T = _terminal_norms(run, ledger.params)
+    with mp.workdps(DPS):
+        g, h, ell = ledger.geometry, ledger.h_chain, ledger.ell
+        s, L = mp.mpf(ledger.s2), ell * h
+        (ln_fT, ln_pT), (ln_fm, ln_pm), (ln_fl, _) = (
+            ln_tilted_norms(run.grid, run.snapshot_at(t)[1], wf, s / gamma)
+            for t, gamma in ((ledger.T, h), (t_mid, L + h),
+                             (t_lo, 2 * L + h)))
+        if y_0 < _FLOOR:
+            worst = 0.0         # fully decayed run: equalities by convention
+        else:
+            # interpolated three-time bound with prefactor K_ell
+            m1 = interp_margin(ledger.ln_K_ell, ledger.M_ell, ln_fl, ln_fm,
+                               ln_fT)
+            # terminal localization: tilted pair norm at T against the ball
+            # norm plus the exponentially crushed far-field remainder
+            rhs3 = logaddexp(mp.log(mp.mpf(max(yB_T, _FLOOR))),
+                             -s * mp.mpf(g.mu0) / h + mp.log(mp.mpf(y_0)))
+            m3 = rhs3 - ln_pT if ln_pT > mp.mpf("-inf") else mp.mpf(0)
+            # untilting: terminal norm against the mid-window tilted norm
+            m4 = (s * mp.mpf(g.mu1) / ((ell + 1) * h) + ln_pm
+                  - mp.log(mp.mpf(max(y_T, _FLOOR)))) \
+                if y_T >= _FLOOR else mp.mpf(0)
+            worst = min(to_float(m) for m in (m1, m3, m4))
+    return CheckResult("interpolation_window",
+                       "three-time interpolation, localization, and "
+                       "untilting inequalities on the certified window",
+                       worst, 1e-9)
 
 
 def audit(run: RunResult, ledger=None) -> list[dict]:

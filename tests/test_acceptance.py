@@ -16,9 +16,11 @@ from degenrd.constants import build_ledger
 from degenrd.diagnostics import energy_identity_residuals, fit_decay_rate
 from degenrd.grid import build_grid
 from degenrd.logconv import (InterpInput, antisym_form, frequency_trace,
-                             interp_check, observation_estimate_check, tilt)
+                             interp_check, tilt)
 from degenrd.solver import CatalystSpec, InitialSpec, SimConfig, run
-from degenrd.verify import decay_certificate_check, theta_contraction_check
+from degenrd.verify import (decay_certificate_check,
+                            observation_estimate_check,
+                            theta_contraction_check)
 from degenrd.weights import PsiJet, WeightParams, psi_at_x0, weight_fields
 
 

@@ -828,6 +828,25 @@ def _nan_l2_dist(rows):
     return rows
 
 
+def _edit_times(edit):
+    """Rewrite fields.npz with its times array replaced by `edit(times)`."""
+    def corrupt(p):
+        npz = dict(np.load(p))
+        npz["times"] = edit(npz["times"])
+        np.savez(p, **npz)
+    return corrupt
+
+
+def _nan_at_3(times):
+    times[3] = np.nan
+    return times
+
+
+def _repeat_first(times):
+    times[1] = times[0]
+    return times
+
+
 # (id, file, corruption); each runs under `verify --quick` with its bare id
 # and under the full verify with id + "-full"
 _CORRUPT_RUN_FILES = [
@@ -845,6 +864,10 @@ _CORRUPT_RUN_FILES = [
     ("trace-without-mass", "trace.csv", _edit_trace(_drop_mass)),
     ("trace-nan", "trace.csv", _edit_trace(_nan_l2_dist)),
     ("trace-two-rows", "trace.csv", _edit_trace(lambda rows: rows[:3])),
+    ("fields-times-nan", "fields.npz", _edit_times(_nan_at_3)),
+    ("fields-times-repeated", "fields.npz", _edit_times(_repeat_first)),
+    ("fields-times-reversed", "fields.npz",
+     _edit_times(lambda times: times[::-1])),
 ]
 
 

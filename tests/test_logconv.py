@@ -18,15 +18,14 @@ import pytest
 from degenrd import logconv
 from degenrd.constants import DPS
 from degenrd.grid import cell_gradient, dirichlet_energy, integrate
-from degenrd.logconv import (InterpInput, antisym_form, check_cubic_bound,
-                             check_source_bound, frequency_trace,
-                             growth_violations, interp_check,
-                             interpolation_window_check,
-                             observation_estimate_check, sym_form,
+from degenrd.logconv import (InterpInput, antisym_form, frequency_trace,
+                             growth_violations, interp_check, sym_form,
                              sym_form_direct, tilt)
 from degenrd.solver import CatalystSpec, ConfigError, InitialSpec, \
     SimConfig, run
-from degenrd.verify import _frequency_trace_checks, audit
+from degenrd.verify import (_frequency_trace_checks, audit, check_cubic_bound,
+                            check_source_bound, interpolation_window_check,
+                            observation_estimate_check)
 from degenrd.weights import PsiJet, WeightParams, weight_fields
 
 M_ORACLE = 3 * math.log(2) / math.log(1.5)

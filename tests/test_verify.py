@@ -6,8 +6,7 @@ import pytest
 
 from degenrd.grid import ball_mask, dirichlet_energy, integrate
 from degenrd.solver import CatalystSpec, InitialSpec, SimConfig, run
-from degenrd.logconv import read_times
-from degenrd.verify import audit, beta1_chain_check
+from degenrd.verify import audit, beta1_chain_check, read_times
 
 
 @pytest.fixture(scope="module")
