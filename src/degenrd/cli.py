@@ -37,9 +37,11 @@ def _g(x: float) -> str:
     return "%.17g" % float(x)
 
 
-def _write_json(path: Path, obj) -> None:
-    path.write_text(json.dumps(obj, indent=2, sort_keys=True) + "\n",
-                    encoding="utf-8")
+def _write_json(path: Path, obj) -> str:
+    """Write `obj` as indented, key-sorted JSON; return the text."""
+    text = json.dumps(obj, indent=2, sort_keys=True)
+    path.write_text(text + "\n", encoding="utf-8")
+    return text
 
 
 def _write_trace_csv(path: Path, trace: TraceSeries) -> None:
@@ -216,8 +218,7 @@ def cmd_verify(args) -> int:
                                           run.snapshot_at(0.0)[1]))
     report = {"format_version": FORMAT_VERSION, "checks": entries,
               "pass": all(e["pass"] for e in entries)}
-    _write_json(Path(args.run_dir) / "verification.json", report)
-    print(json.dumps(report, indent=2, sort_keys=True))
+    print(_write_json(Path(args.run_dir) / "verification.json", report))
     return EXIT_OK if report["pass"] else EXIT_INVARIANT
 
 

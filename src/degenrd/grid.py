@@ -177,6 +177,22 @@ def build_grid(dim: int, resolution: int) -> Grid:
     return (_build_grid_1d if dim == 1 else _build_grid_2d)(resolution)
 
 
+def rowdot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Row-wise dot product of two (m, dim) arrays, shape (m,).
+
+    Adds the column products to +0.0 in column order, the order in which
+    `np.sum(a * b, axis=-1)` adds a row, so the bits are equal, -0.0 and
+    NaN rows included (`np.sqrt(rowdot(d, d))` is `np.linalg.norm(d,
+    axis=-1)`).  numpy's reduction over a short last axis walks each row
+    in a scalar loop; the columns take some 8x less time at 40,000 points.
+    """
+    out = a[:, 0] * b[:, 0]
+    out += 0.0                     # as numpy's sum: -0.0 becomes +0.0
+    for i in range(1, a.shape[1]):
+        out += a[:, i] * b[:, i]
+    return out
+
+
 def integrate(grid: Grid, values: np.ndarray) -> float:
     """Volume-weighted midpoint quadrature of a cell field.
 
@@ -320,7 +336,8 @@ def ball_mask(grid: Grid, x0_axis: float, r: float) -> np.ndarray:
     """Cells whose center lies in the ball of radius r about (x0, 0, ...)."""
     x0 = np.zeros(grid.dim)
     x0[0] = x0_axis
-    return np.linalg.norm(grid.centers - x0, axis=1) <= r
+    d = grid.centers - x0
+    return np.sqrt(rowdot(d, d)) <= r
 
 
 def ball_norm2(grid: Grid, u1: np.ndarray, u2: np.ndarray,

@@ -35,7 +35,8 @@ import numpy as np
 from .constants import (DPS, fmt, interp_margin, ln_prefactor,
                         ln_time_integral, to_float)
 from .diagnostics import TOLERANCES, TraceSeries, fd_derivative
-from .grid import Grid, integrate, dirichlet_energy, cell_gradient
+from .grid import (Grid, integrate, dirichlet_energy, cell_gradient,
+                   rowdot)
 from .weights import WeightFields, PsiJet
 # unused here: perfbench/tracing.py wraps `logconv.weight_fields` and
 # reports the target missing when the name does not resolve
@@ -133,8 +134,7 @@ def antisym_form(ts: TiltedState) -> float:
     dPhi = ts.dPhi()
     grad_Phi = dPhi[:, :, None] * ts.wf.grad_psi
     lap_Phi = dPhi * ts.wf.laplacian_psi
-    return sum(integrate(grid, (-di * np.sum(gi * cell_gradient(grid, fi),
-                                             axis=1)
+    return sum(integrate(grid, (-di * rowdot(gi, cell_gradient(grid, fi))
                                 - 0.5 * di * li * fi) * fi)
                for di, fi, gi, li in zip(ts.d, f, grad_Phi, lap_Phi))
 
@@ -150,7 +150,7 @@ def sym_form_direct(ts: TiltedState) -> float:
     """
     grid, f = ts.grid, ts.f
     gpsi_b = PsiJet(ts.wf.params, grid.bface_mid).grad
-    dn_psi = np.sum(gpsi_b * grid.bface_normal, axis=1)
+    dn_psi = rowdot(gpsi_b, grid.bface_normal)
     if grid.dim == 1:
         inner = np.array([1, grid.ncells - 2])
         f_b = 1.5 * f[:, grid.bface_cell] - 0.5 * f[:, inner]

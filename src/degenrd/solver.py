@@ -29,7 +29,7 @@ import warnings
 import numpy as np
 
 from .grid import Grid, build_grid, integrate, dirichlet_energy, \
-    ball_mask, ball_norm2
+    ball_mask, ball_norm2, rowdot
 from .diagnostics import TraceSeries, nearest_index
 
 _CATALYST_KINDS = ("constant", "bump", "annular-zero", "time-modulated-bump")
@@ -122,13 +122,14 @@ class CatalystSpec:
         w = self._width(grid.spacing)
         x0 = np.zeros(grid.dim)
         x0[0] = self.x0
-        dist = np.linalg.norm(grid.centers - x0, axis=1)
+        d = grid.centers - x0
+        dist = np.sqrt(rowdot(d, d))
         if self.kind in ("bump", "time-modulated-bump"):
             return self.k0 * smoothstep((dist - self.r) / w)
         # annular-zero: full strength except a smooth dip on the annulus
         self.check_annulus(grid.spacing)
         ri, ro = self.annulus_inner, self.annulus_outer
-        rad = np.linalg.norm(grid.centers, axis=1)
+        rad = np.sqrt(rowdot(grid.centers, grid.centers))
         mid_in = smoothstep((ri - rad) / w)    # 0 well inside ri, 1 beyond
         dip = smoothstep((rad - ro) / w) * mid_in
         return self.k_max * (1.0 - dip)
@@ -185,8 +186,8 @@ class InitialSpec:
         else:
             c = np.zeros(grid.dim)
             c[0] = self.center
-            da = np.linalg.norm(grid.centers - c, axis=1)
-            db = np.linalg.norm(grid.centers + c, axis=1)
+            pa, pb = grid.centers - c, grid.centers + c
+            da, db = np.sqrt(rowdot(pa, pa)), np.sqrt(rowdot(pb, pb))
             a = self.floor + self.amplitude * np.exp(-da ** 2
                                                      / (2 * self.width ** 2))
             b = self.floor + self.amplitude * np.exp(-db ** 2

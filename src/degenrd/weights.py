@@ -30,7 +30,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .grid import Grid, domain_radius
+from .grid import Grid, domain_radius, rowdot
 
 _RATIO_CAP = 1e12
 DERIVATIVE_SAMPLES = 20001  # scan size of the sampled derivative maxima
@@ -92,7 +92,10 @@ class PsiJet:
 
     The points are validated, and q = 2|x0|R, den = |x0|^2 + R^2 - 2|x0|x_1
     and g = R^2 - |x|^2 formed, once; each derivative is computed on first
-    access.
+    access.  Sums over the coordinates go through `grid.rowdot`.  `hess`
+    is the full (m, dim, dim) stack; `derivative_maxima` bounds its
+    spectral radius from the closed-form 2x2 estimate and runs `eigvalsh`
+    on the candidate maxima alone.
     """
 
     def __init__(self, params: WeightParams, points):
@@ -101,12 +104,13 @@ class PsiJet:
             raise ValueError(f"points must be an (m, {params.dim}) array "
                              f"of coordinates")
         a, R = params.x0_abs, params.radius
-        if np.any(np.linalg.norm(pts, axis=-1) > R * (1 + 1e-12) + 1e-14):
+        sq = rowdot(pts, pts)
+        if np.any(np.sqrt(sq) > R * (1 + 1e-12) + 1e-14):
             raise ValueError("point outside the closed domain")
         self.pts, self.a, self.n = pts, a, params.dim
         self.q = 2.0 * a * R
         self.den = a * a + R * R - 2.0 * a * pts[:, 0]
-        self.g = R * R - np.sum(pts * pts, axis=-1)
+        self.g = R * R - sq
 
     @cached_property
     def psi(self) -> np.ndarray:
@@ -189,7 +193,7 @@ def weight_fields(params: WeightParams, grid: Grid) -> WeightFields:
         phi3=-psi - peak,
         grad_psi=grad,
         laplacian_psi=jet.lap,
-        grad_psi_sq=np.sum(grad * grad, axis=-1),
+        grad_psi_sq=rowdot(grad, grad),
     )
     if np.any(wf.phi1 > 1e-12):
         raise ValueError("phi1 must be nonpositive")
@@ -236,14 +240,13 @@ def _sample_points(params: WeightParams, m: int) -> np.ndarray:
     mr = max(int(math.sqrt(m)), 24)
     rr = R * (np.arange(mr) + 0.5) / mr
     tt = 2 * math.pi * np.arange(mr) / mr
-    rg, tg = np.meshgrid(rr, tt, indexing="ij")
-    pts = np.zeros((mr * mr, 2))
-    pts[:, 0] = (rg * np.cos(tg)).ravel()
-    pts[:, 1] = (rg * np.sin(tg)).ravel()
-    bnd = np.zeros((mr, 2))   # boundary ring
-    bnd[:, 0] = R * np.cos(tt)
-    bnd[:, 1] = R * np.sin(tt)
-    return np.vstack([pts, bnd])
+    cos_t, sin_t = np.cos(tt), np.sin(tt)
+    pts = np.empty((mr * mr + mr, 2))       # radius-major, then the ring
+    pts[:mr * mr, 0] = (rr[:, None] * cos_t).ravel()
+    pts[:mr * mr, 1] = (rr[:, None] * sin_t).ravel()
+    pts[mr * mr:, 0] = R * cos_t            # boundary ring
+    pts[mr * mr:, 1] = R * sin_t
+    return pts
 
 
 def _safe_max_ratio(num: np.ndarray, den: np.ndarray, clause: str) -> float:
@@ -282,12 +285,12 @@ def _geometry_constants_once(params: WeightParams,
     peak = psi_at_x0(params)
     jet = PsiJet(params, pts)
     psi, grad = jet.psi, jet.grad
-    grad_sq = np.sum(grad * grad, axis=-1)
+    grad_sq = rowdot(grad, grad)
     phi1 = psi - peak
     phi3 = -psi - peak
-    x0 = params.x0_point
-    dist0 = np.linalg.norm(pts - x0, axis=-1)
-    rad = np.linalg.norm(pts, axis=-1)
+    d0 = pts - params.x0_point
+    dist0 = np.sqrt(rowdot(d0, d0))
+    rad = np.sqrt(rowdot(pts, pts))
 
     excl_radius = 2.0 * R / max(m, 2) if params.dim == 1 \
         else R / max(int(math.sqrt(m)), 24)
@@ -348,15 +351,31 @@ def _geometry_constants_once(params: WeightParams,
 
 def derivative_maxima(params: WeightParams) -> dict:
     """Dense-scan maxima of psi and its derivatives over the closed ball,
-    each * 1.05."""
+    each * 1.05.
+
+    max_hess is the largest |eigenvalue| of the sampled Hessians.  In 1-D
+    that is max |H_00|, the entry LAPACK returns for a 1x1 matrix.  In 2-D
+    the closed-form spectral radius |(a+c)/2| + sqrt(((a-c)/2)^2 + b^2) of
+    each [[a, b], [b, c]] picks the candidates within 1e-9 relative of its
+    largest value (all of them if that is not finite), and `eigvalsh` runs
+    on those alone: its value is the bound, as when it ran on every sample.
+    """
     jet = PsiJet(params, _sample_points(params, DERIVATIVE_SAMPLES))
-    hess_norm = np.max(np.abs(np.linalg.eigvalsh(jet.hess)), axis=-1)
-    grad = jet.grad
+    H = jet.hess
+    if params.dim == 1:
+        max_hess = float(np.max(np.abs(H[:, 0, 0])))
+    else:
+        a, b, c = H[:, 0, 0], H[:, 1, 0], H[:, 1, 1]
+        est = np.abs(0.5 * (a + c)) + np.sqrt((0.5 * (a - c)) ** 2 + b * b)
+        top = np.max(est)
+        cand = est >= top * (1.0 - 1e-9) if np.isfinite(top) else slice(None)
+        max_hess = float(np.max(np.abs(np.linalg.eigvalsh(H[cand]))))
+    grad, grad_lap = jet.grad, jet.grad_lap
     return {
         "max_psi": float(np.max(np.abs(jet.psi))) * 1.05,
-        "max_grad_sq": float(np.max(np.sum(grad * grad, axis=-1))) * 1.05,
-        "max_hess": float(np.max(hess_norm)) * 1.05,
+        "max_grad_sq": float(np.max(rowdot(grad, grad))) * 1.05,
+        "max_hess": max_hess * 1.05,
         "max_lap": float(np.max(np.abs(jet.lap))) * 1.05,
         "max_grad_lap": float(
-            np.max(np.linalg.norm(jet.grad_lap, axis=-1))) * 1.05,
+            np.max(np.sqrt(rowdot(grad_lap, grad_lap)))) * 1.05,
     }

@@ -29,7 +29,8 @@ import scipy.sparse.linalg
 import degenrd
 from degenrd.grid import (Grid, ball_mask, build_grid,
                           cell_gradient, dirichlet_energy, domain_radius,
-                          integrate, neumann_eigenvalue_1, _ring_mode)
+                          integrate, neumann_eigenvalue_1, rowdot,
+                          _ring_mode)
 
 
 def _loop_grid_2d(resolution: int) -> Grid:
@@ -382,6 +383,27 @@ def test_ball_mask_1d():
     x = g.centers[:, 0]
     assert np.array_equal(mask, np.abs(x - 0.25) <= 0.1 + 1e-12)
     assert mask.sum() > 0
+
+
+def _special_rows(dim: int) -> np.ndarray:
+    """Random rows, then rows of signed zeros, subnormals, infinities and
+    NaN in every column."""
+    rng = np.random.default_rng(5)
+    special = np.array([0.0, -0.0, 5e-324, -5e-324, 2.2e-308, np.inf,
+                        -np.inf, np.nan, 1.5, -3.0])
+    combos = np.array(np.meshgrid(*[special] * dim)).reshape(dim, -1).T
+    return np.vstack([rng.standard_normal((1000, dim)), combos])
+
+
+@pytest.mark.parametrize("dim", [1, 2])
+def test_rowdot_bitwise_equals_numpy_row_sums(dim):
+    a = _special_rows(dim)
+    b = a[::-1].copy()
+    with np.errstate(invalid="ignore", over="ignore"):
+        assert rowdot(a, b).tobytes() == np.sum(a * b, axis=-1).tobytes()
+        assert rowdot(a, a).tobytes() == np.sum(a * a, axis=-1).tobytes()
+        assert np.sqrt(rowdot(a, a)).tobytes() \
+            == np.linalg.norm(a, axis=-1).tobytes()
 
 
 def test_grid_summary_serializable(grid256):

@@ -14,7 +14,8 @@ import math
 import numpy as np
 import pytest
 
-from degenrd.weights import (PsiJet, WeightParams, _sample_points,
+from degenrd.weights import (DERIVATIVE_SAMPLES, PsiJet, WeightParams,
+                             _sample_points, derivative_maxima,
                              geometry_constants, psi_at_x0, weight_fields)
 from degenrd.grid import build_grid
 from degenrd.logconv import tilt
@@ -390,3 +391,76 @@ def test_geometry_clause_bounds_hold_on_fresh_samples(geom):
 
 def test_geometry_constants_deterministic():
     assert geometry_constants(P1) == geometry_constants(P1)
+
+
+# ---------------------------------------------------------------------------
+# the sample points and derivative maxima against their numpy references
+# ---------------------------------------------------------------------------
+
+def _meshgrid_sample_points(params: WeightParams, m: int) -> np.ndarray:
+    """The 2-D scan built with one cos/sin per meshgrid point, as
+    `_sample_points` did before it took them once per angle."""
+    R = params.radius
+    mr = max(int(math.sqrt(m)), 24)
+    rr = R * (np.arange(mr) + 0.5) / mr
+    tt = 2 * math.pi * np.arange(mr) / mr
+    rg, tg = np.meshgrid(rr, tt, indexing="ij")
+    pts = np.zeros((mr * mr, 2))
+    pts[:, 0] = (rg * np.cos(tg)).ravel()
+    pts[:, 1] = (rg * np.sin(tg)).ravel()
+    bnd = np.zeros((mr, 2))
+    bnd[:, 0] = R * np.cos(tt)
+    bnd[:, 1] = R * np.sin(tt)
+    return np.vstack([pts, bnd])
+
+
+@pytest.mark.parametrize("m", [10_000, 20_000, 20_001, 40_000, 320_000])
+def test_sample_points_bitwise_equal_the_meshgrid_scan(m):
+    pts = _sample_points(P2, m)
+    ref = _meshgrid_sample_points(P2, m)
+    assert pts.shape == ref.shape and pts.tobytes() == ref.tobytes()
+
+
+def _eigvalsh_maxima(params: WeightParams) -> dict:
+    """`derivative_maxima` with `eigvalsh` on every sampled Hessian and
+    numpy's axis reductions: the reference for the candidate search."""
+    jet = PsiJet(params, _sample_points(params, DERIVATIVE_SAMPLES))
+    hess_norm = np.max(np.abs(np.linalg.eigvalsh(jet.hess)), axis=-1)
+    grad = jet.grad
+    return {
+        "max_psi": float(np.max(np.abs(jet.psi))) * 1.05,
+        "max_grad_sq": float(np.max(np.sum(grad * grad, axis=-1))) * 1.05,
+        "max_hess": float(np.max(hess_norm)) * 1.05,
+        "max_lap": float(np.max(np.abs(jet.lap))) * 1.05,
+        "max_grad_lap": float(
+            np.max(np.linalg.norm(jet.grad_lap, axis=-1))) * 1.05,
+    }
+
+
+# the centres of the shipped configs and of the benchmark's seed jitter
+_CENTRES = [0.05, 0.1, 0.25, 0.3] + [round(0.2540 + 0.0001 * k, 4)
+                                     for k in (0, 2, 5, 7, 10, 12, 15)]
+
+
+@pytest.mark.parametrize("dim", [1, 2])
+@pytest.mark.parametrize("x0", _CENTRES)
+def test_derivative_maxima_equal_the_full_eigvalsh_scan(dim, x0):
+    params = WeightParams(x0_abs=x0, r=0.1, s=0.5, h=0.1, T=1.0, dim=dim)
+    assert derivative_maxima(params) == _eigvalsh_maxima(params)
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf])
+def test_derivative_maxima_fall_back_to_every_hessian(monkeypatch, bad):
+    """A non-finite estimate sends every Hessian to `eigvalsh`: LAPACK
+    returns 0 for a NaN matrix and NaN for an infinite one, as before."""
+    hess = PsiJet.hess.func
+
+    def spoiled(self):
+        H = hess(self)
+        H[7, 0, 0] = bad
+        return H
+
+    monkeypatch.setattr(PsiJet, "hess", property(spoiled))
+    got = derivative_maxima(P2)["max_hess"]
+    want = _eigvalsh_maxima(P2)["max_hess"]
+    assert got == want or (math.isnan(got) and math.isnan(want))
