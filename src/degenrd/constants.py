@@ -24,8 +24,7 @@ import numpy as np
 
 from .grid import Grid, integrate, neumann_eigenvalue_1
 from .solver import ConfigError, SimConfig
-from .weights import (WeightParams, GeometryConstants, derivative_maxima,
-                      geometry_constants)
+from .weights import WeightParams, derivative_maxima, geometry_constants
 
 DPS = 60    # working precision (significant digits) of the mpmath chain
 
@@ -114,8 +113,9 @@ class Entry:
 @dataclass
 class ConstantLedger:
     """All named constants of the chain for the weights `params`: one
-    `Entry` per constant, filled in order by the stages of `build_ledger`,
-    over the weight geometry behind the `geometry.*` entries.
+    `Entry` per constant, filled in order by the stages of `build_ledger`.
+    The chain and the audit read the weight geometry from the `geometry.*`
+    entries, its only copy: `ledger.entries["geometry.mu0"].value`.
 
     Values read as attributes (`ledger.C1`), logs as the names in _LOGS.
     beta's value is 0.0 whenever log_beta is below double range (the exact
@@ -125,7 +125,6 @@ class ConstantLedger:
     """
 
     params: WeightParams
-    geometry: GeometryConstants
     entries: dict[str, Entry] = field(default_factory=dict)
 
     def put(self, name: str, value, method: str, provenance: str,
@@ -155,11 +154,13 @@ class ConstantLedger:
 def compute_analysis_constants(ledger: ConstantLedger) -> ConstantLedger:
     """Fill the commutator/smallness constants C2..C7, s0..s2, C0, C1.
 
-    Requires geometry, K0, C_Sob, d1, d2 already present.  The constants
-    with no displayed formula are sampled derivative maxima combined by the
-    same Young-inequality steps as the analysis, recorded in provenance.
+    Requires the geometry.* entries, K0, C_Sob, d1 and d2.  Constants with
+    no displayed formula are sampled derivative maxima combined by the same
+    Young-inequality steps as the analysis, recorded in provenance.
     """
-    g, put = ledger.geometry, ledger.put
+    put = ledger.put
+    c1, c2, c3 = (ledger.entries[f"geometry.{k}"].value
+                  for k in ("c1", "c2", "c3"))
     d_max = max(ledger.d1, ledger.d2)
     d_min = min(ledger.d1, ledger.d2)
     d_key = "physics.d1" if ledger.d1 >= ledger.d2 else "physics.d2"
@@ -177,19 +178,19 @@ def compute_analysis_constants(ledger: ConstantLedger) -> ConstantLedger:
                                                     (d_max * C4) ** 2)),
              "closed form", "max(max(d)*C4, (max(d)*C4)^2): boundary-term "
              "bound")
-    s0 = put("s0", min(1.0, 2.0 / (g.c1 * d_max)), "closed form",
+    s0 = put("s0", min(1.0, 2.0 / (c1 * d_max)), "closed form",
              "min(1, 2/(c1*max(d))): makes every multiplier eta_i "
              "nonpositive via the gradient-value bound c1")
     s1 = put("s1", (3.0 / 8.0) / (0.5 * d_max * m["max_hess"] + C5),
              "sampled", "(3/8) / (max(d)*max|hess psi|/2 + C5)")
-    s2 = put("s2", min(s0, s1, 1.0 / (C3 + C5), g.c2 / d_min),
+    s2 = put("s2", min(s0, s1, 1.0 / (C3 + C5), c2 / d_min),
              "closed form", "min(s0, s1, 1/(C3+C5), c2/min(d))")
-    C0 = put("C0", 1.0 - d_min * s2 / (4.0 * g.c2), "closed form",
+    C0 = put("C0", 1.0 - d_min * s2 / (4.0 * c2), "closed form",
              "1 - min(d)*s2/(4*c2)")
     C6 = put("C6", m["max_psi"] + d_max * m["max_grad_sq"], "sampled",
              "max|psi| + max(d)*max|grad psi|^2 (sampled, 1.05 safety)")
     C7 = put("C7", _finite(d_key, "C7", lambda: d_max * C6
-                           / (g.c2 * g.c3 ** 2)),
+                           / (c2 * c3 ** 2)),
              "closed form", "max(d)*C6/(c2*c3^2)")
     if s2 > 0 and C0 == 1.0:
         raise ConfigError(
@@ -294,9 +295,10 @@ def compute_chain(ledger: ConstantLedger) -> ConstantLedger:
     solve.
     """
     with mp.workdps(DPS):
-        g, put = ledger.geometry, ledger.put
+        put = ledger.put
         C0, C1 = mp.mpf(ledger.C0), mp.mpf(ledger.C1)
-        mu0, mu1 = mp.mpf(g.mu0), mp.mpf(g.mu1)
+        mu0, mu1 = (mp.mpf(ledger.entries[f"geometry.{k}"].value)
+                    for k in ("mu0", "mu1"))
         T = put("T", float(ledger.params.T), "input",
                 "certificate horizon (configuration)")
 
@@ -391,34 +393,35 @@ def build_ledger(grid: Grid, params: WeightParams, sim: SimConfig,
         raise ConfigError("catalyst.k0 = 0 has no constant ledger (beta1 "
                           "needs 1/(8*B0*k0)); constants and a full verify "
                           "need catalyst.k0 > 0")
-    led = ConstantLedger(params, geometry_constants(params))
-    put, g = led.put, led.geometry
+    led, g = ConstantLedger(params), geometry_constants(params)
+    put = led.put
     put("d1", sim.d1, "input", "configuration")
     put("d2", sim.d2, "input", "configuration")
     put("k0", cat.k0, "input", "catalyst floor on the observation ball")
     put("B0", float(u0.min()), "exact",
         "cellwise min of the normalized initial data")
-    probe = f"on the closed ball sampled at resolution {g.probe_resolution}"
-    put("geometry.c01", g.c01, "sampled",
+    probe = ("on the closed ball sampled at resolution "
+             f"{g['probe_resolution']}")
+    put("geometry.c01", g["c01"], "sampled",
         f"min of (psi(x0)-psi)/|grad psi|^2 near x0, and its limit at x0, "
         f"{probe}, / 1.05")
-    put("geometry.c02", g.c02, "sampled",
+    put("geometry.c02", g["c02"], "sampled",
         f"max of (psi(x0)-psi)/|grad psi|^2 near x0, and its limit at x0, "
         f"{probe}, * 1.05")
-    put("geometry.c1", g.c1, "sampled",
+    put("geometry.c1", g["c1"], "sampled",
         f"max of |grad phi_i|^2/|phi_i|, and its limit at x0, {probe}, "
         f"* 1.05")
-    put("geometry.c2", g.c2, "sampled",
+    put("geometry.c2", g["c2"], "sampled",
         f"max of |phi_i|/|grad phi_i|^2 on |x| >= geometry.rho (phi1 also "
         f"inside), and the pinch limit at x0, {probe}, * 1.05")
-    put("geometry.c3", g.c3, "sampled",
+    put("geometry.c3", g["c3"], "sampled",
         f"min of 2*psi on |x| < geometry.rho, {probe}, / 1.05")
-    put("geometry.rho", g.rho, "closed form",
+    put("geometry.rho", g["rho"], "closed form",
         "(|x0| + R)/2: inner radius of the outer annulus")
-    put("geometry.mu0", g.mu0, "sampled",
+    put("geometry.mu0", g["mu0"], "sampled",
         f"min of psi(x0)-psi outside the observation ball B(x0, r), "
         f"{probe}, / 1.05")
-    put("geometry.mu1", g.mu1, "closed form",
+    put("geometry.mu1", g["mu1"], "closed form",
         "psi(x0) = 2*|x0|*R = sup(-phi1)")
     put("Cp", 1.0 / neumann_eigenvalue_1(grid), "exact",
         "1/lambda_1, smallest nonzero Neumann eigenvalue of the grid "

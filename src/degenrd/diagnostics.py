@@ -11,7 +11,9 @@ import numpy as np
 # squared-norm floor.  The other checks pass theirs inline: seven pass
 # 1e-9, frequency_growth 0.5 (it counts flags), energy_identity and the
 # two tilted-form residual checks 0.0, and observation_estimate 1e-12 in
-# place of its 1e-9 when a hypothesis bound it rests on fails.
+# place of its 1e-9 when a hypothesis bound it rests on fails.  A trivial
+# decay_certificate or theta_contraction result and a skipped
+# beta1_dissipation report margin 0.0 at tolerance 0.0.
 TOLERANCES = {
     "mass": 1e-8,              # |total mass - 2|
     "l2_monotone": 1e-8,       # allowed uptick of the squared L2 distance

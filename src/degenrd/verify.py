@@ -290,7 +290,9 @@ def interpolation_window_check(run: RunResult, wf: WeightFields,
     t_lo, t_mid = read_times(ledger.T)[2:4]
     y_0, y_T, yB_T = _terminal_norms(run, ledger.params)
     with mp.workdps(DPS):
-        g, h, ell = ledger.geometry, ledger.h_chain, ledger.ell
+        h, ell = ledger.h_chain, ledger.ell
+        mu0, mu1 = (mp.mpf(ledger.entries[f"geometry.{k}"].value)
+                    for k in ("mu0", "mu1"))
         s, L = mp.mpf(ledger.s2), ell * h
         (ln_fT, ln_pT), (ln_fm, ln_pm), (ln_fl, _) = (
             ln_tilted_norms(run.grid, run.snapshot_at(t)[1], wf, s / gamma)
@@ -305,10 +307,10 @@ def interpolation_window_check(run: RunResult, wf: WeightFields,
             # terminal localization: tilted pair norm at T against the ball
             # norm plus the exponentially crushed far-field remainder
             rhs3 = logaddexp(mp.log(mp.mpf(max(yB_T, _FLOOR))),
-                             -s * mp.mpf(g.mu0) / h + mp.log(mp.mpf(y_0)))
+                             -s * mu0 / h + mp.log(mp.mpf(y_0)))
             m3 = rhs3 - ln_pT if ln_pT > mp.mpf("-inf") else mp.mpf(0)
             # untilting: terminal norm against the mid-window tilted norm
-            m4 = (s * mp.mpf(g.mu1) / ((ell + 1) * h) + ln_pm
+            m4 = (s * mu1 / ((ell + 1) * h) + ln_pm
                   - mp.log(mp.mpf(max(y_T, _FLOOR)))) \
                 if y_T >= _FLOOR else mp.mpf(0)
             worst = min(to_float(m) for m in (m1, m3, m4))

@@ -19,7 +19,9 @@ sampled extremal ratios, and the derivative maxima (max |psi|,
 max |grad psi|^2, max |hess psi|, max |lap psi|, max |grad lap psi|) the
 ledger's C2..C7 are built from, as a dense scan of the closed ball.  The
 paper chain only needs their existence; downstream checks use these
-reported values.
+reported values.  `geometry_constants` returns the geometric constants as a
+plain dict, which `constants.build_ledger` copies into its `geometry.*`
+entries, the one copy the chain and the audit read.
 """
 
 from __future__ import annotations
@@ -127,17 +129,15 @@ class PsiJet:
 
     @cached_property
     def hess(self) -> np.ndarray:
-        """Hessian of psi, shape (m, dim, dim)."""
-        a, n, pts = self.a, self.n, self.pts
-        inv = 1.0 / self.den
-        H = np.zeros((pts.shape[0], n, n))
-        for k in range(n):
-            H[:, k, k] += -2.0 * inv
-        H[:, 0, :] += -4.0 * a * pts * (inv * inv)[:, None]
-        H[:, :, 0] += -4.0 * a * pts * (inv * inv)[:, None]
-        H[:, 0, 0] += 8.0 * a * a * self.g * inv ** 3
-        H *= self.q
-        return H
+        """Hessian of psi, shape (m, dim, dim).  Each entry sums its terms
+        from 0.0 in this order: the diagonal, row 0, column 0, the (0, 0)
+        term; so an entry of -0.0 reads +0.0."""
+        a, n, inv = self.a, self.n, 1.0 / self.den
+        diag = 0.0 + -2.0 * inv
+        t = -4.0 * a * self.pts * (inv * inv)[:, None]
+        h00 = diag + t[:, 0] + t[:, 0] + 8.0 * a * a * self.g * inv ** 3
+        cols = [h00] if n == 1 else [h00, 0.0 + t[:, 1], 0.0 + t[:, 1], diag]
+        return self.q * np.stack(cols, axis=1).reshape(-1, n, n)
 
     @cached_property
     def lap(self) -> np.ndarray:
@@ -200,34 +200,6 @@ def weight_fields(params: WeightParams, grid: Grid) -> WeightFields:
     return wf
 
 
-@dataclass(frozen=True)
-class GeometryConstants:
-    """Geometric constants of the weight: the sampled ones with a 1.05
-    safety margin, at probe resolution `probe_resolution`.
-
-    c01, c02 : two-sided pinch  c01*|grad psi|^2 <= psi(x0)-psi
-               <= c02*|grad psi|^2 near x0.
-    c1       : |grad phi_i|^2 <= c1*|phi_i| on the whole domain.
-    c2       : |phi_i| <= c2*|grad phi_i|^2 on the outer annulus
-               (and for phi1 on its complement).
-    c3       : phi3 - phi1 <= -c3 off the outer annulus (c3 = min of 2*psi).
-    rho      : inner radius of the outer annulus, (|x0| + R)/2 (closed
-               form).
-    mu0      : phi1 <= -mu0 outside the observation ball.
-    mu1      : sup(-phi1) = psi(x0) = 2|x0|R (closed form).
-    """
-
-    c01: float
-    c02: float
-    c1: float
-    c2: float
-    c3: float
-    rho: float
-    mu0: float
-    mu1: float
-    probe_resolution: int
-
-
 def _sample_points(params: WeightParams, m: int) -> np.ndarray:
     """Deterministic dense sampling of the closed ball.
 
@@ -260,16 +232,28 @@ def _safe_max_ratio(num: np.ndarray, den: np.ndarray, clause: str) -> float:
     return top
 
 
-def geometry_constants(params: WeightParams) -> GeometryConstants:
-    """Sampled extremal-ratio constants, refined from 10,000 samples by
-    doubling until stable below 1%."""
+def geometry_constants(params: WeightParams) -> dict:
+    """Geometric constants of the weight, the sampled ones with a 1.05
+    safety margin, refined from 10,000 samples by doubling until stable
+    below 1%; `probe_resolution` is the sample count they were taken at.
+
+    c01, c02 : two-sided pinch  c01*|grad psi|^2 <= psi(x0)-psi
+               <= c02*|grad psi|^2 near x0.
+    c1       : |grad phi_i|^2 <= c1*|phi_i| on the whole domain.
+    c2       : |phi_i| <= c2*|grad phi_i|^2 on the outer annulus
+               (and for phi1 on its complement).
+    c3       : phi3 - phi1 <= -c3 off the outer annulus (c3 = min of 2*psi).
+    rho      : inner radius of the outer annulus, (|x0| + R)/2 (closed
+               form).
+    mu0      : phi1 <= -mu0 outside the observation ball.
+    mu1      : sup(-phi1) = psi(x0) = 2|x0|R (closed form).
+    """
     prev = None
     m = 10_000
     for _ in range(8):
         cur = _geometry_constants_once(params, m)
         if prev is not None:
-            drift = max(abs(getattr(cur, k) - getattr(prev, k))
-                        / max(abs(getattr(prev, k)), 1e-30)
+            drift = max(abs(cur[k] - prev[k]) / max(abs(prev[k]), 1e-30)
                         for k in ("c01", "c02", "c1", "c2", "c3", "mu0"))
             if drift < 0.01:
                 return cur
@@ -278,8 +262,7 @@ def geometry_constants(params: WeightParams) -> GeometryConstants:
     return prev
 
 
-def _geometry_constants_once(params: WeightParams,
-                             m: int) -> GeometryConstants:
+def _geometry_constants_once(params: WeightParams, m: int) -> dict:
     R, a = params.radius, params.x0_abs
     pts = _sample_points(params, m)
     peak = psi_at_x0(params)
@@ -344,9 +327,8 @@ def _geometry_constants_once(params: WeightParams,
     c01 = min(float(np.min(pinch)), limit_pinch) / 1.05
     c02 = max(float(np.max(pinch)), limit_pinch) * 1.05
 
-    return GeometryConstants(
-        c01=c01, c02=c02, c1=c1, c2=c2, c3=c3, rho=rho,
-        mu0=mu0, mu1=peak, probe_resolution=m)
+    return dict(c01=c01, c02=c02, c1=c1, c2=c2, c3=c3, rho=rho,
+                mu0=mu0, mu1=peak, probe_resolution=m)
 
 
 def derivative_maxima(params: WeightParams) -> dict:

@@ -135,7 +135,8 @@ def test_criterion_04_antisymmetric_cancellation(p):
 # ---------------------------------------------------------------------------
 
 def test_criterion_05_weight_geometry(ref_ledger, ref_params):
-    g = ref_ledger.geometry
+    g = {k: ref_ledger.entries[f"geometry.{k}"].value
+         for k in ("c01", "c02", "c1", "c2", "c3", "rho")}
     p = ref_params
     rng = np.random.default_rng(2024)
     pts = rng.uniform(-p.radius, p.radius, (10_000, 1))
@@ -145,18 +146,18 @@ def test_criterion_05_weight_geometry(ref_ledger, ref_params):
     peak = psi_at_x0(p)
     phi1, phi3 = psi - peak, -psi - peak
     dist0 = np.abs(pts[:, 0] - p.x0_abs)
-    annulus = np.abs(pts[:, 0]) >= g.rho
+    annulus = np.abs(pts[:, 0]) >= g["rho"]
     inner = ~annulus & (dist0 > 1e-4)
     nbhd = (dist0 <= 0.5 * (p.radius - p.x0_abs)) & (dist0 > 1e-4)
     viol = 0
-    viol += int(np.sum(grad_sq > g.c1 * np.abs(phi1) + 1e-12))
-    viol += int(np.sum(grad_sq > g.c1 * np.abs(phi3) + 1e-12))
+    viol += int(np.sum(grad_sq > g["c1"] * np.abs(phi1) + 1e-12))
+    viol += int(np.sum(grad_sq > g["c1"] * np.abs(phi3) + 1e-12))
     viol += int(np.sum(np.abs(phi1[annulus])
-                       > g.c2 * grad_sq[annulus] + 1e-12))
-    viol += int(np.sum(np.abs(phi1[inner]) > g.c2 * grad_sq[inner] + 1e-12))
-    viol += int(np.sum((phi3 - phi1)[~annulus] > -g.c3 + 1e-12))
-    viol += int(np.sum((peak - psi[nbhd]) < g.c01 * grad_sq[nbhd] - 1e-12))
-    viol += int(np.sum((peak - psi[nbhd]) > g.c02 * grad_sq[nbhd] + 1e-12))
+                       > g["c2"] * grad_sq[annulus] + 1e-12))
+    viol += int(np.sum(np.abs(phi1[inner]) > g["c2"] * grad_sq[inner] + 1e-12))
+    viol += int(np.sum((phi3 - phi1)[~annulus] > -g["c3"] + 1e-12))
+    viol += int(np.sum((peak - psi[nbhd]) < g["c01"] * grad_sq[nbhd] - 1e-12))
+    viol += int(np.sum((peak - psi[nbhd]) > g["c02"] * grad_sq[nbhd] + 1e-12))
 
     # gradient order-2 against central differences
     errs = []

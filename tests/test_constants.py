@@ -22,11 +22,13 @@ import pytest
 
 from degenrd.constants import DPS
 from degenrd.config import ConfigError
-from degenrd.constants import (METHODS, build_ledger, compute_K0,
-                               compute_sobolev_constant, ln_time_integral)
+from degenrd.constants import (METHODS, build_ledger,
+                               compute_analysis_constants, compute_chain,
+                               compute_K0, compute_sobolev_constant,
+                               ln_time_integral)
 from degenrd.grid import build_grid, dirichlet_energy, integrate
 from degenrd.solver import CatalystSpec
-from degenrd.weights import PsiJet
+from degenrd.weights import PsiJet, geometry_constants
 
 
 # ---------------------------------------------------------------------------
@@ -143,18 +145,19 @@ def test_ledger_order_relations(ref_ledger):
     assert led.K0 == pytest.approx(32.0, rel=1e-6)
     assert led.beta1 > 0
     assert led.c > 1 and led.M > 1
-    assert led.geometry.mu0 > 0 and led.geometry.mu1 > 0
+    assert led.entries["geometry.mu0"].value > 0
+    assert led.entries["geometry.mu1"].value > 0
 
 
 def test_window_multiplier_admissibility(ref_ledger):
     """The reported multiplier satisfies the selection inequality and the
     exponent M_ell stays under its closed-form bound."""
     led = ref_ledger
-    g = led.geometry
+    mu0, mu1 = (led.entries[f"geometry.{k}"].value for k in ("mu0", "mu1"))
     with mp.workdps(60):
         ln_ellp1 = mp.log(led.ell + 1)
-        lhs = mp.log(g.mu1) + mp.log(1 + mp.e ** led.ln_M_ell_bound)
-        rhs = mp.log(g.mu0 / 2) + ln_ellp1
+        lhs = mp.log(mu1) + mp.log(1 + mp.e ** led.ln_M_ell_bound)
+        rhs = mp.log(mu0 / 2) + ln_ellp1
         assert lhs <= rhs
         assert mp.log(led.M_ell) <= led.ln_M_ell_bound
         assert led.ell > 10 ** 6
@@ -243,12 +246,33 @@ def test_ledger_methods_and_no_duplicates(ref_ledger):
                "geometry.c02", "geometry.c1", "geometry.c2", "geometry.c3",
                "geometry.mu0"}
     assert {n for n, m in method.items() if m == "sampled"} == sampled
-    probe = str(ref_ledger.geometry.probe_resolution)
+    probe = str(geometry_constants(ref_ledger.params)["probe_resolution"])
     for name in sampled:
         if name.startswith("geometry."):
             assert probe in doc[name]["provenance"], name
     assert not {"mu0", "mu1", "geometry.probe_resolution"} & set(doc)
-    assert doc["geometry.mu1"]["value"] == ref_ledger.geometry.mu1
+    assert doc["geometry.mu1"]["value"] == ref_ledger.entries[
+        "geometry.mu1"].value
+
+
+def test_stages_read_the_geometry_entries(ref_run, ref_params):
+    """The weight geometry is kept once, as the geometry.* entries: the
+    ledger has no other copy, and a changed entry moves what the chain and
+    the analysis constants compute from it."""
+    led = build_ledger(ref_run.grid, ref_params, ref_run.config,
+                       ref_run.snapshots[0])
+    assert not hasattr(led, "geometry")
+
+    def double(name, stage, moved):
+        before = {k: led.entries[k].value for k in moved}
+        led.entries[name] = replace(led.entries[name],
+                                    value=2 * led.entries[name].value)
+        stage(led)
+        for k, value in before.items():
+            assert led.entries[k].value != value, (name, k)
+
+    double("geometry.mu0", compute_chain, ("ell", "mu2"))
+    double("geometry.c2", compute_analysis_constants, ("C0", "C7"))
 
 
 @pytest.mark.parametrize("k_sup,name", [(1e80, "C1"), (1e200, "K0")])

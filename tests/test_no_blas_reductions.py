@@ -4,8 +4,11 @@ in the package source.
 `np.dot`, `np.vdot`, `np.inner` and a whole-array `np.linalg.norm` are BLAS
 calls: OpenBLAS splits long vectors over threads, so the sum depends on the
 host's thread count, and the woken threads spin against the solver.  Cell
-and face sums are numpy pairwise sums (`(w * v).sum()`); a norm along an
-axis (`np.linalg.norm(x, axis=1)`) does not call BLAS and is allowed.
+and face sums are numpy pairwise sums (`(w * v).sum()`).  A norm along an
+axis (`np.linalg.norm(x, axis=1)`) does not call BLAS, so this scan allows
+it; `tests/test_column_sums.py` forbids every `np.linalg.norm` in the
+package all the same, for speed: numpy reduces a short coordinate axis
+row by row, and `grid.rowdot` sums the columns with the same bits.
 
 `mp.quad` (and its `quadts`, `quadgl` forms) tests convergence by an
 absolute error: on an integrand far below 1, such as the ledger's

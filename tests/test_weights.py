@@ -349,8 +349,8 @@ def geom():
 
 
 def test_geometry_mu1_closed_form(geom):
-    assert geom.mu1 == pytest.approx(2 * P1.x0_abs * P1.radius, rel=1e-12)
-    assert geom.rho == pytest.approx(0.5 * (P1.x0_abs + P1.radius), rel=0)
+    assert geom["mu1"] == pytest.approx(2 * P1.x0_abs * P1.radius, rel=1e-12)
+    assert geom["rho"] == pytest.approx(0.5 * (P1.x0_abs + P1.radius), rel=0)
 
 
 def test_geometry_clause_bounds_hold_on_fresh_samples(geom):
@@ -365,28 +365,28 @@ def test_geometry_clause_bounds_hold_on_fresh_samples(geom):
     phi1, phi3 = psi - peak, -psi - peak
     dist0 = np.abs(pts[:, 0] - P1.x0_abs)
     rad = np.abs(pts[:, 0])
-    annulus = rad >= geom.rho
+    annulus = rad >= geom["rho"]
 
     # gradient-value bound everywhere, both signs of the weight
-    assert np.all(grad_sq <= geom.c1 * np.abs(phi1) + 1e-12)
-    assert np.all(grad_sq <= geom.c1 * np.abs(phi3) + 1e-12)
+    assert np.all(grad_sq <= geom["c1"] * np.abs(phi1) + 1e-12)
+    assert np.all(grad_sq <= geom["c1"] * np.abs(phi3) + 1e-12)
     # reverse bound on the outer annulus, plus phi1 off the annulus
     assert np.all(np.abs(phi1[annulus])
-                  <= geom.c2 * grad_sq[annulus] + 1e-12)
+                  <= geom["c2"] * grad_sq[annulus] + 1e-12)
     assert np.all(np.abs(phi3[annulus])
-                  <= geom.c2 * grad_sq[annulus] + 1e-12)
+                  <= geom["c2"] * grad_sq[annulus] + 1e-12)
     inner = ~annulus & (dist0 > 1e-4)
-    assert np.all(np.abs(phi1[inner]) <= geom.c2 * grad_sq[inner] + 1e-12)
+    assert np.all(np.abs(phi1[inner]) <= geom["c2"] * grad_sq[inner] + 1e-12)
     # separation of the two exponents off the annulus
-    assert np.all((phi3 - phi1)[~annulus] <= -geom.c3 + 1e-12)
+    assert np.all((phi3 - phi1)[~annulus] <= -geom["c3"] + 1e-12)
     # decay outside the observation ball
     outside = dist0 >= P1.r
-    assert np.all(phi1[outside] <= -geom.mu0 + 1e-12)
+    assert np.all(phi1[outside] <= -geom["mu0"] + 1e-12)
     # two-sided pinch near the peak
     nbhd = (dist0 <= 0.5 * (P1.radius - P1.x0_abs)) & (dist0 > 1e-4)
     pinch = (peak - psi[nbhd])
-    assert np.all(pinch >= geom.c01 * grad_sq[nbhd] - 1e-12)
-    assert np.all(pinch <= geom.c02 * grad_sq[nbhd] + 1e-12)
+    assert np.all(pinch >= geom["c01"] * grad_sq[nbhd] - 1e-12)
+    assert np.all(pinch <= geom["c02"] * grad_sq[nbhd] + 1e-12)
 
 
 def test_geometry_constants_deterministic():
@@ -447,6 +447,19 @@ _CENTRES = [0.05, 0.1, 0.25, 0.3] + [round(0.2540 + 0.0001 * k, 4)
 def test_derivative_maxima_equal_the_full_eigvalsh_scan(dim, x0):
     params = WeightParams(x0_abs=x0, r=0.1, s=0.5, h=0.1, T=1.0, dim=dim)
     assert derivative_maxima(params) == _eigvalsh_maxima(params)
+
+
+@pytest.mark.parametrize("dim", [1, 2])
+@pytest.mark.parametrize("x0", _CENTRES)
+def test_hess_bitwise_equals_the_strided_stack(dim, x0):
+    """`PsiJet.hess`, built from whole columns, keeps every bit of the
+    stack `eval_hess_psi` builds by strided passes onto zeros, the sign of
+    each zero included (the off-diagonal at x_2 = 0 reads +0.0)."""
+    params = WeightParams(x0_abs=x0, r=0.1, s=0.5, h=0.1, T=1.0, dim=dim)
+    for pts in (_sample_points(params, DERIVATIVE_SAMPLES),
+                build_grid(dim, 32).centers):
+        assert PsiJet(params, pts).hess.tobytes() \
+            == eval_hess_psi(params, pts).tobytes()
 
 
 @pytest.mark.parametrize("bad", [math.nan, math.inf])
