@@ -20,8 +20,7 @@ max |grad psi|^2, max |hess psi|, max |lap psi|, max |grad lap psi|) the
 ledger's C2..C7 are built from, as a dense scan of the closed ball.  The
 paper chain only needs their existence; downstream checks use these
 reported values.  `geometry_constants` returns the geometric constants as a
-plain dict, which `constants.build_ledger` copies into its `geometry.*`
-entries, the one copy the chain and the audit read.
+plain dict, with the probe resolution they were sampled at.
 """
 
 from __future__ import annotations

@@ -246,13 +246,13 @@ def test_ledger_methods_and_no_duplicates(ref_ledger):
                "geometry.c02", "geometry.c1", "geometry.c2", "geometry.c3",
                "geometry.mu0"}
     assert {n for n, m in method.items() if m == "sampled"} == sampled
-    probe = str(geometry_constants(ref_ledger.params)["probe_resolution"])
+    g = geometry_constants(ref_ledger.params)
+    probe = str(g["probe_resolution"])
     for name in sampled:
         if name.startswith("geometry."):
             assert probe in doc[name]["provenance"], name
     assert not {"mu0", "mu1", "geometry.probe_resolution"} & set(doc)
-    assert doc["geometry.mu1"]["value"] == ref_ledger.entries[
-        "geometry.mu1"].value
+    assert doc["geometry.mu1"]["value"] == g["mu1"]
 
 
 def test_stages_read_the_geometry_entries(ref_run, ref_params):
