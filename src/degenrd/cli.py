@@ -37,9 +37,14 @@ def _g(x: float) -> str:
     return "%.17g" % float(x)
 
 
+def _json_text(obj) -> str:
+    """`obj` in the layout of every JSON output: indent 2, sorted keys."""
+    return json.dumps(obj, indent=2, sort_keys=True)
+
+
 def _write_json(path: Path, obj) -> str:
-    """Write `obj` as indented, key-sorted JSON; return the text."""
-    text = json.dumps(obj, indent=2, sort_keys=True)
+    """Write `obj` as `_json_text` and a newline; return the text."""
+    text = _json_text(obj)
     path.write_text(text + "\n", encoding="utf-8")
     return text
 
@@ -230,10 +235,7 @@ def cmd_constants(args) -> int:
     step_plan(grid, rc.sim, u)               # the config must simulate
     ledger = build_ledger(grid, rc.weights, rc.sim, u)
     doc = {"format_version": FORMAT_VERSION, "ledger": ledger.as_json()}
-    text = json.dumps(doc, indent=2, sort_keys=True)
-    if out:
-        out.write_text(text + "\n", encoding="utf-8")
-    print(text)
+    print(_write_json(out, doc) if out else _json_text(doc))
     return EXIT_OK
 
 
@@ -254,7 +256,7 @@ def cmd_interp_check(args) -> int:
         raise ConfigError(f"{args.series}: {exc}") from None
     report = interp_check(inp)
     report["format_version"] = FORMAT_VERSION
-    print(json.dumps(report, indent=2, sort_keys=True))
+    print(_json_text(report))
     return EXIT_OK if report["pass"] else EXIT_INVARIANT
 
 

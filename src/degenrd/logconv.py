@@ -6,8 +6,9 @@ exponential weights, giving four components f_i = u_i * exp(Phi_i/2)
 cancels the boundary terms of the quadratic forms in the continuum).  The
 tilted state is stored as (4, ncells) arrays, one row per component; the
 row map below is the only place that says which species, weight and
-diffusivity a component has.  On top of the tilted fields this module
-evaluates
+diffusivity a component has.  The weight is psi's checked `PsiJet` on the
+grid (`weights.weight_fields`), whose phi1, phi3 and derivatives the rows
+read.  On top of the tilted fields this module evaluates
 
   * the symmetric form <Sf,f> = sum_i d_i*int|grad f_i|^2 - int eta_i f_i^2,
   * the antisymmetric form <Af,f> (a residual: zero in the continuum,
@@ -37,7 +38,7 @@ from .constants import (DPS, fmt, interp_margin, ln_prefactor,
 from .diagnostics import TOLERANCES, TraceSeries, fd_derivative
 from .grid import (Grid, integrate, dirichlet_energy, cell_gradient,
                    rowdot)
-from .weights import WeightFields, PsiJet
+from .weights import PsiJet
 # unused here: perfbench/tracing.py wraps `logconv.weight_fields` and
 # reports the target missing when the name does not resolve
 from .weights import weight_fields  # noqa: F401
@@ -53,9 +54,9 @@ SPECIES = np.array([0, 1, 0, 1])
 SIGN = np.array([[1.0], [1.0], [-1.0], [-1.0]])
 
 
-def _phi_rows(wf: WeightFields) -> np.ndarray:
+def _phi_rows(jet: PsiJet) -> np.ndarray:
     """The weights phi_i of the four rows, shape (4, ncells)."""
-    return np.where(SIGN > 0, wf.phi1, wf.phi3)
+    return np.where(SIGN > 0, jet.phi1, jet.phi3)
 
 
 @dataclass
@@ -69,7 +70,7 @@ class TiltedState:
     """
 
     t: float
-    wf: WeightFields
+    jet: PsiJet
     grid: Grid
     u: np.ndarray               # (2, ncells): u1 = a-1, u2 = b-1
     Phi: np.ndarray             # (4, ncells) exponents s*phi_i/Gamma
@@ -80,7 +81,7 @@ class TiltedState:
 
     def dPhi(self) -> np.ndarray:
         """(4, 1) factors of psi's derivatives in Phi_i: +-s/Gamma."""
-        p = self.wf.params
+        p = self.jet.params
         return SIGN * p.s / p.gamma(self.t)
 
     def norm2(self) -> float:
@@ -95,26 +96,27 @@ def reaction_source(k: np.ndarray, u1: np.ndarray,
 
 
 def tilt(grid: Grid, t: float, u: np.ndarray, k: np.ndarray,
-         wf: WeightFields, d1: float, d2: float) -> TiltedState:
-    """Tilt the state u = (a, b) at time t with the weight fields `wf` of
-    the grid, for the diffusivities d1 of a and d2 of b.
+         jet: PsiJet, d1: float, d2: float) -> TiltedState:
+    """Tilt the state u = (a, b) at time t with psi's checked jet `jet`
+    on the grid (`weight_fields`), for the diffusivities d1 of a and d2
+    of b.
 
     u has shape (2, ncells); k holds the catalyst values at t.  The
     multipliers are eta_i = dPhi_i/dt / 2 + d_i*|grad Phi_i|^2 / 4, i.e.
     s/Gamma^2 * (-|phi_i|/2 + d_i*s*|grad psi|^2/4).
     """
-    params = wf.params
+    params = jet.params
     if not 0 <= t <= params.T + 1e-12:
         raise ValueError("state time outside the weight window [0, T]")
     u = u - 1.0
     v1 = reaction_source(k, *u)
-    phi = _phi_rows(wf)
+    phi = _phi_rows(jet)
     s, gam = params.s, params.gamma(t)
     Phi = s * phi / gam
     d = np.array((d1, d2))[SPECIES]
     eta = s / gam ** 2 * (-0.5 * np.abs(phi)
-                          + 0.25 * d[:, None] * s * wf.grad_psi_sq)
-    return TiltedState(t=t, wf=wf, grid=grid, u=u, Phi=Phi,
+                          + 0.25 * d[:, None] * s * jet.grad_sq)
+    return TiltedState(t=t, jet=jet, grid=grid, u=u, Phi=Phi,
                        f=u[SPECIES] * np.exp(0.5 * Phi),
                        v=np.array([v1, -v1])[SPECIES], d=d, eta=eta)
 
@@ -132,8 +134,8 @@ def antisym_form(ts: TiltedState) -> float:
     zero at discretization order."""
     grid, f = ts.grid, ts.f
     dPhi = ts.dPhi()
-    grad_Phi = dPhi[:, :, None] * ts.wf.grad_psi
-    lap_Phi = dPhi * ts.wf.laplacian_psi
+    grad_Phi = dPhi[:, :, None] * ts.jet.grad
+    lap_Phi = dPhi * ts.jet.lap
     return sum(integrate(grid, (-di * rowdot(gi, cell_gradient(grid, fi))
                                 - 0.5 * di * li * fi) * fi)
                for di, fi, gi, li in zip(ts.d, f, grad_Phi, lap_Phi))
@@ -149,7 +151,7 @@ def sym_form_direct(ts: TiltedState) -> float:
     Agrees with `sym_form` at discretization order.
     """
     grid, f = ts.grid, ts.f
-    gpsi_b = PsiJet(ts.wf.params, grid.bface_mid).grad
+    gpsi_b = PsiJet(ts.jet.params, grid.bface_mid).grad
     dn_psi = rowdot(gpsi_b, grid.bface_normal)
     if grid.dim == 1:
         inner = np.array([1, grid.ncells - 2])
@@ -163,18 +165,18 @@ def sym_form_direct(ts: TiltedState) -> float:
                for di, fi, bi, ei in zip(ts.d, f, flux, ts.eta))
 
 
-def frequency_trace(run: RunResult, wf: WeightFields) -> TraceSeries:
+def frequency_trace(run: RunResult, jet: PsiJet) -> TraceSeries:
     """N(t) and its ingredients on all field snapshots with t <= T, tilted
-    with the weight fields `wf` of the run's grid; no ledger constant
+    with psi's checked jet `jet` on the run's grid; no ledger constant
     enters.  Channels: N (nan where ||f||^2 is below the floor), Sff,
     norm2 = ||f||^2, F2 (the tilted squared source norm) and Fdotf (the
     pairing <tilted source, f>)."""
-    cfg, params = run.config, wf.params
+    cfg, params = run.config, jet.params
     rows = []
     for t, u in zip(run.snapshot_times.tolist(), run.snapshots):
         if t > params.T + 1e-12:
             continue
-        ts = tilt(run.grid, t, u, cfg.catalyst.values(run.grid, t), wf,
+        ts = tilt(run.grid, t, u, cfg.catalyst.values(run.grid, t), jet,
                   cfg.d1, cfg.d2)
         w = np.exp(ts.Phi)
         rows.append((t, sym_form(ts), ts.norm2(),
@@ -330,10 +332,10 @@ def _ln_tilted_norm2(grid: Grid, u: np.ndarray, phi: np.ndarray, coef):
     return coef * mp.mpf(phi_top) + top + math.log(np.exp(terms - top).sum())
 
 
-def ln_tilted_norms(grid: Grid, u: np.ndarray, wf: WeightFields, coef):
+def ln_tilted_norms(grid: Grid, u: np.ndarray, jet: PsiJet, coef):
     """ln ||f||^2 of the state u = (a, b), shape (2, ncells), tilted with
     exp(coef*phi_i/2) for coef = s/Gamma: over all four rows and over
     rows 1, 2 alone (mpf; see `_ln_tilted_norm2`)."""
-    u, phi = (u - 1.0)[SPECIES], _phi_rows(wf)
+    u, phi = (u - 1.0)[SPECIES], _phi_rows(jet)
     return (_ln_tilted_norm2(grid, u, phi, coef),
             _ln_tilted_norm2(grid, u[:2], phi[:2], coef))

@@ -22,7 +22,7 @@ from .logconv import (antisym_form, frequency_trace, growth_violations,
                       ln_tilted_norms, reaction_source, sym_form,
                       sym_form_direct, tilt)
 from .solver import RunResult
-from .weights import WeightFields, WeightParams, weight_fields
+from .weights import PsiJet, WeightParams, weight_fields
 
 _FLOOR = TOLERANCES["norm_floor"]
 
@@ -114,7 +114,7 @@ def beta1_chain_check(run: RunResult, ledger) -> CheckResult:
                        worst, 1e-9)
 
 
-def tilted_form_checks(run: RunResult, wf: WeightFields) -> list[CheckResult]:
+def tilted_form_checks(run: RunResult, jet: PsiJet) -> list[CheckResult]:
     """Residual checks on the tilted quadratic forms at a mid-run state.
 
     The antisymmetric form and the direct/integrated-by-parts disagreement
@@ -123,9 +123,9 @@ def tilted_form_checks(run: RunResult, wf: WeightFields) -> list[CheckResult]:
     The snapshot nearest T/2 is tilted once; every form is read from it.
     """
     cfg = run.config
-    t, u = run.snapshot_at(0.5 * wf.params.T)
-    ts = tilt(run.grid, t, u, cfg.catalyst.values(run.grid, t), wf, cfg.d1,
-              cfg.d2)
+    t, u = run.snapshot_at(0.5 * jet.params.T)
+    ts = tilt(run.grid, t, u, cfg.catalyst.values(run.grid, t), jet,
+              cfg.d1, cfg.d2)
     Sff, Aff, Sff_direct = (form(ts) for form in
                             (sym_form, antisym_form, sym_form_direct))
     scale = max(ts.norm2(), abs(Sff), _FLOOR)
@@ -142,12 +142,12 @@ def tilted_form_checks(run: RunResult, wf: WeightFields) -> list[CheckResult]:
     ]
 
 
-def _frequency_trace_checks(run: RunResult, wf: WeightFields,
+def _frequency_trace_checks(run: RunResult, jet: PsiJet,
                             ledger) -> list[CheckResult]:
-    """Inequalities along `frequency_trace(run, wf)` with ledger constants;
+    """Inequalities along `frequency_trace(run, jet)` with ledger constants;
     the growth check counts the samples where the finite-difference N'
     breaks the growth hypothesis (`growth_violations`, F2 = 2*C1/h^2)."""
-    ft = frequency_trace(run, wf)
+    ft = frequency_trace(run, jet)
     params, valid = ledger.params, ~np.isnan(ft["N"])
     flags = []
     if np.count_nonzero(valid) >= 5:
@@ -275,11 +275,11 @@ def observation_estimate_check(run: RunResult, ledger) -> CheckResult:
                        "initial norm", margin, 1e-9)
 
 
-def interpolation_window_check(run: RunResult, wf: WeightFields,
+def interpolation_window_check(run: RunResult, jet: PsiJet,
                                ledger) -> CheckResult:
     """Check the ledger's interpolation-window inequalities on a run.
 
-    Uses the chain's own (s, h, ell) and the weight fields `wf` on the
+    Uses the chain's own (s, h, ell) and psi's checked jet `jet` on the
     run's grid, whose phi1 and phi3 depend on x0_abs and dim alone, not
     on r, s, h or T: the tilted norms at the window times T, T-L, T-2L of
     `read_times` (L = ell*h) are `ln_tilted_norms`, and the three
@@ -295,7 +295,7 @@ def interpolation_window_check(run: RunResult, wf: WeightFields,
                     for k in ("mu0", "mu1"))
         s, L = mp.mpf(ledger.s2), ell * h
         (ln_fT, ln_pT), (ln_fm, ln_pm), (ln_fl, _) = (
-            ln_tilted_norms(run.grid, run.snapshot_at(t)[1], wf, s / gamma)
+            ln_tilted_norms(run.grid, run.snapshot_at(t)[1], jet, s / gamma)
             for t, gamma in ((ledger.T, h), (t_mid, L + h),
                              (t_lo, 2 * L + h)))
         if y_0 < _FLOOR:
@@ -335,9 +335,9 @@ def audit(run: RunResult, ledger=None) -> list[dict]:
         checks += [decay_certificate_check(run, ledger),
                    theta_contraction_check(run, ledger),
                    beta1_chain_check(run, ledger)]
-        wf = weight_fields(ledger.params, run.grid)
-        checks += [*tilted_form_checks(run, wf),
-                   *_frequency_trace_checks(run, wf, ledger),
+        jet = weight_fields(ledger.params, run.grid)
+        checks += [*tilted_form_checks(run, jet),
+                   *_frequency_trace_checks(run, jet, ledger),
                    observation_estimate_check(run, ledger),
-                   interpolation_window_check(run, wf, ledger)]
+                   interpolation_window_check(run, jet, ledger)]
     return [c.as_dict() for c in checks]

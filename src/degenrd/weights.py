@@ -8,9 +8,10 @@ positive inside the ball, zero on the boundary, with a nondegenerate
 maximum at the interior point x0 = (|x0|, 0, ..., 0).  Two shifted copies
 phi1 = psi - psi(x0) and phi3 = -psi - psi(x0) are combined with the
 time factor Gamma(t) = T - t + h into the exponents Phi_i = s*phi_i/Gamma
-used to tilt the solution components.  `PsiJet` evaluates psi and its
-first, second, and third derivatives from the differentiated formulas,
-never by numerical differencing.
+used to tilt the solution components.  `PsiJet`, the one representation
+of the weight, evaluates psi, phi1, phi3 and psi's first, second, and third
+derivatives from the differentiated formulas, never by numerical
+differencing; `weight_fields` is the checked jet on a grid's cell centres.
 
 Every sampled bound of psi lives here, each with a 1.05 safety factor:
 the geometric constants (the two-sided quadratic pinch around x0 and the
@@ -89,14 +90,14 @@ class WeightParams:
 
 
 class PsiJet:
-    """psi and its closed-form derivatives on an (m, dim) point array.
+    """psi, its shifts and its closed-form derivatives on (m, dim) points.
 
-    The points are validated, and q = 2|x0|R, den = |x0|^2 + R^2 - 2|x0|x_1
-    and g = R^2 - |x|^2 formed, once; each derivative is computed on first
-    access.  Sums over the coordinates go through `grid.rowdot`.  `hess`
-    is the full (m, dim, dim) stack; `derivative_maxima` bounds its
-    spectral radius from the closed-form 2x2 estimate and runs `eigvalsh`
-    on the candidate maxima alone.
+    The points are validated, and the peak psi(x0) = 2|x0|R, sq = |x|^2,
+    den = |x0|^2 + R^2 - 2|x0|x_1 and g = R^2 - |x|^2 formed, once; every
+    other quantity is computed on first access.  Sums over the coordinates
+    go through `grid.rowdot`.  `hess` is the full (m, dim, dim) stack;
+    `derivative_maxima` bounds its spectral radius from the closed-form
+    2x2 estimate and runs `eigvalsh` on the candidate maxima alone.
     """
 
     def __init__(self, params: WeightParams, points):
@@ -108,23 +109,39 @@ class PsiJet:
         sq = rowdot(pts, pts)
         if np.any(np.sqrt(sq) > R * (1 + 1e-12) + 1e-14):
             raise ValueError("point outside the closed domain")
-        self.pts, self.a, self.n = pts, a, params.dim
-        self.q = 2.0 * a * R
+        self.params, self.pts, self.a, self.n = params, pts, a, params.dim
+        self.peak = 2.0 * a * R
+        self.sq = sq
         self.den = a * a + R * R - 2.0 * a * pts[:, 0]
         self.g = R * R - sq
 
     @cached_property
     def psi(self) -> np.ndarray:
         """Weight value psi(x); vanishes on the boundary, peaks at x0."""
-        return self.q * self.g / self.den
+        return self.peak * self.g / self.den
+
+    @cached_property
+    def phi1(self) -> np.ndarray:
+        """The shift phi1 = psi - psi(x0), nonpositive."""
+        return self.psi - self.peak
+
+    @cached_property
+    def phi3(self) -> np.ndarray:
+        """The shift phi3 = -psi - psi(x0)."""
+        return -self.psi - self.peak
 
     @cached_property
     def grad(self) -> np.ndarray:
         """Gradient of psi, shape (m, dim)."""
-        a, q, den, g = self.a, self.q, self.den, self.g
+        a, q, den, g = self.a, self.peak, self.den, self.g
         grad = -2.0 * q * self.pts / den[:, None]
         grad[:, 0] += 2.0 * a * q * g / (den * den)
         return grad
+
+    @cached_property
+    def grad_sq(self) -> np.ndarray:
+        """|grad psi|^2, shape (m,)."""
+        return rowdot(self.grad, self.grad)
 
     @cached_property
     def hess(self) -> np.ndarray:
@@ -136,15 +153,15 @@ class PsiJet:
         t = -4.0 * a * self.pts * (inv * inv)[:, None]
         h00 = diag + t[:, 0] + t[:, 0] + 8.0 * a * a * self.g * inv ** 3
         cols = [h00] if n == 1 else [h00, 0.0 + t[:, 1], 0.0 + t[:, 1], diag]
-        return self.q * np.stack(cols, axis=1).reshape(-1, n, n)
+        return self.peak * np.stack(cols, axis=1).reshape(-1, n, n)
 
     @cached_property
     def lap(self) -> np.ndarray:
         """Laplacian of psi, shape (m,)."""
         a, den, g = self.a, self.den, self.g
-        return self.q * (-2.0 * self.n / den
-                         - 8.0 * a * self.pts[:, 0] / den ** 2
-                         + 8.0 * a * a * g / den ** 3)
+        return self.peak * (-2.0 * self.n / den
+                            - 8.0 * a * self.pts[:, 0] / den ** 2
+                            + 8.0 * a * a * g / den ** 3)
 
     @cached_property
     def grad_lap(self) -> np.ndarray:
@@ -154,49 +171,21 @@ class PsiJet:
         out[:, 0] += ((-4.0 * self.n - 8.0) * a / den ** 2
                       - 32.0 * a * a * self.pts[:, 0] / den ** 3
                       + 48.0 * a ** 3 * g / den ** 4)
-        out *= self.q
+        out *= self.peak
         return out
 
 
-def psi_at_x0(params: WeightParams) -> float:
-    """Peak value psi(x0) = 2*|x0|*R (closed form)."""
-    return 2.0 * params.x0_abs * params.radius
-
-
-@dataclass
-class WeightFields:
-    """psi's shifts phi1 = psi - psi(x0), phi3 = -psi - psi(x0) and
-    derivatives on every cell; `logconv`'s row map assigns them."""
-
-    params: WeightParams
-    phi1: np.ndarray              # per cell
-    phi3: np.ndarray
-    grad_psi: np.ndarray          # (ncells, dim)
-    laplacian_psi: np.ndarray
-    grad_psi_sq: np.ndarray       # |grad psi|^2 per cell
-
-
-def weight_fields(params: WeightParams, grid: Grid) -> WeightFields:
-    """Evaluate psi, its shifts and derivatives on all cell centers."""
+def weight_fields(params: WeightParams, grid: Grid) -> PsiJet:
+    """psi's jet on the cell centres of `grid`, checked: psi > 0 at every
+    cell and phi1 <= 1e-12."""
     if grid.dim != params.dim:
         raise ValueError("grid dimension does not match weight parameters")
     jet = PsiJet(params, grid.centers)
-    psi = jet.psi
-    if np.any(psi <= 0):
+    if np.any(jet.psi <= 0):
         raise ValueError("psi must be positive at interior cells")
-    peak = psi_at_x0(params)
-    grad = jet.grad
-    wf = WeightFields(
-        params=params,
-        phi1=psi - peak,
-        phi3=-psi - peak,
-        grad_psi=grad,
-        laplacian_psi=jet.lap,
-        grad_psi_sq=rowdot(grad, grad),
-    )
-    if np.any(wf.phi1 > 1e-12):
+    if np.any(jet.phi1 > 1e-12):
         raise ValueError("phi1 must be nonpositive")
-    return wf
+    return jet
 
 
 def _sample_points(params: WeightParams, m: int) -> np.ndarray:
@@ -264,15 +253,12 @@ def geometry_constants(params: WeightParams) -> dict:
 def _geometry_constants_once(params: WeightParams, m: int) -> dict:
     R, a = params.radius, params.x0_abs
     pts = _sample_points(params, m)
-    peak = psi_at_x0(params)
     jet = PsiJet(params, pts)
-    psi, grad = jet.psi, jet.grad
-    grad_sq = rowdot(grad, grad)
-    phi1 = psi - peak
-    phi3 = -psi - peak
+    peak, psi, grad_sq = jet.peak, jet.psi, jet.grad_sq
+    phi1, phi3 = jet.phi1, jet.phi3
     d0 = pts - params.x0_point
     dist0 = np.sqrt(rowdot(d0, d0))
-    rad = np.sqrt(rowdot(pts, pts))
+    rad = np.sqrt(jet.sq)
 
     excl_radius = 2.0 * R / max(m, 2) if params.dim == 1 \
         else R / max(int(math.sqrt(m)), 24)
@@ -351,10 +337,10 @@ def derivative_maxima(params: WeightParams) -> dict:
         top = np.max(est)
         cand = est >= top * (1.0 - 1e-9) if np.isfinite(top) else slice(None)
         max_hess = float(np.max(np.abs(np.linalg.eigvalsh(H[cand]))))
-    grad, grad_lap = jet.grad, jet.grad_lap
+    grad_lap = jet.grad_lap
     return {
         "max_psi": float(np.max(np.abs(jet.psi))) * 1.05,
-        "max_grad_sq": float(np.max(rowdot(grad, grad))) * 1.05,
+        "max_grad_sq": float(np.max(jet.grad_sq)) * 1.05,
         "max_hess": max_hess * 1.05,
         "max_lap": float(np.max(np.abs(jet.lap))) * 1.05,
         "max_grad_lap": float(

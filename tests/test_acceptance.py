@@ -21,7 +21,7 @@ from degenrd.solver import CatalystSpec, InitialSpec, SimConfig, run
 from degenrd.verify import (decay_certificate_check,
                             observation_estimate_check,
                             theta_contraction_check)
-from degenrd.weights import PsiJet, WeightParams, psi_at_x0, weight_fields
+from degenrd.weights import PsiJet, WeightParams, weight_fields
 
 
 def _report(num: int, name: str, ok: bool, detail: str = "") -> None:
@@ -143,7 +143,7 @@ def test_criterion_05_weight_geometry(ref_ledger, ref_params):
     jet = PsiJet(p, pts)
     psi = jet.psi
     grad_sq = jet.grad.reshape(-1) ** 2
-    peak = psi_at_x0(p)
+    peak = jet.peak
     phi1, phi3 = psi - peak, -psi - peak
     dist0 = np.abs(pts[:, 0] - p.x0_abs)
     annulus = np.abs(pts[:, 0]) >= g["rho"]

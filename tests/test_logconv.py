@@ -159,11 +159,11 @@ def _per_component_reference(r, params, t, u):
         Phi[i] = s * phi / gam
         fi = f[i] = ui * np.exp(0.5 * Phi[i])
         eta = s / gam ** 2 * (-0.5 * np.abs(phi)
-                              + 0.25 * d * s * wf.grad_psi_sq)
+                              + 0.25 * d * s * wf.grad_sq)
         Sff += d * dirichlet_energy(grid, fi) - integrate(grid, eta * fi * fi)
-        gphi = (sign * s / gam) * wf.grad_psi
+        gphi = (sign * s / gam) * wf.grad
         adv = -d * np.sum(gphi * cell_gradient(grid, fi), axis=1) \
-            - 0.5 * d * ((sign * s / gam) * wf.laplacian_psi) * fi
+            - 0.5 * d * ((sign * s / gam) * wf.lap) * fi
         Aff += integrate(grid, adv * fi)
         F2 += integrate(grid, vi ** 2 * np.exp(Phi[i]))
         if grid.dim == 1:

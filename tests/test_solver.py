@@ -331,6 +331,13 @@ _ORACLE_CASES = {
 
 @pytest.mark.parametrize("case", sorted(_ORACLE_CASES))
 def test_run_bitwise_equals_per_species_loop(case):
+    """`run` equals `_reference_run`, which factors and solves each species
+    on its own, bit for bit.  Where d1 == d2 the step solves both species
+    as two columns of one SuperLU factor, so the claim holds where that
+    two-column solve equals two one-column solves bit for bit: under
+    OpenBLAS's default and Sandybridge kernels.  Under Haswell kernels it
+    does not in 2-D (the 2-D cases differ in the last bits), while 1-D
+    agrees under all three (ROADMAP state, item 19)."""
     kw = dict(resolution=64, t_end=0.5, record_stride=0.05,
               field_stride=0.1)
     kw.update(_ORACLE_CASES[case])

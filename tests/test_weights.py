@@ -6,7 +6,8 @@ Frozen oracles (hand-derived from the closed form of the weight):
   * all derivative evaluators agree with central finite differences at
     second order;
   * `PsiJet` is bitwise equal to the five per-quantity evaluators it
-    replaced, kept below as the reference.
+    replaced, and its peak, |grad psi|^2, phi1 and phi3 to the
+    expressions they replaced, kept below as the reference.
 """
 
 import math
@@ -16,8 +17,8 @@ import pytest
 
 from degenrd.weights import (DERIVATIVE_SAMPLES, PsiJet, WeightParams,
                              _sample_points, derivative_maxima,
-                             geometry_constants, psi_at_x0, weight_fields)
-from degenrd.grid import build_grid
+                             geometry_constants, weight_fields)
+from degenrd.grid import build_grid, rowdot
 from degenrd.logconv import tilt
 
 P1 = WeightParams(x0_abs=0.25, r=0.1, s=0.5, h=0.1, T=10.0, dim=1)
@@ -146,8 +147,27 @@ def eval_grad_lap_psi(params: WeightParams, point):
     return out[0] if scalar else out
 
 
+def eval_peak(params: WeightParams, point=None):
+    return 2.0 * params.x0_abs * params.radius
+
+
+def eval_grad_sq(params: WeightParams, point):
+    grad = eval_grad_psi(params, point)
+    return rowdot(grad, grad)
+
+
+def eval_phi1(params: WeightParams, point):
+    return eval_psi(params, point) - eval_peak(params)
+
+
+def eval_phi3(params: WeightParams, point):
+    return -eval_psi(params, point) - eval_peak(params)
+
+
 _REFERENCE = {"psi": eval_psi, "grad": eval_grad_psi, "hess": eval_hess_psi,
-              "lap": eval_lap_psi, "grad_lap": eval_grad_lap_psi}
+              "lap": eval_lap_psi, "grad_lap": eval_grad_lap_psi,
+              "grad_sq": eval_grad_sq, "phi1": eval_phi1, "phi3": eval_phi3,
+              "peak": eval_peak}
 
 
 def _package_point_sets(dim):
@@ -170,8 +190,10 @@ def test_jet_bitwise_equals_the_per_quantity_evaluators(dim, x0, r):
     for name, pts in _package_point_sets(dim).items():
         jet = PsiJet(params, pts)
         for attr, reference in _REFERENCE.items():
-            assert np.array_equal(getattr(jet, attr),
-                                  reference(params, pts)), (name, attr)
+            got, want = getattr(jet, attr), reference(params, pts)
+            assert np.shape(got) == np.shape(want), (name, attr)
+            assert np.asarray(got).tobytes() == np.asarray(want).tobytes(), \
+                (name, attr)
 
 
 # ---------------------------------------------------------------------------
@@ -180,9 +202,9 @@ def test_jet_bitwise_equals_the_per_quantity_evaluators(dim, x0, r):
 
 @pytest.mark.parametrize("p", [P1, P2])
 def test_peak_value_oracle(p):
-    assert psi_at_x0(p) == pytest.approx(2 * p.x0_abs * p.radius, rel=1e-14)
-    assert PsiJet(p, p.x0_point[None]).psi[0] == pytest.approx(
-        2 * p.x0_abs * p.radius, rel=1e-12)
+    jet = PsiJet(p, p.x0_point[None])
+    assert jet.peak == pytest.approx(2 * p.x0_abs * p.radius, rel=1e-14)
+    assert jet.psi[0] == pytest.approx(2 * p.x0_abs * p.radius, rel=1e-12)
 
 
 @pytest.mark.parametrize("p", [P1, P2])
@@ -196,8 +218,9 @@ def test_peak_is_global_max_and_boundary_zero(p):
         rg, tg = np.meshgrid(rr, tt)
         pts = np.column_stack([(rg * np.cos(tg)).ravel(),
                                (rg * np.sin(tg)).ravel()])
-    psi = PsiJet(p, pts).psi
-    assert np.all(psi <= psi_at_x0(p) + 1e-12)
+    jet = PsiJet(p, pts)
+    psi = jet.psi
+    assert np.all(psi <= jet.peak + 1e-12)
     assert np.all(psi >= -1e-12)
     bnd = np.zeros((2, p.dim))
     bnd[0, 0], bnd[1, 0] = R, -R
@@ -289,7 +312,7 @@ def _Phi_eta_closed_form(params, sign, pts, t, d):
     pointwise evaluators."""
     gamma = params.T - t + params.h
     jet = PsiJet(params, pts)
-    phi = sign * jet.psi - psi_at_x0(params)
+    phi = sign * jet.psi - jet.peak
     grad = jet.grad.reshape(-1)
     eta = (params.s / gamma ** 2) * (-0.5 * np.abs(phi)
                                      + 0.25 * d * params.s * grad ** 2)
@@ -315,13 +338,14 @@ def test_weight_fields_match_pointwise():
     wf = weight_fields(P1, g)
     jet = PsiJet(P1, g.centers)
     psi = jet.psi
-    assert np.allclose(wf.phi1 + psi_at_x0(P1), psi, atol=1e-14)
-    assert np.allclose(wf.phi3 + psi_at_x0(P1), -psi, atol=1e-14)
+    assert wf.params is P1
+    assert np.allclose(wf.phi1 + jet.peak, psi, atol=1e-14)
+    assert np.allclose(wf.phi3 + jet.peak, -psi, atol=1e-14)
     grad = jet.grad
-    assert np.allclose(wf.grad_psi, grad, atol=1e-14)
-    assert np.allclose(wf.grad_psi_sq, np.sum(grad * grad, axis=-1),
+    assert np.allclose(wf.grad, grad, atol=1e-14)
+    assert np.allclose(wf.grad_sq, np.sum(grad * grad, axis=-1),
                        atol=1e-14)
-    assert np.allclose(wf.laplacian_psi, jet.lap, atol=1e-12)
+    assert np.allclose(wf.lap, jet.lap, atol=1e-12)
 
 
 @pytest.mark.parametrize("dim,n", [(1, 256), (2, 32), (2, 64)])
@@ -361,7 +385,7 @@ def test_geometry_clause_bounds_hold_on_fresh_samples(geom):
     psi = jet.psi
     grad = jet.grad.reshape(-1)
     grad_sq = grad ** 2
-    peak = psi_at_x0(P1)
+    peak = jet.peak
     phi1, phi3 = psi - peak, -psi - peak
     dist0 = np.abs(pts[:, 0] - P1.x0_abs)
     rad = np.abs(pts[:, 0])
